@@ -170,7 +170,9 @@ def _markdown_value(value, depth):
 def _context(spec, flags):
     fan = spec.fan()
     sys = gkz.build_system(fan)
-    order = flags.get("order") or spec.order
+    order = flags.get("order")
+    if order is None:
+        order = spec.order
     omega = flags.get("weight") or spec.ample_weight
     if omega is None:
         omega = se.default_weight(sys)
@@ -357,6 +359,8 @@ def main(argv=None):
 
     try:
         spec = parse_input(args.input)
+        if args.order is not None and args.order < 0:
+            raise SchemaError(f"--order must be nonnegative, got {args.order}")
         flags = {"order": args.order}
         if args.weight:
             try:

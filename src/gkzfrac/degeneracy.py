@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
 
 from . import exact_linalg as xl
 from . import series as se
@@ -280,21 +279,8 @@ def chart_pairings(sys, ring, chart, omega, order):
     """
     omega = se.check_weight(sys, omega)
     dim = len(chart.basis_vectors)
-    w_classes = _dual_divisor_classes(sys, ring, chart)
-    log_part = []
-    for m in se._log_multidegrees(dim, sys.n):
-        cls = ring.one()
-        for k, e in enumerate(m):
-            for _ in range(e):
-                cls = cls * w_classes[k]
-            if cls.is_zero():
-                break
-        if cls.is_zero():
-            continue
-        denom = 1
-        for e in m:
-            denom *= factorial(e)
-        log_part.append((m, Fraction(1, denom) * cls))
+    log_part = se.log_part(ring, _dual_divisor_classes(sys, ring, chart),
+                           sys.n)
     outputs = [ChartSeries(dim=dim, order=order) for _ in range(ring.dim)]
     for ell in se.mori_slab(sys, omega, order):
         base = se.o_class(sys, ring, ell)

@@ -20,6 +20,7 @@ from . import exact_linalg as xl
 from .errors import (InMoriCone, NotInKernel, NotInRegion, SchemaError,
                      TruncationTooLarge, WeightNotAmple)
 from .gkz import BoxOperator, EulerOperator, canonical_alpha
+from .toric import CohClass
 
 DEFAULT_MAX_TERMS = 100000
 
@@ -305,50 +306,36 @@ def normalized_period_series(sys, omega, order):
     return s
 
 
-def _ring_inverse(ring, cls, top):
-    s = cls.scalar_part()
-    assert s != 0, "class with vanishing scalar part is not invertible"
-    nil = cls - s * ring.one()
-    out = ring.one()
-    power = ring.one()
-    for k in range(1, top + 1):
-        power = power * nil
-        if power.is_zero():
-            break
-        out = out + Fraction(-1) ** k * (Fraction(1) / Fraction(s) ** k) * power
-    return (Fraction(1) / Fraction(s)) * out
-
-
-def _o_factor(ring, d_class, a, c, top):
-    """The slot factor of the product-form coefficient.
-
-    For c <= 0 this is the polynomial prod_{k=0}^{-c-1} (D + a - k); for
-    c > 0 it is the inverse of prod_{m=1}^{c} (D + a + m), expanded through
-    the nilpotent part.
-    """
-    if c <= 0:
-        out = ring.one()
-        for k in range(-c):
-            out = out * (d_class + (a - k) * ring.one())
-        return out
-    out = ring.one()
-    for m in range(1, c + 1):
-        out = out * _ring_inverse(ring, d_class + (a + m) * ring.one(), top)
-    return out
-
-
 def o_class(sys, ring, ell):
-    """Cohomology-valued coefficient of x^(ell + alpha) in product form."""
+    """Cohomology-valued coefficient of x^(ell + alpha) in product form.
+
+    Each slot (i, j) with c = ell[pos] and a = alpha[pos] contributes a
+    factor acting on the coordinate vector: prod_{k=0}^{-c-1} (D + a - k)
+    for c <= 0, and for c > 0 the inverse of prod_{m=1}^{c} (D + a + m),
+    each inverse being the Neumann series sum_t (-D)^t / s^(t+1), s = a + m,
+    which stops at t = rank because D^(rank+1) = 0.
+    """
     ell = tuple(ell)
     alpha = canonical_alpha(sys)
-    out = ring.one()
+    v = ring.one().coords
     for (i, j) in sys.j_indices():
         pos = sys.j_position(i, j)
-        d_class = ring.divisor_class(i, j)
-        out = out * _o_factor(ring, d_class, alpha[pos], ell[pos], sys.n)
-        if out.is_zero():
+        a, c = alpha[pos], ell[pos]
+        for k in range(-c):
+            v = ring.act(i, j, v, a - k)
+        for m in range(1, c + 1):
+            s = a + m
+            assert s != 0, "slot factor with vanishing scalar part"
+            inv = 1 / s
+            v = term = [x * inv if x else x for x in v]
+            for _ in range(sys.n):
+                term = [-x * inv if x else x for x in ring.act(i, j, term)]
+                if not any(term):
+                    break
+                v = [x + y if y else x for x, y in zip(v, term)]
+        if not any(v):
             break
-    return out
+    return CohClass(ring, v)
 
 
 def _log_multidegrees(nvars, top):
@@ -366,17 +353,15 @@ def _log_multidegrees(nvars, top):
     return [m for level in out for m in level]
 
 
-def b_series(sys, ring, omega, order):
-    """Cohomology-valued solution series with explicit log multidegrees."""
-    omega = check_weight(sys, omega)
-    alpha = canonical_alpha(sys)
-    d_classes = [ring.divisor_class(i, j) for (i, j) in sys.j_indices()]
-    log_part = []
-    for m in _log_multidegrees(sys.nvars, sys.n):
+def log_part(ring, classes, top):
+    """The nonzero log-slot classes prod_j classes[j]^m_j / m_j! over all
+    log multidegrees m of total degree at most ``top``."""
+    out = []
+    for m in _log_multidegrees(len(classes), top):
         cls = ring.one()
         for j, e in enumerate(m):
             for _ in range(e):
-                cls = cls * d_classes[j]
+                cls = cls * classes[j]
             if cls.is_zero():
                 break
         if cls.is_zero():
@@ -384,14 +369,23 @@ def b_series(sys, ring, omega, order):
         denom = 1
         for e in m:
             denom *= factorial(e)
-        log_part.append((m, (Fraction(1, denom)) * cls))
+        out.append((m, Fraction(1, denom) * cls))
+    return out
+
+
+def b_series(sys, ring, omega, order):
+    """Cohomology-valued solution series with explicit log multidegrees."""
+    omega = check_weight(sys, omega)
+    alpha = canonical_alpha(sys)
+    logs = log_part(ring, [ring.divisor_class(i, j)
+                           for (i, j) in sys.j_indices()], sys.n)
     s = LogSeries(alpha=alpha, weight=omega, order=order,
                   cohomological=True)
     for ell in mori_slab(sys, omega, order):
         base = o_class(sys, ring, ell)
         if base.is_zero():
             continue
-        for m, cls in log_part:
+        for m, cls in logs:
             s.add_term(ell, m, base * cls)
     return s
 
@@ -402,19 +396,11 @@ def pair_with_dual(b, h):
     ``h`` is either the index of a basis monomial (its dual functional) or a
     full coordinate vector over the dual basis.
     """
-    sample = next(iter(b.terms.values()), None)
-    if sample is None:
-        return LogSeries(alpha=b.alpha, weight=b.weight, order=b.order,
-                         shifts=b.shifts)
-    dim = sample.ring.dim
-    if isinstance(h, int):
-        vec = [Fraction(0)] * dim
-        vec[h] = Fraction(1)
-        h = tuple(vec)
     out = LogSeries(alpha=b.alpha, weight=b.weight, order=b.order,
                     shifts=b.shifts)
     for (ell, logdeg), cls in b.terms.items():
-        out.add_term(ell, logdeg, cls.pair(h))
+        out.add_term(ell, logdeg,
+                     cls.coords[h] if isinstance(h, int) else cls.pair(h))
     return out
 
 

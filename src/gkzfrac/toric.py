@@ -432,6 +432,19 @@ def _monomials_of_degree(p, d):
     return out
 
 
+_ZERO = Fraction(0)
+
+
+def _unit(n, i):
+    """The i-th unit vector of length n."""
+    return tuple(int(k == i) for k in range(n))
+
+
+def _sparse(coords):
+    """The nonzero (index, coefficient) pairs of a coordinate vector."""
+    return tuple((k, c) for k, c in enumerate(coords) if c)
+
+
 def _monomial_key(expo):
     """Sorted variable sequence of a monomial, for earliest-first ordering."""
     seq = []
@@ -445,7 +458,9 @@ class CohomologyRing:
 
     Basis monomials are square-free, chosen greedily as the lexicographically
     earliest independent ones degree by degree; the intersection pairing is
-    normalised so the class of a point integrates to 1.
+    normalised so the class of a point integrates to 1.  Classes are
+    coordinate vectors over that basis, multiplied through a table of basis
+    products built once by the constructor.
     """
 
     def __init__(self, fan):
@@ -470,7 +485,23 @@ class CohomologyRing:
         self.dim = len(self.basis_monomials)
         self._global_pos = {m: i for i, m in enumerate(self.basis_monomials)}
         self._point = self._point_class()
-        self._mul_cache = {}
+        self._one = CohClass(self, _unit(self.dim, 0))
+        # Structure constants of the basis, then multiplication by each
+        # divisor class; nothing is computed or cached after this point.
+        self._table = [[None] * self.dim for _ in range(self.dim)]
+        for a, ma in enumerate(self.basis_monomials):
+            for b in range(a, self.dim):
+                expo = tuple(x + y for x, y in zip(ma, self.basis_monomials[b]))
+                self._table[a][b] = self._table[b][a] = _sparse(
+                    self.class_from_poly({expo: 1}).coords)
+        self._divisors = {}
+        for (i, j) in fan.j_indices():
+            rays = fan.blocks[i] if j == 0 else (fan.ray_of_double_index(i, j),)
+            d = self.class_from_poly({_unit(self.p, r): -1 if j == 0 else 1
+                                      for r in rays})
+            self._divisors[(i, j)] = tuple(
+                _sparse(self._contract(d.coords, _unit(self.dim, b)))
+                for b in range(self.dim))
 
     # -- construction --
 
@@ -538,6 +569,20 @@ class CohomologyRing:
                 resid.append(bvec)
             self._solve_mat[d] = [tuple(col) for col in zip(*resid)] if resid else []
 
+    def _contract(self, x, y):
+        """Coordinates of the product of two coordinate vectors."""
+        out = [_ZERO] * self.dim
+        nonzero_y = [(b, cy) for b, cy in enumerate(y) if cy]
+        for a, cx in enumerate(x):
+            if not cx:
+                continue
+            row = self._table[a]
+            for b, cy in nonzero_y:
+                c = cx * cy
+                for k, t in row[b]:
+                    out[k] += c * t
+        return out
+
     @staticmethod
     def _reduce_vec(vec, echelon):
         for piv, row in echelon:
@@ -587,49 +632,49 @@ class CohomologyRing:
     # -- public interface --
 
     def zero(self):
-        return CohClass(self, (Fraction(0),) * self.dim)
+        return CohClass(self, (_ZERO,) * self.dim)
 
     def one(self):
-        return self.class_from_poly({(0,) * self.p: Fraction(1)})
+        return self._one
 
     def generator(self, i_ray):
-        expo = [0] * self.p
-        expo[i_ray] = 1
-        return self.class_from_poly({tuple(expo): Fraction(1)})
+        return self.class_from_poly({_unit(self.p, i_ray): 1})
 
     def divisor_class(self, i, j):
         """Class of the double-indexed divisor; j = 0 gives the block sum's
         negative."""
-        if j == 0:
-            out = self.zero()
-            for i_ray in self.fan.blocks[i]:
-                out = out - self.generator(i_ray)
-            return out
-        return self.generator(self.fan.ray_of_double_index(i, j))
+        return CohClass(self, self.act(i, j, self._one.coords))
+
+    def divisor_matrix(self, i, j):
+        """Multiplication by the divisor class of (i, j), column by column:
+        column b lists the nonzero (index, coefficient) pairs of the class
+        times basis monomial b.  The matrix is nilpotent of order rank + 1."""
+        return self._divisors[(i, j)]
+
+    def act(self, i, j, v, shift=0):
+        """Coordinates of (D_ij + shift) * v for a coordinate vector v."""
+        out = [shift * x if x else x for x in v] if shift \
+            else [_ZERO] * self.dim
+        for x, column in zip(v, self._divisors[(i, j)]):
+            if x:
+                for k, c in column:
+                    out[k] += c * x
+        return out
 
     def class_from_poly(self, poly):
         """Class of a polynomial in the ray variables, given as expo -> coeff."""
-        out = [Fraction(0)] * self.dim
+        out = [_ZERO] * self.dim
         for expo, c in poly.items():
             if c == 0:
                 continue
-            key = tuple(expo)
-            if key not in self._mul_cache:
-                self._mul_cache[key] = self._coords_to_global(
-                    self.reduce_monomial(key))
-            red = self._mul_cache[key]
+            red = self._coords_to_global(self.reduce_monomial(tuple(expo)))
             for i, x in enumerate(red):
                 if x:
                     out[i] += c * x
         return CohClass(self, tuple(out))
 
     def multiply(self, a, b):
-        poly = {}
-        for ma, ca in a.monomial_items():
-            for mb, cb in b.monomial_items():
-                expo = tuple(x + y for x, y in zip(ma, mb))
-                poly[expo] = poly.get(expo, Fraction(0)) + ca * cb
-        return self.class_from_poly(poly)
+        return CohClass(self, self._contract(a.coords, b.coords))
 
     def integral(self, cls):
         """Pairing with the fundamental class, point class normalised to 1."""
@@ -662,10 +707,6 @@ class CohClass:
     def __init__(self, ring, coords):
         self.ring = ring
         self.coords = tuple(Fraction(c) for c in coords)
-
-    def monomial_items(self):
-        return [(m, c) for m, c in zip(self.ring.basis_monomials, self.coords)
-                if c != 0]
 
     def __add__(self, other):
         if isinstance(other, CohClass):
@@ -707,11 +748,6 @@ class CohClass:
 
     def is_zero(self):
         return all(c == 0 for c in self.coords)
-
-    def degree_part(self, d):
-        coords = tuple(c if deg == d else Fraction(0)
-                       for c, deg in zip(self.coords, self.ring.basis_degrees))
-        return CohClass(self.ring, coords)
 
     def scalar_part(self):
         """Coefficient of the unit basis element."""

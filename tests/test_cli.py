@@ -129,6 +129,22 @@ def test_cli_check_all_p2():
     assert all(c["ok"] for c in payload["checks"])
 
 
+def test_cli_order_zero_is_honoured():
+    result = run_cli(["series", cli.fixture_path("p2"), "--order", "0"])
+    assert result.returncode == 0, result.stderr
+    payload = json.loads(result.stdout)["payload"]
+    assert payload["order"] == 0
+    assert len(payload["period"]["terms"]) == 1
+
+
+def test_cli_negative_order_exit_2():
+    result = run_cli(["series", cli.fixture_path("p2"), "--order", "-3"])
+    assert result.returncode == 2
+    assert result.stderr.startswith("gkzfrac: input error: ")
+    assert "--order" in result.stderr
+    assert not result.stdout
+
+
 def test_cli_unknown_command_exit_2():
     result = run_cli(["frobnicate", cli.fixture_path("p1")])
     assert result.returncode == 2

@@ -1,0 +1,49 @@
+"""Byte-level guard on the JSON reports of the ring-heavy commands.
+
+Each digest is the SHA-256 of the report a command writes to standard output
+for a bundled fixture at the fixture's own order (timing goes to standard
+error, so the bytes are deterministic).  A change to the cohomology ring, the
+product-form coefficients or the chart pairings that alters any report byte
+fails here, whatever it does to speed.
+"""
+
+import hashlib
+
+import pytest
+
+from gkzfrac import cli
+
+DIGESTS = {
+    ("bseries", "p1"):
+        "d4e13ecb6551287a0b1f73b8476d03efce8294524c877dcf09b0223b93d2123b",
+    ("bseries", "p2"):
+        "4cfd1e298d10bcff5c334ac4f9deca2c16a7b7483a41ee3ea2d0451d5049e8da",
+    ("bseries", "p1xp1"):
+        "c15e4cc357c357f355c2c5c7e5c933dd71387e1337e2a9d15e890595d2b436f7",
+    ("bseries", "p1xp1_r1"):
+        "2da1902bb5e47f65bb8fa37d40d7f1094d49bb7bac2f357cd245d88338a6a077",
+    ("bseries", "f1"):
+        "3e091d20b5fed6ae89051a1954e1ba9417348d93550ed4d3f41b9c5c7f85aeb6",
+    ("degeneracy", "p1"):
+        "ff732c0d32e45e227714da91fdc8af8a59b952a2f7e2fc800c756b03231f752f",
+    ("degeneracy", "p2"):
+        "86739351acf5b42aa433d5be75a2baf8299aecf05e3eda6d97574aaca9dda5c0",
+    ("degeneracy", "p1xp1"):
+        "eb22202bab00ee72da382ed247614f23fb535a93aa11f3b4947cf0c0afcc72af",
+    ("degeneracy", "p1xp1_r1"):
+        "cab3b3c23d50bea97fd8f4986c91f6b97314cb63aaa088e921d0345ed1b14be2",
+    ("degeneracy", "f1"):
+        "2a02da9fbbfd06d0d0c3d6352acde092cb9d56e08e2365dd3d990624d86c027e",
+    ("check-all", "p2"):
+        "ad513711531eb35195ba4fa57180710c40b22108abb5d118491d70246e6299c7",
+    ("check-all", "f1"):
+        "da596c6a253b16a8ac7e70de3550f8115676d17bf47483498c2887433368bb6e",
+}
+
+
+@pytest.mark.parametrize("command,name", sorted(DIGESTS))
+def test_report_digest(command, name):
+    spec = cli.parse_input(cli.fixture_path(name))
+    text = cli.run_command(command, spec, {"order": None}).to_json()
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == DIGESTS[(command, name)]
