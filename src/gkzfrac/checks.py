@@ -1,13 +1,15 @@
 """Named invariant checks over one fan, shared by the CLI and the tests.
 
-Each check returns (ok, detail).  ``run_all`` executes every registered
-check and returns a list of result dicts; the identifiers are stable and
-are referenced by the traceability table in the README.
+Each check reads one ``Instance`` and returns (ok, detail).  ``run_all``
+executes every registered check and returns a list of result dicts; the
+identifiers are stable and are referenced by the traceability table in the
+README.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 
 from . import degeneracy as dg
@@ -19,14 +21,14 @@ from . import toric
 from . import triangulations as tr
 
 
-def _check_exact_linalg_hnf(ctx):
-    h, u = xl.hermite_with_transform(ctx.sys.a_ext)
-    ok = abs(xl.det(u)) == 1 and xl.mat_mul(ctx.sys.a_ext, u) == h
+def _check_exact_linalg_hnf(inst):
+    h, u = xl.hermite_with_transform(inst.sys.a_ext)
+    ok = abs(xl.det(u)) == 1 and xl.mat_mul(inst.sys.a_ext, u) == h
     return ok, "transform unimodular and exact"
 
 
-def _check_exact_linalg_kernel(ctx):
-    sys = ctx.sys
+def _check_exact_linalg_kernel(inst):
+    sys = inst.sys
     bmat = tuple(zip(*sys.basis))
     bound = 2
     while (2 * bound + 1) ** sys.nvars > 200000 and bound > 1:
@@ -41,39 +43,32 @@ def _check_exact_linalg_kernel(ctx):
     return missing == 0, f"saturation verified on the [-{bound},{bound}] box"
 
 
-def _check_nef_roundtrip(ctx):
-    nablas = pt.dual_nef_partition(ctx.fan)
-    nabla = nablas[0]
-    for q in nablas[1:]:
-        nabla = pt.minkowski_sum(nabla, q)
+def _check_nef_roundtrip(inst):
+    nabla = inst.nabla
     ok = pt.is_reflexive(nabla) and pt.polar_dual(pt.polar_dual(nabla)) == nabla
     return ok, "Minkowski sum reflexive with exact double dual"
 
 
-def _check_minkowski_comm(ctx):
-    nablas = pt.dual_nef_partition(ctx.fan)
+def _check_minkowski_comm(inst):
+    nablas = inst.nablas
     if len(nablas) < 2:
         return True, "single block, nothing to commute"
     a, b = nablas[0], nablas[1]
     return pt.minkowski_sum(a, b) == pt.minkowski_sum(b, a), "vertex sets agree"
 
 
-def _check_sections_in_dual(ctx):
-    nablas = pt.dual_nef_partition(ctx.fan)
-    nabla = nablas[0]
-    for q in nablas[1:]:
-        nabla = pt.minkowski_sum(nabla, q)
-    dual = pt.polar_dual(nabla)
-    for k in range(ctx.fan.r):
-        delta = pt.section_polytope(ctx.fan, k)
+def _check_sections_in_dual(inst):
+    dual = pt.polar_dual(inst.nabla)
+    for k in range(inst.fan.r):
+        delta = pt.section_polytope(inst.fan, k)
         for v in delta.vertices:
             if not dual.contains(v):
                 return False, f"vertex {v} of block {k} escapes the dual body"
     return True, "all section vertices inside the dual body"
 
 
-def _check_lifting(ctx):
-    sys = ctx.sys
+def _check_lifting(inst):
+    sys = inst.sys
     for pc in sys.collections:
         if not sys.in_kernel(pc.ell_ext):
             return False, f"collection {sorted(pc.rays)} lifting not a relation"
@@ -86,32 +81,32 @@ def _check_lifting(ctx):
     return True, f"{len(sys.collections)} liftings verified"
 
 
-def _check_c0_nonnegative(ctx):
-    for pc in ctx.sys.collections:
+def _check_c0_nonnegative(inst):
+    for pc in inst.sys.collections:
         if any(c < 0 for c in pc.c0):
             return False, f"collection {sorted(pc.rays)} has negative c0"
     return True, "auxiliary coefficients nonnegative"
 
 
-def _check_ring_dimension(ctx):
-    ring = ctx.ring
-    tops = [d for d in ring.basis_degrees if d == ctx.fan.rank]
-    ok = ring.dim == len(ctx.fan.max_cones) and len(tops) == 1
+def _check_ring_dimension(inst):
+    ring = inst.ring
+    tops = [d for d in ring.basis_degrees if d == inst.fan.rank]
+    ok = ring.dim == len(inst.fan.max_cones) and len(tops) == 1
     return ok, f"dimension {ring.dim}, top degree one-dimensional"
 
 
-def _check_ample_positive(ctx):
-    omega = ctx.omega
-    for pc in ctx.sys.collections:
+def _check_ample_positive(inst):
+    omega = inst.omega
+    for pc in inst.sys.collections:
         if xl.dot(omega, pc.ell_ext) <= 0:
             return False, f"weight not positive on {sorted(pc.rays)}"
     return True, "weight strictly positive on all relations"
 
 
-def _check_euler_eigenvalue(ctx):
+def _check_euler_eigenvalue(inst):
     import random
-    sys = ctx.sys
-    alpha = gkz.canonical_alpha(sys)
+    sys = inst.sys
+    alpha = sys.alpha
     rng = random.Random(47)
     for _ in range(20):
         coeffs = [rng.randint(-4, 4) for _ in sys.basis]
@@ -125,8 +120,8 @@ def _check_euler_eigenvalue(ctx):
     return True, "20 random relation monomials hit the eigenvalues"
 
 
-def _check_indicial_monic(ctx):
-    sys = ctx.sys
+def _check_indicial_monic(inst):
+    sys = inst.sys
     for pc in sys.collections:
         poly = gkz.indicial_polynomial(sys, pc.ell_ext)
         plus, _ = xl.split_positive_negative(pc.ell_ext)
@@ -135,34 +130,29 @@ def _check_indicial_monic(ctx):
     return True, "degrees and leading coefficients as stated"
 
 
-def _check_indicial_locus(ctx):
-    locus = gkz.indicial_ideal_zero_locus(ctx.sys)
-    ok = locus == [gkz.canonical_alpha(ctx.sys)]
+def _check_indicial_locus(inst):
+    locus = gkz.indicial_ideal_zero_locus(inst.sys)
+    ok = locus == [inst.sys.alpha]
     return ok, "zero locus is the single canonical exponent"
 
 
-def _check_surjection(ctx):
-    ok = gkz.indicial_ring_surjection_check(ctx.sys, ctx.ring)
+def _check_surjection(inst):
+    ok = gkz.indicial_ring_surjection_check(inst.sys, inst.ring)
     return ok, "indicial generators vanish in the quotient ring"
 
 
-def _check_oracle_match(ctx):
-    sys = ctx.sys
-    for ell in se.region_slab(sys, ctx.omega, min(ctx.order, 8)):
+def _check_oracle_match(inst):
+    sys = inst.sys
+    for ell in se.region_slab(sys, inst.omega, min(inst.order, 8)):
         if se.period_coefficient_C(sys, ell) != se.residue_oracle(sys, ell):
             return False, f"coefficient mismatch at {ell}"
     return True, "period coefficients equal the residue expansion"
 
 
-def _check_annihilation(ctx):
-    sys, ring = ctx.sys, ctx.ring
-    alpha = gkz.canonical_alpha(sys)
-    gamma = se.gamma_series(sys, alpha, ctx.omega, ctx.order)
-    period = se.normalized_period_series(sys, ctx.omega, ctx.order)
-    b = se.b_series(sys, ring, ctx.omega, ctx.order)
-    pairings = [se.pair_with_dual(b, h) for h in range(ring.dim)]
-    targets = [("gamma", gamma, False), ("period", period, True)] + [
-        (f"pairing_{h}", s, False) for h, s in enumerate(pairings)]
+def _check_annihilation(inst):
+    sys = inst.sys
+    targets = [("gamma", inst.gamma, False), ("period", inst.period, True)] + [
+        (f"pairing_{h}", s, False) for h, s in enumerate(inst.pairings)]
     for op in sys.euler_operators():
         for name, s, _tw in targets:
             if not se.apply_operator(op, s).is_zero_on_reliable_region():
@@ -173,26 +163,26 @@ def _check_annihilation(ctx):
             if not result.is_zero_on_reliable_region():
                 return False, f"box {box.ell} fails on {name}"
     return True, (f"{sys.n + sys.r} Euler rows and {len(sys.collections)} "
-                  f"box operators kill all solutions at order {ctx.order}")
+                  f"box operators kill all solutions at order {inst.order}")
 
 
-def _check_mori_support(ctx):
-    sys, ring = ctx.sys, ctx.ring
+def _check_mori_support(inst):
+    sys, ring = inst.sys, inst.ring
     k = len(sys.basis)
     rows = []
     for j in range(k):
         rows.append((tuple(1 if i == j else 0 for i in range(k)), 2))
         rows.append((tuple(-1 if i == j else 0 for i in range(k)), 2))
     for coords in xl.lattice_points(rows, k):
-        ell = sys.from_basis_coords(coords)
-        if not se.in_mori_cone(sys, ell):
+        if not se.coords_in_mori_cone(sys, coords):
+            ell = sys.from_basis_coords(coords)
             if not se.o_class(sys, ring, ell).is_zero():
                 return False, f"nonzero coefficient at {ell} off the curve cone"
     return True, "slab coefficients vanish off the curve cone"
 
 
-def _check_mori_vanishing_samples(ctx):
-    sys, ring = ctx.sys, ctx.ring
+def _check_mori_vanishing_samples(inst):
+    sys, ring = inst.sys, inst.ring
     samples = mori_vanishing_samples(sys, bound=3, limit=10)
     if not samples:
         return False, "no sample vectors available"
@@ -209,92 +199,79 @@ def mori_vanishing_samples(sys, bound=3, limit=10):
                     key=lambda c: (sum(abs(x) for x in c), c))
     out = []
     for c in combos:
-        if all(x == 0 for x in c):
+        if all(x == 0 for x in c) or se.coords_in_mori_cone(sys, c):
             continue
-        ell = sys.from_basis_coords(c)
-        if se.in_mori_cone(sys, ell):
-            continue
-        out.append(ell)
+        out.append(sys.from_basis_coords(c))
         if len(out) == limit:
             break
     return out
 
 
-def _check_solution_rank(ctx):
-    sys, ring = ctx.sys, ctx.ring
-    b = se.b_series(sys, ring, ctx.omega, min(ctx.order, 6))
-    pairings = [se.pair_with_dual(b, h) for h in range(ring.dim)]
-    keys = sorted({key for s in pairings for key in s.terms})
+def _check_solution_rank(inst):
+    # the pairings truncated at weight degree min(order, 6)
+    ring, cap = inst.ring, min(inst.order, 6)
+    keys = sorted({key for s in inst.pairings for key in s.terms
+                   if xl.dot(inst.omega, key[0]) <= cap})
     matrix = [tuple(s.terms.get(key, Fraction(0)) for key in keys)
-              for s in pairings]
+              for s in inst.pairings]
     rank = xl.rank(matrix)
-    ok = rank == ring.dim == len(ctx.fan.max_cones)
+    ok = rank == ring.dim == len(inst.fan.max_cones)
     return ok, f"solution rank {rank} matches the ring dimension"
 
 
-def _check_ample_chamber(ctx):
-    sys = ctx.sys
-    pc = tr.PointConfiguration.from_system(sys)
-    result = tr.regular_subdivision(pc, ctx.omega)
-    tmax = tr.maximal_triangulation(sys, ctx.fan)
+def _check_ample_chamber(inst):
+    result = tr.regular_subdivision(inst.points, inst.omega)
     ok = isinstance(result, tr.Triangulation) and \
-        result.simplex_set() == tmax.simplex_set()
+        result.simplex_set() == inst.tmax.simplex_set()
     return ok, "ample weight induces the maximal triangulation"
 
 
-def _check_volume_rank(ctx):
-    sys = ctx.sys
-    pc = tr.PointConfiguration.from_system(sys)
-    volume = tr.normalized_volume(pc, tr.maximal_triangulation(sys, ctx.fan))
-    ok = volume == len(ctx.fan.max_cones) == ctx.ring.dim
+def _check_volume_rank(inst):
+    volume = tr.normalized_volume(inst.points, inst.tmax)
+    ok = volume == len(inst.fan.max_cones) == inst.ring.dim
     return ok, f"normalized volume {volume}"
 
 
-def _check_secondary_contains_ample(ctx):
-    sys = ctx.sys
-    pc = tr.PointConfiguration.from_system(sys)
-    cone = tr.secondary_cone(sys, pc, tr.maximal_triangulation(sys, ctx.fan))
+def _check_secondary_contains_ample(inst):
+    sys = inst.sys
+    cone = tr.secondary_cone(sys, inst.points, inst.tmax)
     for ray in sys.kahler.rays:
         if not cone.contains(ray):
             return False, f"ample ray {ray} escapes the secondary cone"
     return True, "ample cone inside the secondary cone"
 
 
-def _check_groebner_minimal(ctx):
-    sys = ctx.sys
-    if not tr.minimal_gb_is_primitive_collections(sys, ctx.fan, ctx.omega):
+def _check_groebner_minimal(inst):
+    sys = inst.sys
+    if not tr.minimal_gb_is_primitive_collections(sys, inst.fan, inst.omega):
         return False, "collection binomials fail the S-pair or leading test"
-    ideal = tr.toric_groebner_basis(sys, ctx.omega)
-    candidates = tr.primitive_collection_binomials(sys, ctx.omega)
+    ideal = tr.toric_groebner_basis(sys, inst.omega)
+    candidates = tr.primitive_collection_binomials(sys, inst.omega)
     ok = sorted(ideal.generators) == sorted(candidates)
     return ok, "reduced basis equals the collection binomials"
 
 
-def _check_tmax_contains_aux(ctx):
-    sys = ctx.sys
-    tmax = tr.maximal_triangulation(sys, ctx.fan)
-    aux = set(sys.aux_positions())
-    for s in tmax.simplices:
+def _check_tmax_contains_aux(inst):
+    aux = set(inst.sys.aux_positions())
+    for s in inst.tmax.simplices:
         if not aux <= set(s):
             return False, f"simplex {list(s)} misses an auxiliary point"
     return True, "every simplex contains all auxiliary points"
 
 
-def _check_region_decomposition(ctx):
-    sys = ctx.sys
-    chart = dg.subdivide_kahler_cone(sys)[0]
-    for ell in se.region_slab(sys, ctx.omega, ctx.order):
+def _check_region_decomposition(inst):
+    chart = inst.charts[0]
+    for ell in se.region_slab(inst.sys, inst.omega, inst.order):
         m = dg.chart_coordinates(chart, ell)
         if any(x < 0 for x in m):
             return False, f"{ell} fails to decompose"
     return True, "summation region decomposes with nonnegative exponents"
 
 
-def _check_certificate(ctx):
-    sys, ring = ctx.sys, ctx.ring
-    for idx, chart in enumerate(dg.subdivide_kahler_cone(sys)):
-        report = dg.maximal_degeneracy_check(sys, ring, chart, ctx.order,
-                                             omega=ctx.omega)
+def _check_certificate(inst):
+    for idx, chart in enumerate(inst.charts):
+        report = dg.maximal_degeneracy_check(inst.sys, inst.ring, chart,
+                                             inst.order, omega=inst.omega)
         if not report.passed:
             failed = [c["clause"] for c in report.clauses if not c["ok"]]
             return False, f"chart {idx} fails {failed}"
@@ -330,22 +307,67 @@ CHECKS = [
 ]
 
 
-class CheckContext:
-    def __init__(self, fan, order=8, omega=None):
+class Instance:
+    """One input: fan, system, order and checked weight (the one passed in,
+    else the fan's own, else the default lift).  Artifacts that several
+    checks or commands read are built on first use and kept."""
+
+    def __init__(self, fan, order, omega=None):
         self.fan = fan
         self.sys = gkz.build_system(fan)
-        self.ring = toric.cohomology_ring(fan)
         self.order = order
         if omega is None:
             omega = fan.ample_weight or se.default_weight(self.sys)
         self.omega = se.check_weight(self.sys, omega)
 
+    @cached_property
+    def ring(self):
+        return toric.cohomology_ring(self.fan)
 
-def run_all(fan, order=8, omega=None):
-    """Run every registered check; returns a list of result dicts."""
-    ctx = CheckContext(fan, order=order, omega=omega)
+    @cached_property
+    def nablas(self):
+        return pt.dual_nef_partition(self.fan)
+
+    @cached_property
+    def nabla(self):
+        """Minkowski sum of the dual nef blocks."""
+        nabla = self.nablas[0]
+        for q in self.nablas[1:]:
+            nabla = pt.minkowski_sum(nabla, q)
+        return nabla
+
+    @cached_property
+    def points(self):
+        return tr.PointConfiguration.from_system(self.sys)
+
+    @cached_property
+    def tmax(self):
+        return tr.maximal_triangulation(self.sys, self.fan)
+
+    @cached_property
+    def charts(self):
+        return dg.subdivide_kahler_cone(self.sys)
+
+    @cached_property
+    def period(self):
+        return se.normalized_period_series(self.sys, self.omega, self.order)
+
+    @cached_property
+    def gamma(self):
+        return se.gamma_series(self.sys, self.sys.alpha, self.omega,
+                               self.order)
+
+    @cached_property
+    def pairings(self):
+        """Dual-basis pairings of the cohomology-valued series."""
+        b = se.b_series(self.sys, self.ring, self.omega, self.order)
+        return [se.pair_with_dual(b, h) for h in range(self.ring.dim)]
+
+
+def run_all(inst):
+    """Run every registered check on an Instance; returns result dicts."""
     results = []
     for check_id, fn in CHECKS:
-        ok, detail = fn(ctx)
+        ok, detail = fn(inst)
         results.append({"id": check_id, "ok": bool(ok), "detail": detail})
     return results

@@ -17,7 +17,6 @@ from importlib import resources
 from . import checks as checks_mod
 from . import degeneracy as dg
 from . import gkz
-from . import polytopes as pt
 from . import series as se
 from . import toric
 from . import triangulations as tr
@@ -167,19 +166,6 @@ def _markdown_value(value, depth):
     return lines
 
 
-def _context(spec, flags):
-    fan = spec.fan()
-    sys = gkz.build_system(fan)
-    order = flags.get("order")
-    if order is None:
-        order = spec.order
-    omega = flags.get("weight") or spec.ample_weight
-    if omega is None:
-        omega = se.default_weight(sys)
-    omega = se.check_weight(sys, omega)
-    return fan, sys, order, omega
-
-
 def _binomial_string(sys, u, v):
     def mono(expo):
         parts = []
@@ -196,11 +182,14 @@ def run_command(cmd, spec, flags=None):
     """Execute one command over a parsed input; returns a Report."""
     flags = dict(flags or {})
     if cmd == "validate":
-        fan = spec.fan()
-        report = toric.validate_fan(fan)
+        report = toric.validate_fan(spec.fan())
         return Report("validate", spec.name, {"checks": report.as_dict()})
 
-    fan, sys, order, omega = _context(spec, flags)
+    order = flags.get("order")
+    inst = checks_mod.Instance(spec.fan(),
+                               spec.order if order is None else order,
+                               flags.get("weight"))
+    fan, sys, order, omega = inst.fan, inst.sys, inst.order, inst.omega
 
     if cmd == "system":
         payload = {
@@ -211,14 +200,13 @@ def run_command(cmd, spec, flags=None):
             "a_ext_matrix": [list(row) for row in sys.a_ext],
             "beta": [se.fraction_str(x) for x in sys.beta],
             "relation_basis": [list(b) for b in sys.basis],
-            "canonical_alpha": [se.fraction_str(x)
-                                for x in gkz.canonical_alpha(sys)],
+            "canonical_alpha": [se.fraction_str(x) for x in sys.alpha],
             "box_generators": [list(pc.ell_ext) for pc in sys.collections],
         }
         return Report("system", spec.name, payload)
 
     if cmd == "cohomology":
-        ring = toric.cohomology_ring(fan)
+        ring = inst.ring
         sr = toric.stanley_reisner_ideal(fan)
         payload = {
             "dimension": ring.dim,
@@ -232,36 +220,29 @@ def run_command(cmd, spec, flags=None):
         return Report("cohomology", spec.name, payload)
 
     if cmd == "series":
-        period = se.normalized_period_series(sys, omega, order)
-        alpha = gkz.canonical_alpha(sys)
-        gamma = se.gamma_series(sys, alpha, omega, order)
         oracle_ok = all(
             coeff == se.residue_oracle(sys, ell)
-            for (ell, _), coeff in period.terms.items())
+            for (ell, _), coeff in inst.period.terms.items())
         payload = {
             "weight": [se.fraction_str(w) for w in omega],
             "order": order,
-            "period": se.series_to_dict(period),
-            "gamma": se.series_to_dict(gamma),
+            "period": se.series_to_dict(inst.period),
+            "gamma": se.series_to_dict(inst.gamma),
             "oracle_match": oracle_ok,
         }
         return Report("series", spec.name, payload, failed=not oracle_ok)
 
     if cmd == "bseries":
-        ring = toric.cohomology_ring(fan)
-        b = se.b_series(sys, ring, omega, order)
         payload = {
             "weight": [se.fraction_str(w) for w in omega],
             "order": order,
-            "dual_basis": ring.basis_names(),
-            "pairings": [se.series_to_dict(se.pair_with_dual(b, h))
-                         for h in range(ring.dim)],
+            "dual_basis": inst.ring.basis_names(),
+            "pairings": [se.series_to_dict(s) for s in inst.pairings],
         }
         return Report("bseries", spec.name, payload)
 
     if cmd == "fans":
-        pc = tr.PointConfiguration.from_system(sys)
-        tmax = tr.maximal_triangulation(sys, fan)
+        pc, tmax = inst.points, inst.tmax
         cone = tr.secondary_cone(sys, pc, tmax)
         chamber = tr.regular_subdivision(pc, omega)
         payload = {
@@ -312,12 +293,10 @@ def run_command(cmd, spec, flags=None):
                       failed=not (minimal and matches))
 
     if cmd == "degeneracy":
-        ring = toric.cohomology_ring(fan)
-        charts = dg.subdivide_kahler_cone(sys)
         chart_reports = []
         all_ok = True
-        for chart in charts:
-            report = dg.maximal_degeneracy_check(sys, ring, chart, order,
+        for chart in inst.charts:
+            report = dg.maximal_degeneracy_check(sys, inst.ring, chart, order,
                                                  omega=omega)
             all_ok = all_ok and report.passed
             chart_reports.append({
@@ -330,7 +309,7 @@ def run_command(cmd, spec, flags=None):
                       failed=not all_ok)
 
     if cmd == "check-all":
-        results = checks_mod.run_all(fan, order=order, omega=omega)
+        results = checks_mod.run_all(inst)
         ok = all(r["ok"] for r in results)
         return Report("check-all", spec.name,
                       {"checks": results, "passed": ok}, failed=not ok)
@@ -362,12 +341,16 @@ def main(argv=None):
         if args.order is not None and args.order < 0:
             raise SchemaError(f"--order must be nonnegative, got {args.order}")
         flags = {"order": args.order}
-        if args.weight:
+        if args.weight is not None:
             try:
-                flags["weight"] = tuple(int(x) for x in
-                                        args.weight.split(","))
+                weight = tuple(int(x) for x in args.weight.split(","))
             except ValueError as exc:
                 raise SchemaError(f"bad --weight: {exc}") from exc
+            expected = len(spec.rays) + len(spec.nef_partition)
+            if len(weight) != expected:
+                raise SchemaError(f"--weight must have {expected} entries, "
+                                  f"got {len(weight)}")
+            flags["weight"] = weight
         started = time.perf_counter()
         report = run_command(args.command, spec, flags)
         elapsed = time.perf_counter() - started

@@ -16,7 +16,7 @@ from fractions import Fraction
 from . import exact_linalg as xl
 from . import series as se
 from .errors import CertificateFailed, NegativeExponent, SubdivisionFailed
-from .gkz import canonical_alpha, indicial_ideal_zero_locus
+from .gkz import indicial_ideal_zero_locus
 
 SUBDIVISION_DEPTH_CAP = 32
 
@@ -395,7 +395,7 @@ def maximal_degeneracy_check(sys, ring, chart, order, omega=None,
                    f"log-free subspace has dimension {len(null)}")
 
     locus = indicial_ideal_zero_locus(sys, tau=None)
-    expected = [canonical_alpha(sys)]
+    expected = [sys.alpha]
     report.add("indicial_locus_is_canonical", locus == expected,
                "single canonical exponent" if locus == expected
                else f"locus {locus}")

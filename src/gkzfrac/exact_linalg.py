@@ -64,10 +64,6 @@ def transpose(m):
     return tuple(zip(*m)) if m else ()
 
 
-def identity(k):
-    return tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
-
-
 # --- determinants and rank ---------------------------------------------------
 
 def det(m):

@@ -128,6 +128,7 @@ class GkzSystem:
     basis: list
     collections: list = field(repr=False)
     kahler: toric.ConeDescription = field(repr=False)
+    alpha: tuple = field(default=None, repr=False)  # set by build_system
 
     @property
     def n(self):
@@ -154,9 +155,6 @@ class GkzSystem:
     def aux_positions(self):
         """Positions of the auxiliary (i, 0) slots in the flattened order."""
         return [self.fan.j_position(i, 0) for i in range(self.r)]
-
-    def block_of_position(self, pos):
-        return self.j_indices()[pos][0]
 
     def in_kernel(self, ell):
         return xl.vec_is_zero(xl.mat_vec(self.a_ext, ell))
@@ -212,6 +210,7 @@ def build_system(fan):
                     collections=collections, kahler=kahler)
     for b in basis:
         assert sys.in_kernel(b)
+    sys.alpha = canonical_alpha(sys)
     return sys
 
 
@@ -311,11 +310,10 @@ def indicial_ring_surjection_check(sys, ring):
     monomial) and every linear row to zero once the eigenvalue offset is
     absorbed.
     """
-    alpha = canonical_alpha(sys)
     classes = []
     for (i, j) in sys.j_indices():
-        classes.append(ring.divisor_class(i, j) + alpha[sys.j_position(i, j)]
-                       * ring.one())
+        classes.append(ring.divisor_class(i, j)
+                       + sys.alpha[sys.j_position(i, j)] * ring.one())
     for pc in sys.collections:
         value = indicial_polynomial(sys, pc.ell_ext).evaluate(classes)
         if not value.is_zero():

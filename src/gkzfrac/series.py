@@ -19,7 +19,7 @@ from math import factorial
 from . import exact_linalg as xl
 from .errors import (InMoriCone, NotInKernel, NotInRegion, SchemaError,
                      TruncationTooLarge, WeightNotAmple)
-from .gkz import BoxOperator, EulerOperator, canonical_alpha
+from .gkz import BoxOperator, EulerOperator
 from .toric import CohClass
 
 DEFAULT_MAX_TERMS = 100000
@@ -203,7 +203,11 @@ def mori_slab(sys, omega, order):
 
 
 def in_mori_cone(sys, ell):
-    coords = sys.basis_coords(ell)
+    return coords_in_mori_cone(sys, sys.basis_coords(ell))
+
+
+def coords_in_mori_cone(sys, coords):
+    """Curve-cone test on relation-lattice basis coordinates."""
     return all(xl.dot(ray, coords) >= 0 for ray in sys.kahler.rays)
 
 
@@ -285,7 +289,7 @@ def _coeff_is_zero(c):
 def gamma_series(sys, alpha, omega, order):
     """Rational solution series with product-form coefficients."""
     omega = check_weight(sys, omega)
-    assert tuple(alpha) == canonical_alpha(sys), \
+    assert tuple(alpha) == sys.alpha, \
         "only the canonical exponent is supported"
     s = LogSeries(alpha=tuple(alpha), weight=omega, order=order)
     for ell in region_slab(sys, omega, order):
@@ -300,7 +304,7 @@ def normalized_period_series(sys, omega, order):
     recorded in ``alpha``; printed tables show the coefficients C_ell alone.
     """
     omega = check_weight(sys, omega)
-    s = LogSeries(alpha=canonical_alpha(sys), weight=omega, order=order)
+    s = LogSeries(alpha=sys.alpha, weight=omega, order=order)
     for ell in region_slab(sys, omega, order):
         s.add_term(ell, (0,) * sys.nvars, period_coefficient_C(sys, ell))
     return s
@@ -316,7 +320,7 @@ def o_class(sys, ring, ell):
     which stops at t = rank because D^(rank+1) = 0.
     """
     ell = tuple(ell)
-    alpha = canonical_alpha(sys)
+    alpha = sys.alpha
     v = ring.one().coords
     for (i, j) in sys.j_indices():
         pos = sys.j_position(i, j)
@@ -376,10 +380,9 @@ def log_part(ring, classes, top):
 def b_series(sys, ring, omega, order):
     """Cohomology-valued solution series with explicit log multidegrees."""
     omega = check_weight(sys, omega)
-    alpha = canonical_alpha(sys)
     logs = log_part(ring, [ring.divisor_class(i, j)
                            for (i, j) in sys.j_indices()], sys.n)
-    s = LogSeries(alpha=alpha, weight=omega, order=order,
+    s = LogSeries(alpha=sys.alpha, weight=omega, order=order,
                   cohomological=True)
     for ell in mori_slab(sys, omega, order):
         base = o_class(sys, ring, ell)

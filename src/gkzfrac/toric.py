@@ -51,9 +51,6 @@ class FanData:
                 out[i] = k
         return out
 
-    def block_sizes(self):
-        return [len(b) for b in self.blocks]
-
     def double_index_of_ray(self, i_ray):
         """Ray index -> (i, j) with 1 <= j (0-based block i)."""
         k = self.block_of_ray[i_ray]
@@ -244,10 +241,14 @@ def _is_face(fan, subset):
 
 
 def primitive_collections(fan):
-    """All minimal non-faces with exact primitive-relation data."""
+    """All minimal non-faces with exact primitive-relation data.
+
+    Every proper subset of a minimal non-face is a cone of the simplicial
+    fan, so has at most ``rank`` rays: sizes stop at ``rank + 1``.
+    """
     out = []
     indices = range(fan.p)
-    for size in range(2, fan.p + 1):
+    for size in range(2, fan.rank + 2):
         for combo in combinations(indices, size):
             s = frozenset(combo)
             if _is_face(fan, s):
@@ -312,11 +313,6 @@ def _build_collection(fan, collection):
 def mori_cone_generators(fan):
     """Relation vectors of the primitive collections: generators of NE(X)."""
     return [pc.ell for pc in primitive_collections(fan)]
-
-
-def mori_cone_lifted_generators(fan):
-    """The same generators lifted to the extended relation lattice."""
-    return [pc.ell_ext for pc in primitive_collections(fan)]
 
 
 def stanley_reisner_ideal(fan):

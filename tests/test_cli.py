@@ -194,6 +194,19 @@ def test_cli_non_ample_weight_rejected():
     assert "WeightNotAmple" in result.stderr
 
 
+def test_cli_weight_wrong_length_is_usage_error():
+    result = run_cli(["system", cli.fixture_path("p2"), "--weight", "1,1"])
+    assert result.returncode == 2
+    assert ("gkzfrac: input error: --weight must have 4 entries, got 2"
+            in result.stderr)
+
+
+def test_cli_empty_weight_is_usage_error():
+    result = run_cli(["system", cli.fixture_path("p2"), "--weight="])
+    assert result.returncode == 2
+    assert "gkzfrac: input error: bad --weight" in result.stderr
+
+
 def test_cli_markdown_format():
     result = run_cli(["cohomology", cli.fixture_path("p2"),
                       "--format", "md"])

@@ -1,0 +1,55 @@
+"""One Instance per input: the artifacts that several checks or commands
+read are built once, and the checks see what they saw when each built its
+own copy.
+"""
+
+import pytest
+
+from conftest import CORPUS
+from gkzfrac import checks, cli, gkz, series as se, toric
+from gkzfrac import degeneracy as dg
+from gkzfrac import exact_linalg as xl
+from gkzfrac import polytopes as pt
+from gkzfrac import triangulations as tr
+
+COUNTED = [(gkz, "build_system"), (se, "b_series"),
+           (pt, "dual_nef_partition"), (tr, "maximal_triangulation"),
+           (dg, "subdivide_kahler_cone")]
+
+
+@pytest.mark.parametrize("name", ["p2", "f1"])
+def test_check_all_builds_each_artifact_once(name, monkeypatch):
+    calls = {attr: 0 for _module, attr in COUNTED}
+    for module, attr in COUNTED:
+        def counted(*args, _fn=getattr(module, attr), _attr=attr, **kwargs):
+            calls[_attr] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, attr, counted)
+    spec = cli.parse_input(cli.fixture_path(name))
+    report = cli.run_command("check-all", spec, {"order": None})
+    assert not report.failed
+    assert calls == {attr: 1 for _module, attr in COUNTED}
+
+
+@pytest.mark.parametrize("name", ["p2", "f1", "f1_r2"])
+def test_low_degree_pairings_equal_an_order_6_build(name):
+    # series.solution_rank reads the shared pairings up to weight degree 6;
+    # they must equal the pairings of a series built at order 6.
+    inst = checks.Instance(CORPUS[name](), order=8)
+    b = se.b_series(inst.sys, inst.ring, inst.omega, 6)
+    for h, s in enumerate(inst.pairings):
+        low = {key: c for key, c in s.terms.items()
+               if xl.dot(inst.omega, key[0]) <= 6}
+        assert low == se.pair_with_dual(b, h).terms
+
+
+def test_weight_rule():
+    # the weight passed in, else the fan's own, else the default lift
+    plain = CORPUS["p2"]()
+    sys = gkz.build_system(plain)
+    default = se.check_weight(sys, se.default_weight(sys))
+    assert checks.Instance(plain, 4).omega == default
+    weighted = toric.make_fan(plain.rank, plain.rays, plain.max_cones,
+                              [[0, 1, 2]], ample_weight=(0, 2, 2, 2))
+    assert checks.Instance(weighted, 4).omega == (0, 2, 2, 2)
+    assert checks.Instance(weighted, 4, (0, 3, 3, 3)).omega == (0, 3, 3, 3)

@@ -91,7 +91,7 @@ def test_random_surface_invariants(seed):
         rays, cones = result
         fan = toric.make_fan(2, rays, cones, [list(range(len(rays)))],
                              name=f"random{seed}_{built}")
-        results = checks.run_all(fan, order=5)
+        results = checks.run_all(checks.Instance(fan, order=5))
         bad = [r for r in results if not r["ok"]]
         assert not bad, (rays, bad)
         built += 1
@@ -112,7 +112,7 @@ def test_random_surface_bipartitions(seed):
         for block, other in partitions[:1]:
             fan = toric.make_fan(2, rays, cones, [block, other],
                                  name=f"random2_{seed}")
-            results = checks.run_all(fan, order=5)
+            results = checks.run_all(checks.Instance(fan, order=5))
             bad = [r for r in results if not r["ok"]]
             assert not bad, (rays, block, other, bad)
             checked += 1

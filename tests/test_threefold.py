@@ -27,7 +27,7 @@ def threefold(partition, tag):
 ])
 def test_threefold_registry(partition, tag):
     fan = threefold(partition, tag)
-    results = checks.run_all(fan, order=4)
+    results = checks.run_all(checks.Instance(fan, order=4))
     bad = [r for r in results if not r["ok"]]
     assert not bad, bad
 

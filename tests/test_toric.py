@@ -1,6 +1,9 @@
+from itertools import combinations
+
 import pytest
 
 from conftest import f1_fan, p1_fan, p1xp1_fan_r2, p2_fan
+from test_ring_table import INSTANCES
 from gkzfrac import exact_linalg as xl
 from gkzfrac import toric
 from gkzfrac.errors import (NotComplete, NotSmooth, RayNotPrimitive,
@@ -98,6 +101,23 @@ def test_collections_f1():
     assert exts == {(-1, 1, -1, 1, 0), (-2, 0, 1, 0, 1)}
 
 
+def _all_minimal_nonfaces(fan):
+    """Reference: walk every subset of the rays, with no size bound."""
+    def is_face(subset):
+        return any(subset <= cone for cone in fan.max_cones)
+    return {s for size in range(1, fan.p + 1)
+            for s in map(frozenset, combinations(range(fan.p), size))
+            if not is_face(s) and all(is_face(s - {x}) for x in s)}
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_collections_size_bound_loses_nothing(name):
+    fan = INSTANCES[name]()
+    found = [pc.rays for pc in toric.primitive_collections(fan)]
+    assert len(found) == len(set(found))
+    assert set(found) == _all_minimal_nonfaces(fan)
+
+
 def test_collections_structure_corpus(corpus_fan):
     a_ext = toric.a_ext_matrix(corpus_fan)
     for pc in toric.primitive_collections(corpus_fan):
@@ -127,7 +147,7 @@ def test_mori_p1xp1():
 
 
 def test_mori_lifted_generators(corpus_fan):
-    lifted = toric.mori_cone_lifted_generators(corpus_fan)
+    lifted = [pc.ell_ext for pc in toric.primitive_collections(corpus_fan)]
     plain = toric.mori_cone_generators(corpus_fan)
     ray_positions = [corpus_fan.j_position_of_ray(i)
                      for i in range(corpus_fan.p)]
