@@ -146,7 +146,9 @@ def _facet_normal(pair, rays):
 def _stellar_refine(sys, cones, depth=0):
     """Make every cone unimodular by stellar subdivision at short witnesses."""
     if depth > SUBDIVISION_DEPTH_CAP:
-        raise SubdivisionFailed("stellar subdivision did not terminate")
+        raise SubdivisionFailed(
+            f"stellar subdivision deeper than {SUBDIVISION_DEPTH_CAP} levels "
+            f"(cap SUBDIVISION_DEPTH_CAP)")
     out = []
     for rays in cones:
         if abs(xl.det(rays)) == 1:

@@ -96,36 +96,37 @@ def residue_oracle(sys, ell):
 
     Expands the product over blocks of (-x_{i,1} t^{rho} - ...)^{k_i} by
     iterated polynomial multiplication in the torus variables, then reads the
-    torus-constant coefficient of x^ell.  No Gamma factors appear anywhere;
-    this is an independent route to period_coefficient_C.
+    torus-constant coefficient of x^ell.  A monomial whose x-exponent in some
+    slot passes that slot's exponent in ell divides no x^ell term, so it is
+    never formed.  No Gamma factors appear anywhere; this is an independent
+    route to period_coefficient_C.
     """
     ell = tuple(ell)
     ks, targets = _region_split(sys, ell)
     cap = max_terms()
     r = binomial_sqrt_coefficients(max(ks, default=0))
-    block_terms = []
-    for i, k_i in enumerate(ks):
-        n_i = len(sys.fan.blocks[i])
-        terms = {((0,) * n_i, (0,) * sys.n): Fraction(1)}
+    matches = []
+    for i, (k_i, target) in enumerate(zip(ks, targets)):
+        rays = [sys.fan.rays[b] for b in sys.fan.blocks[i]]
+        terms = {((0,) * len(rays), (0,) * sys.n): 1}
         for _ in range(k_i):
             new = {}
             for (xdeg, texp), c in terms.items():
-                for j in range(n_i):
-                    rho = sys.fan.rays[sys.fan.blocks[i][j]]
-                    nx = tuple(e + (1 if jj == j else 0)
-                               for jj, e in enumerate(xdeg))
+                for j, rho in enumerate(rays):
+                    if xdeg[j] == target[j]:
+                        continue
+                    nx = xdeg[:j] + (xdeg[j] + 1,) + xdeg[j + 1:]
                     nt = tuple(a + b for a, b in zip(texp, rho))
                     key = (nx, nt)
-                    new[key] = new.get(key, Fraction(0)) - c
+                    new[key] = new.get(key, 0) - c
             terms = new
             if len(terms) > cap:
                 raise TruncationTooLarge(
-                    f"residue expansion grew past {cap} monomials")
-        block_terms.append(terms)
+                    f"residue expansion grew past {cap} monomials "
+                    f"(cap GKZFRAC_MAX_TERMS)")
+        matches.append([(texp, c) for (xdeg, texp), c in terms.items()
+                        if xdeg == target])
     total = Fraction(0)
-    matches = [[(texp, c) for (xdeg, texp), c in terms.items()
-                if xdeg == target]
-               for terms, target in zip(block_terms, targets)]
 
     def combine(idx, texp, coeff):
         nonlocal total
@@ -435,12 +436,15 @@ def apply_operator(op, s, twisted=False):
     """
     if isinstance(op, EulerOperator):
         out = replace(s, terms={}, shifts=((0,) * len(s.alpha),))
+        # only the integer part sum_j c_j ell_j changes from term to term
+        active = [(j, c) for j, c in enumerate(op.coeffs) if c]
+        base = sum((Fraction(c) * s.alpha[j] for j, c in active),
+                   Fraction(0)) - op.eigenvalue
         for (ell, logdeg), coeff in s.terms.items():
-            scalar = sum(Fraction(c) * (s.alpha[j] + ell[j])
-                         for j, c in enumerate(op.coeffs) if c)
-            out.add_term(ell, logdeg, coeff * (scalar - op.eigenvalue))
-            for j, c in enumerate(op.coeffs):
-                if c and logdeg[j] > 0:
+            scalar = base + sum(c * ell[j] for j, c in active)
+            out.add_term(ell, logdeg, coeff * scalar)
+            for j, c in active:
+                if logdeg[j] > 0:
                     lower = tuple(m - (1 if jj == j else 0)
                                   for jj, m in enumerate(logdeg))
                     out.add_term(ell, lower, coeff * (Fraction(c) * logdeg[j]))

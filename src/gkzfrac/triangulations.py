@@ -282,7 +282,8 @@ def buchberger(generators, order):
         processed += 1
         if processed > GB_PAIR_CAP:
             raise NonTermination(
-                f"more than {GB_PAIR_CAP} S-pairs; instance too large")
+                f"more than {GB_PAIR_CAP} S-pairs (cap GB_PAIR_CAP); "
+                "instance too large")
         u1, _ = basis[i]
         u2, _ = basis[j]
         if all(a == 0 or b == 0 for a, b in zip(u1, u2)):
@@ -294,7 +295,7 @@ def buchberger(generators, order):
         basis.append(red)
         if len(basis) > GB_BASIS_CAP:
             raise NonTermination(
-                f"basis grew past {GB_BASIS_CAP} binomials")
+                f"basis grew past {GB_BASIS_CAP} binomials (cap GB_BASIS_CAP)")
         pairs.extend((len(basis) - 1, k) for k in range(len(basis) - 1))
     return reduce_basis(basis, order)
 

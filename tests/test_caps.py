@@ -1,0 +1,40 @@
+"""Every cap fails loudly: forced one at a time, each raises its typed error
+with the cap's name in the message."""
+
+import pytest
+
+from conftest import CORPUS
+from gkzfrac import degeneracy as dg, gkz, series as se
+from gkzfrac import triangulations as tr
+from gkzfrac.errors import (NonTermination, SubdivisionFailed,
+                            TruncationTooLarge)
+
+
+def test_residue_expansion_names_max_terms(monkeypatch):
+    sys = gkz.build_system(CORPUS["p2"]())
+    monkeypatch.setenv("GKZFRAC_MAX_TERMS", "2")
+    with pytest.raises(TruncationTooLarge, match="GKZFRAC_MAX_TERMS"):
+        se.residue_oracle(sys, (-3, 1, 1, 1))
+
+
+@pytest.mark.parametrize("cap,value", [("GB_PAIR_CAP", 0),
+                                       ("GB_BASIS_CAP", 2)])
+def test_buchberger_names_its_cap(cap, value, monkeypatch):
+    # f1 needs S-pairs that reduce to new binomials before it closes up
+    sys = gkz.build_system(CORPUS["f1"]())
+    omega = se.default_weight(sys)
+    assert tr.toric_groebner_basis(sys, omega).generators
+    monkeypatch.setattr(tr, cap, value)
+    with pytest.raises(NonTermination, match=cap):
+        tr.toric_groebner_basis(sys, omega)
+
+
+def test_stellar_refine_names_depth_cap(monkeypatch):
+    # a determinant-2 cone needs one level of stellar subdivision
+    sys = gkz.build_system(CORPUS["p1xp1"]())
+    cone = ((1, 0), (1, 2))
+    assert dg._stellar_refine(sys, [cone]) == [((1, 1), (1, 2)),
+                                               ((1, 0), (1, 1))]
+    monkeypatch.setattr(dg, "SUBDIVISION_DEPTH_CAP", 0)
+    with pytest.raises(SubdivisionFailed, match="SUBDIVISION_DEPTH_CAP"):
+        dg._stellar_refine(sys, [cone])

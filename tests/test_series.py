@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 
 from conftest import p1_fan, p1xp1_fan_r2, p2_fan
+from test_ring_table import INSTANCES
 from gkzfrac import gkz, series as se, toric
 from gkzfrac import exact_linalg as xl
-from gkzfrac.errors import InMoriCone, NotInRegion, WeightNotAmple
+from gkzfrac.errors import (InMoriCone, NotInRegion, TruncationTooLarge,
+                            WeightNotAmple)
 
 
 def sqrt_series_derivative_oracle(k_max):
@@ -86,11 +88,95 @@ def test_oracle_p2():
     assert se.period_coefficient_C(sys, (-3, 1, 1, 1)) == Fraction(15, 8)
 
 
+def unpruned_residue_oracle(sys, ell):
+    """The residue expansion over every x-monomial of each block power.
+
+    Kept as the reference for ``se.residue_oracle``, which never forms a
+    monomial that cannot divide x^ell.
+    """
+    ell = tuple(ell)
+    ks, targets = se._region_split(sys, ell)
+    cap = se.max_terms()
+    r = se.binomial_sqrt_coefficients(max(ks, default=0))
+    block_terms = []
+    for i, k_i in enumerate(ks):
+        n_i = len(sys.fan.blocks[i])
+        terms = {((0,) * n_i, (0,) * sys.n): Fraction(1)}
+        for _ in range(k_i):
+            new = {}
+            for (xdeg, texp), c in terms.items():
+                for j in range(n_i):
+                    rho = sys.fan.rays[sys.fan.blocks[i][j]]
+                    nx = tuple(e + (1 if jj == j else 0)
+                               for jj, e in enumerate(xdeg))
+                    nt = tuple(a + b for a, b in zip(texp, rho))
+                    key = (nx, nt)
+                    new[key] = new.get(key, Fraction(0)) - c
+            terms = new
+            if len(terms) > cap:
+                raise TruncationTooLarge(
+                    f"residue expansion grew past {cap} monomials")
+        block_terms.append(terms)
+    total = Fraction(0)
+    matches = [[(texp, c) for (xdeg, texp), c in terms.items()
+                if xdeg == target]
+               for terms, target in zip(block_terms, targets)]
+
+    def combine(idx, texp, coeff):
+        nonlocal total
+        if idx == len(matches):
+            if all(t == 0 for t in texp):
+                total += coeff
+            return
+        for t, c in matches[idx]:
+            combine(idx + 1, tuple(a + b for a, b in zip(texp, t)), coeff * c)
+
+    combine(0, (0,) * sys.n, Fraction(1))
+    for k_i in ks:
+        total *= r[k_i]
+    return total
+
+
+def assert_oracle_matches(fan, order):
+    sys = gkz.build_system(fan)
+    slab = se.region_slab(sys, se.default_weight(sys), order)
+    assert slab
+    for ell in slab:
+        value = se.residue_oracle(sys, ell)
+        assert value == unpruned_residue_oracle(sys, ell)
+        assert value == se.period_coefficient_C(sys, ell)
+
+
 def test_oracle_equals_C_on_slab(corpus_fan):
-    sys = gkz.build_system(corpus_fan)
-    omega = se.default_weight(sys)
-    for ell in se.region_slab(sys, omega, 8):
-        assert se.period_coefficient_C(sys, ell) == se.residue_oracle(sys, ell)
+    assert_oracle_matches(corpus_fan, 8)
+
+
+@pytest.mark.parametrize("name,order", [("p1p1p1_r1", 4), ("p1p1p1_r3", 4),
+                                        ("surface5", 5), ("surface8", 5)])
+def test_oracle_equals_C_beyond_corpus(name, order):
+    assert_oracle_matches(INSTANCES[name](), order)
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_oracle_off_degree_vanishes(name):
+    # Moving a block's auxiliary exponent, or doubling the ray exponents,
+    # makes k_i differ from the x-degree of the block's target, so the
+    # coefficient is 0.  Doubled rays keep a torus-constant monomial of
+    # x-degree k_i below the target, which only the final x-degree test drops.
+    sys = gkz.build_system(INSTANCES[name]())
+    aux = sys.aux_positions()
+    tested = 0
+    for ell in se.region_slab(sys, se.default_weight(sys), 3):
+        moved = [tuple(e + step * (j == pos) for j, e in enumerate(ell))
+                 for pos in aux for step in (-1, 1) if ell[pos] + step <= 0]
+        if any(ell[pos] for pos in aux):
+            moved.append(tuple(e if j in aux else 2 * e
+                               for j, e in enumerate(ell)))
+        for vec in moved:
+            assert se.residue_oracle(sys, vec) == 0
+            assert unpruned_residue_oracle(sys, vec) == 0
+        tested += len(moved)
+    assert tested
 
 
 # --- weights ---------------------------------------------------------------------------
