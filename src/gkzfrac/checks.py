@@ -33,11 +33,8 @@ def _check_exact_linalg_kernel(inst):
     bound = 2
     while (2 * bound + 1) ** sys.nvars > 200000 and bound > 1:
         bound -= 1
-    ranges = [range(-bound, bound + 1)] * sys.nvars
     missing = 0
-    for v in product(*ranges):
-        if xl.vec_is_zero(v):
-            continue
+    for v in xl.kernel_points_in_box(sys.a_ext, bound):
         if sys.in_kernel(v) and not xl.in_integer_span(bmat, v):
             missing += 1
     return missing == 0, f"saturation verified on the [-{bound},{bound}] box"

@@ -9,7 +9,8 @@ favour determinism and transparency over asymptotics.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from itertools import product
+from math import gcd, lcm
 
 from .errors import DimensionMismatch, RankDeficient, TruncationTooLarge
 
@@ -275,6 +276,40 @@ def kernel_basis(m):
     return out
 
 
+def kernel_points_in_box(m, bound):
+    """Nonzero integer v with m v = 0 and every entry in [-bound, bound].
+
+    Only the free coordinates of rref(m) are walked; each pivot coordinate
+    is solved from them and kept when it is an integer inside the box.  The
+    result is the box's kernel points in lexicographic order, found from
+    (2*bound+1)**(ncols - rank) candidates instead of (2*bound+1)**ncols.
+    """
+    ncols = len(m[0])
+    rows, pivots = rref(m)
+    free = [c for c in range(ncols) if c not in pivots]
+    # pivot value = -sum(row[f] x_f) = sum(coeffs[f] x_f) / den, in integers
+    solved = []
+    for col, row in zip(pivots, rows):
+        den = lcm(*(row[f].denominator for f in free))
+        solved.append((col, den, [(f, int(-row[f] * den)) for f in free
+                                  if row[f]]))
+    out = []
+    for xs in product(range(-bound, bound + 1), repeat=len(free)):
+        v = [0] * ncols
+        for f, x in zip(free, xs):
+            v[f] = x
+        for col, den, coeffs in solved:
+            value, rem = divmod(sum(c * v[f] for f, c in coeffs), den)
+            if rem or abs(value) > bound:
+                break
+            v[col] = value
+        else:
+            if any(v):
+                out.append(tuple(v))
+    out.sort()
+    return out
+
+
 def split_positive_negative(v):
     """Write v = plus - minus with disjoint nonnegative supports."""
     plus = tuple(a if a > 0 else 0 for a in v)
@@ -389,13 +424,14 @@ def _floor_frac(x):
     return x.numerator // x.denominator
 
 
-def lattice_points(rows, dim, cap=None):
+def lattice_points(rows, dim, cap=None, cap_name=None):
     """All integer points satisfying rows of (a, b) meaning a.x <= b.
 
     Bounded recursive search: Fourier-Motzkin gives exact per-variable
     bounds at each level.  The constraint region must be bounded; an
     unbounded direction surfaces as a missing bound and raises
-    TruncationTooLarge, as does exceeding ``cap`` points.
+    TruncationTooLarge, as does exceeding ``cap`` points (the message then
+    names ``cap_name``, the setting the cap came from, when given).
     """
     systems = [None] * (dim + 1)
     systems[dim] = [(tuple(Fraction(x) for x in a), Fraction(b), False)
@@ -412,8 +448,9 @@ def lattice_points(rows, dim, cap=None):
         if k == dim:
             out.append(tuple(prefix))
             if cap is not None and len(out) > cap:
+                named = f" (cap {cap_name})" if cap_name else ""
                 raise TruncationTooLarge(
-                    f"enumeration exceeded cap of {cap} points")
+                    f"enumeration exceeded cap of {cap} points{named}")
             return
         lo, hi = None, None
         for a, b, _ in systems[k + 1]:

@@ -178,7 +178,8 @@ def _slab(sys, omega, order, extra_rows):
     wclass = weight_class(sys, omega)
     rows = [(tuple(wclass), Fraction(order))]
     rows.extend(extra_rows)
-    points = xl.lattice_points(rows, k, cap=max_terms())
+    points = xl.lattice_points(rows, k, cap=max_terms(),
+                               cap_name="GKZFRAC_MAX_TERMS")
     ells = [sys.from_basis_coords(m) for m in points]
     ells.sort(key=lambda e: (xl.dot(omega, e), e))
     return ells

@@ -17,6 +17,21 @@ def test_residue_expansion_names_max_terms(monkeypatch):
         se.residue_oracle(sys, (-3, 1, 1, 1))
 
 
+def test_slab_names_max_terms(monkeypatch):
+    sys = gkz.build_system(CORPUS["p1"]())
+    monkeypatch.setenv("GKZFRAC_MAX_TERMS", "2")
+    with pytest.raises(TruncationTooLarge, match="GKZFRAC_MAX_TERMS"):
+        se.region_slab(sys, se.default_weight(sys), 8)
+
+
+def test_unbounded_slab_does_not_blame_max_terms():
+    # the zero weight bounds no direction of the relation lattice
+    sys = gkz.build_system(CORPUS["p1"]())
+    with pytest.raises(TruncationTooLarge, match="unbounded") as err:
+        se.region_slab(sys, (0,) * sys.nvars, 8)
+    assert "GKZFRAC_MAX_TERMS" not in str(err.value)
+
+
 @pytest.mark.parametrize("cap,value", [("GB_PAIR_CAP", 0),
                                        ("GB_BASIS_CAP", 2)])
 def test_buchberger_names_its_cap(cap, value, monkeypatch):

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from test_ring_table import INSTANCES
+from gkzfrac import checks, gkz
 from gkzfrac import exact_linalg as xl
 from gkzfrac.errors import DimensionMismatch, RankDeficient
 
@@ -97,24 +99,73 @@ def test_kernel_saturated_box_five():
         assert xl.in_integer_span(bmat, v)
 
 
-def test_kernel_saturated_random():
-    rng = random.Random(77)
-    trials = 0
-    while trials < 25:
+def random_full_rank_matrices(seed=77, count=25):
+    """Random 2-row integer matrices of full row rank, with their kernels."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
         rows, cols = 2, rng.randint(3, 4)
         m = tuple(tuple(rng.randint(-3, 3) for _ in range(cols))
                   for _ in range(rows))
         try:
-            basis = xl.kernel_basis(m)
+            found.append((m, xl.kernel_basis(m)))
         except RankDeficient:
             continue
-        trials += 1
+    return found
+
+
+def test_kernel_saturated_random():
+    for m, basis in random_full_rank_matrices():
         for b in basis:
             assert all(xl.dot(row, b) == 0 for row in m)
         if basis:
             bmat = tuple(zip(*basis))
             for v in brute_force_kernel_vectors(m, bound=3):
                 assert xl.in_integer_span(bmat, v)
+
+
+# --- kernel_points_in_box -------------------------------------------------------
+
+def check_box_bound(nvars):
+    """The box half-width the ``exact_linalg.kernel`` check sweeps."""
+    bound = 2
+    while (2 * bound + 1) ** nvars > 200000 and bound > 1:
+        bound -= 1
+    return bound
+
+
+def nonzero_box_kernel(m, bound):
+    return sorted(v for v in brute_force_kernel_vectors(m, bound) if any(v))
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_kernel_points_in_box_equals_brute_force(name):
+    a_ext = gkz.build_system(INSTANCES[name]()).a_ext
+    bound = check_box_bound(len(a_ext[0]))
+    assert xl.kernel_points_in_box(a_ext, bound) == \
+        nonzero_box_kernel(a_ext, bound)
+
+
+def test_kernel_points_in_box_random():
+    for m, _basis in random_full_rank_matrices():
+        assert xl.kernel_points_in_box(m, 3) == nonzero_box_kernel(m, 3)
+
+
+@pytest.mark.parametrize("name,count", [("f1", 8), ("p1xp1_r1", 12),
+                                        ("p1p1p1_r1", 54),
+                                        ("p1p1p1_r3", 0)])
+def test_kernel_check_tests_each_box_kernel_vector(name, count,
+                                                   monkeypatch):
+    inst = checks.Instance(INSTANCES[name](), order=4)
+    bound = check_box_bound(inst.sys.nvars)
+    assert len(nonzero_box_kernel(inst.sys.a_ext, bound)) == count
+    calls = []
+    original = xl.in_integer_span
+    monkeypatch.setattr(xl, "in_integer_span",
+                        lambda m, v: calls.append(v) or original(m, v))
+    assert dict(checks.CHECKS)["exact_linalg.kernel"](inst) == (
+        True, f"saturation verified on the [-{bound},{bound}] box")
+    assert len(calls) == count
 
 
 # --- split_positive_negative ---------------------------------------------------

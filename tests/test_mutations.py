@@ -2,9 +2,11 @@
 guards them.
 
 Each check passes on the unmutated code and returns ``ok=False`` under its
-mutation, on p2, f1 and the one-block P1^3.  The Euler branch of
-``apply_operator`` is also held to the per-term formula it replaced, on the
-real solutions and under a wrong exponent, where its output is nonzero.
+mutation, on p2, f1 and the one-block P1^3; the kernel check on f1, the
+one-block P1xP1 and P1^3, since its box holds no kernel vector on p2.  The
+Euler branch of ``apply_operator`` is also held to the per-term formula it
+replaced, on the real solutions and under a wrong exponent, where its
+output is nonzero.
 """
 
 from dataclasses import replace
@@ -18,6 +20,7 @@ from gkzfrac import checks, series as se
 
 FANS = {"p2": (CORPUS["p2"], 8), "f1": (CORPUS["f1"], 8),
         "p1p1p1_r1": (lambda: threefold([[0, 1, 2, 3, 4, 5]], "r1"), 4)}
+BUILDERS = dict(CORPUS, p1p1p1_r1=FANS["p1p1p1_r1"][0])
 CHECK = dict(checks.CHECKS)
 
 
@@ -58,6 +61,17 @@ def test_wrong_canonical_exponent_fails_annihilation(name, monkeypatch):
     ok, detail = check(inst)
     assert not ok
     assert "Euler row" in detail
+
+
+@pytest.mark.parametrize("name", ["f1", "p1xp1_r1", "p1p1p1_r1"])
+def test_finite_index_basis_fails_kernel(name, monkeypatch):
+    check = CHECK["exact_linalg.kernel"]
+    inst = checks.Instance(BUILDERS[name](), order=4)
+    assert check(inst)[0]
+    first, *rest = inst.sys.basis
+    # the doubled vector spans an index-2 sublattice of the relation lattice
+    monkeypatch.setattr(inst.sys, "basis", [tuple(2 * a for a in first)] + rest)
+    assert not check(inst)[0]
 
 
 def euler_per_term(op, s):
