@@ -15,15 +15,17 @@ for name in ("p1", "p2", "p1xp1", "f1"):
     fan = spec.fan()
     system = gkz.build_system(fan)
     ring = toric.cohomology_ring(fan)
+    omega = series.default_weight(system)
+    period = series.normalized_period_series(system, omega, 8)
     print(f"=== {name} ===")
     for chart in degeneracy.subdivide_kahler_cone(system):
         print("chart relations:", [list(v) for v in chart.basis_vectors],
               "signs:", list(chart.signs))
-        report = degeneracy.maximal_degeneracy_check(system, ring, chart, 8)
+        report = degeneracy.maximal_degeneracy_check(system, ring, chart,
+                                                     period)
         for clause in report.clauses:
             status = "pass" if clause["ok"] else "FAIL"
             print(f"    [{status}] {clause['clause']}: {clause['detail']}")
-        omega = series.default_weight(system)
         pairings = degeneracy.chart_pairings(system, ring, chart, omega, 6)
         log_profile = sorted(
             max((sum(logdeg) for _, logdeg in s.terms), default=0)

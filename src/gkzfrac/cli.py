@@ -296,8 +296,8 @@ def run_command(cmd, spec, flags=None):
         chart_reports = []
         all_ok = True
         for chart in inst.charts:
-            report = dg.maximal_degeneracy_check(sys, inst.ring, chart, order,
-                                                 omega=omega)
+            report = dg.maximal_degeneracy_check(sys, inst.ring, chart,
+                                                 inst.period)
             all_ok = all_ok and report.passed
             chart_reports.append({
                 "cone_rays": [list(r) for r in chart.cone_rays],

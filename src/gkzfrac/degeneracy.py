@@ -324,9 +324,9 @@ class CertificateReport:
                 "clauses": self.clauses}
 
 
-def maximal_degeneracy_check(sys, ring, chart, order, omega=None,
-                             strict=False):
-    """Certify the degeneracy behaviour of the chart at truncation order.
+def maximal_degeneracy_check(sys, ring, chart, period, strict=False):
+    """Certify the degeneracy behaviour of the chart at the truncation order
+    and weight of ``period``, the normalized period series of ``sys``.
 
     Three clauses: the period series extends as a genuine power series; the
     space of log-free solutions among the dual-basis pairings is exactly one
@@ -334,10 +334,8 @@ def maximal_degeneracy_check(sys, ring, chart, order, omega=None,
     indicial locus is the single canonical exponent.  With ``strict`` a
     failing clause raises CertificateFailed instead of only being reported.
     """
+    order, omega = period.order, period.weight
     report = CertificateReport(order=order)
-    if omega is None:
-        omega = se.default_weight(sys)
-    period = se.normalized_period_series(sys, omega, order)
     try:
         chart_period = period_in_chart(chart, period)
         report.add("holomorphic_extension", True,

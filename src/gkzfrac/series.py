@@ -14,7 +14,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import factorial
+from math import factorial, floor, lcm, perm
 
 from . import exact_linalg as xl
 from .errors import (InMoriCone, NotInKernel, NotInRegion, SchemaError,
@@ -266,19 +266,6 @@ class LogSeries:
     def is_zero_on_reliable_region(self):
         return not self.reliable_items()
 
-    def scale(self, c):
-        out = replace(self, terms={})
-        for key, coeff in self.terms.items():
-            out.add_term(key[0], key[1], coeff * c)
-        return out
-
-    def __sub__(self, other):
-        assert self.alpha == other.alpha
-        out = replace(self, terms=dict(self.terms))
-        for (ell, logdeg), coeff in other.terms.items():
-            out.add_term(ell, logdeg, -1 * coeff)
-        return out
-
 
 def _coeff_is_zero(c):
     if hasattr(c, "is_zero"):
@@ -411,61 +398,110 @@ def pair_with_dual(b, h):
 
 # --- formal operators -----------------------------------------------------------------
 
-def differentiate(s, pos):
-    """Formal partial derivative in slot ``pos``."""
-    out = replace(s, terms={})
-    for (ell, logdeg), coeff in s.terms.items():
-        gamma = s.alpha[pos] + ell[pos]
-        shifted = tuple(e - (1 if j == pos else 0) for j, e in enumerate(ell))
-        if gamma != 0:
-            out.add_term(shifted, logdeg, coeff * gamma)
-        if logdeg[pos] > 0:
-            lower = tuple(m - (1 if j == pos else 0)
-                          for j, m in enumerate(logdeg))
-            out.add_term(shifted, lower, coeff * logdeg[pos])
-    return out
-
-
 def apply_operator(op, s, twisted=False):
-    """Apply an Euler or box operator to a truncated series.
+    """Apply an Euler or box operator to a truncated rational series.
 
-    The result records the exponent shifts of the operator monomials so that
-    zero tests can be restricted to the reliable region.  With ``twisted``
-    the box operator carries the quotient-coordinate sign on its second
-    monomial, matching series whose coefficients live on the sign-flipped
-    chart.
+    The input coefficients are written once as integers over their common
+    denominator and the exponent factors are scaled to integers, so the
+    per-term work is integer arithmetic; Fractions are built only for the
+    output terms.  The result records the exponent shifts of the operator
+    monomials so that zero tests can be restricted to the reliable region,
+    and a box operator computes nothing outside that region.  With
+    ``twisted`` the box operator carries the quotient-coordinate sign on its
+    second monomial, matching series whose coefficients live on the
+    sign-flipped chart.
     """
+    if not isinstance(op, (EulerOperator, BoxOperator)):
+        raise TypeError(f"unsupported operator {op!r}")
+    denom, numerators = _integers(s.terms.values())
+    nums = list(zip(s.terms, numerators))
+    acc = {}
     if isinstance(op, EulerOperator):
-        out = replace(s, terms={}, shifts=((0,) * len(s.alpha),))
         # only the integer part sum_j c_j ell_j changes from term to term
         active = [(j, c) for j, c in enumerate(op.coeffs) if c]
         base = sum((Fraction(c) * s.alpha[j] for j, c in active),
                    Fraction(0)) - op.eigenvalue
-        for (ell, logdeg), coeff in s.terms.items():
-            scalar = base + sum(c * ell[j] for j, c in active)
-            out.add_term(ell, logdeg, coeff * scalar)
+        shift, scale = base.numerator, base.denominator
+        for (ell, logdeg), n in nums:
+            key = (ell, logdeg)
+            value = n * (shift + scale * sum(c * ell[j] for j, c in active))
+            acc[key] = acc.get(key, 0) + value
             for j, c in active:
-                if logdeg[j] > 0:
-                    lower = tuple(m - (1 if jj == j else 0)
-                                  for jj, m in enumerate(logdeg))
-                    out.add_term(ell, lower, coeff * (Fraction(c) * logdeg[j]))
-        return out
-    if isinstance(op, BoxOperator):
-        s_plus, s_minus = s, s
-        for j, e in enumerate(op.plus):
-            for _ in range(e):
-                s_plus = differentiate(s_plus, j)
-        for j, e in enumerate(op.minus):
-            for _ in range(e):
-                s_minus = differentiate(s_minus, j)
+                m = logdeg[j]
+                if m:
+                    key = (ell, logdeg[:j] + (m - 1,) + logdeg[j + 1:])
+                    acc[key] = acc.get(key, 0) + n * scale * c * m
+        shifts = ((0,) * len(s.alpha),)
+    else:
         sign = 1
         if twisted:
             aux = sum(op.ell[j] for j in _aux_positions_from_alpha(s.alpha))
             sign = (-1) ** (aux % 2)
-        result = s_plus - s_minus.scale(sign)
-        result.shifts = (op.plus, op.minus)
-        return result
-    raise TypeError(f"unsupported operator {op!r}")
+        # exponents alpha_j + ell_j become integers after scaling by a_scale;
+        # both monomials are brought to the larger power of a_scale
+        a_scale, alpha = _integers(s.alpha)
+        top = max(sum(op.plus), sum(op.minus))
+        scale = a_scale ** top
+        w_scale, weight = _integers(s.weight)
+        weight = [(k, w) for k, w in enumerate(weight) if w]
+        w_plus, w_minus = (sum(w * mono[k] for k, w in weight)
+                           for mono in (op.plus, op.minus))
+        # an output is reliable when both of its sources lie inside the order
+        cut = floor(w_scale * s.order) - max(w_plus, w_minus)
+        for mono, w_shift, factor in (
+                (op.plus, w_plus, a_scale ** (top - sum(op.plus))),
+                (op.minus, w_minus, -sign * a_scale ** (top - sum(op.minus)))):
+            _apply_monomial(acc, nums, mono, factor, alpha, a_scale,
+                            weight, cut + w_shift)
+        shifts = (op.plus, op.minus)
+    return replace(s, shifts=shifts, terms={
+        key: Fraction(v, denom * scale) for key, v in acc.items() if v})
+
+
+def _integers(values):
+    """The lcm d of the denominators and the integers d * v."""
+    d = lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
+
+
+def _apply_monomial(acc, nums, mono, factor, alpha, a_scale, weight, limit):
+    """Add ``factor`` times d^mono of every integer term whose weight degree
+    is at most ``limit`` into ``acc``, everything scaled by a_scale^|mono|;
+    ``alpha`` and ``weight`` are already scaled to integers.
+
+    In slot j with e = mono[j] and gamma = alpha_j + ell_j,
+    d^e x^gamma log^m = sum_i [z^i] ff(gamma + z, e) * m!/(m-i)!
+    * x^(gamma-e) log^(m-i), with ff the falling factorial; the z^i
+    coefficients of prod_{t<e} (a_scale (gamma - t + z)) are integers.
+    """
+    slots = [(j, e, alpha[j]) for j, e in enumerate(mono) if e]
+    falling = {}
+    for (ell, logdeg), n in nums:
+        if sum(w * ell[k] for k, w in weight) > limit:
+            continue
+        parts = [(logdeg, n * factor)]
+        for j, e, a in slots:
+            poly = falling.get((j, ell[j]))
+            if poly is None:
+                poly = [1]
+                y = a + a_scale * ell[j]
+                for t in range(e):
+                    root = y - t * a_scale
+                    poly = [root * p + a_scale * q
+                            for p, q in zip(poly + [0], [0] + poly)]
+                falling[(j, ell[j])] = poly
+            lowered = []
+            for lg, c in parts:
+                m = lg[j]
+                for i in range(min(e, m) + 1):
+                    if poly[i]:
+                        lowered.append((lg[:j] + (m - i,) + lg[j + 1:],
+                                        c * poly[i] * perm(m, i)))
+            parts = lowered
+        out_ell = tuple(x - d for x, d in zip(ell, mono))
+        for lg, c in parts:
+            key = (out_ell, lg)
+            acc[key] = acc.get(key, 0) + c
 
 
 def _aux_positions_from_alpha(alpha):

@@ -118,8 +118,9 @@ def test_criterion_5_maximal_degeneracy_certificates():
         ring = toric.cohomology_ring(fan)
         charts = dg.subdivide_kahler_cone(sys)
         assert charts, "no chart produced"
+        period = se.normalized_period_series(sys, se.default_weight(sys), 8)
         for chart in charts:
-            report = dg.maximal_degeneracy_check(sys, ring, chart, 8)
+            report = dg.maximal_degeneracy_check(sys, ring, chart, period)
             assert report.passed, report.as_dict()
         locus = gkz.indicial_ideal_zero_locus(sys)
         alpha = gkz.canonical_alpha(sys)

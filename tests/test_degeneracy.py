@@ -13,6 +13,10 @@ def system(fan_maker):
     return gkz.build_system(fan_maker())
 
 
+def period(sys, order):
+    return se.normalized_period_series(sys, se.default_weight(sys), order)
+
+
 # --- charts -----------------------------------------------------------------------
 
 def test_chart_p2_sign():
@@ -150,7 +154,7 @@ def test_certificate_p1():
     sys = system(p1_fan)
     ring = toric.cohomology_ring(sys.fan)
     chart = dg.subdivide_kahler_cone(sys)[0]
-    report = dg.maximal_degeneracy_check(sys, ring, chart, 8)
+    report = dg.maximal_degeneracy_check(sys, ring, chart, period(sys, 8))
     assert report.passed
     names = [c["clause"] for c in report.clauses]
     assert names == ["holomorphic_extension", "unique_log_free_solution",
@@ -162,7 +166,7 @@ def test_certificate_corpus(corpus_fan):
     sys = gkz.build_system(corpus_fan)
     ring = toric.cohomology_ring(corpus_fan)
     for chart in dg.subdivide_kahler_cone(sys):
-        report = dg.maximal_degeneracy_check(sys, ring, chart, 8)
+        report = dg.maximal_degeneracy_check(sys, ring, chart, period(sys, 8))
         assert report.passed, report.as_dict()
 
 
@@ -170,7 +174,7 @@ def test_certificate_json_shape():
     sys = system(p2_fan)
     ring = toric.cohomology_ring(sys.fan)
     chart = dg.subdivide_kahler_cone(sys)[0]
-    report = dg.maximal_degeneracy_check(sys, ring, chart, 6)
+    report = dg.maximal_degeneracy_check(sys, ring, chart, period(sys, 6))
     data = report.as_dict()
     assert data["passed"] is True
     assert all({"clause", "ok", "detail"} <= set(c) for c in data["clauses"])
@@ -181,7 +185,8 @@ def test_certificate_strict_mode():
     sys = system(p1_fan)
     ring = toric.cohomology_ring(sys.fan)
     chart = dg.subdivide_kahler_cone(sys)[0]
-    report = dg.maximal_degeneracy_check(sys, ring, chart, 6, strict=True)
+    report = dg.maximal_degeneracy_check(sys, ring, chart, period(sys, 6),
+                                         strict=True)
     assert report.passed  # no raise on a passing chart
 
 

@@ -3,7 +3,9 @@ guards them.
 
 Each check passes on the unmutated code and returns ``ok=False`` under its
 mutation, on p2, f1 and the one-block P1^3; the kernel check on f1, the
-one-block P1xP1 and P1^3, since its box holds no kernel vector on p2.  The
+one-block P1xP1 and P1^3, since its box holds no kernel vector on p2; the
+parity twist on p2 and f1, the inputs where some box operator has an odd
+auxiliary sum.  The
 Euler branch of ``apply_operator`` is also held to the per-term formula it
 replaced, on the real solutions and under a wrong exponent, where its
 output is nonzero.
@@ -61,6 +63,28 @@ def test_wrong_canonical_exponent_fails_annihilation(name, monkeypatch):
     ok, detail = check(inst)
     assert not ok
     assert "Euler row" in detail
+
+
+@pytest.mark.parametrize("name", ["p2", "f1"])
+def test_dropped_parity_twist_fails_annihilation(name, monkeypatch):
+    check = CHECK["series.annihilation"]
+    inst = instance(name)
+    assert check(inst)[0]
+    # no auxiliary slot is seen, so the twist sign is always +1
+    monkeypatch.setattr(se, "_aux_positions_from_alpha", lambda alpha: [])
+    ok, detail = check(inst)
+    assert not ok
+    assert detail.startswith("box (") and detail.endswith(" fails on period")
+
+
+@pytest.mark.parametrize("name", ["p1", "p1xp1", "p1xp1_r1", "p1p1p1_r1"])
+def test_parity_twist_is_trivial_elsewhere(name):
+    """Every box operator has an even auxiliary sum on these inputs, so the
+    twist sign is +1 and dropping it changes nothing there."""
+    sys = checks.Instance(BUILDERS[name](), order=4).sys
+    aux = se._aux_positions_from_alpha(sys.alpha)
+    assert all(sum(box.ell[j] for j in aux) % 2 == 0
+               for box in sys.box_operators())
 
 
 @pytest.mark.parametrize("name", ["f1", "p1xp1_r1", "p1p1p1_r1"])

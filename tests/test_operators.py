@@ -1,0 +1,154 @@
+"""Box operators on integer numerators, against the derivative chain.
+
+``apply_operator`` applies a box operator in one integer pass per term and
+returns only the reliable region: the outputs both of whose sources lie
+inside the truncation order.  The reference below is the route it replaced,
+kept verbatim: the formal derivative iterated slot by slot, then the
+difference of the two monomials' results.  Restricted to its reliable
+region, the reference must give the same terms, for the canonical exponent
+and for a wrong one, with and without the parity twist.
+
+The annihilation check is only as strong as the positions it tests, so every
+(box, target) pair it forms must reach at least one reliable position.  The
+smallest counts are 9 on p1 and p2, 35 on both P1^3 partitions and 3 on the
+6-ray surface.
+"""
+
+from dataclasses import replace
+from fractions import Fraction
+
+import pytest
+
+from conftest import p1_fan
+from test_mutations import wrong_alpha
+from test_ring_table import INSTANCES
+from gkzfrac import checks, gkz, series as se
+from gkzfrac import exact_linalg as xl
+
+ORDER = {"p1p1p1_r1": 4, "p1p1p1_r3": 4, "surface5": 5, "surface8": 5}
+
+
+def differentiate(s, pos):
+    """Formal partial derivative in slot ``pos``."""
+    out = replace(s, terms={})
+    for (ell, logdeg), coeff in s.terms.items():
+        gamma = s.alpha[pos] + ell[pos]
+        shifted = tuple(e - (1 if j == pos else 0) for j, e in enumerate(ell))
+        if gamma != 0:
+            out.add_term(shifted, logdeg, coeff * gamma)
+        if logdeg[pos] > 0:
+            lower = tuple(m - (1 if j == pos else 0)
+                          for j, m in enumerate(logdeg))
+            out.add_term(shifted, lower, coeff * logdeg[pos])
+    return out
+
+
+def scale(s, c):
+    out = replace(s, terms={})
+    for key, coeff in s.terms.items():
+        out.add_term(key[0], key[1], coeff * c)
+    return out
+
+
+def subtract(s, other):
+    assert s.alpha == other.alpha
+    out = replace(s, terms=dict(s.terms))
+    for (ell, logdeg), coeff in other.terms.items():
+        out.add_term(ell, logdeg, -1 * coeff)
+    return out
+
+
+def monomial_derivatives(op, s):
+    s_plus, s_minus = s, s
+    for j, e in enumerate(op.plus):
+        for _ in range(e):
+            s_plus = differentiate(s_plus, j)
+    for j, e in enumerate(op.minus):
+        for _ in range(e):
+            s_minus = differentiate(s_minus, j)
+    return s_plus, s_minus
+
+
+def reference_box(op, s, twisted, s_plus, s_minus):
+    """The box branch as it was, cut to its reliable region."""
+    sign = 1
+    if twisted:
+        aux = sum(op.ell[j] for j in se._aux_positions_from_alpha(s.alpha))
+        sign = (-1) ** (aux % 2)
+    result = subtract(s_plus, scale(s_minus, sign))
+    result.shifts = (op.plus, op.minus)
+    return dict(result.reliable_items())
+
+
+def assert_box_matches_reference(op, s):
+    s_plus, s_minus = monomial_derivatives(op, s)
+    for twisted in (False, True):
+        result = se.apply_operator(op, s, twisted=twisted)
+        assert result.shifts == (op.plus, op.minus)
+        assert result.terms == reference_box(op, s, twisted, s_plus, s_minus)
+
+
+@pytest.fixture(scope="module", params=sorted(INSTANCES))
+def inst(request):
+    return checks.Instance(INSTANCES[request.param](),
+                           order=ORDER.get(request.param, 8))
+
+
+def targets(inst):
+    """The series the annihilation check applies every box operator to."""
+    return [("gamma", inst.gamma), ("period", inst.period)] + [
+        (f"pairing_{h}", s) for h, s in enumerate(inst.pairings)]
+
+
+def test_box_equals_reference_on_reliable_region(inst):
+    wrong = wrong_alpha(inst.sys)
+    nonzero = 0
+    for _name, s in targets(inst):
+        for series in (s, replace(s, alpha=wrong)):
+            for op in inst.sys.box_operators():
+                assert_box_matches_reference(op, series)
+                nonzero += bool(se.apply_operator(op, series).terms)
+    # the wrong exponent leaves residues, so the comparison is not 0 == 0
+    assert nonzero
+
+
+def p1_series():
+    sys = gkz.build_system(p1_fan())
+    s = se.LogSeries(alpha=gkz.canonical_alpha(sys),
+                     weight=tuple(Fraction(x) for x in se.default_weight(sys)),
+                     order=4)
+    return sys, s
+
+
+def test_box_equals_reference_on_zero_series():
+    sys, s = p1_series()
+    for op in sys.box_operators():
+        assert_box_matches_reference(op, s)
+        assert not se.apply_operator(op, s).terms
+
+
+def test_box_equals_reference_on_single_term():
+    sys, s = p1_series()
+    s.add_term((-2, 1, 1), (0, 0, 0), Fraction(5))
+    for op in sys.box_operators():
+        assert_box_matches_reference(op, s)
+
+
+def reliable_positions(op, s):
+    """Outputs of nonzero input terms that the reliable region keeps."""
+    cut = s.order - max(xl.dot(s.weight, op.plus), xl.dot(s.weight, op.minus))
+    out = set()
+    for (ell, logdeg), coeff in s.terms.items():
+        if coeff == 0:
+            continue
+        for mono in (op.plus, op.minus):
+            shifted = tuple(x - d for x, d in zip(ell, mono))
+            if xl.dot(s.weight, shifted) <= cut:
+                out.add((shifted, logdeg))
+    return out
+
+
+def test_annihilation_tests_reliable_positions(inst):
+    for name, s in targets(inst):
+        for op in inst.sys.box_operators():
+            assert reliable_positions(op, s), (op.ell, name)
