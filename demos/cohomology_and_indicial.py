@@ -11,7 +11,7 @@ from gkzfrac import cli, gkz, series, toric
 spec = cli.parse_input(cli.fixture_path("p2"))
 fan = spec.fan()
 system = gkz.build_system(fan)
-ring = toric.cohomology_ring(fan)
+ring = toric.cohomology_ring(fan, system.collections)
 
 print("ring dimension:", ring.dim, "(= number of maximal cones:",
       len(fan.max_cones), ")")
@@ -27,7 +27,7 @@ print("H^3 is zero:", (h * h * h).is_zero())
 print()
 
 print("Stanley-Reisner monomials (as double indices):")
-for mono in toric.stanley_reisner_ideal(fan):
+for mono in toric.stanley_reisner_ideal(system.collections):
     print("   ", [fan.double_index_of_ray(i) for i in mono])
 print()
 

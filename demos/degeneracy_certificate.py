@@ -14,7 +14,7 @@ for name in ("p1", "p2", "p1xp1", "f1"):
     spec = cli.parse_input(cli.fixture_path(name))
     fan = spec.fan()
     system = gkz.build_system(fan)
-    ring = toric.cohomology_ring(fan)
+    ring = toric.cohomology_ring(fan, system.collections)
     omega = series.default_weight(system)
     period = series.normalized_period_series(system, omega, 8)
     print(f"=== {name} ===")

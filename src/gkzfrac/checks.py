@@ -37,7 +37,15 @@ def _check_exact_linalg_kernel(inst):
     for v in xl.kernel_points_in_box(sys.a_ext, bound):
         if sys.in_kernel(v) and not xl.in_integer_span(bmat, v):
             missing += 1
-    return missing == 0, f"saturation verified on the [-{bound},{bound}] box"
+    # the certificate: relations, as many as the kernel's rank, and unit
+    # Hermite pivots (the gcd of the maximal minors is 1), so saturated
+    hnf = xl.hermite_basis(tuple(sys.basis))
+    pivots = [next(x for x in col if x) for col in zip(*hnf) if any(col)]
+    certified = (all(sys.in_kernel(b) for b in sys.basis)
+                 and len(sys.basis) == sys.nvars - xl.rank(sys.a_ext)
+                 and pivots == [1] * len(sys.basis))
+    return missing == 0 and certified, \
+        f"saturation verified on the [-{bound},{bound}] box"
 
 
 def _check_nef_roundtrip(inst):
@@ -204,12 +212,31 @@ def mori_vanishing_samples(sys, bound=3, limit=10):
     return out
 
 
+def low_degree_keys(series, omega, cap):
+    """Sorted term keys of the series whose weight degree is at most cap.
+
+    The weight is scaled to integers once, so each distinct exponent costs
+    one integer dot product against ``cap`` times the scale.
+    """
+    weights, den = xl.integer_scaled(omega)
+    bound = cap * den
+    low, keys = {}, set()
+    for s in series:
+        for key in s.terms:
+            ell = key[0]
+            ok = low.get(ell)
+            if ok is None:
+                ok = low[ell] = sum(w * e for w, e in zip(weights, ell)) <= bound
+            if ok:
+                keys.add(key)
+    return sorted(keys)
+
+
 def _check_solution_rank(inst):
     # the pairings truncated at weight degree min(order, 6)
     ring, cap = inst.ring, min(inst.order, 6)
-    keys = sorted({key for s in inst.pairings for key in s.terms
-                   if xl.dot(inst.omega, key[0]) <= cap})
-    matrix = [tuple(s.terms.get(key, Fraction(0)) for key in keys)
+    keys = low_degree_keys(inst.pairings, inst.omega, cap)
+    matrix = [tuple(s.terms.get(key, 0) for key in keys)
               for s in inst.pairings]
     rank = xl.rank(matrix)
     ok = rank == ring.dim == len(inst.fan.max_cones)
@@ -319,7 +346,7 @@ class Instance:
 
     @cached_property
     def ring(self):
-        return toric.cohomology_ring(self.fan)
+        return toric.cohomology_ring(self.fan, self.sys.collections)
 
     @cached_property
     def nablas(self):

@@ -207,7 +207,7 @@ def run_command(cmd, spec, flags=None):
 
     if cmd == "cohomology":
         ring = inst.ring
-        sr = toric.stanley_reisner_ideal(fan)
+        sr = toric.stanley_reisner_ideal(sys.collections)
         payload = {
             "dimension": ring.dim,
             "basis": ring.basis_names(),

@@ -65,39 +65,77 @@ def transpose(m):
     return tuple(zip(*m)) if m else ()
 
 
-# --- determinants and rank ---------------------------------------------------
+# --- fraction-free elimination -------------------------------------------------
+
+def integer_scaled(v):
+    """(ints, den): the entries of v times den, the lcm of their denominators."""
+    den = lcm(*(x.denominator for x in v))
+    if den == 1:
+        return [int(x) for x in v], 1
+    return [x.numerator * (den // x.denominator) for x in v], den
+
+
+def _eliminate(row, pivot_row, col):
+    """``row`` with its entry in ``col`` cleared against ``pivot_row`` by
+    integer cross-multiplication, then divided by its content."""
+    g = gcd(row[col], pivot_row[col])
+    f, p = row[col] // g, pivot_row[col] // g
+    out = [p * x - f * y for x, y in zip(row, pivot_row)]
+    g = gcd(*out)
+    return [x // g for x in out] if g > 1 else out
+
 
 def det(m):
-    """Exact determinant via fraction-free elimination on a copy."""
+    """Exact determinant by Bareiss fraction-free elimination on integer rows."""
     k = len(m)
     if k == 0:
         return 1
     if any(len(row) != k for row in m):
         raise DimensionMismatch("det: matrix not square")
-    a = [[Fraction(x) for x in row] for row in m]
-    sign = 1
+    a, scale = [], 1
+    for row in m:
+        ints, den = integer_scaled(row)
+        a.append(ints)
+        scale *= den
+    sign, prev = 1, 1
     for col in range(k):
-        piv = next((r for r in range(col, k) if a[r][col] != 0), None)
+        piv = next((r for r in range(col, k) if a[r][col]), None)
         if piv is None:
             return 0
         if piv != col:
             a[col], a[piv] = a[piv], a[col]
             sign = -sign
+        p, top = a[col][col], a[col]
         for r in range(col + 1, k):
-            factor = a[r][col] / a[col][col]
-            if factor:
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    result = Fraction(sign)
-    for i in range(k):
-        result *= a[i][i]
+            f = a[r][col]
+            a[r] = [(p * x - f * y) // prev for x, y in zip(a[r], top)]
+        prev = p
+    result = Fraction(sign * a[-1][-1], scale)
     if result.denominator == 1:
         return int(result)
     return result
 
 
 def rank(m):
-    r, _pivots = rref(m)
-    return len(_pivots)
+    """Rank over the rationals.
+
+    Each column is scaled to integers on its own and reduced against an
+    integer echelon basis of the columns before it.  The rank is at most the
+    row count, so the sweep stops as soon as the basis reaches it.
+    """
+    nrows = len(m)
+    basis = []  # (pivot index, integer column), pivots zero in later columns
+    for col in zip(*m):
+        v = integer_scaled(col)[0]
+        for piv, b in basis:
+            if v[piv]:
+                v = _eliminate(v, b, piv)
+        piv = next((i for i, x in enumerate(v) if x), None)
+        if piv is not None:
+            basis.append((piv, v))
+            if len(basis) == nrows:
+                break
+    return len(basis)
 
 
 # --- reduced row echelon form and linear solving ------------------------------
@@ -105,28 +143,35 @@ def rank(m):
 def rref(m):
     """Reduced row echelon form over the rationals.
 
-    Returns (rows, pivots) where pivots[i] is the column of the i-th pivot.
+    Returns (rows, pivots) where pivots[i] is the column of the i-th pivot
+    and the entries of rows are Fractions.  Each row is scaled to integers
+    once and eliminated fraction-free; a pivot row is divided by its pivot
+    only when it is emitted.
     """
-    a = [[Fraction(x) for x in row] for row in m]
+    a = [integer_scaled(row)[0] for row in m]
     nrows = len(a)
     ncols = len(a[0]) if a else 0
     pivots = []
     row = 0
     for col in range(ncols):
-        piv = next((r for r in range(row, nrows) if a[r][col] != 0), None)
+        piv = next((r for r in range(row, nrows) if a[r][col]), None)
         if piv is None:
             continue
         a[row], a[piv] = a[piv], a[row]
-        a[row] = [x / a[row][col] for x in a[row]]
         for r in range(nrows):
-            if r != row and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[row])]
+            if r != row and a[r][col]:
+                a[r] = _eliminate(a[r], a[row], col)
         pivots.append(col)
         row += 1
         if row == nrows:
             break
-    return [tuple(row) for row in a], pivots
+    out = []
+    for ints, col in zip(a, pivots):
+        p = ints[col]
+        out.append(tuple(map(Fraction, ints)) if p == 1
+                   else tuple(Fraction(x, p) for x in ints))
+    out.extend((Fraction(0),) * ncols for _ in range(nrows - row))
+    return out, pivots
 
 
 def solve_linear(m, b):

@@ -205,7 +205,7 @@ def build_system(fan):
     beta = tuple([Fraction(0)] * fan.rank + [Fraction(-1, 2)] * fan.r)
     basis = xl.kernel_basis(a_ext)
     collections = toric.primitive_collections(fan)
-    kahler = toric.kahler_cone(fan)
+    kahler = toric.kahler_cone(basis, collections)
     sys = GkzSystem(fan=fan, a=a, a_ext=a_ext, beta=beta, basis=basis,
                     collections=collections, kahler=kahler)
     for b in basis:

@@ -315,9 +315,9 @@ def mori_cone_generators(fan):
     return [pc.ell for pc in primitive_collections(fan)]
 
 
-def stanley_reisner_ideal(fan):
+def stanley_reisner_ideal(collections):
     """Square-free generator monomials, one per primitive collection."""
-    return [tuple(sorted(pc.rays)) for pc in primitive_collections(fan)]
+    return [tuple(sorted(pc.rays)) for pc in collections]
 
 
 # --- cones in the relation lattice -------------------------------------------------
@@ -338,11 +338,6 @@ class ConeDescription:
         if strict:
             return all(xl.dot(g, y) > 0 for g in self.inequalities)
         return all(xl.dot(g, y) >= 0 for g in self.inequalities)
-
-
-def relation_lattice_basis(fan):
-    """Canonical basis of ker(A_ext), the extended relation lattice."""
-    return xl.kernel_basis(a_ext_matrix(fan))
 
 
 def coords_in_basis(basis, v):
@@ -385,17 +380,17 @@ def dual_cone_extreme_rays(inequalities, dim):
     return sorted(rays)
 
 
-def kahler_cone(fan):
+def kahler_cone(basis, collections):
     """Closure of the ample cone, dual to the Mori cone.
 
-    Returned in coordinates dual to the canonical relation-lattice basis;
-    raises EmptyInterior when the input admits no ample class.
+    Returned in coordinates dual to ``basis``, the canonical relation-lattice
+    basis, from the fan's primitive collections; raises EmptyInterior when
+    the input admits no ample class.
     """
-    basis = relation_lattice_basis(fan)
     dim = len(basis)
     gens = []
     seen = set()
-    for pc in primitive_collections(fan):
+    for pc in collections:
         g = xl.primitive_vector(coords_in_basis(basis, pc.ell_ext))
         if g not in seen:
             seen.add(g)
@@ -459,11 +454,11 @@ class CohomologyRing:
     products built once by the constructor.
     """
 
-    def __init__(self, fan):
+    def __init__(self, fan, collections):
         self.fan = fan
         self.p = fan.p
         self.top = fan.rank
-        self._sr = [tuple(sorted(pc.rays)) for pc in primitive_collections(fan)]
+        self._sr = stanley_reisner_ideal(collections)
         self._linear = [tuple(ray[k] for ray in fan.rays)
                         for k in range(fan.rank)]
         self._echelon = {}     # degree -> list of (pivot_col, row vector)
@@ -760,9 +755,10 @@ class CohClass:
         return " + ".join(items) if items else "0"
 
 
-def cohomology_ring(fan):
-    """Quotient presentation of the even cohomology with its pairing."""
-    ring = CohomologyRing(fan)
+def cohomology_ring(fan, collections):
+    """Quotient presentation of the even cohomology with its pairing, from
+    the fan and its primitive collections."""
+    ring = CohomologyRing(fan, collections)
     assert ring.dim == len(fan.max_cones), \
         f"ring dimension {ring.dim} != {len(fan.max_cones)} maximal cones"
     return ring

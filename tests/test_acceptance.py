@@ -55,7 +55,7 @@ def test_criterion_2_holonomic_rank_identity():
     for name in ACCEPTANCE_FANS:
         fan = CORPUS[name]()
         sys = gkz.build_system(fan)
-        ring = toric.cohomology_ring(fan)
+        ring = toric.cohomology_ring(fan, sys.collections)
         pc = tr.PointConfiguration.from_system(sys)
         volume = tr.normalized_volume(pc, tr.maximal_triangulation(sys, fan))
         assert volume == len(fan.max_cones) == ring.dim == expected[name]
@@ -71,7 +71,7 @@ def test_criterion_3_annihilation_suite():
     for name in ACCEPTANCE_FANS:
         fan = CORPUS[name]()
         sys = gkz.build_system(fan)
-        ring = toric.cohomology_ring(fan)
+        ring = toric.cohomology_ring(fan, sys.collections)
         omega = se.default_weight(sys)
         alpha = gkz.canonical_alpha(sys)
         gamma = se.gamma_series(sys, alpha, omega, order)
@@ -115,7 +115,7 @@ def test_criterion_5_maximal_degeneracy_certificates():
     for name in ACCEPTANCE_FANS:
         fan = CORPUS[name]()
         sys = gkz.build_system(fan)
-        ring = toric.cohomology_ring(fan)
+        ring = toric.cohomology_ring(fan, sys.collections)
         charts = dg.subdivide_kahler_cone(sys)
         assert charts, "no chart produced"
         period = se.normalized_period_series(sys, se.default_weight(sys), 8)
@@ -135,7 +135,7 @@ def test_criterion_6_mori_cone_vanishing():
     for name in ACCEPTANCE_FANS:
         fan = CORPUS[name]()
         sys = gkz.build_system(fan)
-        ring = toric.cohomology_ring(fan)
+        ring = toric.cohomology_ring(fan, sys.collections)
         samples = ck.mori_vanishing_samples(sys, bound=3, limit=10)
         # rank-one relation lattices admit only three such vectors
         expected_minimum = min(10, 7 ** len(sys.basis) - 4 ** len(sys.basis))

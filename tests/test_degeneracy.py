@@ -116,7 +116,7 @@ def test_region_decomposes_in_chart(corpus_fan):
 
 def test_chart_pairings_unit_matches_period_p1():
     sys = system(p1_fan)
-    ring = toric.cohomology_ring(sys.fan)
+    ring = toric.cohomology_ring(sys.fan, sys.collections)
     chart = dg.subdivide_kahler_cone(sys)[0]
     omega = se.default_weight(sys)
     pairings = dg.chart_pairings(sys, ring, chart, omega, 6)
@@ -129,7 +129,7 @@ def test_chart_pairings_unit_matches_period_p1():
 
 def test_chart_pairings_log_stratification_p2():
     sys = system(p2_fan)
-    ring = toric.cohomology_ring(sys.fan)
+    ring = toric.cohomology_ring(sys.fan, sys.collections)
     chart = dg.subdivide_kahler_cone(sys)[0]
     pairings = dg.chart_pairings(sys, ring, chart, se.default_weight(sys), 5)
     max_log = [max((sum(logdeg) for _, logdeg in s.terms), default=0)
@@ -139,7 +139,7 @@ def test_chart_pairings_log_stratification_p2():
 
 def test_chart_pairings_bidegrees_p1xp1():
     sys = system(p1xp1_fan_r2)
-    ring = toric.cohomology_ring(sys.fan)
+    ring = toric.cohomology_ring(sys.fan, sys.collections)
     chart = dg.subdivide_kahler_cone(sys)[0]
     pairings = dg.chart_pairings(sys, ring, chart, se.default_weight(sys), 5)
     assert len(pairings) == 4
@@ -152,7 +152,7 @@ def test_chart_pairings_bidegrees_p1xp1():
 
 def test_certificate_p1():
     sys = system(p1_fan)
-    ring = toric.cohomology_ring(sys.fan)
+    ring = toric.cohomology_ring(sys.fan, sys.collections)
     chart = dg.subdivide_kahler_cone(sys)[0]
     report = dg.maximal_degeneracy_check(sys, ring, chart, period(sys, 8))
     assert report.passed
@@ -164,7 +164,7 @@ def test_certificate_p1():
 
 def test_certificate_corpus(corpus_fan):
     sys = gkz.build_system(corpus_fan)
-    ring = toric.cohomology_ring(corpus_fan)
+    ring = toric.cohomology_ring(corpus_fan, sys.collections)
     for chart in dg.subdivide_kahler_cone(sys):
         report = dg.maximal_degeneracy_check(sys, ring, chart, period(sys, 8))
         assert report.passed, report.as_dict()
@@ -172,7 +172,7 @@ def test_certificate_corpus(corpus_fan):
 
 def test_certificate_json_shape():
     sys = system(p2_fan)
-    ring = toric.cohomology_ring(sys.fan)
+    ring = toric.cohomology_ring(sys.fan, sys.collections)
     chart = dg.subdivide_kahler_cone(sys)[0]
     report = dg.maximal_degeneracy_check(sys, ring, chart, period(sys, 6))
     data = report.as_dict()
@@ -183,7 +183,7 @@ def test_certificate_json_shape():
 def test_certificate_strict_mode():
     from gkzfrac.errors import CertificateFailed
     sys = system(p1_fan)
-    ring = toric.cohomology_ring(sys.fan)
+    ring = toric.cohomology_ring(sys.fan, sys.collections)
     chart = dg.subdivide_kahler_cone(sys)[0]
     report = dg.maximal_degeneracy_check(sys, ring, chart, period(sys, 6),
                                          strict=True)

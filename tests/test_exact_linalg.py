@@ -36,6 +36,161 @@ def brute_force_kernel_vectors(m, bound=5):
     return found
 
 
+# --- the Fraction elimination that the integer one replaced ---------------------
+
+def fraction_rref(m):
+    """Reduced row echelon form over the rationals.
+
+    Returns (rows, pivots) where pivots[i] is the column of the i-th pivot.
+    """
+    a = [[Fraction(x) for x in row] for row in m]
+    nrows = len(a)
+    ncols = len(a[0]) if a else 0
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        piv = next((r for r in range(row, nrows) if a[r][col] != 0), None)
+        if piv is None:
+            continue
+        a[row], a[piv] = a[piv], a[row]
+        a[row] = [x / a[row][col] for x in a[row]]
+        for r in range(nrows):
+            if r != row and a[r][col] != 0:
+                factor = a[r][col]
+                a[r] = [x - factor * y for x, y in zip(a[r], a[row])]
+        pivots.append(col)
+        row += 1
+        if row == nrows:
+            break
+    return [tuple(row) for row in a], pivots
+
+
+def fraction_det(m):
+    """Exact determinant via fraction-free elimination on a copy."""
+    k = len(m)
+    if k == 0:
+        return 1
+    a = [[Fraction(x) for x in row] for row in m]
+    sign = 1
+    for col in range(k):
+        piv = next((r for r in range(col, k) if a[r][col] != 0), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            sign = -sign
+        for r in range(col + 1, k):
+            factor = a[r][col] / a[col][col]
+            if factor:
+                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
+    result = Fraction(sign)
+    for i in range(k):
+        result *= a[i][i]
+    if result.denominator == 1:
+        return int(result)
+    return result
+
+
+def random_matrices(seed=4242, count=400):
+    """Seeded matrices of every shape the elimination must handle: wide,
+    tall and square; rank-deficient; with zero rows or columns; with
+    negative and Fraction entries; and empty."""
+    rng = random.Random(seed)
+
+    def entry(kind):
+        x = rng.randint(-7, 7) if rng.random() < 0.75 else 0
+        if kind == "fraction" and rng.random() < 0.5:
+            return Fraction(x, rng.randint(1, 9))
+        return x
+
+    found = [[], [()], [(), ()], [(0,)], [(0, 0), (0, 0)], [(Fraction(3, 4),)]]
+    while len(found) < count:
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 7)
+        kind = rng.choice(["int", "fraction"])
+        m = [[entry(kind) for _ in range(ncols)] for _ in range(nrows)]
+        defect = rng.choice(["none", "combination", "zero_row", "zero_col"])
+        if defect == "combination" and nrows > 1:
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            m[-1] = [x + c * y for x, y in zip(m[0], m[rng.randrange(nrows)])]
+        elif defect == "zero_row":
+            m[rng.randrange(nrows)] = [0] * ncols
+        elif defect == "zero_col":
+            col = rng.randrange(ncols)
+            for row in m:
+                row[col] = 0
+        found.append([tuple(row) for row in m])
+    return found
+
+
+def entry_types(rows):
+    return [[type(x) for x in row] for row in rows]
+
+
+def test_random_matrices_cover_every_shape():
+    shapes = {(len(m) < len(m[0]), len(m) > len(m[0]))
+              for m in random_matrices() if m and m[0]}
+    assert shapes == {(True, False), (False, True), (False, False)}
+    assert any(len(fraction_rref(m)[1]) < min(len(m), len(m[0]))
+               for m in random_matrices() if m and m[0])
+
+
+def test_rref_equals_fraction_reference():
+    for m in random_matrices():
+        rows, pivots = xl.rref(m)
+        expected_rows, expected_pivots = fraction_rref(m)
+        assert (rows, pivots) == (expected_rows, expected_pivots), m
+        assert entry_types(rows) == entry_types(expected_rows), m
+
+
+def test_rank_equals_fraction_reference():
+    for m in random_matrices():
+        assert xl.rank(m) == len(fraction_rref(m)[1]), m
+
+
+def test_rank_stops_at_full_row_rank():
+    # the first two columns already give rank 2; a later column is never read
+    class Poison(int):
+        @property
+        def denominator(self):
+            raise AssertionError("column read after full rank")
+
+    assert xl.rank([(1, 0, Poison(5)), (0, 1, Poison(7))]) == 2
+    assert xl.rank([(1, 2, 3), (2, 4, 6)]) == 1
+
+
+def test_det_equals_fraction_reference():
+    for m in random_matrices():
+        if m and len(m) <= len(m[0]):
+            square = [row[:len(m)] for row in m]
+            value, expected = xl.det(square), fraction_det(square)
+            assert value == expected and type(value) is type(expected), m
+
+
+@pytest.mark.parametrize("solve", ["solve_linear", "solve_unique"])
+def test_solving_equals_fraction_reference(solve, monkeypatch):
+    rng = random.Random(99)
+    cases = []
+    for m in random_matrices():
+        if not m or not m[0]:
+            continue
+        x = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in m[0]]
+        consistent = tuple(xl.dot(row, x) for row in m)
+        arbitrary = tuple(rng.randint(-5, 5) for _ in m)
+        cases += [(m, consistent), (m, arbitrary)]
+    got = [getattr(xl, solve)(m, b) for m, b in cases]
+    monkeypatch.setattr(xl, "rref", fraction_rref)
+    expected = [getattr(xl, solve)(m, b) for m, b in cases]
+    assert got == expected
+    for value, reference in zip(got, expected):
+        if solve == "solve_linear" and value is not None:
+            particular, null = value
+            assert entry_types([particular] + null) == \
+                entry_types([reference[0]] + reference[1])
+        elif value is not None:
+            assert entry_types([value]) == entry_types([reference])
+    assert any(v is None for v in got) and any(v is not None for v in got)
+
+
 # --- hermite_basis ------------------------------------------------------------
 
 def test_hnf_identity():

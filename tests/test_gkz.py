@@ -145,7 +145,7 @@ def test_zero_locus_is_canonical(corpus_fan):
 
 def test_surjection_corpus(corpus_fan):
     sys = gkz.build_system(corpus_fan)
-    ring = toric.cohomology_ring(corpus_fan)
+    ring = toric.cohomology_ring(corpus_fan, sys.collections)
     assert gkz.indicial_ring_surjection_check(sys, ring)
 
 

@@ -6,6 +6,7 @@ own copy.
 import pytest
 
 from conftest import CORPUS
+from test_ring_table import INSTANCES
 from gkzfrac import checks, cli, gkz, series as se, toric
 from gkzfrac import degeneracy as dg
 from gkzfrac import exact_linalg as xl
@@ -14,7 +15,7 @@ from gkzfrac import triangulations as tr
 
 COUNTED = [(gkz, "build_system"), (se, "b_series"),
            (pt, "dual_nef_partition"), (tr, "maximal_triangulation"),
-           (dg, "subdivide_kahler_cone")]
+           (dg, "subdivide_kahler_cone"), (toric, "primitive_collections")]
 
 
 @pytest.mark.parametrize("name", ["p2", "f1"])
@@ -41,6 +42,19 @@ def test_low_degree_pairings_equal_an_order_6_build(name):
         low = {key: c for key, c in s.terms.items()
                if xl.dot(inst.omega, key[0]) <= 6}
         assert low == se.pair_with_dual(b, h).terms
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_low_degree_keys_equal_the_rational_filter(name):
+    # series.solution_rank keeps the pairing terms of weight degree <= cap,
+    # judged on integers; the rational dot product is the reference
+    order = 4 if name.startswith("p1p1p1") else 6
+    inst = checks.Instance(INSTANCES[name](), order=order)
+    for cap in range(order + 1):
+        expected = sorted({key for s in inst.pairings for key in s.terms
+                           if xl.dot(inst.omega, key[0]) <= cap})
+        assert checks.low_degree_keys(inst.pairings, inst.omega, cap) == \
+            expected
 
 
 def test_weight_rule():

@@ -2,13 +2,13 @@
 guards them.
 
 Each check passes on the unmutated code and returns ``ok=False`` under its
-mutation, on p2, f1 and the one-block P1^3; the kernel check on f1, the
-one-block P1xP1 and P1^3, since its box holds no kernel vector on p2; the
-parity twist on p2 and f1, the inputs where some box operator has an odd
-auxiliary sum.  The
-Euler branch of ``apply_operator`` is also held to the per-term formula it
-replaced, on the real solutions and under a wrong exponent, where its
-output is nonzero.
+mutation, on p2, f1 and the one-block P1^3; the kernel check also on the
+one-block P1xP1 and the three-block P1^3 (on p2 and the three-block P1^3
+its box holds no kernel vector, so only the Hermite certificate sees the
+defect there); the parity twist on p2 and f1, the inputs where some box
+operator has an odd auxiliary sum.  The Euler branch of ``apply_operator``
+is also held to the per-term formula it replaced, on the real solutions and
+under a wrong exponent, where its output is nonzero.
 """
 
 from dataclasses import replace
@@ -22,7 +22,8 @@ from gkzfrac import checks, series as se
 
 FANS = {"p2": (CORPUS["p2"], 8), "f1": (CORPUS["f1"], 8),
         "p1p1p1_r1": (lambda: threefold([[0, 1, 2, 3, 4, 5]], "r1"), 4)}
-BUILDERS = dict(CORPUS, p1p1p1_r1=FANS["p1p1p1_r1"][0])
+BUILDERS = dict(CORPUS, p1p1p1_r1=FANS["p1p1p1_r1"][0],
+                p1p1p1_r3=lambda: threefold([[0, 1], [2, 3], [4, 5]], "r3"))
 CHECK = dict(checks.CHECKS)
 
 
@@ -87,7 +88,8 @@ def test_parity_twist_is_trivial_elsewhere(name):
                for box in sys.box_operators())
 
 
-@pytest.mark.parametrize("name", ["f1", "p1xp1_r1", "p1p1p1_r1"])
+@pytest.mark.parametrize("name", ["p2", "f1", "p1xp1_r1", "p1p1p1_r1",
+                                  "p1p1p1_r3"])
 def test_finite_index_basis_fails_kernel(name, monkeypatch):
     check = CHECK["exact_linalg.kernel"]
     inst = checks.Instance(BUILDERS[name](), order=4)
@@ -96,6 +98,22 @@ def test_finite_index_basis_fails_kernel(name, monkeypatch):
     # the doubled vector spans an index-2 sublattice of the relation lattice
     monkeypatch.setattr(inst.sys, "basis", [tuple(2 * a for a in first)] + rest)
     assert not check(inst)[0]
+
+
+@pytest.mark.parametrize("name", sorted(FANS))
+def test_duplicated_pairing_fails_solution_rank(name, monkeypatch):
+    check = CHECK["series.solution_rank"]
+    inst = instance(name)
+    assert check(inst)[0]
+    pairings = inst.pairings
+    # one pairing repeated in place of another: the rank falls by one, so
+    # the sweep never reaches the row count and cannot stop early
+    monkeypatch.setitem(inst.__dict__, "pairings",
+                        pairings[:-1] + [pairings[0]])
+    ok, detail = check(inst)
+    assert not ok
+    assert detail == (f"solution rank {inst.ring.dim - 1} matches the ring "
+                      "dimension")
 
 
 def euler_per_term(op, s):

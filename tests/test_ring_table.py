@@ -40,7 +40,7 @@ INSTANCES["surface8"] = lambda: _seeded_surface(8, 3)
 @pytest.fixture(params=sorted(INSTANCES))
 def instance(request):
     fan = INSTANCES[request.param]()
-    return fan, toric.cohomology_ring(fan)
+    return fan, toric.cohomology_ring(fan, toric.primitive_collections(fan))
 
 
 def _basis_class(ring, k):
@@ -135,7 +135,7 @@ def test_o_class_matches_product_form_on_the_box(instance):
 def test_pair_with_dual_index_equals_unit_functional():
     fan = CORPUS["f1"]()
     sys = gkz.build_system(fan)
-    ring = toric.cohomology_ring(fan)
+    ring = toric.cohomology_ring(fan, sys.collections)
     b = se.b_series(sys, ring, se.default_weight(sys), 4)
     for h in range(ring.dim):
         unit = tuple(Fraction(int(i == h)) for i in range(ring.dim))

@@ -255,28 +255,28 @@ def test_period_series_p1xp1_product_structure():
 
 def test_o_class_unit_at_zero():
     sys = system(p1_fan)
-    ring = toric.cohomology_ring(sys.fan)
+    ring = toric.cohomology_ring(sys.fan, sys.collections)
     cls = se.o_class(sys, ring, (0, 0, 0))
     assert cls == ring.one()
 
 
 def test_o_class_p1_scalar_part():
     sys = system(p1_fan)
-    ring = toric.cohomology_ring(sys.fan)
+    ring = toric.cohomology_ring(sys.fan, sys.collections)
     cls = se.o_class(sys, ring, (-2, 1, 1))
     assert cls.scalar_part() == Fraction(3, 4)
 
 
 def test_o_class_p2_scalar_part():
     sys = system(p2_fan)
-    ring = toric.cohomology_ring(sys.fan)
+    ring = toric.cohomology_ring(sys.fan, sys.collections)
     cls = se.o_class(sys, ring, (-3, 1, 1, 1))
     assert cls.scalar_part() == Fraction(-15, 8)
 
 
 def test_o_scalar_equals_gamma_coefficient(corpus_fan):
     sys = gkz.build_system(corpus_fan)
-    ring = toric.cohomology_ring(corpus_fan)
+    ring = toric.cohomology_ring(corpus_fan, sys.collections)
     omega = se.default_weight(sys)
     for ell in se.region_slab(sys, omega, 5):
         assert se.o_class(sys, ring, ell).scalar_part() == \
@@ -285,7 +285,7 @@ def test_o_scalar_equals_gamma_coefficient(corpus_fan):
 
 def test_b_series_unit_term():
     sys = system(p1_fan)
-    ring = toric.cohomology_ring(sys.fan)
+    ring = toric.cohomology_ring(sys.fan, sys.collections)
     s = se.b_series(sys, ring, se.default_weight(sys), 4)
     zero = (0, 0, 0)
     assert s.coefficient(zero, zero) == ring.one()
@@ -296,7 +296,7 @@ def test_b_series_unit_term():
 
 def test_pairing_with_unit_is_log_free(corpus_fan):
     sys = gkz.build_system(corpus_fan)
-    ring = toric.cohomology_ring(corpus_fan)
+    ring = toric.cohomology_ring(corpus_fan, sys.collections)
     s = se.b_series(sys, ring, se.default_weight(sys), 5)
     unit_dual = se.pair_with_dual(s, 0)
     assert unit_dual.is_log_free()
@@ -308,7 +308,7 @@ def test_pairing_with_unit_is_log_free(corpus_fan):
 
 def test_pairing_with_point_dual_p1():
     sys = system(p1_fan)
-    ring = toric.cohomology_ring(sys.fan)
+    ring = toric.cohomology_ring(sys.fan, sys.collections)
     s = se.b_series(sys, ring, se.default_weight(sys), 6)
     top = se.pair_with_dual(s, ring.dim - 1)
     unit = se.pair_with_dual(s, 0)
@@ -322,7 +322,7 @@ def test_pairing_with_point_dual_p1():
 
 def test_pairing_zero_functional():
     sys = system(p1_fan)
-    ring = toric.cohomology_ring(sys.fan)
+    ring = toric.cohomology_ring(sys.fan, sys.collections)
     s = se.b_series(sys, ring, se.default_weight(sys), 4)
     zero = se.pair_with_dual(s, tuple(Fraction(0) for _ in range(ring.dim)))
     assert not zero.terms
@@ -362,7 +362,7 @@ def test_operator_on_zero_series():
 
 def test_annihilation_suite(corpus_fan):
     sys = gkz.build_system(corpus_fan)
-    ring = toric.cohomology_ring(corpus_fan)
+    ring = toric.cohomology_ring(corpus_fan, sys.collections)
     omega = se.default_weight(sys)
     order = 8
     alpha = gkz.canonical_alpha(sys)
@@ -386,19 +386,19 @@ def test_annihilation_suite(corpus_fan):
 
 def test_vanishing_p2():
     sys = system(p2_fan)
-    ring = toric.cohomology_ring(sys.fan)
+    ring = toric.cohomology_ring(sys.fan, sys.collections)
     assert se.vanishing_check_outside_mori(sys, ring, (3, -1, -1, -1))
 
 
 def test_vanishing_p1():
     sys = system(p1_fan)
-    ring = toric.cohomology_ring(sys.fan)
+    ring = toric.cohomology_ring(sys.fan, sys.collections)
     assert se.vanishing_check_outside_mori(sys, ring, (2, -1, -1))
 
 
 def test_vanishing_p1xp1_mixed():
     sys = system(p1xp1_fan_r2)
-    ring = toric.cohomology_ring(sys.fan)
+    ring = toric.cohomology_ring(sys.fan, sys.collections)
     ell = tuple(a - b for a, b in zip((-2, 1, 1, 0, 0, 0),
                                       (0, 0, 0, -2, 1, 1)))
     assert se.vanishing_check_outside_mori(sys, ring, ell)
@@ -406,7 +406,7 @@ def test_vanishing_p1xp1_mixed():
 
 def test_vanishing_rejects_mori_vector():
     sys = system(p1_fan)
-    ring = toric.cohomology_ring(sys.fan)
+    ring = toric.cohomology_ring(sys.fan, sys.collections)
     with pytest.raises(InMoriCone):
         se.vanishing_check_outside_mori(sys, ring, (-2, 1, 1))
 
@@ -414,7 +414,7 @@ def test_vanishing_rejects_mori_vector():
 def test_b_series_support_inside_mori(corpus_fan):
     """Coefficients over a whole lattice slab vanish off the curve cone."""
     sys = gkz.build_system(corpus_fan)
-    ring = toric.cohomology_ring(corpus_fan)
+    ring = toric.cohomology_ring(corpus_fan, sys.collections)
     k = len(sys.basis)
     for coords in xl.lattice_points(
             [((0,) * k, 0)] if k == 0 else
@@ -430,7 +430,7 @@ def test_b_series_support_inside_mori(corpus_fan):
 
 def test_pairings_linearly_independent(corpus_fan):
     sys = gkz.build_system(corpus_fan)
-    ring = toric.cohomology_ring(corpus_fan)
+    ring = toric.cohomology_ring(corpus_fan, sys.collections)
     b = se.b_series(sys, ring, se.default_weight(sys), 6)
     pairings = [se.pair_with_dual(b, h) for h in range(ring.dim)]
     keys = sorted({key for s in pairings for key in s.terms})

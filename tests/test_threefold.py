@@ -37,7 +37,7 @@ def test_threefold_r3_structure():
     sys = gkz.build_system(fan)
     assert sys.beta[3:] == (Fraction(-1, 2),) * 3
     assert len(sys.basis) == 3
-    ring = toric.cohomology_ring(fan)
+    ring = toric.cohomology_ring(fan, sys.collections)
     assert ring.dim == 8
     omega = se.default_weight(sys)
     # the product structure shows in the period coefficients

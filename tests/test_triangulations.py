@@ -59,7 +59,7 @@ def test_volume(name, expected):
 
 def test_volume_equals_ring_dimension(corpus_fan):
     sys = gkz.build_system(corpus_fan)
-    ring = toric.cohomology_ring(corpus_fan)
+    ring = toric.cohomology_ring(corpus_fan, sys.collections)
     pc = tr.PointConfiguration.from_system(sys)
     assert tr.normalized_volume(pc, tmax(sys)) == ring.dim
 
