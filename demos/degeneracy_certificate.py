@@ -17,16 +17,18 @@ for name in ("p1", "p2", "p1xp1", "f1"):
     ring = toric.cohomology_ring(fan, system.collections)
     omega = series.default_weight(system)
     period = series.normalized_period_series(system, omega, 8)
+    b = series.b_series(system, ring, omega, 8)
+    b6 = series.b_series(system, ring, omega, 6)
     print(f"=== {name} ===")
     for chart in degeneracy.subdivide_kahler_cone(system):
         print("chart relations:", [list(v) for v in chart.basis_vectors],
               "signs:", list(chart.signs))
         report = degeneracy.maximal_degeneracy_check(system, ring, chart,
-                                                     period)
+                                                     period, b)
         for clause in report.clauses:
             status = "pass" if clause["ok"] else "FAIL"
             print(f"    [{status}] {clause['clause']}: {clause['detail']}")
-        pairings = degeneracy.chart_pairings(system, ring, chart, omega, 6)
+        pairings = degeneracy.chart_pairings(system, ring, chart, b6)
         log_profile = sorted(
             max((sum(logdeg) for _, logdeg in s.terms), default=0)
             for s in pairings)

@@ -295,7 +295,7 @@ def _check_region_decomposition(inst):
 def _check_certificate(inst):
     for idx, chart in enumerate(inst.charts):
         report = dg.maximal_degeneracy_check(inst.sys, inst.ring, chart,
-                                             inst.period)
+                                             inst.period, inst.b)
         if not report.passed:
             failed = [c["clause"] for c in report.clauses if not c["ok"]]
             return False, f"chart {idx} fails {failed}"
@@ -382,10 +382,14 @@ class Instance:
                                self.order)
 
     @cached_property
+    def b(self):
+        """The cohomology-valued series."""
+        return se.b_series(self.sys, self.ring, self.omega, self.order)
+
+    @cached_property
     def pairings(self):
         """Dual-basis pairings of the cohomology-valued series."""
-        b = se.b_series(self.sys, self.ring, self.omega, self.order)
-        return [se.pair_with_dual(b, h) for h in range(self.ring.dim)]
+        return [se.pair_with_dual(self.b, h) for h in range(self.ring.dim)]
 
 
 def run_all(inst):

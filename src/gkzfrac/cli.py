@@ -297,7 +297,7 @@ def run_command(cmd, spec, flags=None):
         all_ok = True
         for chart in inst.charts:
             report = dg.maximal_degeneracy_check(sys, inst.ring, chart,
-                                                 inst.period)
+                                                 inst.period, inst.b)
             all_ok = all_ok and report.passed
             chart_reports.append({
                 "cone_rays": [list(r) for r in chart.cone_rays],

@@ -34,39 +34,6 @@ class CanonicalChart:
     signs: tuple
 
 
-@dataclass
-class ChartSeries:
-    """Truncated series in chart coordinates with optional log slots.
-
-    ``terms`` maps (monomial exponents, log multidegree) to rationals, both
-    indexed by the chart coordinates.
-    """
-    dim: int
-    order: object
-    terms: dict = field(default_factory=dict)
-
-    def add_term(self, expo, logdeg, coeff):
-        if coeff == 0:
-            return
-        key = (tuple(expo), tuple(logdeg))
-        value = self.terms.get(key, Fraction(0)) + coeff
-        if value == 0:
-            self.terms.pop(key, None)
-        else:
-            self.terms[key] = value
-
-    def coefficient(self, expo, logdeg=None):
-        if logdeg is None:
-            logdeg = (0,) * self.dim
-        return self.terms.get((tuple(expo), tuple(logdeg)), Fraction(0))
-
-    def is_log_free(self):
-        return all(all(m == 0 for m in logdeg) for _, logdeg in self.terms)
-
-    def sorted_items(self):
-        return sorted(self.terms.items())
-
-
 def _chart_from_simplicial_cone(sys, rays):
     """Chart of a smooth maximal cone given by its extreme rays."""
     dim = len(sys.basis)
@@ -143,7 +110,7 @@ def _facet_normal(pair, rays):
     return None
 
 
-def _stellar_refine(sys, cones, depth=0):
+def _stellar_refine(cones, depth=0):
     """Make every cone unimodular by stellar subdivision at short witnesses."""
     if depth > SUBDIVISION_DEPTH_CAP:
         raise SubdivisionFailed(
@@ -163,7 +130,7 @@ def _stellar_refine(sys, cones, depth=0):
                         for i, r in enumerate(rays))
             if xl.det(new) != 0:
                 pieces.append(new)
-        out.extend(_stellar_refine(sys, pieces, depth + 1))
+        out.extend(_stellar_refine(pieces, depth + 1))
     return out
 
 
@@ -200,7 +167,7 @@ def subdivide_kahler_cone(sys):
     if len(cone.rays) == dim and abs(xl.det(cone.rays)) == 1:
         return [_chart_from_simplicial_cone(sys, cone.rays)]
     pieces = _triangulate_cone(list(cone.rays), dim)
-    pieces = _stellar_refine(sys, pieces)
+    pieces = _stellar_refine(pieces)
     charts = []
     for rays in sorted(pieces):
         chart = _chart_from_simplicial_cone(sys, rays)
@@ -225,16 +192,24 @@ def chart_coordinates(chart, ell):
     return m
 
 
-def period_in_chart(chart, series, order=None):
+def _chart_series(chart, source):
+    """Empty series in the chart monomials at the weight and order of
+    ``source``; a chart monomial m has the weight degree of its ell."""
+    return se.LogSeries(alpha=(0,) * len(chart.basis_vectors),
+                        weight=tuple(xl.dot(source.weight, v)
+                                     for v in chart.basis_vectors),
+                        order=source.order)
+
+
+def period_in_chart(chart, series):
     """Re-index a log-free series by the chart monomials.
 
     Every stored exponent must decompose with nonnegative integer
     coefficients over the chart basis; a violation raises NegativeExponent
     and falsifies holomorphy of the extension.
     """
-    dim = len(chart.basis_vectors)
-    out = ChartSeries(dim=dim, order=order if order is not None
-                      else series.order)
+    out = _chart_series(chart, series)
+    no_logs = (0,) * len(chart.basis_vectors)
     for (ell, logdeg), coeff in series.sorted_items():
         assert all(x == 0 for x in logdeg), "chart transport needs log-free input"
         m = chart_coordinates(chart, ell)
@@ -242,7 +217,7 @@ def period_in_chart(chart, series, order=None):
         for s, e in zip(chart.signs, m):
             if s == -1 and e % 2:
                 sign = -sign
-        out.add_term(m, (0,) * dim, sign * coeff)
+        out.add_term(m, no_logs, sign * coeff)
     return out
 
 
@@ -272,35 +247,28 @@ def _dual_divisor_classes(sys, ring, chart):
     return w_classes
 
 
-def chart_pairings(sys, ring, chart, omega, order):
+def chart_pairings(sys, ring, chart, b):
     """Solution pairings written in chart coordinates.
 
-    Output k pairs the cohomology-valued series against the k-th dual basis
-    functional; log slots are the chart coordinates (their number equals the
-    relation-lattice rank), and all coefficients are exact rationals.
+    ``b`` is the cohomology-valued series of ``sys``; its log-free terms are
+    the product-form classes (every nonzero class has one, since its log
+    part starts with the unit class), which are re-expanded here with the
+    chart coordinates as log slots.  Output k pairs the result against the
+    k-th dual basis functional; all coefficients are exact rationals.
     """
-    omega = se.check_weight(sys, omega)
-    dim = len(chart.basis_vectors)
     log_part = se.log_part(ring, _dual_divisor_classes(sys, ring, chart),
                            sys.n)
-    outputs = [ChartSeries(dim=dim, order=order) for _ in range(ring.dim)]
-    for ell in se.mori_slab(sys, omega, order):
-        base = se.o_class(sys, ring, ell)
-        if base.is_zero():
+    chart_b = _chart_series(chart, b)
+    for (ell, logdeg), base in b.terms.items():
+        if any(logdeg):
             continue
         m = chart_coordinates(chart, ell)
         # The quotient-coordinate parity is already part of the product-form
         # coefficients, so no extra sign enters here (unlike period_in_chart,
         # whose input carries the untwisted coefficients).
-        for logdeg, cls in log_part:
-            total = base * cls
-            if total.is_zero():
-                continue
-            for h in range(ring.dim):
-                coeff = total.coords[h]
-                if coeff:
-                    outputs[h].add_term(m, logdeg, coeff)
-    return outputs
+        for chart_logdeg, cls in log_part:
+            chart_b.add_term(m, chart_logdeg, base * cls)
+    return [se.pair_with_dual(chart_b, h) for h in range(ring.dim)]
 
 
 # --- the certificate -----------------------------------------------------------------
@@ -324,9 +292,10 @@ class CertificateReport:
                 "clauses": self.clauses}
 
 
-def maximal_degeneracy_check(sys, ring, chart, period, strict=False):
+def maximal_degeneracy_check(sys, ring, chart, period, b, strict=False):
     """Certify the degeneracy behaviour of the chart at the truncation order
-    and weight of ``period``, the normalized period series of ``sys``.
+    and weight of ``period``, the normalized period series of ``sys``;
+    ``b`` is its cohomology-valued series at the same order and weight.
 
     Three clauses: the period series extends as a genuine power series; the
     space of log-free solutions among the dual-basis pairings is exactly one
@@ -334,8 +303,7 @@ def maximal_degeneracy_check(sys, ring, chart, period, strict=False):
     indicial locus is the single canonical exponent.  With ``strict`` a
     failing clause raises CertificateFailed instead of only being reported.
     """
-    order, omega = period.order, period.weight
-    report = CertificateReport(order=order)
+    report = CertificateReport(order=period.order)
     try:
         chart_period = period_in_chart(chart, period)
         report.add("holomorphic_extension", True,
@@ -345,7 +313,7 @@ def maximal_degeneracy_check(sys, ring, chart, period, strict=False):
         chart_period = None
         report.add("holomorphic_extension", False, str(exc))
 
-    pairings = chart_pairings(sys, ring, chart, omega, order)
+    pairings = chart_pairings(sys, ring, chart, b)
     log_keys = sorted({key for s in pairings for key in s.terms
                        if any(key[1])})
     matrix = [tuple(s.terms.get(key, Fraction(0)) for key in log_keys)
@@ -360,7 +328,7 @@ def maximal_degeneracy_check(sys, ring, chart, period, strict=False):
                 for j in range(ring.dim)]
     if len(null) == 1:
         combo = null[0]
-        log_free = ChartSeries(dim=len(chart.basis_vectors), order=order)
+        log_free = _chart_series(chart, b)
         for c, s in zip(combo, pairings):
             if c == 0:
                 continue

@@ -14,7 +14,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import factorial, floor, lcm, perm
+from math import factorial, floor, gcd, lcm, perm
 
 from . import exact_linalg as xl
 from .errors import (InMoriCone, NotInKernel, NotInRegion, SchemaError,
@@ -223,7 +223,6 @@ class LogSeries:
     order: object
     terms: dict = field(default_factory=dict)
     shifts: tuple = None
-    cohomological: bool = False
 
     def __post_init__(self):
         if self.shifts is None:
@@ -306,29 +305,54 @@ def o_class(sys, ring, ell):
     factor acting on the coordinate vector: prod_{k=0}^{-c-1} (D + a - k)
     for c <= 0, and for c > 0 the inverse of prod_{m=1}^{c} (D + a + m),
     each inverse being the Neumann series sum_t (-D)^t / s^(t+1), s = a + m,
-    which stops at t = rank because D^(rank+1) = 0.
+    which stops at t = rank because D^(rank+1) = 0.  The vector is kept as
+    integer numerators over one common denominator, with D = M / L for the
+    integer matrix M of ``ring.divisor_matrix``; with s = p / q, the series
+    cut after its t-th term has denominator (L p)^t p.  Fractions are built
+    only for the result.
     """
     ell = tuple(ell)
     alpha = sys.alpha
-    v = ring.one().coords
+    v, den = [int(x) for x in ring.one().coords], 1
     for (i, j) in sys.j_indices():
         pos = sys.j_position(i, j)
         a, c = alpha[pos], ell[pos]
+        if not c:
+            continue
+        scale, columns = ring.divisor_matrix(i, j)
         for k in range(-c):
-            v = ring.act(i, j, v, a - k)
+            p, q = (a - k).numerator, (a - k).denominator
+            v = [q * y + scale * p * x
+                 for x, y in zip(v, _integer_act(columns, v))]
+            den *= scale * q
         for m in range(1, c + 1):
-            s = a + m
-            assert s != 0, "slot factor with vanishing scalar part"
-            inv = 1 / s
-            v = term = [x * inv if x else x for x in v]
+            p, q = (a + m).numerator, (a + m).denominator
+            assert p != 0, "slot factor with vanishing scalar part"
+            term, sign_q = v, q
+            v = [q * x for x in v]
+            den *= p
             for _ in range(sys.n):
-                term = [-x * inv if x else x for x in ring.act(i, j, term)]
+                term = _integer_act(columns, term)
                 if not any(term):
                     break
-                v = [x + y if y else x for x, y in zip(v, term)]
+                sign_q *= -q
+                v = [scale * p * x + sign_q * y for x, y in zip(v, term)]
+                den *= scale * p
+        g = gcd(den, *v)
+        v, den = [x // g for x in v], den // g
         if not any(v):
             break
-    return CohClass(ring, v)
+    return CohClass(ring, [Fraction(x, den) for x in v])
+
+
+def _integer_act(columns, v):
+    """M v for an integer matrix given column by column as sparse pairs."""
+    out = [0] * len(v)
+    for x, column in zip(v, columns):
+        if x:
+            for k, c in column:
+                out[k] += c * x
+    return out
 
 
 def _log_multidegrees(nvars, top):
@@ -371,8 +395,7 @@ def b_series(sys, ring, omega, order):
     omega = check_weight(sys, omega)
     logs = log_part(ring, [ring.divisor_class(i, j)
                            for (i, j) in sys.j_indices()], sys.n)
-    s = LogSeries(alpha=sys.alpha, weight=omega, order=order,
-                  cohomological=True)
+    s = LogSeries(alpha=sys.alpha, weight=omega, order=order)
     for ell in mori_slab(sys, omega, order):
         base = o_class(sys, ring, ell)
         if base.is_zero():

@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 from . import exact_linalg as xl
 from .errors import (EmptyInterior, NotComplete, NotSmooth, RayNotPrimitive,
@@ -310,11 +310,6 @@ def _build_collection(fan, collection):
         ell=tuple(ell), ell_ext=ell_ext)
 
 
-def mori_cone_generators(fan):
-    """Relation vectors of the primitive collections: generators of NE(X)."""
-    return [pc.ell for pc in primitive_collections(fan)]
-
-
 def stanley_reisner_ideal(collections):
     """Square-free generator monomials, one per primitive collection."""
     return [tuple(sorted(pc.rays)) for pc in collections]
@@ -490,9 +485,11 @@ class CohomologyRing:
             rays = fan.blocks[i] if j == 0 else (fan.ray_of_double_index(i, j),)
             d = self.class_from_poly({_unit(self.p, r): -1 if j == 0 else 1
                                       for r in rays})
-            self._divisors[(i, j)] = tuple(
-                _sparse(self._contract(d.coords, _unit(self.dim, b)))
-                for b in range(self.dim))
+            columns = [_sparse(self._contract(d.coords, _unit(self.dim, b)))
+                       for b in range(self.dim)]
+            scale = lcm(*(c.denominator for col in columns for _, c in col))
+            self._divisors[(i, j)] = d, scale, tuple(
+                tuple((k, int(c * scale)) for k, c in col) for col in columns)
 
     # -- construction --
 
@@ -569,9 +566,10 @@ class CohomologyRing:
                 continue
             row = self._table[a]
             for b, cy in nonzero_y:
-                c = cx * cy
-                for k, t in row[b]:
-                    out[k] += c * t
+                if row[b]:
+                    c = cx * cy
+                    for k, t in row[b]:
+                        out[k] += c * t
         return out
 
     @staticmethod
@@ -634,23 +632,14 @@ class CohomologyRing:
     def divisor_class(self, i, j):
         """Class of the double-indexed divisor; j = 0 gives the block sum's
         negative."""
-        return CohClass(self, self.act(i, j, self._one.coords))
+        return self._divisors[(i, j)][0]
 
     def divisor_matrix(self, i, j):
-        """Multiplication by the divisor class of (i, j), column by column:
-        column b lists the nonzero (index, coefficient) pairs of the class
-        times basis monomial b.  The matrix is nilpotent of order rank + 1."""
-        return self._divisors[(i, j)]
-
-    def act(self, i, j, v, shift=0):
-        """Coordinates of (D_ij + shift) * v for a coordinate vector v."""
-        out = [shift * x if x else x for x in v] if shift \
-            else [_ZERO] * self.dim
-        for x, column in zip(v, self._divisors[(i, j)]):
-            if x:
-                for k, c in column:
-                    out[k] += c * x
-        return out
+        """Multiplication by the divisor class of (i, j) as (L, M) with M / L
+        the matrix: M is integer, and its column b lists the nonzero
+        (index, coefficient) pairs of L times the class times basis monomial
+        b.  The matrix is nilpotent of order rank + 1."""
+        return self._divisors[(i, j)][1:]
 
     def class_from_poly(self, poly):
         """Class of a polynomial in the ray variables, given as expo -> coeff."""
@@ -697,7 +686,8 @@ class CohClass:
 
     def __init__(self, ring, coords):
         self.ring = ring
-        self.coords = tuple(Fraction(c) for c in coords)
+        self.coords = tuple(c if type(c) is Fraction else Fraction(c)
+                            for c in coords)
 
     def __add__(self, other):
         if isinstance(other, CohClass):

@@ -118,9 +118,11 @@ def test_criterion_5_maximal_degeneracy_certificates():
         ring = toric.cohomology_ring(fan, sys.collections)
         charts = dg.subdivide_kahler_cone(sys)
         assert charts, "no chart produced"
-        period = se.normalized_period_series(sys, se.default_weight(sys), 8)
+        omega = se.default_weight(sys)
+        period = se.normalized_period_series(sys, omega, 8)
+        b = se.b_series(sys, ring, omega, 8)
         for chart in charts:
-            report = dg.maximal_degeneracy_check(sys, ring, chart, period)
+            report = dg.maximal_degeneracy_check(sys, ring, chart, period, b)
             assert report.passed, report.as_dict()
         locus = gkz.indicial_ideal_zero_locus(sys)
         alpha = gkz.canonical_alpha(sys)

@@ -46,10 +46,9 @@ def test_buchberger_names_its_cap(cap, value, monkeypatch):
 
 def test_stellar_refine_names_depth_cap(monkeypatch):
     # a determinant-2 cone needs one level of stellar subdivision
-    sys = gkz.build_system(CORPUS["p1xp1"]())
     cone = ((1, 0), (1, 2))
-    assert dg._stellar_refine(sys, [cone]) == [((1, 1), (1, 2)),
-                                               ((1, 0), (1, 1))]
+    assert dg._stellar_refine([cone]) == [((1, 1), (1, 2)),
+                                          ((1, 0), (1, 1))]
     monkeypatch.setattr(dg, "SUBDIVISION_DEPTH_CAP", 0)
     with pytest.raises(SubdivisionFailed, match="SUBDIVISION_DEPTH_CAP"):
-        dg._stellar_refine(sys, [cone])
+        dg._stellar_refine([cone])

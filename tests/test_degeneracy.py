@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import p1_fan, p1xp1_fan_r2, p2_fan
+from test_ring_table import INSTANCES
 from gkzfrac import degeneracy as dg
 from gkzfrac import gkz, series as se, toric
 from gkzfrac import exact_linalg as xl
@@ -15,6 +16,10 @@ def system(fan_maker):
 
 def period(sys, order):
     return se.normalized_period_series(sys, se.default_weight(sys), order)
+
+
+def b_series(sys, ring, order):
+    return se.b_series(sys, ring, se.default_weight(sys), order)
 
 
 # --- charts -----------------------------------------------------------------------
@@ -119,7 +124,7 @@ def test_chart_pairings_unit_matches_period_p1():
     ring = toric.cohomology_ring(sys.fan, sys.collections)
     chart = dg.subdivide_kahler_cone(sys)[0]
     omega = se.default_weight(sys)
-    pairings = dg.chart_pairings(sys, ring, chart, omega, 6)
+    pairings = dg.chart_pairings(sys, ring, chart, b_series(sys, ring, 6))
     period = dg.period_in_chart(
         chart, se.normalized_period_series(sys, omega, 6))
     unit = pairings[0]
@@ -131,7 +136,7 @@ def test_chart_pairings_log_stratification_p2():
     sys = system(p2_fan)
     ring = toric.cohomology_ring(sys.fan, sys.collections)
     chart = dg.subdivide_kahler_cone(sys)[0]
-    pairings = dg.chart_pairings(sys, ring, chart, se.default_weight(sys), 5)
+    pairings = dg.chart_pairings(sys, ring, chart, b_series(sys, ring, 5))
     max_log = [max((sum(logdeg) for _, logdeg in s.terms), default=0)
                for s in pairings]
     assert sorted(max_log) == [0, 1, 2]
@@ -141,11 +146,45 @@ def test_chart_pairings_bidegrees_p1xp1():
     sys = system(p1xp1_fan_r2)
     ring = toric.cohomology_ring(sys.fan, sys.collections)
     chart = dg.subdivide_kahler_cone(sys)[0]
-    pairings = dg.chart_pairings(sys, ring, chart, se.default_weight(sys), 5)
+    pairings = dg.chart_pairings(sys, ring, chart, b_series(sys, ring, 5))
     assert len(pairings) == 4
     max_log = sorted(max((sum(logdeg) for _, logdeg in s.terms), default=0)
                      for s in pairings)
     assert max_log == [0, 1, 1, 2]
+
+
+def slab_chart_pairings(sys, ring, chart, omega, order):
+    """Reference: walk the Mori slab, take each product-form class and
+    expand it in the chart log part, keyed by the chart coordinates."""
+    log_part = se.log_part(ring, dg._dual_divisor_classes(sys, ring, chart),
+                           sys.n)
+    outputs = [{} for _ in range(ring.dim)]
+    for ell in se.mori_slab(sys, omega, order):
+        base = se.o_class(sys, ring, ell)
+        if base.is_zero():
+            continue
+        m = dg.chart_coordinates(chart, ell)
+        for logdeg, cls in log_part:
+            total = base * cls
+            for h in range(ring.dim):
+                if total.coords[h]:
+                    outputs[h][(m, logdeg)] = total.coords[h]
+    return outputs
+
+
+@pytest.mark.parametrize("name,order", [
+    ("p1", 8), ("p2", 6), ("p1xp1", 6), ("f1", 6), ("p1p1p1_r1", 3)])
+def test_chart_pairings_match_the_slab_walk(name, order):
+    # re-expanding the B-series gives what the Mori-slab walk gives
+    sys = system(INSTANCES[name])
+    ring = toric.cohomology_ring(sys.fan, sys.collections)
+    omega = se.default_weight(sys)
+    b = se.b_series(sys, ring, omega, order)
+    for chart in dg.subdivide_kahler_cone(sys):
+        pairings = dg.chart_pairings(sys, ring, chart, b)
+        expected = slab_chart_pairings(sys, ring, chart, omega, order)
+        assert [s.terms for s in pairings] == expected
+        assert any(expected)
 
 
 # --- the certificate ---------------------------------------------------------------------------
@@ -154,7 +193,8 @@ def test_certificate_p1():
     sys = system(p1_fan)
     ring = toric.cohomology_ring(sys.fan, sys.collections)
     chart = dg.subdivide_kahler_cone(sys)[0]
-    report = dg.maximal_degeneracy_check(sys, ring, chart, period(sys, 8))
+    report = dg.maximal_degeneracy_check(sys, ring, chart, period(sys, 8),
+                                         b_series(sys, ring, 8))
     assert report.passed
     names = [c["clause"] for c in report.clauses]
     assert names == ["holomorphic_extension", "unique_log_free_solution",
@@ -165,8 +205,10 @@ def test_certificate_p1():
 def test_certificate_corpus(corpus_fan):
     sys = gkz.build_system(corpus_fan)
     ring = toric.cohomology_ring(corpus_fan, sys.collections)
+    b = b_series(sys, ring, 8)
     for chart in dg.subdivide_kahler_cone(sys):
-        report = dg.maximal_degeneracy_check(sys, ring, chart, period(sys, 8))
+        report = dg.maximal_degeneracy_check(sys, ring, chart, period(sys, 8),
+                                             b)
         assert report.passed, report.as_dict()
 
 
@@ -174,7 +216,8 @@ def test_certificate_json_shape():
     sys = system(p2_fan)
     ring = toric.cohomology_ring(sys.fan, sys.collections)
     chart = dg.subdivide_kahler_cone(sys)[0]
-    report = dg.maximal_degeneracy_check(sys, ring, chart, period(sys, 6))
+    report = dg.maximal_degeneracy_check(sys, ring, chart, period(sys, 6),
+                                         b_series(sys, ring, 6))
     data = report.as_dict()
     assert data["passed"] is True
     assert all({"clause", "ok", "detail"} <= set(c) for c in data["clauses"])
@@ -186,7 +229,7 @@ def test_certificate_strict_mode():
     ring = toric.cohomology_ring(sys.fan, sys.collections)
     chart = dg.subdivide_kahler_cone(sys)[0]
     report = dg.maximal_degeneracy_check(sys, ring, chart, period(sys, 6),
-                                         strict=True)
+                                         b_series(sys, ring, 6), strict=True)
     assert report.passed  # no raise on a passing chart
 
 
@@ -201,8 +244,7 @@ def test_triangulate_square_cone():
 
 
 def test_stellar_refinement_of_index_two_cone():
-    sys = system(p1xp1_fan_r2)  # only used for the recursion context
-    pieces = dg._stellar_refine(sys, [((1, 0), (1, 2))])
+    pieces = dg._stellar_refine([((1, 0), (1, 2))])
     assert sorted(abs(xl.det(p)) for p in pieces) == [1, 1]
     rays = sorted({r for piece in pieces for r in piece})
     assert (1, 1) in rays  # the parallelepiped witness

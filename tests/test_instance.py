@@ -32,6 +32,19 @@ def test_check_all_builds_each_artifact_once(name, monkeypatch):
     assert calls == {attr: 1 for _module, attr in COUNTED}
 
 
+def test_check_all_walks_the_mori_slab_once(monkeypatch):
+    # chart pairings re-expand the shared B-series instead of a second walk
+    calls = []
+
+    def counted(*args, _fn=se.mori_slab):
+        calls.append(args)
+        return _fn(*args)
+    monkeypatch.setattr(se, "mori_slab", counted)
+    results = checks.run_all(checks.Instance(CORPUS["p2"](), 8))
+    assert all(r["ok"] for r in results)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("name", ["p2", "f1", "f1_r2"])
 def test_low_degree_pairings_equal_an_order_6_build(name):
     # series.solution_rank reads the shared pairings up to weight degree 6;

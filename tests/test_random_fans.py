@@ -64,7 +64,7 @@ def nef_bipartitions(fan_rays, cones, rng, tries=10):
     """Random two-block partitions whose block sums are nef."""
     fan = toric.make_fan(2, fan_rays, cones,
                          [list(range(len(fan_rays)))])
-    relations = toric.mori_cone_generators(fan)
+    relations = [pc.ell for pc in toric.primitive_collections(fan)]
     found = []
     for _ in range(tries):
         block = sorted(rng.sample(range(len(fan_rays)),
