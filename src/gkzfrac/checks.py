@@ -389,7 +389,7 @@ class Instance:
     @cached_property
     def pairings(self):
         """Dual-basis pairings of the cohomology-valued series."""
-        return [se.pair_with_dual(self.b, h) for h in range(self.ring.dim)]
+        return se.pair_with_dual(self.ring, self.b)
 
 
 def run_all(inst):

@@ -77,12 +77,11 @@ def _triangulate_cone(rays, dim):
     facets = []
     for i in range(len(rays)):
         for j in range(i + 1, len(rays)):
-            pair = (rays[i], rays[j])
-            rows, pivots = xl.rref(pair)
-            if len(pivots) != 2:
+            normal = xl.primitive_normal((rays[i], rays[j]), 3)
+            if normal is None:
                 continue
-            normal = _facet_normal(pair, rays)
-            if normal is not None:
+            vals = [xl.dot(normal, r) for r in rays]
+            if all(v >= 0 for v in vals) or all(v <= 0 for v in vals):
                 facets.append(frozenset((rays[i], rays[j])))
     base = rays[0]
     cones = []
@@ -93,21 +92,6 @@ def _triangulate_cone(rays, dim):
     if not cones:
         raise SubdivisionFailed("could not facet the cone")
     return cones
-
-
-def _facet_normal(pair, rays):
-    rows, pivots = xl.rref(pair)
-    free = [c for c in range(3) if c not in pivots]
-    if len(free) != 1:
-        return None
-    normal = [Fraction(0)] * 3
-    normal[free[0]] = Fraction(1)
-    for i, col in enumerate(pivots):
-        normal[col] = -rows[i][free[0]]
-    vals = [xl.dot(normal, r) for r in rays]
-    if all(v >= 0 for v in vals) or all(v <= 0 for v in vals):
-        return tuple(normal)
-    return None
 
 
 def _stellar_refine(cones, depth=0):
@@ -268,7 +252,7 @@ def chart_pairings(sys, ring, chart, b):
         # whose input carries the untwisted coefficients).
         for chart_logdeg, cls in log_part:
             chart_b.add_term(m, chart_logdeg, base * cls)
-    return [se.pair_with_dual(chart_b, h) for h in range(ring.dim)]
+    return se.pair_with_dual(ring, chart_b)
 
 
 # --- the certificate -----------------------------------------------------------------

@@ -174,6 +174,21 @@ def rref(m):
     return out, pivots
 
 
+def primitive_normal(rows, dim):
+    """Primitive integer vector spanning the kernel of ``rows`` (length
+    ``dim``, integer or rational entries), with its free coordinate
+    positive; None unless that kernel is one-dimensional."""
+    reduced, pivots = rref(rows)
+    if len(pivots) != dim - 1:
+        return None
+    free = next(c for c in range(dim) if c not in pivots)
+    normal = [Fraction(0)] * dim
+    normal[free] = Fraction(1)
+    for row, col in zip(reduced, pivots):
+        normal[col] = -row[free]
+    return primitive_vector(integer_scaled(normal)[0])
+
+
 def solve_linear(m, b):
     """Solve m*x = b over the rationals.
 

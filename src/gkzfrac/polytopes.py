@@ -95,34 +95,6 @@ def _in_hull(points, q):
     return xl.fm_feasible(rows, len(null))
 
 
-def _primitive_normal(diffs, rank):
-    """Primitive integer normal of the hyperplane spanned by diffs, or None."""
-    scaled = []
-    for d in diffs:
-        den = 1
-        for x in d:
-            den = den * Fraction(x).denominator // _gcd(den, Fraction(x).denominator)
-        scaled.append(tuple(int(Fraction(x) * den) for x in d))
-    rows, pivots = xl.rref(scaled) if scaled else ([], [])
-    if len(pivots) != rank - 1:
-        return None
-    free = [c for c in range(rank) if c not in pivots]
-    normal = [Fraction(0)] * rank
-    normal[free[0]] = Fraction(1)
-    for i, col in enumerate(pivots):
-        normal[col] = -rows[i][free[0]]
-    den = 1
-    for x in normal:
-        den = den * x.denominator // _gcd(den, x.denominator)
-    return xl.primitive_vector(tuple(int(x * den) for x in normal))
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a if a else 1
-
-
 def _affine_dim(points):
     if len(points) <= 1:
         return 0
@@ -159,7 +131,7 @@ def convex_hull(points):
     for subset in combinations(points, rank):
         p0 = subset[0]
         diffs = [xl.vec_sub(p, p0) for p in subset[1:]]
-        a = _primitive_normal(diffs, rank)
+        a = xl.primitive_normal(diffs, rank)
         if a is None:
             continue
         c = xl.dot(a, p0)

@@ -405,17 +405,15 @@ def b_series(sys, ring, omega, order):
     return s
 
 
-def pair_with_dual(b, h):
-    """Scalar series from pairing every coefficient against a functional.
-
-    ``h`` is either the index of a basis monomial (its dual functional) or a
-    full coordinate vector over the dual basis.
+def pair_with_dual(ring, b):
+    """The ``ring.dim`` scalar series pairing every coefficient of ``b``
+    against each dual-basis functional in turn, from one walk over its terms.
     """
-    out = LogSeries(alpha=b.alpha, weight=b.weight, order=b.order,
-                    shifts=b.shifts)
+    out = [LogSeries(alpha=b.alpha, weight=b.weight, order=b.order,
+                     shifts=b.shifts) for _ in range(ring.dim)]
     for (ell, logdeg), cls in b.terms.items():
-        out.add_term(ell, logdeg,
-                     cls.coords[h] if isinstance(h, int) else cls.pair(h))
+        for s, c in zip(out, cls.coords):
+            s.add_term(ell, logdeg, c)
     return out
 
 
@@ -553,23 +551,16 @@ def parse_fraction(s):
     return Fraction(s)
 
 
-def series_to_dict(s, ring=None):
-    """JSON-ready dict; rationals appear as exact strings."""
-    terms = []
-    for (ell, logdeg), coeff in s.sorted_items():
-        if hasattr(coeff, "coords"):
-            names = coeff.ring.basis_names()
-            payload = {name: fraction_str(c)
-                       for name, c in zip(names, coeff.coords) if c != 0}
-        else:
-            payload = fraction_str(coeff)
-        terms.append({"l": list(ell), "logdeg": list(logdeg),
-                      "coeff": payload})
+def series_to_dict(s):
+    """JSON-ready dict of a rational series; rationals appear as exact
+    strings."""
     return {
         "alpha": [fraction_str(a) for a in s.alpha],
         "weight": [fraction_str(w) for w in s.weight],
         "order": fraction_str(s.order),
-        "terms": terms,
+        "terms": [{"l": list(ell), "logdeg": list(logdeg),
+                   "coeff": fraction_str(coeff)}
+                  for (ell, logdeg), coeff in s.sorted_items()],
     }
 
 

@@ -356,19 +356,9 @@ def dual_cone_extreme_rays(inequalities, dim):
         return sorted(rays)
     rays = set()
     for subset in combinations(range(len(inequalities)), dim - 1):
-        m = [inequalities[i] for i in subset]
-        rows, pivots = xl.rref(m)
-        if len(pivots) != dim - 1:
+        cand = xl.primitive_normal([inequalities[i] for i in subset], dim)
+        if cand is None:
             continue
-        free = [c for c in range(dim) if c not in pivots][0]
-        cand = [Fraction(0)] * dim
-        cand[free] = Fraction(1)
-        for i, col in enumerate(pivots):
-            cand[col] = -rows[i][free]
-        den = 1
-        for x in cand:
-            den = den * x.denominator // gcd(den, x.denominator)
-        cand = xl.primitive_vector(tuple(int(x * den) for x in cand))
         for signed in (cand, tuple(-x for x in cand)):
             if all(xl.dot(g, signed) >= 0 for g in inequalities):
                 rays.add(signed)
@@ -431,6 +421,14 @@ def _sparse(coords):
     return tuple((k, c) for k, c in enumerate(coords) if c)
 
 
+def _times(mu, variables):
+    """The monomial mu times the product of the given variables."""
+    expo = list(mu)
+    for var in variables:
+        expo[var] += 1
+    return tuple(expo)
+
+
 def _monomial_key(expo):
     """Sorted variable sequence of a monomial, for earliest-first ordering."""
     seq = []
@@ -456,18 +454,10 @@ class CohomologyRing:
         self._sr = stanley_reisner_ideal(collections)
         self._linear = [tuple(ray[k] for ray in fan.rays)
                         for k in range(fan.rank)]
-        self._echelon = {}     # degree -> list of (pivot_col, row vector)
-        self._basis = {}       # degree -> list of exponent tuples
-        self._mons = {}        # degree -> ordered monomial list
-        self._mon_pos = {}     # degree -> {expo: column}
-        self._solve_mat = {}   # degree -> rows of the basis-residue matrix
-        self._build()
+        self._normal = {}      # monomial of degree <= top -> its coordinates
         self.basis_monomials = []
         self.basis_degrees = []
-        for d in range(self.top + 1):
-            for m in self._basis[d]:
-                self.basis_monomials.append(m)
-                self.basis_degrees.append(d)
+        self._build()
         self.dim = len(self.basis_monomials)
         self._global_pos = {m: i for i, m in enumerate(self.basis_monomials)}
         self._point = self._point_class()
@@ -494,68 +484,48 @@ class CohomologyRing:
     # -- construction --
 
     def _build(self):
+        """Basis and normal forms, degree by degree, from one ``xl.rref``.
+
+        The candidates of degree d are its monomials, square-free first,
+        each group in ``_monomial_key`` order; the greedy search keeps a
+        candidate unless it is congruent to a combination of earlier ones.
+        The relation rows (Stanley-Reisner multiples, then linear relations
+        times monomials) are written over the candidates in reverse order,
+        so a row's leading entry sits at its latest candidate.  A candidate
+        is thus skipped iff some relation has its leading entry there: the
+        free columns of the rref, in candidate order, are the greedy basis,
+        and each pivot row writes its monomial over them.
+        """
         for d in range(self.top + 1):
-            mons = _monomials_of_degree(self.p, d)
-            mons.sort(key=_monomial_key)
-            pos = {m: i for i, m in enumerate(mons)}
-            self._mons[d] = mons
-            self._mon_pos[d] = pos
+            cols = sorted(_monomials_of_degree(self.p, d),
+                          key=lambda m: (max(m) > 1, _monomial_key(m)))[::-1]
+            pos = {m: c for c, m in enumerate(cols)}
             rows = []
             for s in self._sr:
-                k = len(s)
-                if k > d:
-                    continue
-                base = [0] * self.p
-                for i in s:
-                    base[i] += 1
-                for mu in _monomials_of_degree(self.p, d - k):
-                    expo = tuple(b + m for b, m in zip(base, mu))
-                    vec = [Fraction(0)] * len(mons)
-                    vec[pos[expo]] = Fraction(1)
-                    rows.append(vec)
-            if d >= 1:
-                for lam in self._linear:
-                    for mu in _monomials_of_degree(self.p, d - 1):
-                        vec = [Fraction(0)] * len(mons)
-                        for var, c in enumerate(lam):
-                            if c:
-                                expo = list(mu)
-                                expo[var] += 1
-                                vec[pos[tuple(expo)]] += Fraction(c)
-                        rows.append(vec)
-            echelon = []
-            for vec in rows:
-                self._reduce_vec(vec, echelon)
-                piv = next((i for i, x in enumerate(vec) if x != 0), None)
-                if piv is not None:
-                    inv = Fraction(1) / vec[piv]
-                    echelon.append((piv, [x * inv for x in vec]))
-            echelon.sort(key=lambda t: t[0])
-            self._echelon[d] = echelon
-            basis = []
-            chosen = list(echelon)
-            candidates = [m for m in mons if all(e <= 1 for e in m)]
-            candidates += [m for m in mons if any(e > 1 for e in m)]
-            for m in candidates:
-                vec = [Fraction(0)] * len(mons)
-                vec[pos[m]] = Fraction(1)
-                self._reduce_vec(vec, chosen)
-                piv = next((i for i, x in enumerate(vec) if x != 0), None)
-                if piv is not None:
-                    inv = Fraction(1) / vec[piv]
-                    chosen.append((piv, [x * inv for x in vec]))
-                    chosen.sort(key=lambda t: t[0])
-                    basis.append(m)
-            assert all(all(e <= 1 for e in m) for m in basis), \
+                if len(s) <= d:
+                    for mu in _monomials_of_degree(self.p, d - len(s)):
+                        row = [0] * len(cols)
+                        row[pos[_times(mu, s)]] = 1
+                        rows.append(row)
+            for lam in self._linear if d else ():
+                for mu in _monomials_of_degree(self.p, d - 1):
+                    row = [0] * len(cols)
+                    for var, c in enumerate(lam):
+                        if c:
+                            row[pos[_times(mu, (var,))]] += c
+                    rows.append(row)
+            reduced, pivots = xl.rref(rows)
+            pivot_set = set(pivots)
+            free = [c for c in reversed(range(len(cols))) if c not in pivot_set]
+            basis = [cols[c] for c in free]
+            assert all(max(m) <= 1 for m in basis), \
                 "square-free monomials do not span; input fan not smooth projective?"
-            self._basis[d] = basis
-            resid = []
+            self.basis_monomials.extend(basis)
+            self.basis_degrees.extend([d] * len(basis))
             for m in basis:
-                bvec = [Fraction(0)] * len(mons)
-                bvec[pos[m]] = Fraction(1)
-                self._reduce_vec(bvec, echelon)
-                resid.append(bvec)
-            self._solve_mat[d] = [tuple(col) for col in zip(*resid)] if resid else []
+                self._normal[m] = {m: Fraction(1)}
+            for row, c in zip(reduced, pivots):
+                self._normal[cols[c]] = {cols[f]: -row[f] for f in free if row[f]}
 
     def _contract(self, x, y):
         """Coordinates of the product of two coordinate vectors."""
@@ -572,30 +542,11 @@ class CohomologyRing:
                         out[k] += c * t
         return out
 
-    @staticmethod
-    def _reduce_vec(vec, echelon):
-        for piv, row in echelon:
-            if vec[piv] != 0:
-                c = vec[piv]
-                for i in range(piv, len(vec)):
-                    if row[i]:
-                        vec[i] -= c * row[i]
-
     def reduce_monomial(self, expo):
         """Coordinates of a monomial over the selected basis of its degree."""
-        d = sum(expo)
-        if d > self.top:
+        if sum(expo) > self.top:
             return {}
-        mons, pos = self._mons[d], self._mon_pos[d]
-        vec = [Fraction(0)] * len(mons)
-        vec[pos[tuple(expo)]] = Fraction(1)
-        self._reduce_vec(vec, self._echelon[d])
-        if not self._basis[d]:
-            assert all(x == 0 for x in vec)
-            return {}
-        sol = xl.solve_unique(self._solve_mat[d], tuple(vec))
-        assert sol is not None, "monomial not expressible over the chosen basis"
-        return {m: c for m, c in zip(self._basis[d], sol) if c != 0}
+        return dict(self._normal[tuple(expo)])
 
     def _point_class(self):
         ref = None
@@ -733,10 +684,6 @@ class CohClass:
     def scalar_part(self):
         """Coefficient of the unit basis element."""
         return self.coords[0]
-
-    def pair(self, functional):
-        """Pairing with a dual-basis functional given as a coordinate vector."""
-        return sum(c * f for c, f in zip(self.coords, functional))
 
     def __repr__(self):
         items = [f"{c}*{n}" for (m, c), n in

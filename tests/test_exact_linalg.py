@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -189,6 +190,126 @@ def test_solving_equals_fraction_reference(solve, monkeypatch):
         elif value is not None:
             assert entry_types([value]) == entry_types([reference])
     assert any(v is None for v in got) and any(v is not None for v in got)
+
+
+# --- primitive_normal and the three routines it replaced ---------------------------
+
+def polytopes_primitive_normal(diffs, rank):
+    """Primitive integer normal of the hyperplane spanned by diffs, or None."""
+    scaled = []
+    for d in diffs:
+        den = 1
+        for x in d:
+            den = den * Fraction(x).denominator // _gcd(den, Fraction(x).denominator)
+        scaled.append(tuple(int(Fraction(x) * den) for x in d))
+    rows, pivots = xl.rref(scaled) if scaled else ([], [])
+    if len(pivots) != rank - 1:
+        return None
+    free = [c for c in range(rank) if c not in pivots]
+    normal = [Fraction(0)] * rank
+    normal[free[0]] = Fraction(1)
+    for i, col in enumerate(pivots):
+        normal[col] = -rows[i][free[0]]
+    den = 1
+    for x in normal:
+        den = den * x.denominator // _gcd(den, x.denominator)
+    return xl.primitive_vector(tuple(int(x * den) for x in normal))
+
+
+def _gcd(a, b):
+    while b:
+        a, b = b, a % b
+    return a if a else 1
+
+
+def dual_cone_null_vector(m, dim):
+    """The candidate ray of one inequality subset in the double description."""
+    rows, pivots = xl.rref(m)
+    if len(pivots) != dim - 1:
+        return None
+    free = [c for c in range(dim) if c not in pivots][0]
+    cand = [Fraction(0)] * dim
+    cand[free] = Fraction(1)
+    for i, col in enumerate(pivots):
+        cand[col] = -rows[i][free]
+    den = 1
+    for x in cand:
+        den = den * x.denominator // gcd(den, x.denominator)
+    return xl.primitive_vector(tuple(int(x * den) for x in cand))
+
+
+def degeneracy_facet_normal(pair, rays):
+    rows, pivots = xl.rref(pair)
+    free = [c for c in range(3) if c not in pivots]
+    if len(free) != 1:
+        return None
+    normal = [Fraction(0)] * 3
+    normal[free[0]] = Fraction(1)
+    for i, col in enumerate(pivots):
+        normal[col] = -rows[i][free[0]]
+    vals = [xl.dot(normal, r) for r in rays]
+    if all(v >= 0 for v in vals) or all(v <= 0 for v in vals):
+        return tuple(normal)
+    return None
+
+
+def random_rows_of_corank(rng, dim, corank, kind):
+    """Rows of length dim spanning a space of dimension dim - corank, some
+    of them repeated as rational combinations of the others."""
+    while True:
+        basis = [[rng.randint(-6, 6) for _ in range(dim)]
+                 for _ in range(dim - corank)]
+        if kind == "fraction":
+            basis = [[Fraction(x, rng.randint(1, 5)) for x in row]
+                     for row in basis]
+        rows = [tuple(row) for row in basis]
+        for _ in range(rng.randint(0, 2) if rows else 0):
+            a, b = rng.choice(rows), rng.choice(rows)
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            rows.insert(rng.randrange(len(rows) + 1),
+                        tuple(x + c * y for x, y in zip(a, b)))
+        if xl.rank(rows) == dim - corank:
+            return rows
+
+
+def primitive_normal_cases(seed=808, per_shape=12):
+    rng = random.Random(seed)
+    cases = [([], dim) for dim in range(1, 5)]
+    for dim in range(1, 5):
+        for corank in range(min(dim, 2) + 1):
+            for kind in ("int", "fraction"):
+                for _ in range(per_shape):
+                    cases.append((random_rows_of_corank(rng, dim, corank, kind),
+                                  dim))
+    return cases
+
+
+def test_primitive_normal_cases_cover_every_corank():
+    coranks = {(dim, dim - xl.rank(rows))
+               for rows, dim in primitive_normal_cases()}
+    assert {(dim, k) for dim in range(1, 5) for k in range(min(dim, 2) + 1)} \
+        <= coranks
+
+
+def test_primitive_normal_equals_the_replaced_routines():
+    found = 0
+    for rows, dim in primitive_normal_cases():
+        normal = xl.primitive_normal(rows, dim)
+        assert normal == polytopes_primitive_normal(rows, dim), (rows, dim)
+        assert normal == dual_cone_null_vector(rows, dim), (rows, dim)
+        if dim == 3 and rows:
+            old = degeneracy_facet_normal(rows, ())
+            assert normal == (None if old is None
+                              else xl.primitive_vector(xl.integer_scaled(old)[0]))
+        if normal is not None:
+            found += 1
+            assert all(type(x) is int for x in normal)
+            assert all(xl.dot(row, normal) == 0 for row in rows)
+            assert xl.primitive_vector(normal) == normal
+            free = next(c for c in range(dim)
+                        if c not in xl.rref(rows)[1])
+            assert normal[free] > 0
+    assert found > 0
 
 
 # --- hermite_basis ------------------------------------------------------------
