@@ -173,12 +173,7 @@ def _check_annihilation(inst):
 
 def _check_mori_support(inst):
     sys, ring = inst.sys, inst.ring
-    k = len(sys.basis)
-    rows = []
-    for j in range(k):
-        rows.append((tuple(1 if i == j else 0 for i in range(k)), 2))
-        rows.append((tuple(-1 if i == j else 0 for i in range(k)), 2))
-    for coords in xl.lattice_points(rows, k):
+    for coords in product(range(-2, 3), repeat=len(sys.basis)):
         if not se.coords_in_mori_cone(sys, coords):
             ell = sys.from_basis_coords(coords)
             if not se.o_class(sys, ring, ell).is_zero():
@@ -389,7 +384,9 @@ class Instance:
     @cached_property
     def pairings(self):
         """Dual-basis pairings of the cohomology-valued series."""
-        return se.pair_with_dual(self.ring, self.b)
+        ring = self.ring
+        return se.pair_with_dual(ring, self.b, [
+            ring.divisor_class(i, j) for (i, j) in self.sys.j_indices()])
 
 
 def run_all(inst):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 
 from . import exact_linalg as xl
 from . import series as se
@@ -123,11 +124,7 @@ def _parallelepiped_witness(rays):
     dim = len(rays)
     bound = sum(max(abs(x) for x in r) for r in rays)
     candidates = []
-    for point in xl.lattice_points(
-            [(tuple(1 if i == j else 0 for i in range(dim)), bound)
-             for j in range(dim)]
-            + [(tuple(-1 if i == j else 0 for i in range(dim)), bound)
-               for j in range(dim)], dim):
+    for point in product(range(-bound, bound + 1), repeat=dim):
         if all(x == 0 for x in point):
             continue
         coeffs = xl.solve_unique(tuple(zip(*rays)), point)
@@ -234,25 +231,19 @@ def _dual_divisor_classes(sys, ring, chart):
 def chart_pairings(sys, ring, chart, b):
     """Solution pairings written in chart coordinates.
 
-    ``b`` is the cohomology-valued series of ``sys``; its log-free terms are
-    the product-form classes (every nonzero class has one, since its log
-    part starts with the unit class), which are re-expanded here with the
-    chart coordinates as log slots.  Output k pairs the result against the
-    k-th dual basis functional; all coefficients are exact rationals.
+    ``b`` is the B-series of ``sys``; its classes are re-keyed by the chart
+    coordinates and paired with x^D expanded in the chart's dual divisor
+    classes.  Output k pairs against the k-th dual basis functional; all
+    coefficients are exact rationals.  The quotient-coordinate parity is
+    already part of the product-form classes, so no sign enters here
+    (unlike ``period_in_chart``, whose input is untwisted).
     """
-    log_part = se.log_part(ring, _dual_divisor_classes(sys, ring, chart),
-                           sys.n)
     chart_b = _chart_series(chart, b)
-    for (ell, logdeg), base in b.terms.items():
-        if any(logdeg):
-            continue
-        m = chart_coordinates(chart, ell)
-        # The quotient-coordinate parity is already part of the product-form
-        # coefficients, so no extra sign enters here (unlike period_in_chart,
-        # whose input carries the untwisted coefficients).
-        for chart_logdeg, cls in log_part:
-            chart_b.add_term(m, chart_logdeg, base * cls)
-    return se.pair_with_dual(ring, chart_b)
+    no_logs = (0,) * len(chart.basis_vectors)
+    for (ell, _), base in b.terms.items():
+        chart_b.terms[(chart_coordinates(chart, ell), no_logs)] = base
+    return se.pair_with_dual(ring, chart_b,
+                             _dual_divisor_classes(sys, ring, chart))
 
 
 # --- the certificate -----------------------------------------------------------------
@@ -346,7 +337,7 @@ def maximal_degeneracy_check(sys, ring, chart, period, b, strict=False):
         report.add("unique_log_free_solution", False,
                    f"log-free subspace has dimension {len(null)}")
 
-    locus = indicial_ideal_zero_locus(sys, tau=None)
+    locus = indicial_ideal_zero_locus(sys)
     expected = [sys.alpha]
     report.add("indicial_locus_is_canonical", locus == expected,
                "single canonical exponent" if locus == expected

@@ -260,18 +260,14 @@ def _minimal_hitting_sets(collections_positions):
     return hitting
 
 
-def indicial_ideal_zero_locus(sys, tau=None):
-    """Zero locus of the indicial generators on a subcone of the ample cone.
+def indicial_ideal_zero_locus(sys):
+    """Zero locus of the indicial generators.
 
     The defining generators are products of single symbols (one per primitive
     collection) plus the linear rows; solving case by case over minimal
     vanishing patterns is exact and terminating.  Returns a list with at most
     one exponent vector.
     """
-    if tau is not None:
-        for ray in tau.rays:
-            assert sys.kahler.contains(ray), \
-                "cone is not inside the closed ample cone"
     supports = []
     for pc in sys.collections:
         plus, _ = xl.split_positive_negative(pc.ell_ext)

@@ -3,7 +3,8 @@ cohomology-valued solution family.
 
 Exponents are stored as integer offsets against a fixed base exponent, so a
 term (ell, m) -> c stands for c * x^(ell + alpha) * prod log(x_j)^(m_j).
-Coefficients are exact rationals or cohomology classes.  Truncation keeps
+Coefficients are exact rationals, except in the B-series, whose log-free
+terms hold cohomology classes (see ``b_series``).  Truncation keeps
 offsets ell with weight degree at most the stated order; after applying an
 operator, the ``shifts`` record which inputs feed each output so the reliable
 region can be cut exactly.
@@ -17,7 +18,7 @@ from fractions import Fraction
 from math import factorial, floor, gcd, lcm, perm
 
 from . import exact_linalg as xl
-from .errors import (InMoriCone, NotInKernel, NotInRegion, SchemaError,
+from .errors import (InMoriCone, NotInKernel, NotInRegion,
                      TruncationTooLarge, WeightNotAmple)
 from .gkz import BoxOperator, EulerOperator
 from .toric import CohClass
@@ -229,12 +230,12 @@ class LogSeries:
             self.shifts = ((0,) * len(self.alpha),)
 
     def add_term(self, ell, logdeg, coeff):
-        if _coeff_is_zero(coeff):
+        if coeff == 0:
             return
         key = (tuple(ell), tuple(logdeg))
         if key in self.terms:
             merged = self.terms[key] + coeff
-            if _coeff_is_zero(merged):
+            if merged == 0:
                 del self.terms[key]
             else:
                 self.terms[key] = merged
@@ -264,12 +265,6 @@ class LogSeries:
 
     def is_zero_on_reliable_region(self):
         return not self.reliable_items()
-
-
-def _coeff_is_zero(c):
-    if hasattr(c, "is_zero"):
-        return c.is_zero()
-    return c == 0
 
 
 # --- series builders --------------------------------------------------------------------
@@ -391,29 +386,36 @@ def log_part(ring, classes, top):
 
 
 def b_series(sys, ring, omega, order):
-    """Cohomology-valued solution series with explicit log multidegrees."""
+    """Cohomology-valued solution series sum_ell O_ell x^(ell + alpha + D).
+
+    Only the nonzero product-form classes O_ell of the Mori slab are stored,
+    as log-free terms; the factor x^D = prod_j exp(D_j log x_j) shared by
+    every term is left unexpanded (``pair_with_dual`` expands it).
+    """
     omega = check_weight(sys, omega)
-    logs = log_part(ring, [ring.divisor_class(i, j)
-                           for (i, j) in sys.j_indices()], sys.n)
     s = LogSeries(alpha=sys.alpha, weight=omega, order=order)
+    no_logs = (0,) * sys.nvars
     for ell in mori_slab(sys, omega, order):
         base = o_class(sys, ring, ell)
-        if base.is_zero():
-            continue
-        for m, cls in logs:
-            s.add_term(ell, m, base * cls)
+        if not base.is_zero():
+            s.terms[(ell, no_logs)] = base
     return s
 
 
-def pair_with_dual(ring, b):
-    """The ``ring.dim`` scalar series pairing every coefficient of ``b``
-    against each dual-basis functional in turn, from one walk over its terms.
+def pair_with_dual(ring, b, classes):
+    """The ``ring.dim`` scalar series pairing the B-series ``b`` against
+    each dual-basis functional, with x^D expanded in the log slots whose
+    divisor classes are ``classes``: term (ell, m) of series h is
+    coordinate h of O_ell * prod_j classes[j]^m_j / m_j!.
     """
+    logs = log_part(ring, classes, ring.top)
     out = [LogSeries(alpha=b.alpha, weight=b.weight, order=b.order,
                      shifts=b.shifts) for _ in range(ring.dim)]
-    for (ell, logdeg), cls in b.terms.items():
-        for s, c in zip(out, cls.coords):
-            s.add_term(ell, logdeg, c)
+    for (ell, _), base in b.terms.items():
+        for m, cls in logs:
+            for s, c in zip(out, (base * cls).coords):
+                if c:
+                    s.terms[(ell, m)] = c
     return out
 
 
@@ -547,10 +549,6 @@ def fraction_str(x):
         else str(x.numerator)
 
 
-def parse_fraction(s):
-    return Fraction(s)
-
-
 def series_to_dict(s):
     """JSON-ready dict of a rational series; rationals appear as exact
     strings."""
@@ -562,19 +560,3 @@ def series_to_dict(s):
                    "coeff": fraction_str(coeff)}
                   for (ell, logdeg), coeff in s.sorted_items()],
     }
-
-
-def series_from_dict(data):
-    """Rational-coefficient series from its JSON form."""
-    alpha = tuple(parse_fraction(a) for a in data["alpha"])
-    weight = tuple(parse_fraction(w) for w in data["weight"])
-    s = LogSeries(alpha=alpha, weight=weight,
-                  order=parse_fraction(data["order"]))
-    for term in data["terms"]:
-        coeff = term["coeff"]
-        if isinstance(coeff, dict):
-            raise SchemaError(
-                "cohomology-valued series cannot be re-read without its ring")
-        s.add_term(tuple(term["l"]), tuple(term["logdeg"]),
-                   parse_fraction(coeff))
-    return s

@@ -667,12 +667,6 @@ class CohClass:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k):
-        out = self.ring.one()
-        for _ in range(k):
-            out = out * self
-        return out
-
     def __eq__(self, other):
         if isinstance(other, CohClass):
             return self.coords == other.coords

@@ -379,18 +379,6 @@ def primitive_collection_binomials(sys, omega):
     return sorted(out, key=lambda g: order.key(g[0]))
 
 
-def leading_term_ideal_equal(sys, omega1, omega2):
-    """Whether two weights induce the same leading-term ideal.
-
-    This is the defining equivalence of the Groebner fan; the oracle works
-    at any relation-lattice rank, while full fan enumeration is offered for
-    rank at most 2 only.
-    """
-    lt1 = set(toric_groebner_basis(sys, omega1).leading_exponents())
-    lt2 = set(toric_groebner_basis(sys, omega2).leading_exponents())
-    return lt1 == lt2
-
-
 # --- full fan enumeration in rank <= 2 ----------------------------------------------
 
 def _cross(u, w):

@@ -39,6 +39,11 @@ def f1_fan_r2():
     return make_fan(2, rays, cones, [[0, 1, 2], [3]], name="f1_r2")
 
 
+def divisor_classes(sys, ring):
+    """The system's divisor classes in slot order: the B-series log slots."""
+    return [ring.divisor_class(i, j) for (i, j) in sys.j_indices()]
+
+
 CORPUS = {
     "p1": p1_fan,
     "p2": p2_fan,

@@ -9,7 +9,7 @@ import time
 from fractions import Fraction
 from math import factorial
 
-from conftest import CORPUS, p1_fan
+from conftest import CORPUS, divisor_classes, p1_fan
 from gkzfrac import checks as ck
 from gkzfrac import degeneracy as dg
 from gkzfrac import gkz, polytopes as pt, series as se, toric
@@ -76,7 +76,7 @@ def test_criterion_3_annihilation_suite():
         alpha = gkz.canonical_alpha(sys)
         gamma = se.gamma_series(sys, alpha, omega, order)
         b = se.b_series(sys, ring, omega, order)
-        pairings = se.pair_with_dual(ring, b)
+        pairings = se.pair_with_dual(ring, b, divisor_classes(sys, ring))
         for op in sys.euler_operators():
             assert se.apply_operator(op, gamma).is_zero_on_reliable_region()
             for s in pairings:

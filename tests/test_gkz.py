@@ -137,7 +137,7 @@ def test_zero_locus_p1xp1():
 
 def test_zero_locus_is_canonical(corpus_fan):
     sys = gkz.build_system(corpus_fan)
-    locus = gkz.indicial_ideal_zero_locus(sys, tau=sys.kahler)
+    locus = gkz.indicial_ideal_zero_locus(sys)
     assert locus == [gkz.canonical_alpha(sys)]
 
 

@@ -5,7 +5,7 @@ own copy.
 
 import pytest
 
-from conftest import CORPUS
+from conftest import CORPUS, divisor_classes
 from test_ring_table import INSTANCES
 from gkzfrac import checks, cli, gkz, series as se, toric
 from gkzfrac import degeneracy as dg
@@ -45,14 +45,34 @@ def test_check_all_walks_the_mori_slab_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("name", ["p2", "f1", "p1xp1"])
+def test_degeneracy_multiplies_less_than_bseries(name, monkeypatch):
+    # the chart pairings expand x^D once; bseries expands it for the
+    # system's own log slots, so it is the larger job of the two
+    calls = []
+
+    def counted(self, a, b, _fn=toric.CohomologyRing.multiply):
+        calls.append(1)
+        return _fn(self, a, b)
+    monkeypatch.setattr(toric.CohomologyRing, "multiply", counted)
+    spec = cli.parse_input(cli.fixture_path(name))
+    counts = {}
+    for cmd in ("degeneracy", "bseries"):
+        calls.clear()
+        assert not cli.run_command(cmd, spec, {"order": None}).failed
+        counts[cmd] = len(calls)
+    assert 0 < counts["degeneracy"] < counts["bseries"], counts
+
+
 @pytest.mark.parametrize("name", ["p2", "f1", "f1_r2"])
 def test_low_degree_pairings_equal_an_order_6_build(name):
     # series.solution_rank reads the shared pairings up to weight degree 6;
     # they must equal the pairings of a series built at order 6.
     inst = checks.Instance(CORPUS[name](), order=8)
     b = se.b_series(inst.sys, inst.ring, inst.omega, 6)
-    for s, ref in zip(inst.pairings, se.pair_with_dual(inst.ring, b),
-                      strict=True):
+    refs = se.pair_with_dual(inst.ring, b,
+                             divisor_classes(inst.sys, inst.ring))
+    for s, ref in zip(inst.pairings, refs, strict=True):
         low = {key: c for key, c in s.terms.items()
                if xl.dot(inst.omega, key[0]) <= 6}
         assert low == ref.terms

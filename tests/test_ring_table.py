@@ -13,7 +13,7 @@ from itertools import product
 
 import pytest
 
-from conftest import CORPUS
+from conftest import CORPUS, divisor_classes
 from test_random_fans import random_smooth_surface_fan
 from test_threefold import threefold
 from gkzfrac import gkz, series as se, toric
@@ -266,25 +266,46 @@ def test_o_class_matches_product_form_on_the_box(instance):
     assert off_cone > 0
 
 
-def _pair_with_functional(b, h):
-    """Scalar series of coordinate h, one walk over the terms per functional."""
-    out = se.LogSeries(alpha=b.alpha, weight=b.weight, order=b.order,
-                       shifts=b.shifts)
+def _log_expanded_b_series(sys, ring, omega, order):
+    """The B-series with x^D expanded term by term: every nonzero product
+    class times every log class, as one cohomology-valued series."""
+    logs = se.log_part(ring, divisor_classes(sys, ring), sys.n)
+    s = se.LogSeries(alpha=sys.alpha, weight=se.check_weight(sys, omega),
+                     order=order)
+    for ell in se.mori_slab(sys, omega, order):
+        base = se.o_class(sys, ring, ell)
+        if base.is_zero():
+            continue
+        for m, cls in logs:
+            total = base * cls
+            if not total.is_zero():
+                s.terms[(ell, m)] = total
+    return s
+
+
+def _split_by_coordinate(ring, b):
+    """Scalar series of each coordinate of a cohomology-valued series."""
+    out = [se.LogSeries(alpha=b.alpha, weight=b.weight, order=b.order,
+                        shifts=b.shifts) for _ in range(ring.dim)]
     for (ell, logdeg), cls in b.terms.items():
-        out.add_term(ell, logdeg, cls.coords[h])
+        for s, c in zip(out, cls.coords):
+            s.add_term(ell, logdeg, c)
     return out
 
 
-@pytest.mark.parametrize("name", ["f1", "p1p1p1_r3"])
+@pytest.mark.parametrize("name", sorted(INSTANCES))
 def test_pair_with_dual_matches_per_functional_walk(name):
+    # expanding x^D only while pairing gives the split of the expanded series
     fan = INSTANCES[name]()
     sys = gkz.build_system(fan)
     ring = toric.cohomology_ring(fan, sys.collections)
-    b = se.b_series(sys, ring, se.default_weight(sys), 4)
-    pairings = se.pair_with_dual(ring, b)
+    omega = se.default_weight(sys)
+    b = se.b_series(sys, ring, omega, 4)
+    pairings = se.pair_with_dual(ring, b, divisor_classes(sys, ring))
+    expected = _split_by_coordinate(
+        ring, _log_expanded_b_series(sys, ring, omega, 4))
     assert len(pairings) == ring.dim
-    for h, s in enumerate(pairings):
-        ref = _pair_with_functional(b, h)
+    for s, ref in zip(pairings, expected):
         assert s.terms == ref.terms
         assert list(s.terms) == list(ref.terms)
         assert (s.alpha, s.weight, s.order, s.shifts) == \

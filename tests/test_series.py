@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import p1_fan, p1xp1_fan_r2, p2_fan
+from conftest import divisor_classes, p1_fan, p1xp1_fan_r2, p2_fan
 from test_ring_table import INSTANCES
-from gkzfrac import gkz, series as se, toric
+from gkzfrac import checks, gkz, series as se, toric
 from gkzfrac import exact_linalg as xl
 from gkzfrac.errors import (InMoriCone, NotInRegion, TruncationTooLarge,
                             WeightNotAmple)
@@ -291,14 +291,30 @@ def test_b_series_unit_term():
     assert s.coefficient(zero, zero) == ring.one()
     # log-linear slot carries the divisor class of that slot
     d11 = ring.divisor_class(0, 1)
-    assert s.coefficient(zero, (0, 1, 0)) == d11
+    pairings = se.pair_with_dual(ring, s, divisor_classes(sys, ring))
+    assert tuple(p.coefficient(zero, (0, 1, 0)) for p in pairings) == \
+        d11.coords
+    assert pairings[0].coefficient(zero, zero) == 1
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_b_series_keeps_only_the_product_classes(name):
+    # x^D stays unexpanded: one log-free term per nonzero O_ell of the slab
+    inst = checks.Instance(INSTANCES[name](), 4)
+    no_logs = (0,) * inst.sys.nvars
+    expected = {}
+    for ell in se.mori_slab(inst.sys, inst.omega, 4):
+        cls = se.o_class(inst.sys, inst.ring, ell)
+        if not cls.is_zero():
+            expected[(ell, no_logs)] = cls
+    assert inst.b.terms == expected
 
 
 def test_pairing_with_unit_is_log_free(corpus_fan):
     sys = gkz.build_system(corpus_fan)
     ring = toric.cohomology_ring(corpus_fan, sys.collections)
     s = se.b_series(sys, ring, se.default_weight(sys), 5)
-    unit_dual = se.pair_with_dual(ring, s)[0]
+    unit_dual = se.pair_with_dual(ring, s, divisor_classes(sys, ring))[0]
     assert unit_dual.is_log_free()
     # and it reproduces the gamma series coefficients
     for (ell, logdeg), coeff in unit_dual.terms.items():
@@ -310,7 +326,7 @@ def test_pairing_with_point_dual_p1():
     sys = system(p1_fan)
     ring = toric.cohomology_ring(sys.fan, sys.collections)
     s = se.b_series(sys, ring, se.default_weight(sys), 6)
-    pairings = se.pair_with_dual(ring, s)
+    pairings = se.pair_with_dual(ring, s, divisor_classes(sys, ring))
     top, unit = pairings[-1], pairings[0]
     # log-linear parts in the two ray slots match the unit pairing exactly,
     # the auxiliary slot carries factor -2
@@ -361,7 +377,7 @@ def test_annihilation_suite(corpus_fan):
     gamma = se.gamma_series(sys, alpha, omega, order)
     period = se.normalized_period_series(sys, omega, order)
     b = se.b_series(sys, ring, omega, order)
-    pairings = se.pair_with_dual(ring, b)
+    pairings = se.pair_with_dual(ring, b, divisor_classes(sys, ring))
     for op in sys.euler_operators():
         assert apply_is_zero(op, gamma)
         assert apply_is_zero(op, period)
@@ -424,7 +440,7 @@ def test_pairings_linearly_independent(corpus_fan):
     sys = gkz.build_system(corpus_fan)
     ring = toric.cohomology_ring(corpus_fan, sys.collections)
     b = se.b_series(sys, ring, se.default_weight(sys), 6)
-    pairings = se.pair_with_dual(ring, b)
+    pairings = se.pair_with_dual(ring, b, divisor_classes(sys, ring))
     keys = sorted({key for s in pairings for key in s.terms})
     matrix = [tuple(s.terms.get(key, Fraction(0)) for key in keys)
               for s in pairings]
@@ -437,9 +453,11 @@ def test_series_json_roundtrip():
     sys = system(p1_fan)
     s = se.normalized_period_series(sys, se.default_weight(sys), 6)
     blob = json.dumps(se.series_to_dict(s), sort_keys=True)
-    restored = se.series_from_dict(json.loads(blob))
-    assert restored.terms == s.terms
-    assert restored.alpha == s.alpha
+    data = json.loads(blob)
+    restored = {(tuple(t["l"]), tuple(t["logdeg"])): Fraction(t["coeff"])
+                for t in data["terms"]}
+    assert restored == s.terms
+    assert tuple(Fraction(a) for a in data["alpha"]) == s.alpha
     assert "105/64" in blob
 
 
