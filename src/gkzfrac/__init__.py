@@ -18,33 +18,38 @@ Typical use::
     period = series.normalized_period_series(system, omega, 8)
 """
 
-from .degeneracy import maximal_degeneracy_check, subdivide_kahler_cone
-from .errors import GkzfracError
-from .gkz import build_system, canonical_alpha
-from .polytopes import convex_hull, dual_nef_partition
-from .series import (b_series, gamma_series, normalized_period_series,
-                     pair_with_dual)
-from .toric import cohomology_ring, make_fan, validate_fan
-from .triangulations import maximal_triangulation, toric_groebner_basis
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "GkzfracError",
-    "__version__",
-    "b_series",
-    "build_system",
-    "canonical_alpha",
-    "cohomology_ring",
-    "convex_hull",
-    "dual_nef_partition",
-    "gamma_series",
-    "make_fan",
-    "maximal_degeneracy_check",
-    "maximal_triangulation",
-    "normalized_period_series",
-    "pair_with_dual",
-    "subdivide_kahler_cone",
-    "toric_groebner_basis",
-    "validate_fan",
-]
+# Each public name and the module it lives in.  The package imports none of
+# them up front: a name is imported from its home on first access (PEP 562),
+# so ``from gkzfrac import build_system`` loads only what that name needs.
+_HOMES = {
+    "GkzfracError": "errors",
+    "b_series": "series",
+    "build_system": "gkz",
+    "canonical_alpha": "gkz",
+    "cohomology_ring": "toric",
+    "convex_hull": "polytopes",
+    "dual_nef_partition": "polytopes",
+    "gamma_series": "series",
+    "make_fan": "toric",
+    "maximal_degeneracy_check": "degeneracy",
+    "maximal_triangulation": "triangulations",
+    "normalized_period_series": "series",
+    "pair_with_dual": "series",
+    "subdivide_kahler_cone": "degeneracy",
+    "toric_groebner_basis": "triangulations",
+    "validate_fan": "toric",
+}
+
+__all__ = ["__version__", *_HOMES]
+
+
+def __getattr__(name):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    value = getattr(import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value
+    return value

@@ -9,7 +9,6 @@ README.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from itertools import product
 
 from . import degeneracy as dg
@@ -17,8 +16,8 @@ from . import exact_linalg as xl
 from . import gkz
 from . import polytopes as pt
 from . import series as se
-from . import toric
 from . import triangulations as tr
+from .instance import Instance  # re-exported: checks.Instance
 
 
 def _check_exact_linalg_hnf(inst):
@@ -324,69 +323,6 @@ CHECKS = [
     ("degeneracy.region_decomposition", _check_region_decomposition),
     ("degeneracy.certificate", _check_certificate),
 ]
-
-
-class Instance:
-    """One input: fan, system, order and checked weight (the one passed in,
-    else the fan's own, else the default lift).  Artifacts that several
-    checks or commands read are built on first use and kept."""
-
-    def __init__(self, fan, order, omega=None):
-        self.fan = fan
-        self.sys = gkz.build_system(fan)
-        self.order = order
-        if omega is None:
-            omega = fan.ample_weight or se.default_weight(self.sys)
-        self.omega = se.check_weight(self.sys, omega)
-
-    @cached_property
-    def ring(self):
-        return toric.cohomology_ring(self.fan, self.sys.collections)
-
-    @cached_property
-    def nablas(self):
-        return pt.dual_nef_partition(self.fan)
-
-    @cached_property
-    def nabla(self):
-        """Minkowski sum of the dual nef blocks."""
-        nabla = self.nablas[0]
-        for q in self.nablas[1:]:
-            nabla = pt.minkowski_sum(nabla, q)
-        return nabla
-
-    @cached_property
-    def points(self):
-        return tr.PointConfiguration.from_system(self.sys)
-
-    @cached_property
-    def tmax(self):
-        return tr.maximal_triangulation(self.sys, self.fan)
-
-    @cached_property
-    def charts(self):
-        return dg.subdivide_kahler_cone(self.sys)
-
-    @cached_property
-    def period(self):
-        return se.normalized_period_series(self.sys, self.omega, self.order)
-
-    @cached_property
-    def gamma(self):
-        return se.gamma_series(self.sys, self.sys.alpha, self.omega,
-                               self.order)
-
-    @cached_property
-    def b(self):
-        """The cohomology-valued series."""
-        return se.b_series(self.sys, self.ring, self.omega, self.order)
-
-    @cached_property
-    def pairings(self):
-        """Dual-basis pairings of the cohomology-valued series."""
-        ring = self.ring
-        return se.pair_with_dual(ring, self.b, [
-            ring.divisor_class(i, j) for (i, j) in self.sys.j_indices()])
 
 
 def run_all(inst):

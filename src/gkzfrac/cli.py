@@ -3,6 +3,10 @@
 Reports are deterministic for a fixed input: JSON payloads are dumped with
 sorted keys and contain no timestamps (timing goes to standard error).
 Exit codes: 0 success, 1 check failure, 2 usage or input errors.
+
+Each command imports only the layers it runs (see ``run_command``), so a
+cold ``gkzfrac validate`` loads the fan layer alone and only ``check-all``
+loads every module.
 """
 
 from __future__ import annotations
@@ -12,14 +16,8 @@ import json
 import sys as _sysmod
 import time
 from dataclasses import dataclass
-from importlib import resources
 
-from . import checks as checks_mod
-from . import degeneracy as dg
-from . import gkz
-from . import series as se
 from . import toric
-from . import triangulations as tr
 from .errors import GkzfracError, ParseError, SchemaError, SemanticError
 
 COMMANDS = ("validate", "system", "cohomology", "series", "bseries",
@@ -120,6 +118,7 @@ def parse_input(path):
 
 def fixture_path(name):
     """Filesystem path of a bundled corpus input."""
+    from importlib import resources
     return str(resources.files("gkzfrac.fixtures").joinpath(f"{name}.json"))
 
 
@@ -185,10 +184,12 @@ def run_command(cmd, spec, flags=None):
         report = toric.validate_fan(spec.fan())
         return Report("validate", spec.name, {"checks": report.as_dict()})
 
+    from . import series as se
+    from .instance import Instance
+
     order = flags.get("order")
-    inst = checks_mod.Instance(spec.fan(),
-                               spec.order if order is None else order,
-                               flags.get("weight"))
+    inst = Instance(spec.fan(), spec.order if order is None else order,
+                    flags.get("weight"))
     fan, sys, order, omega = inst.fan, inst.sys, inst.order, inst.omega
 
     if cmd == "system":
@@ -206,6 +207,7 @@ def run_command(cmd, spec, flags=None):
         return Report("system", spec.name, payload)
 
     if cmd == "cohomology":
+        from . import gkz
         ring = inst.ring
         sr = toric.stanley_reisner_ideal(sys.collections)
         payload = {
@@ -242,6 +244,7 @@ def run_command(cmd, spec, flags=None):
         return Report("bseries", spec.name, payload)
 
     if cmd == "fans":
+        from . import triangulations as tr
         pc, tmax = inst.points, inst.tmax
         cone = tr.secondary_cone(sys, pc, tmax)
         chamber = tr.regular_subdivision(pc, omega)
@@ -276,6 +279,7 @@ def run_command(cmd, spec, flags=None):
         return Report("fans", spec.name, payload)
 
     if cmd == "groebner":
+        from . import triangulations as tr
         ideal = tr.toric_groebner_basis(sys, omega)
         candidates = tr.primitive_collection_binomials(sys, omega)
         minimal = tr.minimal_gb_is_primitive_collections(sys, fan, omega)
@@ -293,6 +297,7 @@ def run_command(cmd, spec, flags=None):
                       failed=not (minimal and matches))
 
     if cmd == "degeneracy":
+        from . import degeneracy as dg
         chart_reports = []
         all_ok = True
         for chart in inst.charts:
@@ -309,7 +314,8 @@ def run_command(cmd, spec, flags=None):
                       failed=not all_ok)
 
     if cmd == "check-all":
-        results = checks_mod.run_all(inst)
+        from . import checks
+        results = checks.run_all(inst)
         ok = all(r["ok"] for r in results)
         return Report("check-all", spec.name,
                       {"checks": results, "passed": ok}, failed=not ok)

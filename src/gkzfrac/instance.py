@@ -1,0 +1,83 @@
+"""One input of the pipeline: fan, system, order and checked weight, with
+the artifacts that several checks or commands read built on first use.
+
+Only the layers every command past ``validate`` needs are imported here;
+the polytope, triangulation and degeneracy layers are imported by the
+properties that use them, so a command loads only what it runs.
+"""
+
+from __future__ import annotations
+
+from functools import cached_property
+
+from . import gkz
+from . import series as se
+from . import toric
+
+
+class Instance:
+    """One input: fan, system, order and checked weight (the one passed in,
+    else the fan's own, else the default lift).  Artifacts that several
+    checks or commands read are built on first use and kept."""
+
+    def __init__(self, fan, order, omega=None):
+        self.fan = fan
+        self.sys = gkz.build_system(fan)
+        self.order = order
+        if omega is None:
+            omega = fan.ample_weight or se.default_weight(self.sys)
+        self.omega = se.check_weight(self.sys, omega)
+
+    @cached_property
+    def ring(self):
+        return toric.cohomology_ring(self.fan, self.sys.collections)
+
+    @cached_property
+    def nablas(self):
+        from . import polytopes as pt
+        return pt.dual_nef_partition(self.fan)
+
+    @cached_property
+    def nabla(self):
+        """Minkowski sum of the dual nef blocks."""
+        from . import polytopes as pt
+        nabla = self.nablas[0]
+        for q in self.nablas[1:]:
+            nabla = pt.minkowski_sum(nabla, q)
+        return nabla
+
+    @cached_property
+    def points(self):
+        from . import triangulations as tr
+        return tr.PointConfiguration.from_system(self.sys)
+
+    @cached_property
+    def tmax(self):
+        from . import triangulations as tr
+        return tr.maximal_triangulation(self.sys, self.fan)
+
+    @cached_property
+    def charts(self):
+        from . import degeneracy as dg
+        return dg.subdivide_kahler_cone(self.sys)
+
+    @cached_property
+    def period(self):
+        return se.normalized_period_series(self.sys, self.omega, self.order)
+
+    @cached_property
+    def gamma(self):
+        return se.gamma_series(self.sys, self.sys.alpha, self.omega,
+                               self.order)
+
+    @cached_property
+    def b(self):
+        """The cohomology-valued series."""
+        return se.b_series(self.sys, self.ring, self.omega, self.order)
+
+    @cached_property
+    def pairings(self):
+        """Dual-basis pairings of the cohomology-valued series."""
+        ring = self.ring
+        return se.pair_with_dual(ring, self.b, [
+            ring.divisor_class(i, j) for (i, j) in self.sys.j_indices()])

@@ -370,10 +370,10 @@ def log_part(ring, classes, top):
     log multidegrees m of total degree at most ``top``."""
     out = []
     for m in _log_multidegrees(len(classes), top):
-        cls = ring.one()
-        for j, e in enumerate(m):
-            for _ in range(e):
-                cls = cls * classes[j]
+        factors = [classes[j] for j, e in enumerate(m) for _ in range(e)]
+        cls = factors[0] if factors else ring.one()
+        for f in factors[1:]:
+            cls = cls * f
             if cls.is_zero():
                 break
         if cls.is_zero():
@@ -411,9 +411,18 @@ def pair_with_dual(ring, b, classes):
     logs = log_part(ring, classes, ring.top)
     out = [LogSeries(alpha=b.alpha, weight=b.weight, order=b.order,
                      shifts=b.shifts) for _ in range(ring.dim)]
+    one = ring.one().coords
     for (ell, _), base in b.terms.items():
+        unit = base.coords == one           # O_0 is the unit class
         for m, cls in logs:
-            for s, c in zip(out, (base * cls).coords):
+            # no ring product with the unit: O_0, or the m = 0 log class
+            if unit:
+                prod = cls
+            elif any(m):
+                prod = base * cls
+            else:
+                prod = base
+            for s, c in zip(out, prod.coords):
                 if c:
                     s.terms[(ell, m)] = c
     return out

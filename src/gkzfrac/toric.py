@@ -7,7 +7,6 @@ extended point configuration appends one auxiliary point per block at j = 0.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -179,6 +178,7 @@ def validate_fan(fan):
 
 
 def _check_complete(fan):
+    import random
     n = fan.rank
     if n == 1:
         rays = set(fan.rays)

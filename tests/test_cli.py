@@ -224,3 +224,66 @@ def test_cli_invalid_fan_exit_1(tmp_path):
     result = run_cli(["validate", str(path)])
     assert result.returncode == 1
     assert "NotSmooth" in result.stderr
+
+
+# --- what each command loads ------------------------------------------------------------
+
+# Run one command as the console script would, then print the package modules
+# the interpreter holds.
+MODULES_AFTER = (
+    "import sys\n"
+    "from gkzfrac.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(' '.join(sorted(m for m in sys.modules if m.startswith('gkzfrac.'))))\n"
+    "sys.exit(code)\n")
+
+_VALIDATE = {"cli", "errors", "exact_linalg", "toric"}
+_INSTANCE = _VALIDATE | {"gkz", "instance", "series"}
+COMMAND_MODULES = {
+    "validate": _VALIDATE,
+    "system": _INSTANCE,
+    "cohomology": _INSTANCE,
+    "series": _INSTANCE,
+    "bseries": _INSTANCE,
+    "fans": _INSTANCE | {"triangulations"},
+    "groebner": _INSTANCE | {"triangulations"},
+    "degeneracy": _INSTANCE | {"degeneracy"},
+    "check-all": _INSTANCE | {"triangulations", "degeneracy", "polytopes",
+                              "checks"},
+}
+
+
+def loaded_modules(code, *args):
+    result = subprocess.run([_sysmod.executable, "-c", code, *args],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return {m.removeprefix("gkzfrac.") for m in result.stdout.split()}
+
+
+@pytest.mark.parametrize("cmd", cli.COMMANDS)
+def test_command_loads_only_its_layers(cmd, tmp_path):
+    # a module a command does not run costs every cold job its compile time
+    out = str(tmp_path / "report.json")
+    loaded = loaded_modules(MODULES_AFTER, cmd, cli.fixture_path("p2"),
+                            "--out", out)
+    assert loaded == COMMAND_MODULES[cmd]
+
+
+def test_module_map_covers_every_command_and_module():
+    package = os.path.dirname(cli.__file__)
+    sources = {f[:-3] for f in os.listdir(package)
+               if f.endswith(".py") and f != "__init__.py"}
+    assert set(COMMAND_MODULES) == set(cli.COMMANDS)
+    assert COMMAND_MODULES["check-all"] == sources
+
+
+def test_lazy_package_namespace():
+    import gkzfrac
+    assert loaded_modules("import sys, gkzfrac\n"
+                          "print(*[m for m in sys.modules"
+                          " if m.startswith('gkzfrac.')])") == set()
+    for name in gkzfrac.__all__:
+        assert getattr(gkzfrac, name) is not None, name
+    assert gkzfrac.build_system.__module__ == "gkzfrac.gkz"
+    with pytest.raises(AttributeError):
+        gkzfrac.no_such_name

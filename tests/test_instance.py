@@ -64,6 +64,24 @@ def test_degeneracy_multiplies_less_than_bseries(name, monkeypatch):
     assert 0 < counts["degeneracy"] < counts["bseries"], counts
 
 
+def test_no_ring_product_has_a_unit_factor(monkeypatch):
+    # the unit class O_0 and the m = 0 log class enter the pairings as they
+    # are, so no product in the x^D expansion merely returns its input
+    calls = []
+
+    def counted(self, a, b, _fn=toric.CohomologyRing.multiply):
+        one = self.one().coords
+        calls.append(a.coords == one or b.coords == one)
+        return _fn(self, a, b)
+    monkeypatch.setattr(toric.CohomologyRing, "multiply", counted)
+    for name in ("p1", "p2", "f1", "p1xp1", "p1xp1_r1"):
+        spec = cli.parse_input(cli.fixture_path(name))
+        for cmd in ("bseries", "degeneracy"):
+            assert not cli.run_command(cmd, spec, {"order": 12}).failed
+    assert len(calls) > 5000
+    assert sum(calls) == 0
+
+
 @pytest.mark.parametrize("name", ["p2", "f1", "f1_r2"])
 def test_low_degree_pairings_equal_an_order_6_build(name):
     # series.solution_rank reads the shared pairings up to weight degree 6;
