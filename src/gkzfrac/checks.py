@@ -154,18 +154,22 @@ def _check_oracle_match(inst):
 
 
 def _check_annihilation(inst):
+    # two passes per operator: gamma and the pairings stacked, and the
+    # period (twisted for box operators); a failure is named in the order
+    # gamma, period, pairing_0, ...
     sys = inst.sys
-    targets = [("gamma", inst.gamma, False), ("period", inst.period, True)] + [
-        (f"pairing_{h}", s, False) for h, s in enumerate(inst.pairings)]
-    for op in sys.euler_operators():
-        for name, s, _tw in targets:
-            if not se.apply_operator(op, s).is_zero_on_reliable_region():
-                return False, f"Euler row {op.row} fails on {name}"
-    for box in sys.box_operators():
-        for name, s, twisted in targets:
-            result = se.apply_operator(box, s, twisted=twisted)
-            if not result.is_zero_on_reliable_region():
-                return False, f"box {box.ell} fails on {name}"
+    untwisted = se.stack([inst.gamma] + inst.pairings)
+    ops = [(op, f"Euler row {op.row}", False) for op in sys.euler_operators()]
+    ops += [(box, f"box {box.ell}", True) for box in sys.box_operators()]
+    for op, label, twisted in ops:
+        first = se.apply_operator(op, untwisted).first_nonzero_component()
+        if first == 0:
+            return False, f"{label} fails on gamma"
+        period = se.apply_operator(op, inst.period, twisted=twisted)
+        if not period.is_zero_on_reliable_region():
+            return False, f"{label} fails on period"
+        if first is not None:
+            return False, f"{label} fails on pairing_{first - 1}"
     return True, (f"{sys.n + sys.r} Euler rows and {len(sys.collections)} "
                   f"box operators kill all solutions at order {inst.order}")
 

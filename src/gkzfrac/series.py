@@ -255,16 +255,66 @@ class LogSeries:
     def is_log_free(self):
         return all(all(m == 0 for m in logdeg) for _, logdeg in self.terms)
 
+    def _is_reliable(self, ell):
+        """Whether every input feeding exponent offset ``ell`` lies inside
+        the truncation order."""
+        return all(xl.dot(self.weight, xl.vec_add(ell, s)) <= self.order
+                   for s in self.shifts)
+
     def reliable_items(self):
-        out = []
-        for (ell, logdeg), coeff in self.sorted_items():
-            if all(xl.dot(self.weight, xl.vec_add(ell, s)) <= self.order
-                   for s in self.shifts):
-                out.append(((ell, logdeg), coeff))
-        return out
+        return [((ell, logdeg), c) for (ell, logdeg), c in self.sorted_items()
+                if self._is_reliable(ell)]
 
     def is_zero_on_reliable_region(self):
-        return not self.reliable_items()
+        return not any(self._is_reliable(ell) for ell, _ in self.terms)
+
+    def first_nonzero_component(self):
+        """For a stacked series, the index of the first component with a
+        nonzero term on the reliable region, or None."""
+        return min((i for (ell, _), row in self.terms.items()
+                    if self._is_reliable(ell)
+                    for i, c in enumerate(row) if c), default=None)
+
+    def integer_form(self):
+        """(stacked, denominators, groups): each component written once as
+        integers over its own common denominator, and the terms grouped by
+        exponent offset, ``groups[ell] = [(logdeg, ((component, numerator),
+        ...))]`` with nonzero numerators only.  Kept for the next call while
+        the keys and coefficients are the same objects or equal."""
+        keys, values = list(self.terms), list(self.terms.values())
+        cached = self.__dict__.get("_integer_form")
+        if cached is not None and cached[:2] == (keys, values):
+            return cached[2]
+        stacked = bool(values) and isinstance(values[0], tuple)
+        scaled = [_integers(column)
+                  for column in (zip(*values) if stacked else [values])]
+        groups = {}
+        for (ell, logdeg), row in zip(keys, zip(*(n for _, n in scaled))):
+            nz = tuple((i, n) for i, n in enumerate(row) if n)
+            if nz:
+                groups.setdefault(ell, []).append((logdeg, nz))
+        form = (stacked, [d for d, _ in scaled], groups)
+        self._integer_form = (keys, values, form)
+        return form
+
+
+def stack(series_list):
+    """One series over the union of the inputs' keys whose coefficients are
+    tuples with one entry per input (0 where an input has no term), so that
+    ``apply_operator`` does its per-exponent work once for all of them."""
+    first = series_list[0]
+    meta = (first.alpha, first.weight, first.order, first.shifts)
+    rows = {}
+    for i, s in enumerate(series_list):
+        if (s.alpha, s.weight, s.order, s.shifts) != meta:
+            raise ValueError(f"series {i} differs from series 0 in alpha, "
+                             "weight, order or shifts")
+        for key, c in s.terms.items():
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = [0] * len(series_list)
+            row[i] = c
+    return replace(first, terms={key: tuple(row) for key, row in rows.items()})
 
 
 # --- series builders --------------------------------------------------------------------
@@ -431,38 +481,50 @@ def pair_with_dual(ring, b, classes):
 # --- formal operators -----------------------------------------------------------------
 
 def apply_operator(op, s, twisted=False):
-    """Apply an Euler or box operator to a truncated rational series.
+    """Apply an Euler or box operator to a truncated rational series, scalar
+    or stacked (see ``stack``); a scalar series is the one-component case.
 
-    The input coefficients are written once as integers over their common
-    denominator and the exponent factors are scaled to integers, so the
-    per-term work is integer arithmetic; Fractions are built only for the
-    output terms.  The result records the exponent shifts of the operator
-    monomials so that zero tests can be restricted to the reliable region,
-    and a box operator computes nothing outside that region.  With
-    ``twisted`` the box operator carries the quotient-coordinate sign on its
-    second monomial, matching series whose coefficients live on the
-    sign-flipped chart.
+    Each component is written once as integers over its own common
+    denominator (``LogSeries.integer_form``, kept between passes) and the
+    exponent factors are scaled to integers, so the per-term work is
+    integer arithmetic; Fractions are built only for the output terms.
+    The terms are grouped by exponent offset, so the work that depends only
+    on ``ell`` (weight degree, output exponent, exponent factors) is done
+    once per offset for every log degree and component.
+    The result records the exponent shifts of the operator monomials so
+    that zero tests can be restricted to the reliable region, and a box
+    operator computes nothing outside that region.  With ``twisted`` the
+    box operator carries the quotient-coordinate sign on its second
+    monomial, matching series whose coefficients live on the sign-flipped
+    chart.
     """
     if not isinstance(op, (EulerOperator, BoxOperator)):
         raise TypeError(f"unsupported operator {op!r}")
-    denom, numerators = _integers(s.terms.values())
-    nums = list(zip(s.terms, numerators))
+    stacked, denoms, groups = s.integer_form()
     acc = {}
+    width = len(denoms)
     if isinstance(op, EulerOperator):
-        # only the integer part sum_j c_j ell_j changes from term to term
+        # only the integer part sum_j c_j ell_j changes from offset to offset
         active = [(j, c) for j, c in enumerate(op.coeffs) if c]
         base = sum((Fraction(c) * s.alpha[j] for j, c in active),
                    Fraction(0)) - op.eigenvalue
         shift, scale = base.numerator, base.denominator
-        for (ell, logdeg), n in nums:
-            key = (ell, logdeg)
-            value = n * (shift + scale * sum(c * ell[j] for j, c in active))
-            acc[key] = acc.get(key, 0) + value
-            for j, c in active:
-                m = logdeg[j]
-                if m:
-                    key = (ell, logdeg[:j] + (m - 1,) + logdeg[j + 1:])
-                    acc[key] = acc.get(key, 0) + n * scale * c * m
+        lowerings = {}
+        for ell, terms in groups.items():
+            value = shift + scale * sum(c * ell[j] for j, c in active)
+            for logdeg, nz in terms:
+                pattern = lowerings.get(logdeg)
+                if pattern is None:
+                    pattern = lowerings[logdeg] = [
+                        (logdeg[:j] + (logdeg[j] - 1,) + logdeg[j + 1:],
+                         scale * c * logdeg[j])
+                        for j, c in active if logdeg[j]]
+                for lg, c in [(logdeg, value)] + pattern if value else pattern:
+                    row = acc.get((ell, lg))
+                    if row is None:
+                        row = acc[(ell, lg)] = [0] * width
+                    for i, n in nz:
+                        row[i] += n * c
         shifts = ((0,) * len(s.alpha),)
     else:
         sign = 1
@@ -478,16 +540,22 @@ def apply_operator(op, s, twisted=False):
         weight = [(k, w) for k, w in enumerate(weight) if w]
         w_plus, w_minus = (sum(w * mono[k] for k, w in weight)
                            for mono in (op.plus, op.minus))
+        degree = {ell: sum(w * ell[k] for k, w in weight) for ell in groups}
         # an output is reliable when both of its sources lie inside the order
         cut = floor(w_scale * s.order) - max(w_plus, w_minus)
         for mono, w_shift, factor in (
                 (op.plus, w_plus, a_scale ** (top - sum(op.plus))),
                 (op.minus, w_minus, -sign * a_scale ** (top - sum(op.minus)))):
-            _apply_monomial(acc, nums, mono, factor, alpha, a_scale,
-                            weight, cut + w_shift)
+            _apply_monomial(acc, groups, degree, mono, factor, alpha, a_scale,
+                            cut + w_shift, width)
         shifts = (op.plus, op.minus)
-    return replace(s, shifts=shifts, terms={
-        key: Fraction(v, denom * scale) for key, v in acc.items() if v})
+    terms = {}
+    for key, row in acc.items():
+        if any(row):
+            coeffs = tuple(Fraction(v, d * scale) if v else 0
+                           for v, d in zip(row, denoms))
+            terms[key] = coeffs if stacked else coeffs[0]
+    return replace(s, shifts=shifts, terms=terms)
 
 
 def _integers(values):
@@ -496,44 +564,63 @@ def _integers(values):
     return d, [v.numerator * (d // v.denominator) for v in values]
 
 
-def _apply_monomial(acc, nums, mono, factor, alpha, a_scale, weight, limit):
+def _apply_monomial(acc, groups, degree, mono, factor, alpha, a_scale, limit,
+                    width):
     """Add ``factor`` times d^mono of every integer term whose weight degree
     is at most ``limit`` into ``acc``, everything scaled by a_scale^|mono|;
-    ``alpha`` and ``weight`` are already scaled to integers.
+    ``alpha``, ``degree`` and ``limit`` are already scaled to integers.
 
     In slot j with e = mono[j] and gamma = alpha_j + ell_j,
     d^e x^gamma log^m = sum_i [z^i] ff(gamma + z, e) * m!/(m-i)!
     * x^(gamma-e) log^(m-i), with ff the falling factorial; the z^i
     coefficients of prod_{t<e} (a_scale (gamma - t + z)) are integers.
+    The lowering of a log degree (target, m!/(m-i)! products, the power i
+    per slot) depends on no exponent and is built once per log degree.
     """
-    slots = [(j, e, alpha[j]) for j, e in enumerate(mono) if e]
-    falling = {}
-    for (ell, logdeg), n in nums:
-        if sum(w * ell[k] for k, w in weight) > limit:
+    slots = [(j, e) for j, e in enumerate(mono) if e]
+    lowerings = {}
+    for ell, terms in groups.items():
+        if degree[ell] > limit:
             continue
-        parts = [(logdeg, n * factor)]
-        for j, e, a in slots:
-            poly = falling.get((j, ell[j]))
-            if poly is None:
-                poly = [1]
-                y = a + a_scale * ell[j]
-                for t in range(e):
-                    root = y - t * a_scale
-                    poly = [root * p + a_scale * q
-                            for p, q in zip(poly + [0], [0] + poly)]
-                falling[(j, ell[j])] = poly
-            lowered = []
-            for lg, c in parts:
-                m = lg[j]
-                for i in range(min(e, m) + 1):
-                    if poly[i]:
-                        lowered.append((lg[:j] + (m - i,) + lg[j + 1:],
-                                        c * poly[i] * perm(m, i)))
-            parts = lowered
+        # factor * prod_j [z^(i_j)] of slot j's polynomial, indexed by the
+        # digits i_j in mixed radix (e_j + 1), first slot most significant
+        coef = [factor]
+        for j, e in slots:
+            poly = [1]
+            y = alpha[j] + a_scale * ell[j]
+            for t in range(e):
+                root = y - t * a_scale
+                poly = [root * p + a_scale * q
+                        for p, q in zip(poly + [0], [0] + poly)]
+            coef = [c * p for c in coef for p in poly]
         out_ell = tuple(x - d for x, d in zip(ell, mono))
-        for lg, c in parts:
-            key = (out_ell, lg)
-            acc[key] = acc.get(key, 0) + c
+        for logdeg, nz in terms:
+            pattern = lowerings.get(logdeg)
+            if pattern is None:
+                pattern = lowerings[logdeg] = _lowering(logdeg, slots)
+            for lg, weight, index in pattern:
+                c = weight * coef[index]
+                if c:
+                    row = acc.get((out_ell, lg))
+                    if row is None:
+                        row = acc[(out_ell, lg)] = [0] * width
+                    for i, n in nz:
+                        row[i] += n * c
+
+
+def _lowering(logdeg, slots):
+    """Every (lowered log degree, prod_j m_j!/(m_j-i_j)!, the digits i_j in
+    mixed radix (e_j + 1)) with i_j <= min(e_j, m_j) in each slot (j, e_j)."""
+    parts = [(logdeg, 1, 0)]
+    for j, e in slots:
+        lowered = []
+        for lg, w, index in parts:
+            m = lg[j]
+            for i in range(min(e, m) + 1):
+                lowered.append((lg[:j] + (m - i,) + lg[j + 1:],
+                                w * perm(m, i), index * (e + 1) + i))
+        parts = lowered
+    return parts
 
 
 def _aux_positions_from_alpha(alpha):

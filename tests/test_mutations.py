@@ -6,9 +6,11 @@ mutation, on p2, f1 and the one-block P1^3; the kernel check also on the
 one-block P1xP1 and the three-block P1^3 (on p2 and the three-block P1^3
 its box holds no kernel vector, so only the Hermite certificate sees the
 defect there); the parity twist on p2 and f1, the inputs where some box
-operator has an odd auxiliary sum.  The Euler branch of ``apply_operator``
-is also held to the per-term formula it replaced, on the real solutions and
-under a wrong exponent, where its output is nonzero.
+operator has an odd auxiliary sum.  Every annihilation mutation also gives
+the per-series loop the stacked check replaced (``annihilation_per_series``)
+the same (ok, detail).  The Euler branch of ``apply_operator`` is also held
+to the per-term formula it replaced, on the real solutions and under a
+wrong exponent, where its output is nonzero.
 """
 
 from dataclasses import replace
@@ -30,6 +32,31 @@ CHECK = dict(checks.CHECKS)
 def instance(name):
     build, order = FANS[name]
     return checks.Instance(build(), order=order)
+
+
+def annihilation_per_series(inst):
+    """The annihilation check as it was, kept verbatim: one operator pass
+    per (operator, series) pair."""
+    sys = inst.sys
+    targets = [("gamma", inst.gamma, False), ("period", inst.period, True)] + [
+        (f"pairing_{h}", s, False) for h, s in enumerate(inst.pairings)]
+    for op in sys.euler_operators():
+        for name, s, _tw in targets:
+            if not se.apply_operator(op, s).is_zero_on_reliable_region():
+                return False, f"Euler row {op.row} fails on {name}"
+    for box in sys.box_operators():
+        for name, s, twisted in targets:
+            result = se.apply_operator(box, s, twisted=twisted)
+            if not result.is_zero_on_reliable_region():
+                return False, f"box {box.ell} fails on {name}"
+    return True, (f"{sys.n + sys.r} Euler rows and {len(sys.collections)} "
+                  f"box operators kill all solutions at order {inst.order}")
+
+
+def assert_annihilation_fails(inst, detail):
+    """The check fails with ``detail``, as the per-series loop does."""
+    assert CHECK["series.annihilation"](inst) == (False, detail)
+    assert annihilation_per_series(inst) == (False, detail)
 
 
 def wrong_alpha(sys):
@@ -64,6 +91,7 @@ def test_wrong_canonical_exponent_fails_annihilation(name, monkeypatch):
     ok, detail = check(inst)
     assert not ok
     assert "Euler row" in detail
+    assert annihilation_per_series(inst) == (ok, detail)
 
 
 @pytest.mark.parametrize("name", ["p2", "f1"])
@@ -76,6 +104,57 @@ def test_dropped_parity_twist_fails_annihilation(name, monkeypatch):
     ok, detail = check(inst)
     assert not ok
     assert detail.startswith("box (") and detail.endswith(" fails on period")
+    assert annihilation_per_series(inst) == (ok, detail)
+
+
+# the first term of the last pairing in print order, its coefficient doubled
+DOUBLED_LAST_PAIRING = {"p2": "Euler row 0 fails on pairing_2",
+                        "f1": "Euler row 1 fails on pairing_3",
+                        "p1p1p1_r1": "Euler row 0 fails on pairing_7"}
+
+
+@pytest.mark.parametrize("name", sorted(FANS))
+def test_doubled_pairing_coefficient_fails_annihilation(name, monkeypatch):
+    """The stack still looks at its last component."""
+    inst = instance(name)
+    assert CHECK["series.annihilation"](inst)[0]
+    last = inst.pairings[-1]
+    key, coeff = last.sorted_items()[0]
+    monkeypatch.setitem(last.terms, key, 2 * coeff)
+    assert DOUBLED_LAST_PAIRING[name].endswith(
+        f"pairing_{inst.ring.dim - 1}")
+    assert_annihilation_fails(inst, DOUBLED_LAST_PAIRING[name])
+
+
+# every log class of degree >= 2 doubled: a wrong 1/m! in the log slots
+WRONG_LOG_FACTORIAL = {"p2": "box (-3, 1, 1, 1) fails on pairing_2",
+                       "f1": "box (-1, 1, -1, 1, 0) fails on pairing_3",
+                       "p1p1p1_r1": "box (-2, 1, 1, 0, 0, 0, 0) fails on "
+                                    "pairing_4"}
+
+
+@pytest.mark.parametrize("name", sorted(FANS))
+def test_wrong_log_factorial_fails_annihilation(name, monkeypatch):
+    inst = instance(name)
+    assert CHECK["series.annihilation"](inst)[0]
+    inst = instance(name)
+    original = se.log_part
+    # before the pairings are built, so every pairing carries the defect
+    monkeypatch.setattr(se, "log_part", lambda ring, classes, top: [
+        (m, 2 * cls if sum(m) >= 2 else cls)
+        for m, cls in original(ring, classes, top)])
+    assert_annihilation_fails(inst, WRONG_LOG_FACTORIAL[name])
+
+
+def test_p1_has_no_log_class_of_degree_two():
+    """On p1 the ring's top degree is 1, so no log class of degree >= 2
+    exists and the wrong 1/m! above cannot be injected there."""
+    inst = checks.Instance(CORPUS["p1"](), order=8)
+    ring = inst.ring
+    assert ring.top == 1
+    classes = [ring.divisor_class(i, j) for (i, j) in inst.sys.j_indices()]
+    logs = se.log_part(ring, classes, ring.top + 1)
+    assert max(sum(m) for m, _ in logs) == 1
 
 
 @pytest.mark.parametrize("name", ["p1", "p1xp1", "p1xp1_r1", "p1p1p1_r1"])

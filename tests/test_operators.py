@@ -12,6 +12,11 @@ The annihilation check is only as strong as the positions it tests, so every
 (box, target) pair it forms must reach at least one reliable position.  The
 smallest counts are 9 on p1 and p2, 35 on both P1^3 partitions and 3 on the
 6-ray surface.
+
+The check applies each operator twice, to gamma and the pairings stacked and
+to the period; it must give the (ok, detail) of the per-series loop it
+replaced, and a stacked pass must give, component by component, the terms
+of the scalar passes.
 """
 
 from dataclasses import replace
@@ -20,7 +25,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import p1_fan
-from test_mutations import wrong_alpha
+from test_mutations import annihilation_per_series, wrong_alpha
 from test_ring_table import INSTANCES
 from gkzfrac import checks, gkz, series as se
 from gkzfrac import exact_linalg as xl
@@ -134,6 +139,22 @@ def test_box_equals_reference_on_single_term():
         assert_box_matches_reference(op, s)
 
 
+def test_operator_pass_follows_changed_terms():
+    """The integer form kept between passes is rebuilt when a coefficient
+    changes in place or a term is added."""
+    sys, s = p1_series()
+    s = replace(s, alpha=wrong_alpha(sys))
+    s.add_term((-2, 1, 1), (0, 0, 0), Fraction(5))
+    op = next(op for op in sys.euler_operators()
+              if se.apply_operator(op, s).terms)
+    before = se.apply_operator(op, s).terms
+    s.terms[((-2, 1, 1), (0, 0, 0))] = Fraction(7)
+    assert se.apply_operator(op, s).terms == {
+        key: c * Fraction(7, 5) for key, c in before.items()}
+    s.add_term((-4, 2, 2), (0, 0, 0), Fraction(1))
+    assert ((-4, 2, 2), (0, 0, 0)) in se.apply_operator(op, s).terms
+
+
 def reliable_positions(op, s):
     """Outputs of nonzero input terms that the reliable region keeps."""
     cut = s.order - max(xl.dot(s.weight, op.plus), xl.dot(s.weight, op.minus))
@@ -152,3 +173,67 @@ def test_annihilation_tests_reliable_positions(inst):
     for name, s in targets(inst):
         for op in inst.sys.box_operators():
             assert reliable_positions(op, s), (op.ell, name)
+
+
+def test_annihilation_equals_per_series_loop(inst):
+    check = dict(checks.CHECKS)["series.annihilation"]
+    assert check(inst) == annihilation_per_series(inst)
+
+
+def component(s, i):
+    """Component ``i`` of a stacked series as a scalar terms dict."""
+    return {key: row[i] for key, row in s.terms.items() if row[i]}
+
+
+def test_stacked_pass_equals_scalar_passes(inst):
+    wrong = wrong_alpha(inst.sys)
+    ops = inst.sys.euler_operators() + inst.sys.box_operators()
+    nonzero = 0
+    for alpha in (inst.sys.alpha, wrong):
+        series = [replace(s, alpha=alpha) for _name, s in targets(inst)]
+        stacked = se.stack(series)
+        for op in ops:
+            for twisted in (False, True):
+                result = se.apply_operator(op, stacked, twisted=twisted)
+                alone = [se.apply_operator(op, s, twisted=twisted)
+                         for s in series]
+                for i, a in enumerate(alone):
+                    assert component(result, i) == a.terms
+                    assert result.shifts == a.shifts
+                    nonzero += bool(a.terms)
+                assert result.first_nonzero_component() == next(
+                    (i for i, a in enumerate(alone)
+                     if not a.is_zero_on_reliable_region()), None)
+    # the wrong exponent leaves residues, so the comparison is not 0 == 0
+    assert nonzero
+
+
+def test_stack_rejects_mismatched_series():
+    sys, s = p1_series()
+    s.add_term((-2, 1, 1), (0, 0, 0), Fraction(5))
+    assert se.stack([s, s]).terms == {((-2, 1, 1), (0, 0, 0)): (5, 5)}
+    for other in (replace(s, alpha=(Fraction(-1, 3),) + s.alpha[1:]),
+                  replace(s, weight=tuple(2 * w for w in s.weight)),
+                  replace(s, order=5),
+                  replace(s, shifts=((0, 1, 1), (2, 0, 0)))):
+        with pytest.raises(ValueError):
+            se.stack([s, other])
+
+
+def test_check_all_applies_each_operator_twice(monkeypatch):
+    """check-all on the one-block P1^3: the stack and the period, once per
+    operator, so a return to one pass per series fails here."""
+    calls = []
+    original = se.apply_operator
+
+    def counted(op, s, twisted=False):
+        calls.append(op)
+        return original(op, s, twisted=twisted)
+
+    monkeypatch.setattr(se, "apply_operator", counted)
+    inst = checks.Instance(INSTANCES["p1p1p1_r1"](), order=4)
+    results = checks.run_all(inst)
+    assert all(r["ok"] for r in results), results
+    ops = inst.sys.euler_operators() + inst.sys.box_operators()
+    assert len(ops) == 7
+    assert len(calls) == 2 * len(ops) == 14
