@@ -6,7 +6,8 @@ indicial constraints: products over primitive collections and the linear
 rows pin the local exponent to the single half-integral point.
 """
 
-from gkzfrac import cli, gkz, series, toric
+from gkzfrac import cli, gkz, toric
+from gkzfrac import exact_linalg as xl
 
 spec = cli.parse_input(cli.fixture_path("p2"))
 fan = spec.fan()
@@ -38,6 +39,6 @@ for pc in system.collections:
 
 locus = gkz.indicial_ideal_zero_locus(system)
 print("indicial zero locus:",
-      [[series.fraction_str(x) for x in point] for point in locus])
+      [[xl.fraction_str(x) for x in point] for point in locus])
 print("surjection onto the indicial ring is consistent:",
       gkz.indicial_ring_surjection_check(system, ring))

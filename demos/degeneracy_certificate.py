@@ -15,7 +15,7 @@ for name in ("p1", "p2", "p1xp1", "f1"):
     fan = spec.fan()
     system = gkz.build_system(fan)
     ring = toric.cohomology_ring(fan, system.collections)
-    omega = series.default_weight(system)
+    omega = gkz.default_weight(system)
     period = series.normalized_period_series(system, omega, 8)
     b = series.b_series(system, ring, omega, 8)
     b6 = series.b_series(system, ring, omega, 6)

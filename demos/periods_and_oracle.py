@@ -12,6 +12,7 @@ from fractions import Fraction
 from math import factorial
 
 from gkzfrac import cli, degeneracy, gkz, series
+from gkzfrac import exact_linalg as xl
 
 spec = cli.parse_input(cli.fixture_path("p1"))
 fan = spec.fan()
@@ -21,20 +22,20 @@ print("fan:", fan.name)
 print("lifted point matrix (columns):")
 for row in system.a_ext:
     print("   ", list(row))
-print("fractional exponent beta:", [series.fraction_str(b)
+print("fractional exponent beta:", [xl.fraction_str(b)
                                     for b in system.beta])
 print("relation lattice basis:", system.basis)
 print()
 
-omega = series.default_weight(system)
+omega = gkz.default_weight(system)
 print("ample truncation weight:", omega)
 period = series.normalized_period_series(system, omega, 8)
 print("period coefficients C_ell up to order 8:")
 for (ell, _), coeff in period.sorted_items():
     oracle = series.residue_oracle(system, ell)
     marker = "ok" if oracle == coeff else "MISMATCH"
-    print(f"    x^{list(ell)}: {series.fraction_str(coeff):>12}   "
-          f"residue oracle {series.fraction_str(oracle):>12}   {marker}")
+    print(f"    x^{list(ell)}: {xl.fraction_str(coeff):>12}   "
+          f"residue oracle {xl.fraction_str(oracle):>12}   {marker}")
 print()
 
 chart = degeneracy.subdivide_kahler_cone(system)[0]
@@ -47,5 +48,5 @@ for k in range(5):
                       16 ** k * factorial(2 * k) * factorial(k) ** 2)
     value = z_series.coefficient((k,))
     marker = "ok" if value == closed else "MISMATCH"
-    print(f"    z^{k}: {series.fraction_str(value):>16}   closed form "
-          f"{series.fraction_str(closed):>16}   {marker}")
+    print(f"    z^{k}: {xl.fraction_str(value):>16}   closed form "
+          f"{xl.fraction_str(closed):>16}   {marker}")

@@ -9,7 +9,7 @@ reduced Groebner basis of the toric ideal with Stanley-Reisner leading
 terms.
 """
 
-from gkzfrac import cli, gkz, series, triangulations as tri
+from gkzfrac import cli, gkz, triangulations as tri
 
 spec = cli.parse_input(cli.fixture_path("p1xp1"))
 fan = spec.fan()
@@ -27,7 +27,7 @@ print("normalized volume:", tri.normalized_volume(points, tmax),
       "= number of maximal cones:", len(fan.max_cones))
 print()
 
-omega = series.default_weight(system)
+omega = gkz.default_weight(system)
 print("default ample weight:", omega)
 chamber = tri.regular_subdivision(points, omega)
 print("lower hull of the lifted weight reproduces the maximal triangulation:",

@@ -9,13 +9,13 @@ scale.
 
 Typical use::
 
-    from gkzfrac import build_system, make_fan
-    from gkzfrac import series, toric
+    from gkzfrac import build_system, default_weight, make_fan
+    from gkzfrac import normalized_period_series
 
     fan = make_fan(1, [(1,), (-1,)], [[0], [1]], [[0, 1]], name="p1")
     system = build_system(fan)
-    omega = series.default_weight(system)
-    period = series.normalized_period_series(system, omega, 8)
+    omega = default_weight(system)
+    period = normalized_period_series(system, omega, 8)
 """
 
 __version__ = "0.1.0"
@@ -30,6 +30,7 @@ _HOMES = {
     "canonical_alpha": "gkz",
     "cohomology_ring": "toric",
     "convex_hull": "polytopes",
+    "default_weight": "gkz",
     "dual_nef_partition": "polytopes",
     "gamma_series": "series",
     "make_fan": "toric",

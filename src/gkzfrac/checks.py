@@ -6,8 +6,6 @@ identifiers are stable and are referenced by the traceability table in the
 README.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from itertools import product
 

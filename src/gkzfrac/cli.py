@@ -9,30 +9,33 @@ cold ``gkzfrac validate`` loads the fan layer alone and only ``check-all``
 loads every module.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import sys as _sysmod
 import time
-from dataclasses import dataclass
 
+from . import exact_linalg as xl
 from . import toric
-from .errors import GkzfracError, ParseError, SchemaError, SemanticError
+from .errors import (ConfigError, GkzfracError, ParseError, SchemaError,
+                     SemanticError)
 
 COMMANDS = ("validate", "system", "cohomology", "series", "bseries",
             "fans", "groebner", "degeneracy", "check-all")
 
 
-@dataclass
 class InputSpec:
-    name: str
-    rank: int
-    rays: list
-    max_cones: list
-    nef_partition: list
-    ample_weight: list = None
-    order: int = 8
+    """A validated input document: the fan, its partition, an optional ample
+    weight and the truncation order."""
+
+    def __init__(self, name, rank, rays, max_cones, nef_partition,
+                 ample_weight=None, order=8):
+        self.name = name
+        self.rank = rank
+        self.rays = rays
+        self.max_cones = max_cones
+        self.nef_partition = nef_partition
+        self.ample_weight = ample_weight
+        self.order = order
 
     def fan(self):
         return toric.make_fan(self.rank, self.rays, self.max_cones,
@@ -40,11 +43,16 @@ class InputSpec:
                               ample_weight=self.ample_weight)
 
 
+def _is_int(value):
+    """Whether a decoded JSON value is an integer (JSON booleans are not)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _expect(data, key, kind, pointer):
     if key not in data:
         raise SchemaError(f"missing field at {pointer}/{key}")
     value = data[key]
-    if kind == "int" and not isinstance(value, int):
+    if kind == "int" and not _is_int(value):
         raise SchemaError(f"expected integer at {pointer}/{key}")
     if kind == "str" and not isinstance(value, str):
         raise SchemaError(f"expected string at {pointer}/{key}")
@@ -56,8 +64,7 @@ def _expect(data, key, kind, pointer):
 def _int_matrix(value, pointer, width=None):
     out = []
     for i, row in enumerate(value):
-        if not isinstance(row, list) or not all(
-                isinstance(x, int) for x in row):
+        if not isinstance(row, list) or not all(_is_int(x) for x in row):
             raise SchemaError(f"expected integer array at {pointer}/{i}")
         if width is not None and len(row) != width:
             raise SchemaError(
@@ -101,13 +108,13 @@ def parse_input(path):
     weight = None
     if "ample_weight" in data:
         weight = _expect(data, "ample_weight", "list", "")
-        if not all(isinstance(x, int) for x in weight):
+        if not all(_is_int(x) for x in weight):
             raise SchemaError("expected integer array at /ample_weight")
         if len(weight) != p + len(partition):
             raise SchemaError(
                 f"/ample_weight must have {p + len(partition)} entries")
     order = data.get("order", 8)
-    if not isinstance(order, int) or order < 0:
+    if not _is_int(order) or order < 0:
         raise SchemaError("expected nonnegative integer at /order")
     spec = InputSpec(name=name, rank=rank, rays=rays, max_cones=cones,
                      nef_partition=partition, ample_weight=weight,
@@ -124,12 +131,14 @@ def fixture_path(name):
 
 # --- reports -----------------------------------------------------------------------
 
-@dataclass
 class Report:
-    command: str
-    name: str
-    payload: dict
-    failed: bool = False
+    """One command's payload on one input, and whether a check failed."""
+
+    def __init__(self, command, name, payload, failed=False):
+        self.command = command
+        self.name = name
+        self.payload = payload
+        self.failed = failed
 
     def to_json(self):
         body = {"command": self.command, "input": self.name,
@@ -184,7 +193,6 @@ def run_command(cmd, spec, flags=None):
         report = toric.validate_fan(spec.fan())
         return Report("validate", spec.name, {"checks": report.as_dict()})
 
-    from . import series as se
     from .instance import Instance
 
     order = flags.get("order")
@@ -199,9 +207,9 @@ def run_command(cmd, spec, flags=None):
             "double_indices": [[i + 1, j] for (i, j) in sys.j_indices()],
             "a_matrix": [list(row) for row in sys.a],
             "a_ext_matrix": [list(row) for row in sys.a_ext],
-            "beta": [se.fraction_str(x) for x in sys.beta],
+            "beta": [xl.fraction_str(x) for x in sys.beta],
             "relation_basis": [list(b) for b in sys.basis],
-            "canonical_alpha": [se.fraction_str(x) for x in sys.alpha],
+            "canonical_alpha": [xl.fraction_str(x) for x in sys.alpha],
             "box_generators": [list(pc.ell_ext) for pc in sys.collections],
         }
         return Report("system", spec.name, payload)
@@ -222,11 +230,12 @@ def run_command(cmd, spec, flags=None):
         return Report("cohomology", spec.name, payload)
 
     if cmd == "series":
+        from . import series as se
         oracle_ok = all(
             coeff == se.residue_oracle(sys, ell)
             for (ell, _), coeff in inst.period.terms.items())
         payload = {
-            "weight": [se.fraction_str(w) for w in omega],
+            "weight": [xl.fraction_str(w) for w in omega],
             "order": order,
             "period": se.series_to_dict(inst.period),
             "gamma": se.series_to_dict(inst.gamma),
@@ -235,8 +244,9 @@ def run_command(cmd, spec, flags=None):
         return Report("series", spec.name, payload, failed=not oracle_ok)
 
     if cmd == "bseries":
+        from . import series as se
         payload = {
-            "weight": [se.fraction_str(w) for w in omega],
+            "weight": [xl.fraction_str(w) for w in omega],
             "order": order,
             "dual_basis": inst.ring.basis_names(),
             "pairings": [se.series_to_dict(s) for s in inst.pairings],
@@ -285,7 +295,7 @@ def run_command(cmd, spec, flags=None):
         minimal = tr.minimal_gb_is_primitive_collections(sys, fan, omega)
         matches = sorted(ideal.generators) == sorted(candidates)
         payload = {
-            "weight": [se.fraction_str(w) for w in omega],
+            "weight": [xl.fraction_str(w) for w in omega],
             "reduced_basis": [
                 {"leading": list(u), "trailing": list(v),
                  "binomial": _binomial_string(sys, u, v)}
@@ -362,7 +372,7 @@ def main(argv=None):
         elapsed = time.perf_counter() - started
         print(f"gkzfrac: {args.command} on {spec.name} finished in "
               f"{elapsed:.3f}s", file=_sysmod.stderr)
-    except (ParseError, SchemaError, SemanticError) as exc:
+    except (ParseError, SchemaError, SemanticError, ConfigError) as exc:
         print(f"gkzfrac: input error: {exc}", file=_sysmod.stderr)
         return 2
     except GkzfracError as exc:

@@ -8,9 +8,6 @@ to a plain power series, and among the solution pairings exactly one is free
 of logarithms, which is the executable content of the degeneracy statement.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
@@ -22,7 +19,6 @@ from .gkz import indicial_ideal_zero_locus
 SUBDIVISION_DEPTH_CAP = 32
 
 
-@dataclass(frozen=True)
 class CanonicalChart:
     """A smooth maximal cone with its canonical monomial coordinates.
 
@@ -30,9 +26,11 @@ class CanonicalChart:
     extreme rays; coordinate k is the monomial of basis vector k times the
     sign ``signs[k]``.
     """
-    cone_rays: tuple
-    basis_vectors: tuple
-    signs: tuple
+
+    def __init__(self, cone_rays, basis_vectors, signs):
+        self.cone_rays = cone_rays
+        self.basis_vectors = basis_vectors
+        self.signs = signs
 
 
 def _chart_from_simplicial_cone(sys, rays):
@@ -248,11 +246,12 @@ def chart_pairings(sys, ring, chart, b):
 
 # --- the certificate -----------------------------------------------------------------
 
-@dataclass
 class CertificateReport:
     """Per-clause outcome of the degeneracy check on one chart."""
-    order: int
-    clauses: list = field(default_factory=list)
+
+    def __init__(self, order):
+        self.order = order
+        self.clauses = []
 
     def add(self, name, ok, detail):
         self.clauses.append({"clause": name, "ok": bool(ok),
@@ -331,7 +330,7 @@ def maximal_degeneracy_check(sys, ring, chart, period, b, strict=False):
             extra = set(log_free.terms) - set(chart_period.terms)
             consistent = consistent and ratio is not None and not extra
             report.add("log_free_matches_period", consistent,
-                       f"global scalar {se.fraction_str(ratio)}"
+                       f"global scalar {xl.fraction_str(ratio)}"
                        if consistent else "coefficient mismatch")
     else:
         report.add("unique_log_free_solution", False,

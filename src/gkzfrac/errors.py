@@ -123,3 +123,7 @@ class SchemaError(GkzfracError):
 
 class SemanticError(GkzfracError):
     """Input is schema-valid but internally inconsistent."""
+
+
+class ConfigError(GkzfracError):
+    """An environment setting does not hold a valid value."""

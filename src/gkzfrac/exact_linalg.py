@@ -6,16 +6,11 @@ float.  Sizes are desk scale (a dozen rows or columns), so the algorithms
 favour determinism and transparency over asymptotics.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 
 from .errors import DimensionMismatch, RankDeficient, TruncationTooLarge
-
-Vec = tuple
-Mat = tuple
 
 
 # --- small vector helpers ----------------------------------------------------
@@ -536,3 +531,12 @@ def lattice_points(rows, dim, cap=None, cap_name=None):
 
     descend([])
     return out
+
+
+# --- exact strings ------------------------------------------------------------
+
+def fraction_str(x):
+    """A rational as ``"p/q"``, or ``"p"`` when it is an integer."""
+    x = Fraction(x)
+    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 \
+        else str(x.numerator)

@@ -6,14 +6,11 @@ lattice, and the operator generators (Euler rows plus one box operator per
 primitive collection).
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import exact_linalg as xl
 from . import toric
-from .errors import NotInKernel, UnexpectedLocus
+from .errors import NotInKernel, UnexpectedLocus, WeightNotAmple
 
 # --- tiny exact polynomials -----------------------------------------------------
 
@@ -101,34 +98,41 @@ class Poly:
 
 # --- operators -------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class EulerOperator:
     """sum_j coeff_j x_j d_j - eigenvalue, one per row of the lifted matrix."""
-    row: int
-    coeffs: tuple
-    eigenvalue: Fraction
+
+    def __init__(self, row, coeffs, eigenvalue):
+        self.row = row
+        self.coeffs = coeffs
+        self.eigenvalue = eigenvalue
 
 
-@dataclass(frozen=True)
 class BoxOperator:
     """d^plus - d^minus for a relation vector ell = plus - minus."""
-    ell: tuple
-    plus: tuple
-    minus: tuple
+
+    def __init__(self, ell, plus, minus):
+        self.ell = ell
+        self.plus = plus
+        self.minus = minus
 
 
 # --- the system -------------------------------------------------------------------
 
-@dataclass
 class GkzSystem:
-    fan: toric.FanData
-    a: tuple
-    a_ext: tuple
-    beta: tuple
-    basis: list
-    collections: list = field(repr=False)
-    kahler: toric.ConeDescription = field(repr=False)
-    alpha: tuple = field(default=None, repr=False)  # set by build_system
+    """The lifted system of a fan: ray matrix ``a``, lifted matrix
+    ``a_ext``, exponent vector ``beta``, relation-lattice ``basis``,
+    primitive ``collections``, Kaehler cone ``kahler`` and the canonical
+    exponent ``alpha`` (set by ``build_system``)."""
+
+    def __init__(self, fan, a, a_ext, beta, basis, collections, kahler):
+        self.fan = fan
+        self.a = a
+        self.a_ext = a_ext
+        self.beta = beta
+        self.basis = basis
+        self.collections = collections
+        self.kahler = kahler
+        self.alpha = None
 
     @property
     def n(self):
@@ -195,6 +199,35 @@ class GkzSystem:
         omega = xl.solve_integer(rows, tuple(target))
         assert omega is not None, "saturated kernel basis must admit a lift"
         return omega
+
+
+# --- weights ------------------------------------------------------------------------
+
+def default_weight(sys):
+    """Integral lift of the sum of the ample-cone extreme rays."""
+    target = tuple(sum(col) for col in zip(*sys.kahler.rays))
+    return sys.lift_weight_class(target)
+
+
+def weight_class(sys, omega):
+    """Pairings of a weight vector with the relation-lattice basis."""
+    return tuple(xl.dot(omega, b) for b in sys.basis)
+
+
+def is_ample(sys, omega):
+    return all(xl.dot(omega, pc.ell_ext) > 0 for pc in sys.collections)
+
+
+def check_weight(sys, omega):
+    omega = tuple(Fraction(x) for x in omega)
+    if len(omega) != sys.nvars:
+        raise WeightNotAmple(
+            f"weight has {len(omega)} entries, expected {sys.nvars}")
+    if not is_ample(sys, omega):
+        raise WeightNotAmple(
+            "weight is not strictly positive on the curve cone; "
+            "series truncation would not terminate")
+    return omega
 
 
 def build_system(fan):

@@ -2,16 +2,13 @@
 the artifacts that several checks or commands read built on first use.
 
 Only the layers every command past ``validate`` needs are imported here;
-the polytope, triangulation and degeneracy layers are imported by the
-properties that use them, so a command loads only what it runs.
+the series, polytope, triangulation and degeneracy layers are imported by
+the properties that use them, so a command loads only what it runs.
 """
-
-from __future__ import annotations
 
 from functools import cached_property
 
 from . import gkz
-from . import series as se
 from . import toric
 
 
@@ -25,8 +22,8 @@ class Instance:
         self.sys = gkz.build_system(fan)
         self.order = order
         if omega is None:
-            omega = fan.ample_weight or se.default_weight(self.sys)
-        self.omega = se.check_weight(self.sys, omega)
+            omega = fan.ample_weight or gkz.default_weight(self.sys)
+        self.omega = gkz.check_weight(self.sys, omega)
 
     @cached_property
     def ring(self):
@@ -63,21 +60,25 @@ class Instance:
 
     @cached_property
     def period(self):
+        from . import series as se
         return se.normalized_period_series(self.sys, self.omega, self.order)
 
     @cached_property
     def gamma(self):
+        from . import series as se
         return se.gamma_series(self.sys, self.sys.alpha, self.omega,
                                self.order)
 
     @cached_property
     def b(self):
         """The cohomology-valued series."""
+        from . import series as se
         return se.b_series(self.sys, self.ring, self.omega, self.order)
 
     @cached_property
     def pairings(self):
         """Dual-basis pairings of the cohomology-valued series."""
+        from . import series as se
         ring = self.ring
         return se.pair_with_dual(ring, self.b, [
             ring.divisor_class(i, j) for (i, j) in self.sys.j_indices()])

@@ -6,9 +6,6 @@ at desk scale.  Polytopes of lower dimension than their ambient space are
 allowed and carry their affine hull implicitly through the vertex list.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -19,17 +16,18 @@ from .errors import (DimensionMismatch, DimensionTooLarge, NotReflexive,
 MAX_RANK = 4
 
 
-@dataclass(frozen=True)
 class LatticePolytope:
     """Convex hull of finitely many points, stored by its exact vertex set.
 
     ``facets`` lists pairs (a, c) meaning a.x <= c with primitive integer a;
     it is populated only for full-dimensional polytopes.
     """
-    rank: int
-    vertices: tuple
-    dim: int
-    facets: tuple = ()
+
+    def __init__(self, rank, vertices, dim, facets=()):
+        self.rank = rank
+        self.vertices = vertices
+        self.dim = dim
+        self.facets = facets
 
     def __eq__(self, other):
         if not isinstance(other, LatticePolytope):

@@ -10,26 +10,33 @@ operator, the ``shifts`` record which inputs feed each output so the reliable
 region can be cut exactly.
 """
 
-from __future__ import annotations
-
 import os
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import factorial, floor, gcd, lcm, perm
 
 from . import exact_linalg as xl
-from .errors import (InMoriCone, NotInKernel, NotInRegion,
-                     TruncationTooLarge, WeightNotAmple)
-from .gkz import BoxOperator, EulerOperator
+from .errors import (ConfigError, InMoriCone, NotInKernel, NotInRegion,
+                     TruncationTooLarge)
+from .gkz import BoxOperator, EulerOperator, check_weight, weight_class
 from .toric import CohClass
 
 DEFAULT_MAX_TERMS = 100000
 
 
 def max_terms():
-    """Enumeration cap, configurable through GKZFRAC_MAX_TERMS."""
+    """Enumeration cap, configurable through GKZFRAC_MAX_TERMS: a positive
+    integer, or unset or empty for DEFAULT_MAX_TERMS."""
     value = os.environ.get("GKZFRAC_MAX_TERMS")
-    return int(value) if value else DEFAULT_MAX_TERMS
+    if not value:
+        return DEFAULT_MAX_TERMS
+    try:
+        cap = int(value)
+    except ValueError:
+        cap = 0
+    if cap <= 0:
+        raise ConfigError(
+            f"GKZFRAC_MAX_TERMS must be a positive integer, got {value!r}")
+    return cap
 
 
 # --- rational protagonists -------------------------------------------------------
@@ -144,34 +151,7 @@ def residue_oracle(sys, ell):
     return total
 
 
-# --- weights and slab enumeration ---------------------------------------------------
-
-def default_weight(sys):
-    """Integral lift of the sum of the ample-cone extreme rays."""
-    target = tuple(sum(col) for col in zip(*sys.kahler.rays))
-    return sys.lift_weight_class(target)
-
-
-def weight_class(sys, omega):
-    """Pairings of a weight vector with the relation-lattice basis."""
-    return tuple(xl.dot(omega, b) for b in sys.basis)
-
-
-def is_ample(sys, omega):
-    return all(xl.dot(omega, pc.ell_ext) > 0 for pc in sys.collections)
-
-
-def check_weight(sys, omega):
-    omega = tuple(Fraction(x) for x in omega)
-    if len(omega) != sys.nvars:
-        raise WeightNotAmple(
-            f"weight has {len(omega)} entries, expected {sys.nvars}")
-    if not is_ample(sys, omega):
-        raise WeightNotAmple(
-            "weight is not strictly positive on the curve cone; "
-            "series truncation would not terminate")
-    return omega
-
+# --- slab enumeration ------------------------------------------------------------
 
 def _slab(sys, omega, order, extra_rows):
     """Integer points of {ell in L_ext : constraints, weight deg <= order}."""
@@ -216,18 +196,24 @@ def coords_in_mori_cone(sys, coords):
 
 # --- the series container -------------------------------------------------------------
 
-@dataclass
 class LogSeries:
     """Truncated sum of c * x^(ell + alpha) * prod log(x_j)^(m_j)."""
-    alpha: tuple
-    weight: tuple
-    order: object
-    terms: dict = field(default_factory=dict)
-    shifts: tuple = None
 
-    def __post_init__(self):
-        if self.shifts is None:
-            self.shifts = ((0,) * len(self.alpha),)
+    def __init__(self, alpha, weight, order, terms=None, shifts=None):
+        self.alpha = alpha
+        self.weight = weight
+        self.order = order
+        self.terms = {} if terms is None else terms
+        self.shifts = ((0,) * len(alpha),) if shifts is None else shifts
+
+    def replace(self, **changes):
+        """A new series with the given fields changed and the others shared
+        with this one; the kept integer form is not carried over."""
+        fields = {"alpha": self.alpha, "weight": self.weight,
+                  "order": self.order, "terms": self.terms,
+                  "shifts": self.shifts}
+        fields.update(changes)
+        return LogSeries(**fields)
 
     def add_term(self, ell, logdeg, coeff):
         if coeff == 0:
@@ -314,7 +300,7 @@ def stack(series_list):
             if row is None:
                 row = rows[key] = [0] * len(series_list)
             row[i] = c
-    return replace(first, terms={key: tuple(row) for key, row in rows.items()})
+    return first.replace(terms={key: tuple(row) for key, row in rows.items()})
 
 
 # --- series builders --------------------------------------------------------------------
@@ -555,7 +541,7 @@ def apply_operator(op, s, twisted=False):
             coeffs = tuple(Fraction(v, d * scale) if v else 0
                            for v, d in zip(row, denoms))
             terms[key] = coeffs if stacked else coeffs[0]
-    return replace(s, shifts=shifts, terms=terms)
+    return s.replace(shifts=shifts, terms=terms)
 
 
 def _integers(values):
@@ -639,20 +625,14 @@ def vanishing_check_outside_mori(sys, ring, ell):
 
 # --- serialization ------------------------------------------------------------------------
 
-def fraction_str(x):
-    x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 \
-        else str(x.numerator)
-
-
 def series_to_dict(s):
     """JSON-ready dict of a rational series; rationals appear as exact
     strings."""
     return {
-        "alpha": [fraction_str(a) for a in s.alpha],
-        "weight": [fraction_str(w) for w in s.weight],
-        "order": fraction_str(s.order),
+        "alpha": [xl.fraction_str(a) for a in s.alpha],
+        "weight": [xl.fraction_str(w) for w in s.weight],
+        "order": xl.fraction_str(s.order),
         "terms": [{"l": list(ell), "logdeg": list(logdeg),
-                   "coeff": fraction_str(coeff)}
+                   "coeff": xl.fraction_str(coeff)}
                   for (ell, logdeg), coeff in s.sorted_items()],
     }

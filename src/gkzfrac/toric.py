@@ -5,9 +5,6 @@ inside the block.  The flattened ray list follows block order, and the
 extended point configuration appends one auxiliary point per block at j = 0.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -19,7 +16,6 @@ from .errors import (EmptyInterior, NotComplete, NotSmooth, RayNotPrimitive,
 
 # --- fan data ------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class FanData:
     """A complete smooth fan with rays grouped into nef-partition blocks.
 
@@ -27,12 +23,15 @@ class FanData:
     indices of block k (consecutive by construction).  ``max_cones`` are
     frozensets of ray indices.
     """
-    rank: int
-    rays: tuple
-    blocks: tuple
-    max_cones: tuple
-    name: str = ""
-    ample_weight: tuple = None
+
+    def __init__(self, rank, rays, blocks, max_cones, name="",
+                 ample_weight=None):
+        self.rank = rank
+        self.rays = rays
+        self.blocks = blocks
+        self.max_cones = max_cones
+        self.name = name
+        self.ample_weight = ample_weight
 
     @property
     def p(self):
@@ -126,9 +125,9 @@ def a_matrix(fan):
 
 # --- validation ------------------------------------------------------------------
 
-@dataclass
 class ValidationReport:
-    checks: list = field(default_factory=list)
+    def __init__(self):
+        self.checks = []
 
     def add(self, name, detail):
         self.checks.append((name, detail))
@@ -219,7 +218,6 @@ def _check_complete(fan):
 
 # --- primitive collections --------------------------------------------------------
 
-@dataclass(frozen=True)
 class PrimitiveCollection:
     """A minimal non-face together with its relation data.
 
@@ -228,12 +226,14 @@ class PrimitiveCollection:
     the auxiliary point of block i.  ``ell`` lives in the ray relation
     lattice, ``ell_ext`` in the extended one.
     """
-    rays: frozenset
-    sigma: frozenset
-    coeffs: tuple
-    c0: tuple
-    ell: tuple
-    ell_ext: tuple
+
+    def __init__(self, rays, sigma, coeffs, c0, ell, ell_ext):
+        self.rays = rays
+        self.sigma = sigma
+        self.coeffs = coeffs
+        self.c0 = c0
+        self.ell = ell
+        self.ell_ext = ell_ext
 
 
 def _is_face(fan, subset):
@@ -317,7 +317,6 @@ def stanley_reisner_ideal(collections):
 
 # --- cones in the relation lattice -------------------------------------------------
 
-@dataclass(frozen=True)
 class ConeDescription:
     """Rational polyhedral cone given by inequalities and extreme rays.
 
@@ -325,9 +324,11 @@ class ConeDescription:
     lattice basis: a weight class y satisfies y . g >= 0 for each inequality
     generator g, and ``rays`` are the primitive extreme generators.
     """
-    dim: int
-    inequalities: tuple
-    rays: tuple
+
+    def __init__(self, dim, inequalities, rays):
+        self.dim = dim
+        self.inequalities = inequalities
+        self.rays = rays
 
     def contains(self, y, strict=False):
         if strict:

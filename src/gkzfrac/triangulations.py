@@ -8,9 +8,6 @@ lattice ideal is reached from a kernel basis by saturating one variable at a
 time.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -23,10 +20,11 @@ GB_PAIR_CAP = 20000
 GB_BASIS_CAP = 2000
 
 
-@dataclass(frozen=True)
 class PointConfiguration:
     """The extended point set, indexed like the columns of the lifted matrix."""
-    points: tuple
+
+    def __init__(self, points):
+        self.points = points
 
     @classmethod
     def from_system(cls, sys):
@@ -41,11 +39,12 @@ class PointConfiguration:
         return len(self.points)
 
 
-@dataclass(frozen=True)
 class Triangulation:
     """Top-dimensional simplices given by point index tuples."""
-    simplices: tuple
-    weight: tuple = None
+
+    def __init__(self, simplices, weight=None):
+        self.simplices = simplices
+        self.weight = weight
 
     def simplex_set(self):
         return {frozenset(s) for s in self.simplices}
@@ -54,11 +53,12 @@ class Triangulation:
         return sorted({i for s in self.simplices for i in s})
 
 
-@dataclass(frozen=True)
 class Subdivision:
     """A regular subdivision with at least one non-simplex cell."""
-    cells: tuple
-    weight: tuple = None
+
+    def __init__(self, cells, weight=None):
+        self.cells = cells
+        self.weight = weight
 
 
 def maximal_triangulation(sys, fan):
@@ -178,10 +178,11 @@ def secondary_cone(sys, pc, tri):
 
 # --- binomial Groebner bases -----------------------------------------------------
 
-@dataclass(frozen=True)
 class TermOrder:
     """Matrix term order: compare weight rows lexicographically."""
-    rows: tuple
+
+    def __init__(self, rows):
+        self.rows = rows
 
     def key(self, mono):
         return tuple(xl.dot(row, mono) for row in self.rows)
@@ -208,12 +209,13 @@ def grevlex_last_order(nvars, last):
     return TermOrder(rows=tuple(rows))
 
 
-@dataclass(frozen=True)
 class BinomialIdeal:
     """Reduced Groebner generators y^u - y^v with u the leading exponent."""
-    generators: tuple
-    weight: tuple
-    nvars: int
+
+    def __init__(self, generators, weight, nvars):
+        self.generators = generators
+        self.weight = weight
+        self.nvars = nvars
 
     def leading_exponents(self):
         return [u for u, _v in self.generators]

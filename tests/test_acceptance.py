@@ -32,7 +32,7 @@ def closed_form_coefficient(k):
 def test_criterion_1_elliptic_period_coefficients():
     started = time.perf_counter()
     sys = gkz.build_system(p1_fan())
-    omega = se.default_weight(sys)
+    omega = gkz.default_weight(sys)
     period = se.normalized_period_series(sys, omega, 8)
     chart = dg.subdivide_kahler_cone(sys)[0]
     z = dg.period_in_chart(chart, period)
@@ -72,7 +72,7 @@ def test_criterion_3_annihilation_suite():
         fan = CORPUS[name]()
         sys = gkz.build_system(fan)
         ring = toric.cohomology_ring(fan, sys.collections)
-        omega = se.default_weight(sys)
+        omega = gkz.default_weight(sys)
         alpha = gkz.canonical_alpha(sys)
         gamma = se.gamma_series(sys, alpha, omega, order)
         b = se.b_series(sys, ring, omega, order)
@@ -95,7 +95,7 @@ def test_criterion_4_groebner_correspondence():
     for name in ACCEPTANCE_FANS:
         fan = CORPUS[name]()
         sys = gkz.build_system(fan)
-        omega = se.default_weight(sys)
+        omega = gkz.default_weight(sys)
         assert tr.minimal_gb_is_primitive_collections(sys, fan, omega)
         ideal = tr.toric_groebner_basis(sys, omega)
         candidates = tr.primitive_collection_binomials(sys, omega)
@@ -118,7 +118,7 @@ def test_criterion_5_maximal_degeneracy_certificates():
         ring = toric.cohomology_ring(fan, sys.collections)
         charts = dg.subdivide_kahler_cone(sys)
         assert charts, "no chart produced"
-        omega = se.default_weight(sys)
+        omega = gkz.default_weight(sys)
         period = se.normalized_period_series(sys, omega, 8)
         b = se.b_series(sys, ring, omega, 8)
         for chart in charts:

@@ -1,12 +1,14 @@
 """Every cap fails loudly: forced one at a time, each raises its typed error
 with the cap's name in the message."""
 
+import re
+
 import pytest
 
 from conftest import CORPUS
 from gkzfrac import degeneracy as dg, gkz, series as se
 from gkzfrac import triangulations as tr
-from gkzfrac.errors import (NonTermination, SubdivisionFailed,
+from gkzfrac.errors import (ConfigError, NonTermination, SubdivisionFailed,
                             TruncationTooLarge)
 
 
@@ -21,7 +23,30 @@ def test_slab_names_max_terms(monkeypatch):
     sys = gkz.build_system(CORPUS["p1"]())
     monkeypatch.setenv("GKZFRAC_MAX_TERMS", "2")
     with pytest.raises(TruncationTooLarge, match="GKZFRAC_MAX_TERMS"):
-        se.region_slab(sys, se.default_weight(sys), 8)
+        se.region_slab(sys, gkz.default_weight(sys), 8)
+
+
+@pytest.mark.parametrize("value", ["abc", "-5", "0", "2.5", " "])
+def test_bad_max_terms_is_a_typed_error(value, monkeypatch):
+    # a cap that is not a positive integer is refused, not used or crashed on
+    monkeypatch.setenv("GKZFRAC_MAX_TERMS", value)
+    message = f"GKZFRAC_MAX_TERMS must be a positive integer, got {value!r}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        se.max_terms()
+    sys = gkz.build_system(CORPUS["p1"]())
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        se.region_slab(sys, gkz.default_weight(sys), 8)
+
+
+@pytest.mark.parametrize("value,cap", [(None, se.DEFAULT_MAX_TERMS),
+                                       ("", se.DEFAULT_MAX_TERMS),
+                                       ("7", 7)])
+def test_max_terms_reads_a_positive_integer(value, cap, monkeypatch):
+    if value is None:
+        monkeypatch.delenv("GKZFRAC_MAX_TERMS", raising=False)
+    else:
+        monkeypatch.setenv("GKZFRAC_MAX_TERMS", value)
+    assert se.max_terms() == cap
 
 
 def test_unbounded_slab_does_not_blame_max_terms():
@@ -37,7 +62,7 @@ def test_unbounded_slab_does_not_blame_max_terms():
 def test_buchberger_names_its_cap(cap, value, monkeypatch):
     # f1 needs S-pairs that reduce to new binomials before it closes up
     sys = gkz.build_system(CORPUS["f1"]())
-    omega = se.default_weight(sys)
+    omega = gkz.default_weight(sys)
     assert tr.toric_groebner_basis(sys, omega).generators
     monkeypatch.setattr(tr, cap, value)
     with pytest.raises(NonTermination, match=cap):

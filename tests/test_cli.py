@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -71,6 +72,27 @@ def test_parse_cone_index_out_of_range(tmp_path):
     with pytest.raises(SemanticError) as err:
         cli.parse_input(str(path))
     assert "7" in str(err.value)
+
+
+P1_DOCUMENT = {"name": "x", "rank": 1, "rays": [[1], [-1]],
+               "max_cones": [[0], [1]], "nef_partition": [[0, 1]]}
+
+
+@pytest.mark.parametrize("field,value,pointer", [
+    ("rank", True, "/rank"),
+    ("rays", [[True], [-1]], "/rays/0"),
+    ("max_cones", [[False], [1]], "/max_cones/0"),
+    ("nef_partition", [[0, True]], "/nef_partition/0"),
+    ("ample_weight", [0, True, 1], "/ample_weight"),
+    ("order", True, "/order"),
+])
+def test_parse_rejects_json_booleans(field, value, pointer, tmp_path):
+    # bool is an int subclass in Python; JSON true and false are not integers
+    path = tmp_path / "bools.json"
+    path.write_text(json.dumps({**P1_DOCUMENT, field: value}))
+    with pytest.raises(SchemaError) as err:
+        cli.parse_input(str(path))
+    assert str(err.value).endswith(f" at {pointer}")
 
 
 # --- commands in process -----------------------------------------------------------
@@ -173,6 +195,15 @@ def test_cli_term_cap(tmp_path):
     assert "TruncationTooLarge" in result.stderr
 
 
+def test_cli_bad_term_cap_is_usage_error():
+    result = run_cli(["series", cli.fixture_path("p1"), "--order", "8"],
+                     env_extra={"GKZFRAC_MAX_TERMS": "abc"})
+    assert result.returncode == 2
+    assert result.stderr == ("gkzfrac: input error: GKZFRAC_MAX_TERMS must be "
+                             "a positive integer, got 'abc'\n")
+    assert not result.stdout
+
+
 def test_cli_out_file(tmp_path):
     out = tmp_path / "report.json"
     result = run_cli(["fans", cli.fixture_path("f1"), "--out", str(out)])
@@ -228,45 +259,67 @@ def test_cli_invalid_fan_exit_1(tmp_path):
 
 # --- what each command loads ------------------------------------------------------------
 
-# Run one command as the console script would, then print the package modules
-# the interpreter holds.
+# Run one command as the console script would, then print every module the
+# interpreter holds.
 MODULES_AFTER = (
     "import sys\n"
     "from gkzfrac.cli import main\n"
     "code = main(sys.argv[1:])\n"
-    "print(' '.join(sorted(m for m in sys.modules if m.startswith('gkzfrac.'))))\n"
+    "print(*sorted(sys.modules))\n"
     "sys.exit(code)\n")
 
 _VALIDATE = {"cli", "errors", "exact_linalg", "toric"}
-_INSTANCE = _VALIDATE | {"gkz", "instance", "series"}
+_INSTANCE = _VALIDATE | {"gkz", "instance"}
 COMMAND_MODULES = {
     "validate": _VALIDATE,
     "system": _INSTANCE,
     "cohomology": _INSTANCE,
-    "series": _INSTANCE,
-    "bseries": _INSTANCE,
+    "series": _INSTANCE | {"series"},
+    "bseries": _INSTANCE | {"series"},
     "fans": _INSTANCE | {"triangulations"},
     "groebner": _INSTANCE | {"triangulations"},
-    "degeneracy": _INSTANCE | {"degeneracy"},
-    "check-all": _INSTANCE | {"triangulations", "degeneracy", "polytopes",
-                              "checks"},
+    "degeneracy": _INSTANCE | {"series", "degeneracy"},
+    "check-all": _INSTANCE | {"series", "triangulations", "degeneracy",
+                              "polytopes", "checks"},
 }
 
+# Standard modules that build code at run time (``dataclasses`` and what it
+# imports to do so); a cold job that loads them pays for it on every run.
+CODE_BUILDERS = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 
-def loaded_modules(code, *args):
+
+def all_modules(code, *args):
     result = subprocess.run([_sysmod.executable, "-c", code, *args],
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    return {m.removeprefix("gkzfrac.") for m in result.stdout.split()}
+    return set(result.stdout.split())
+
+
+def loaded_modules(code, *args):
+    return {m.removeprefix("gkzfrac.") for m in all_modules(code, *args)
+            if m.startswith("gkzfrac.")}
+
+
+@functools.lru_cache(maxsize=None)
+def modules_after_command(cmd):
+    return all_modules(MODULES_AFTER, cmd, cli.fixture_path("p2"),
+                       "--out", os.devnull)
 
 
 @pytest.mark.parametrize("cmd", cli.COMMANDS)
-def test_command_loads_only_its_layers(cmd, tmp_path):
+def test_command_loads_only_its_layers(cmd):
     # a module a command does not run costs every cold job its compile time
-    out = str(tmp_path / "report.json")
-    loaded = loaded_modules(MODULES_AFTER, cmd, cli.fixture_path("p2"),
-                            "--out", out)
+    loaded = {m.removeprefix("gkzfrac.") for m in modules_after_command(cmd)
+              if m.startswith("gkzfrac.")}
     assert loaded == COMMAND_MODULES[cmd]
+
+
+@pytest.mark.parametrize("cmd", cli.COMMANDS)
+def test_command_imports_no_code_builder(cmd):
+    bare = all_modules("import sys\nprint(*sys.modules)\n")
+    added = modules_after_command(cmd) - bare
+    assert "gkzfrac.cli" in added
+    assert not added & CODE_BUILDERS, sorted(added & CODE_BUILDERS)
 
 
 def test_module_map_covers_every_command_and_module():

@@ -15,11 +15,11 @@ def system(fan_maker):
 
 
 def period(sys, order):
-    return se.normalized_period_series(sys, se.default_weight(sys), order)
+    return se.normalized_period_series(sys, gkz.default_weight(sys), order)
 
 
 def b_series(sys, ring, order):
-    return se.b_series(sys, ring, se.default_weight(sys), order)
+    return se.b_series(sys, ring, gkz.default_weight(sys), order)
 
 
 # --- charts -----------------------------------------------------------------------
@@ -66,7 +66,7 @@ def test_chart_basis_unimodular(corpus_fan):
 def test_period_in_chart_p1():
     sys = system(p1_fan)
     chart = dg.subdivide_kahler_cone(sys)[0]
-    period = se.normalized_period_series(sys, se.default_weight(sys), 8)
+    period = se.normalized_period_series(sys, gkz.default_weight(sys), 8)
     z = dg.period_in_chart(chart, period)
     assert z.coefficient((0,)) == 1
     assert z.coefficient((1,)) == Fraction(3, 4)
@@ -78,7 +78,7 @@ def test_period_in_chart_p1():
 def test_period_in_chart_p2_signs():
     sys = system(p2_fan)
     chart = dg.subdivide_kahler_cone(sys)[0]
-    period = se.normalized_period_series(sys, se.default_weight(sys), 6)
+    period = se.normalized_period_series(sys, gkz.default_weight(sys), 6)
     z = dg.period_in_chart(chart, period)
     assert z.coefficient((0,)) == 1
     assert z.coefficient((1,)) == Fraction(-15, 8)
@@ -89,7 +89,7 @@ def test_period_in_chart_trivial_series():
     sys = system(p1_fan)
     chart = dg.subdivide_kahler_cone(sys)[0]
     s = se.LogSeries(alpha=gkz.canonical_alpha(sys),
-                     weight=tuple(Fraction(x) for x in se.default_weight(sys)),
+                     weight=tuple(Fraction(x) for x in gkz.default_weight(sys)),
                      order=0)
     s.add_term((0, 0, 0), (0, 0, 0), Fraction(1))
     z = dg.period_in_chart(chart, s)
@@ -100,7 +100,7 @@ def test_period_in_chart_negative_exponent():
     sys = system(p1_fan)
     chart = dg.subdivide_kahler_cone(sys)[0]
     s = se.LogSeries(alpha=gkz.canonical_alpha(sys),
-                     weight=tuple(Fraction(x) for x in se.default_weight(sys)),
+                     weight=tuple(Fraction(x) for x in gkz.default_weight(sys)),
                      order=4)
     s.add_term((2, -1, -1), (0, 0, 0), Fraction(1))
     with pytest.raises(NegativeExponent):
@@ -111,7 +111,7 @@ def test_region_decomposes_in_chart(corpus_fan):
     """Every summation-region vector has nonnegative chart coordinates."""
     sys = gkz.build_system(corpus_fan)
     chart = dg.subdivide_kahler_cone(sys)[0]
-    omega = se.default_weight(sys)
+    omega = gkz.default_weight(sys)
     for ell in se.region_slab(sys, omega, 8):
         m = dg.chart_coordinates(chart, ell)
         assert all(x >= 0 for x in m)
@@ -123,7 +123,7 @@ def test_chart_pairings_unit_matches_period_p1():
     sys = system(p1_fan)
     ring = toric.cohomology_ring(sys.fan, sys.collections)
     chart = dg.subdivide_kahler_cone(sys)[0]
-    omega = se.default_weight(sys)
+    omega = gkz.default_weight(sys)
     pairings = dg.chart_pairings(sys, ring, chart, b_series(sys, ring, 6))
     period = dg.period_in_chart(
         chart, se.normalized_period_series(sys, omega, 6))
@@ -178,7 +178,7 @@ def test_chart_pairings_match_the_slab_walk(name, order):
     # re-expanding the B-series gives what the Mori-slab walk gives
     sys = system(INSTANCES[name])
     ring = toric.cohomology_ring(sys.fan, sys.collections)
-    omega = se.default_weight(sys)
+    omega = gkz.default_weight(sys)
     b = se.b_series(sys, ring, omega, order)
     for chart in dg.subdivide_kahler_cone(sys):
         pairings = dg.chart_pairings(sys, ring, chart, b)

@@ -113,7 +113,7 @@ def test_weight_rule():
     # the weight passed in, else the fan's own, else the default lift
     plain = CORPUS["p2"]()
     sys = gkz.build_system(plain)
-    default = se.check_weight(sys, se.default_weight(sys))
+    default = gkz.check_weight(sys, gkz.default_weight(sys))
     assert checks.Instance(plain, 4).omega == default
     weighted = toric.make_fan(plain.rank, plain.rays, plain.max_cones,
                               [[0, 1, 2]], ample_weight=(0, 2, 2, 2))

@@ -19,7 +19,6 @@ replaced, and a stacked pass must give, component by component, the terms
 of the scalar passes.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -35,7 +34,7 @@ ORDER = {"p1p1p1_r1": 4, "p1p1p1_r3": 4, "surface5": 5, "surface8": 5}
 
 def differentiate(s, pos):
     """Formal partial derivative in slot ``pos``."""
-    out = replace(s, terms={})
+    out = s.replace(terms={})
     for (ell, logdeg), coeff in s.terms.items():
         gamma = s.alpha[pos] + ell[pos]
         shifted = tuple(e - (1 if j == pos else 0) for j, e in enumerate(ell))
@@ -49,7 +48,7 @@ def differentiate(s, pos):
 
 
 def scale(s, c):
-    out = replace(s, terms={})
+    out = s.replace(terms={})
     for key, coeff in s.terms.items():
         out.add_term(key[0], key[1], coeff * c)
     return out
@@ -57,7 +56,7 @@ def scale(s, c):
 
 def subtract(s, other):
     assert s.alpha == other.alpha
-    out = replace(s, terms=dict(s.terms))
+    out = s.replace(terms=dict(s.terms))
     for (ell, logdeg), coeff in other.terms.items():
         out.add_term(ell, logdeg, -1 * coeff)
     return out
@@ -109,7 +108,7 @@ def test_box_equals_reference_on_reliable_region(inst):
     wrong = wrong_alpha(inst.sys)
     nonzero = 0
     for _name, s in targets(inst):
-        for series in (s, replace(s, alpha=wrong)):
+        for series in (s, s.replace(alpha=wrong)):
             for op in inst.sys.box_operators():
                 assert_box_matches_reference(op, series)
                 nonzero += bool(se.apply_operator(op, series).terms)
@@ -120,7 +119,7 @@ def test_box_equals_reference_on_reliable_region(inst):
 def p1_series():
     sys = gkz.build_system(p1_fan())
     s = se.LogSeries(alpha=gkz.canonical_alpha(sys),
-                     weight=tuple(Fraction(x) for x in se.default_weight(sys)),
+                     weight=tuple(Fraction(x) for x in gkz.default_weight(sys)),
                      order=4)
     return sys, s
 
@@ -143,7 +142,7 @@ def test_operator_pass_follows_changed_terms():
     """The integer form kept between passes is rebuilt when a coefficient
     changes in place or a term is added."""
     sys, s = p1_series()
-    s = replace(s, alpha=wrong_alpha(sys))
+    s = s.replace(alpha=wrong_alpha(sys))
     s.add_term((-2, 1, 1), (0, 0, 0), Fraction(5))
     op = next(op for op in sys.euler_operators()
               if se.apply_operator(op, s).terms)
@@ -153,6 +152,23 @@ def test_operator_pass_follows_changed_terms():
         key: c * Fraction(7, 5) for key, c in before.items()}
     s.add_term((-4, 2, 2), (0, 0, 0), Fraction(1))
     assert ((-4, 2, 2), (0, 0, 0)) in se.apply_operator(op, s).terms
+
+
+def test_replaced_series_does_not_inherit_integer_form():
+    """``replace`` builds a new series: the parent's kept integer form stays
+    behind, and the new series' form is that of its own terms."""
+    _sys, s = p1_series()
+    s.add_term((-2, 1, 1), (0, 0, 0), Fraction(5))
+    parent_form = s.integer_form()
+    child = s.replace(terms={((-2, 1, 1), (0, 0, 0)): Fraction(7, 3),
+                             ((-4, 2, 2), (0, 0, 0)): Fraction(1, 2)})
+    assert child.alpha is s.alpha and child.shifts is s.shifts
+    assert "_integer_form" not in vars(child)
+    assert child.integer_form() == (False, [6], {
+        (-2, 1, 1): [((0, 0, 0), ((0, 14),))],
+        (-4, 2, 2): [((0, 0, 0), ((0, 3),))]})
+    assert s.integer_form() == parent_form == (False, [1], {
+        (-2, 1, 1): [((0, 0, 0), ((0, 5),))]})
 
 
 def reliable_positions(op, s):
@@ -190,7 +206,7 @@ def test_stacked_pass_equals_scalar_passes(inst):
     ops = inst.sys.euler_operators() + inst.sys.box_operators()
     nonzero = 0
     for alpha in (inst.sys.alpha, wrong):
-        series = [replace(s, alpha=alpha) for _name, s in targets(inst)]
+        series = [s.replace(alpha=alpha) for _name, s in targets(inst)]
         stacked = se.stack(series)
         for op in ops:
             for twisted in (False, True):
@@ -212,10 +228,10 @@ def test_stack_rejects_mismatched_series():
     sys, s = p1_series()
     s.add_term((-2, 1, 1), (0, 0, 0), Fraction(5))
     assert se.stack([s, s]).terms == {((-2, 1, 1), (0, 0, 0)): (5, 5)}
-    for other in (replace(s, alpha=(Fraction(-1, 3),) + s.alpha[1:]),
-                  replace(s, weight=tuple(2 * w for w in s.weight)),
-                  replace(s, order=5),
-                  replace(s, shifts=((0, 1, 1), (2, 0, 0)))):
+    for other in (s.replace(alpha=(Fraction(-1, 3),) + s.alpha[1:]),
+                  s.replace(weight=tuple(2 * w for w in s.weight)),
+                  s.replace(order=5),
+                  s.replace(shifts=((0, 1, 1), (2, 0, 0)))):
         with pytest.raises(ValueError):
             se.stack([s, other])
 

@@ -270,7 +270,7 @@ def _log_expanded_b_series(sys, ring, omega, order):
     """The B-series with x^D expanded term by term: every nonzero product
     class times every log class, as one cohomology-valued series."""
     logs = se.log_part(ring, divisor_classes(sys, ring), sys.n)
-    s = se.LogSeries(alpha=sys.alpha, weight=se.check_weight(sys, omega),
+    s = se.LogSeries(alpha=sys.alpha, weight=gkz.check_weight(sys, omega),
                      order=order)
     for ell in se.mori_slab(sys, omega, order):
         base = se.o_class(sys, ring, ell)
@@ -299,7 +299,7 @@ def test_pair_with_dual_matches_per_functional_walk(name):
     fan = INSTANCES[name]()
     sys = gkz.build_system(fan)
     ring = toric.cohomology_ring(fan, sys.collections)
-    omega = se.default_weight(sys)
+    omega = gkz.default_weight(sys)
     b = se.b_series(sys, ring, omega, 4)
     pairings = se.pair_with_dual(ring, b, divisor_classes(sys, ring))
     expected = _split_by_coordinate(

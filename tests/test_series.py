@@ -139,7 +139,7 @@ def unpruned_residue_oracle(sys, ell):
 
 def assert_oracle_matches(fan, order):
     sys = gkz.build_system(fan)
-    slab = se.region_slab(sys, se.default_weight(sys), order)
+    slab = se.region_slab(sys, gkz.default_weight(sys), order)
     assert slab
     for ell in slab:
         value = se.residue_oracle(sys, ell)
@@ -166,7 +166,7 @@ def test_oracle_off_degree_vanishes(name):
     sys = gkz.build_system(INSTANCES[name]())
     aux = sys.aux_positions()
     tested = 0
-    for ell in se.region_slab(sys, se.default_weight(sys), 3):
+    for ell in se.region_slab(sys, gkz.default_weight(sys), 3):
         moved = [tuple(e + step * (j == pos) for j, e in enumerate(ell))
                  for pos in aux for step in (-1, 1) if ell[pos] + step <= 0]
         if any(ell[pos] for pos in aux):
@@ -183,8 +183,8 @@ def test_oracle_off_degree_vanishes(name):
 
 def test_default_weight_is_ample(corpus_fan):
     sys = gkz.build_system(corpus_fan)
-    omega = se.default_weight(sys)
-    assert se.is_ample(sys, omega)
+    omega = gkz.default_weight(sys)
+    assert gkz.is_ample(sys, omega)
 
 
 def test_non_ample_weight_rejected():
@@ -197,7 +197,7 @@ def test_non_ample_weight_rejected():
 
 def test_gamma_p1_coefficients():
     sys = system(p1_fan)
-    omega = se.default_weight(sys)
+    omega = gkz.default_weight(sys)
     s = se.gamma_series(sys, gkz.canonical_alpha(sys), omega, 4)
     zero = (0, 0, 0)
     assert s.coefficient(zero) == 1
@@ -207,14 +207,14 @@ def test_gamma_p1_coefficients():
 
 def test_gamma_p2_first_term():
     sys = system(p2_fan)
-    omega = se.default_weight(sys)
+    omega = gkz.default_weight(sys)
     s = se.gamma_series(sys, gkz.canonical_alpha(sys), omega, 3)
     assert s.coefficient((-3, 1, 1, 1)) == Fraction(-15, 8)
 
 
 def test_gamma_sign_is_phi_twist(corpus_fan):
     sys = gkz.build_system(corpus_fan)
-    omega = se.default_weight(sys)
+    omega = gkz.default_weight(sys)
     aux = sys.aux_positions()
     for ell in se.region_slab(sys, omega, 6):
         sign = (-1) ** (sum(ell[j] for j in aux) % 2)
@@ -226,7 +226,7 @@ def test_gamma_sign_is_phi_twist(corpus_fan):
 
 def test_period_series_p1():
     sys = system(p1_fan)
-    omega = se.default_weight(sys)
+    omega = gkz.default_weight(sys)
     s = se.normalized_period_series(sys, omega, 8)
     assert s.coefficient((0, 0, 0)) == 1
     assert s.coefficient((-2, 1, 1)) == Fraction(3, 4)
@@ -237,14 +237,14 @@ def test_period_series_p1():
 
 def test_period_series_order_zero():
     sys = system(p1_fan)
-    s = se.normalized_period_series(sys, se.default_weight(sys), 0)
+    s = se.normalized_period_series(sys, gkz.default_weight(sys), 0)
     assert list(s.terms) == [((0, 0, 0), (0, 0, 0))]
     assert s.coefficient((0, 0, 0)) == 1
 
 
 def test_period_series_p1xp1_product_structure():
     sys = system(p1xp1_fan_r2)
-    omega = se.default_weight(sys)
+    omega = gkz.default_weight(sys)
     s = se.normalized_period_series(sys, omega, 4)
     ell = (-2, 1, 1, -2, 1, 1)
     assert s.coefficient(ell) == Fraction(9, 16)
@@ -277,7 +277,7 @@ def test_o_class_p2_scalar_part():
 def test_o_scalar_equals_gamma_coefficient(corpus_fan):
     sys = gkz.build_system(corpus_fan)
     ring = toric.cohomology_ring(corpus_fan, sys.collections)
-    omega = se.default_weight(sys)
+    omega = gkz.default_weight(sys)
     for ell in se.region_slab(sys, omega, 5):
         assert se.o_class(sys, ring, ell).scalar_part() == \
             se.gamma_coefficient(sys, ell)
@@ -286,7 +286,7 @@ def test_o_scalar_equals_gamma_coefficient(corpus_fan):
 def test_b_series_unit_term():
     sys = system(p1_fan)
     ring = toric.cohomology_ring(sys.fan, sys.collections)
-    s = se.b_series(sys, ring, se.default_weight(sys), 4)
+    s = se.b_series(sys, ring, gkz.default_weight(sys), 4)
     zero = (0, 0, 0)
     assert s.coefficient(zero, zero) == ring.one()
     # log-linear slot carries the divisor class of that slot
@@ -313,7 +313,7 @@ def test_b_series_keeps_only_the_product_classes(name):
 def test_pairing_with_unit_is_log_free(corpus_fan):
     sys = gkz.build_system(corpus_fan)
     ring = toric.cohomology_ring(corpus_fan, sys.collections)
-    s = se.b_series(sys, ring, se.default_weight(sys), 5)
+    s = se.b_series(sys, ring, gkz.default_weight(sys), 5)
     unit_dual = se.pair_with_dual(ring, s, divisor_classes(sys, ring))[0]
     assert unit_dual.is_log_free()
     # and it reproduces the gamma series coefficients
@@ -325,7 +325,7 @@ def test_pairing_with_unit_is_log_free(corpus_fan):
 def test_pairing_with_point_dual_p1():
     sys = system(p1_fan)
     ring = toric.cohomology_ring(sys.fan, sys.collections)
-    s = se.b_series(sys, ring, se.default_weight(sys), 6)
+    s = se.b_series(sys, ring, gkz.default_weight(sys), 6)
     pairings = se.pair_with_dual(ring, s, divisor_classes(sys, ring))
     top, unit = pairings[-1], pairings[0]
     # log-linear parts in the two ray slots match the unit pairing exactly,
@@ -340,7 +340,7 @@ def test_pairing_with_point_dual_p1():
 
 def test_euler_kills_single_term():
     sys = system(p1_fan)
-    omega = se.default_weight(sys)
+    omega = gkz.default_weight(sys)
     s = se.LogSeries(alpha=gkz.canonical_alpha(sys), weight=tuple(
         Fraction(x) for x in omega), order=4)
     s.add_term((-2, 1, 1), (0, 0, 0), Fraction(5))
@@ -354,7 +354,7 @@ def apply_is_zero(op, s, twisted=False):
 
 def test_box_kills_period_series_p1():
     sys = system(p1_fan)
-    s = se.normalized_period_series(sys, se.default_weight(sys), 8)
+    s = se.normalized_period_series(sys, gkz.default_weight(sys), 8)
     box = sys.box_operators()[0]
     assert apply_is_zero(box, s, twisted=True)
 
@@ -362,7 +362,7 @@ def test_box_kills_period_series_p1():
 def test_operator_on_zero_series():
     sys = system(p1_fan)
     s = se.LogSeries(alpha=gkz.canonical_alpha(sys),
-                     weight=tuple(Fraction(x) for x in se.default_weight(sys)),
+                     weight=tuple(Fraction(x) for x in gkz.default_weight(sys)),
                      order=4)
     for op in sys.euler_operators() + sys.box_operators():
         assert apply_is_zero(op, s)
@@ -371,7 +371,7 @@ def test_operator_on_zero_series():
 def test_annihilation_suite(corpus_fan):
     sys = gkz.build_system(corpus_fan)
     ring = toric.cohomology_ring(corpus_fan, sys.collections)
-    omega = se.default_weight(sys)
+    omega = gkz.default_weight(sys)
     order = 8
     alpha = gkz.canonical_alpha(sys)
     gamma = se.gamma_series(sys, alpha, omega, order)
@@ -439,7 +439,7 @@ def test_b_series_support_inside_mori(corpus_fan):
 def test_pairings_linearly_independent(corpus_fan):
     sys = gkz.build_system(corpus_fan)
     ring = toric.cohomology_ring(corpus_fan, sys.collections)
-    b = se.b_series(sys, ring, se.default_weight(sys), 6)
+    b = se.b_series(sys, ring, gkz.default_weight(sys), 6)
     pairings = se.pair_with_dual(ring, b, divisor_classes(sys, ring))
     keys = sorted({key for s in pairings for key in s.terms})
     matrix = [tuple(s.terms.get(key, Fraction(0)) for key in keys)
@@ -451,7 +451,7 @@ def test_pairings_linearly_independent(corpus_fan):
 
 def test_series_json_roundtrip():
     sys = system(p1_fan)
-    s = se.normalized_period_series(sys, se.default_weight(sys), 6)
+    s = se.normalized_period_series(sys, gkz.default_weight(sys), 6)
     blob = json.dumps(se.series_to_dict(s), sort_keys=True)
     data = json.loads(blob)
     restored = {(tuple(t["l"]), tuple(t["logdeg"])): Fraction(t["coeff"])
@@ -462,5 +462,5 @@ def test_series_json_roundtrip():
 
 
 def test_fraction_str():
-    assert se.fraction_str(Fraction(105, 64)) == "105/64"
-    assert se.fraction_str(Fraction(3)) == "3"
+    assert xl.fraction_str(Fraction(105, 64)) == "105/64"
+    assert xl.fraction_str(Fraction(3)) == "3"

@@ -39,7 +39,7 @@ def test_threefold_r3_structure():
     assert len(sys.basis) == 3
     ring = toric.cohomology_ring(fan, sys.collections)
     assert ring.dim == 8
-    omega = se.default_weight(sys)
+    omega = gkz.default_weight(sys)
     # the product structure shows in the period coefficients
     ell = sys.from_basis_coords((1, 1, 1))
     assert se.period_coefficient_C(sys, ell) == Fraction(27, 64)

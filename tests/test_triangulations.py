@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import CORPUS, f1_fan, p1_fan, p1xp1_fan_r2, p2_fan
-from gkzfrac import gkz, series as se, toric, triangulations as tr
+from gkzfrac import gkz, toric, triangulations as tr
 from gkzfrac import exact_linalg as xl
 from gkzfrac.errors import DegenerateSimplex, NotRegular
 
@@ -94,7 +94,7 @@ def test_subdivision_zero_weight():
 def test_ample_weight_induces_tmax(corpus_fan):
     sys = gkz.build_system(corpus_fan)
     pc = tr.PointConfiguration.from_system(sys)
-    omega = se.default_weight(sys)
+    omega = gkz.default_weight(sys)
     result = tr.regular_subdivision(pc, omega)
     assert isinstance(result, tr.Triangulation)
     assert result.simplex_set() == tmax(sys).simplex_set()
@@ -161,7 +161,7 @@ def test_volume_rejects_degenerate_simplex():
 
 def test_gb_p1():
     sys = system(p1_fan)
-    omega = se.default_weight(sys)
+    omega = gkz.default_weight(sys)
     ideal = tr.toric_groebner_basis(sys, omega)
     assert ideal.generators == (((0, 1, 1), (2, 0, 0)),)
     assert ideal.leading_exponents() == [(0, 1, 1)]
@@ -169,13 +169,13 @@ def test_gb_p1():
 
 def test_gb_p2():
     sys = system(p2_fan)
-    ideal = tr.toric_groebner_basis(sys, se.default_weight(sys))
+    ideal = tr.toric_groebner_basis(sys, gkz.default_weight(sys))
     assert ideal.generators == (((0, 1, 1, 1), (3, 0, 0, 0)),)
 
 
 def test_gb_p1xp1():
     sys = system(p1xp1_fan_r2)
-    ideal = tr.toric_groebner_basis(sys, se.default_weight(sys))
+    ideal = tr.toric_groebner_basis(sys, gkz.default_weight(sys))
     assert set(ideal.leading_exponents()) == {
         (0, 1, 1, 0, 0, 0), (0, 0, 0, 0, 1, 1)}
     assert len(ideal.generators) == 2
@@ -183,7 +183,7 @@ def test_gb_p1xp1():
 
 def test_gb_f1():
     sys = system(f1_fan)
-    ideal = tr.toric_groebner_basis(sys, se.default_weight(sys))
+    ideal = tr.toric_groebner_basis(sys, gkz.default_weight(sys))
     gens = set(ideal.generators)
     assert ((0, 1, 0, 1, 0), (1, 0, 1, 0, 0)) in gens
     assert ((0, 0, 1, 0, 1), (2, 0, 0, 0, 0)) in gens
@@ -192,7 +192,7 @@ def test_gb_f1():
 
 def test_gb_matches_primitive_collections(corpus_fan):
     sys = gkz.build_system(corpus_fan)
-    omega = se.default_weight(sys)
+    omega = gkz.default_weight(sys)
     ideal = tr.toric_groebner_basis(sys, omega)
     candidates = tr.primitive_collection_binomials(sys, omega)
     assert sorted(ideal.generators) == sorted(candidates)
@@ -200,20 +200,20 @@ def test_gb_matches_primitive_collections(corpus_fan):
 
 def test_minimal_gb_check(corpus_fan):
     sys = gkz.build_system(corpus_fan)
-    omega = se.default_weight(sys)
+    omega = gkz.default_weight(sys)
     assert tr.minimal_gb_is_primitive_collections(sys, sys.fan, omega)
 
 
 def test_leading_term_is_collection_side(corpus_fan):
     sys = gkz.build_system(corpus_fan)
-    omega = se.default_weight(sys)
+    omega = gkz.default_weight(sys)
     for pc in sys.collections:
         assert xl.dot(omega, pc.ell_ext) > 0
 
 
 def test_buchberger_reduces_spair_disjoint_supports():
     sys = system(p1xp1_fan_r2)
-    omega = se.default_weight(sys)
+    omega = gkz.default_weight(sys)
     order = tr.weight_order(omega, sys.nvars)
     gens = [xl.split_positive_negative(b) for b in sys.basis]
     basis = tr.buchberger(gens, order)
