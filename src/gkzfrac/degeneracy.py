@@ -72,22 +72,14 @@ def _triangulate_cone(rays, dim):
             f"two-dimensional cone with {len(rays)} extreme rays")
     if dim != 3:
         raise SubdivisionFailed(f"cone splitting unsupported in rank {dim}")
-    # fan out from the first ray across the facets not containing it
-    facets = []
-    for i in range(len(rays)):
-        for j in range(i + 1, len(rays)):
-            normal = xl.primitive_normal((rays[i], rays[j]), 3)
-            if normal is None:
-                continue
-            vals = [xl.dot(normal, r) for r in rays]
-            if all(v >= 0 for v in vals) or all(v <= 0 for v in vals):
-                facets.append(frozenset((rays[i], rays[j])))
+    # fan out from the first ray across the facets not containing it; the
+    # facet normals are the extreme rays of the dual cone
     base = rays[0]
     cones = []
-    for facet in facets:
-        if base in facet:
-            continue
-        cones.append(tuple(sorted(facet)) + (base,))
+    for normal in xl.extreme_rays(rays, 3):
+        facet = tuple(sorted(r for r in rays if xl.dot(normal, r) == 0))
+        if base not in facet:
+            cones.append(facet + (base,))
     if not cones:
         raise SubdivisionFailed("could not facet the cone")
     return cones

@@ -21,10 +21,6 @@ class DimensionMismatch(GkzfracError):
 
 # --- polytopes ---------------------------------------------------------------
 
-class DimensionTooLarge(GkzfracError):
-    """Ambient rank exceeds the supported desk-scale bound."""
-
-
 class OriginNotInterior(GkzfracError):
     """Polar dual requested for a polytope without the origin inside."""
 
@@ -80,6 +76,10 @@ class InMoriCone(GkzfracError):
 
 
 # --- triangulations ----------------------------------------------------------
+
+class DimensionTooLarge(GkzfracError):
+    """Relation-lattice rank exceeds what full fan enumeration supports."""
+
 
 class NotUnimodular(GkzfracError):
     """A simplex of the maximal triangulation has determinant != +-1."""

@@ -10,7 +10,8 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 
-from .errors import DimensionMismatch, RankDeficient, TruncationTooLarge
+from .errors import (DimensionMismatch, EmptyInterior, RankDeficient,
+                     TruncationTooLarge)
 
 
 # --- small vector helpers ----------------------------------------------------
@@ -182,6 +183,59 @@ def primitive_normal(rows, dim):
     for row, col in zip(reduced, pivots):
         normal[col] = -row[free]
     return primitive_vector(integer_scaled(normal)[0])
+
+
+# --- extreme rays -------------------------------------------------------------
+
+def extreme_rays(inequalities, dim):
+    """Sorted primitive extreme rays of the cone {y : g . y >= 0}.
+
+    Incremental double description with the combinatorial adjacency test
+    (Motzkin-Raiffa-Thompson-Thrall 1953; Fukuda-Prodon 1996), started from
+    the simplicial cone of the first independent rows.  Each row is made a
+    primitive integer row; each ray carries the bitmask of the rows it makes
+    tight.  A cone whose lineality space is the line through l gives
+    [-l, l], a larger lineality space gives [], and the full line in
+    dimension 1 raises EmptyInterior.
+    """
+    rows = [primitive_vector(integer_scaled(g)[0]) for g in inequalities]
+    basis = rref(transpose(rows))[1]
+    if len(basis) < dim:
+        if len(basis) < dim - 1:
+            return []
+        if dim == 1:
+            raise EmptyInterior("cone is a full line, not pointed")
+        line = primitive_normal(rows, dim)
+        return sorted([line, vec_scale(-1, line)])
+    rays = []
+    for i in basis:
+        r = primitive_normal([rows[j] for j in basis if j != i], dim)
+        if dot(rows[i], r) < 0:
+            r = vec_scale(-1, r)
+        rays.append((r, sum(1 << j for j in basis if j != i)))
+    for k in range(len(rows)):
+        if k in basis:
+            continue
+        values = [dot(rows[k], r) for r, _ in rays]
+        kept = [(r, z | (1 << k) if v == 0 else z)
+                for (r, z), v in zip(rays, values) if v >= 0]
+        for p, (rp, zp) in enumerate(rays):
+            if values[p] <= 0:
+                continue
+            for n, (rn, zn) in enumerate(rays):
+                if values[n] >= 0:
+                    continue
+                # fewer than dim - 2 common tight rows is a quick "not adjacent"
+                common = zp & zn
+                if common.bit_count() < dim - 2 or any(
+                        z & common == common
+                        for q, (_, z) in enumerate(rays) if q != p and q != n):
+                    continue
+                ray = primitive_vector(vec_sub(vec_scale(values[p], rn),
+                                               vec_scale(values[n], rp)))
+                kept.append((ray, common | (1 << k)))
+        rays = kept
+    return sorted(r for r, _ in rays)
 
 
 def solve_linear(m, b):

@@ -1,19 +1,15 @@
 """Lattice polytope operations for nef-partition duality.
 
-Hulls are computed by brute force over vertex subsets with exact rational
-solves; ambient rank is capped at 4, which keeps the combinatorics trivial
-at desk scale.  Polytopes of lower dimension than their ambient space are
-allowed and carry their affine hull implicitly through the vertex list.
+Facets and vertices come from the extreme rays of a homogenized cone
+(``exact_linalg.extreme_rays``), in any ambient rank.  Polytopes of lower
+dimension than their ambient space are allowed and carry their affine hull
+implicitly through the vertex list.
 """
 
 from fractions import Fraction
-from itertools import combinations
 
 from . import exact_linalg as xl
-from .errors import (DimensionMismatch, DimensionTooLarge, NotReflexive,
-                     OriginNotInterior)
-
-MAX_RANK = 4
+from .errors import DimensionMismatch, NotReflexive, OriginNotInterior
 
 
 class LatticePolytope:
@@ -102,7 +98,7 @@ def _affine_dim(points):
 
 
 def convex_hull(points):
-    """Convex hull with minimal vertex set (ambient rank <= 4).
+    """Convex hull with minimal vertex set.
 
     Accepts integer or rational points; facet data is attached when the hull
     is full-dimensional in its ambient space.
@@ -111,8 +107,6 @@ def convex_hull(points):
     if not points:
         raise DimensionMismatch("convex_hull: no points")
     rank = len(points[0])
-    if rank > MAX_RANK:
-        raise DimensionTooLarge(f"ambient rank {rank} > {MAX_RANK}")
     if any(len(p) != rank for p in points):
         raise DimensionMismatch("convex_hull: mixed ambient ranks")
     dim = _affine_dim(points)
@@ -120,25 +114,15 @@ def convex_hull(points):
         return LatticePolytope(rank, (points[0],), 0)
     if dim < rank:
         return _hull_degenerate(points, rank, dim)
-    if rank == 1:
-        lo = min(p[0] for p in points)
-        hi = max(p[0] for p in points)
-        verts = ((lo,),) if lo == hi else ((lo,), (hi,))
-        return LatticePolytope(1, verts, 1, (((1,), hi), ((-1,), -lo)))
-    facets = set()
-    for subset in combinations(points, rank):
-        p0 = subset[0]
-        diffs = [xl.vec_sub(p, p0) for p in subset[1:]]
-        a = xl.primitive_normal(diffs, rank)
-        if a is None:
-            continue
-        c = xl.dot(a, p0)
-        vals = [xl.dot(a, p) for p in points]
-        if all(v <= c for v in vals):
-            facets.add((a, c))
-        elif all(v >= c for v in vals):
-            facets.add((tuple(-x for x in a), -c))
-    facets = sorted(facets)
+    # facets a.x <= c are the extreme rays of {(a, c) : c - a.p >= 0}; the
+    # ray (0, ..., 0, 1) is interior to that cone, so every ray has a != 0
+    facets = []
+    for ray in xl.extreme_rays([tuple(-x for x in p) + (1,) for p in points],
+                               rank + 1):
+        a = xl.primitive_vector(ray[:-1])
+        p0 = max(points, key=lambda p: xl.dot(a, p))
+        facets.append((a, xl.dot(a, p0)))
+    facets.sort()
     vertices = []
     for p in points:
         active = [a for a, c in facets if xl.dot(a, p) == c]
@@ -198,30 +182,17 @@ def is_reflexive(p):
     return polar_dual(dual) == p
 
 
-def vertices_from_inequalities(ineqs, rank):
-    """Vertex set of the bounded region {x : a.x <= c} by basic solutions."""
-    verts = set()
-    for subset in combinations(ineqs, rank):
-        m = tuple(a for a, _ in subset)
-        b = tuple(c for _, c in subset)
-        sol = xl.solve_unique(m, b)
-        if sol is None:
-            continue
-        if all(xl.dot(a, sol) <= c for a, c in ineqs):
-            verts.add(tuple(sol))
-    return sorted(verts)
-
-
 def section_polytope(fan, block):
     """Lattice polytope of sections of the block's nef divisor sum.
 
     Cut out by <m, ray> >= -1 for rays in the block and >= 0 for the rest.
     """
-    ineqs = []
-    for i_ray, ray in enumerate(fan.rays):
-        rhs = 1 if fan.block_of_ray[i_ray] == block else 0
-        ineqs.append((tuple(-x for x in ray), Fraction(rhs)))
-    verts = vertices_from_inequalities(ineqs, fan.rank)
+    # vertices x / t from the rays with t > 0 of the homogenized cone
+    rows = [tuple(ray) + (int(fan.block_of_ray[i_ray] == block),)
+            for i_ray, ray in enumerate(fan.rays)]
+    rows.append((0,) * fan.rank + (1,))
+    verts = sorted(tuple(Fraction(x, r[-1]) for x in r[:-1])
+                   for r in xl.extreme_rays(rows, fan.rank + 1) if r[-1] > 0)
     if not verts:
         raise NotReflexive(f"section polytope of block {block} is empty")
     out = []

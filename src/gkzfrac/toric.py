@@ -345,27 +345,6 @@ def coords_in_basis(basis, v):
     return tuple(int(c) for c in sol)
 
 
-def dual_cone_extreme_rays(inequalities, dim):
-    """Extreme rays of {y : g . y >= 0} by desk-scale double description."""
-    if dim == 1:
-        rays = set()
-        for cand in ((1,), (-1,)):
-            if all(xl.dot(g, cand) >= 0 for g in inequalities):
-                rays.add(cand)
-        if len(rays) == 2:
-            raise EmptyInterior("cone is a full line, not pointed")
-        return sorted(rays)
-    rays = set()
-    for subset in combinations(range(len(inequalities)), dim - 1):
-        cand = xl.primitive_normal([inequalities[i] for i in subset], dim)
-        if cand is None:
-            continue
-        for signed in (cand, tuple(-x for x in cand)):
-            if all(xl.dot(g, signed) >= 0 for g in inequalities):
-                rays.add(signed)
-    return sorted(rays)
-
-
 def kahler_cone(basis, collections):
     """Closure of the ample cone, dual to the Mori cone.
 
@@ -381,7 +360,7 @@ def kahler_cone(basis, collections):
         if g not in seen:
             seen.add(g)
             gens.append(g)
-    rays = dual_cone_extreme_rays(tuple(gens), dim)
+    rays = xl.extreme_rays(gens, dim)
     if not rays:
         raise EmptyInterior("no extreme rays: ample cone is empty")
     candidate = tuple(sum(col) for col in zip(*rays))

@@ -161,7 +161,7 @@ def secondary_cone(sys, pc, tri):
             lam = xl.primitive_vector(tuple(int(x * den) for x in lam))
             assert sys.in_kernel(lam)
             covectors.add(lam)
-    from .toric import ConeDescription, dual_cone_extreme_rays
+    from .toric import ConeDescription
     ineqs = set()
     for lam in sorted(covectors):
         coords = sys.basis_coords(lam)
@@ -172,7 +172,7 @@ def secondary_cone(sys, pc, tri):
                    for g in ineqs]
     if not xl.fm_feasible(strict_rows, dim):
         raise NotRegular("triangulation admits no strictly convex weight")
-    rays = dual_cone_extreme_rays(ineqs, dim)
+    rays = xl.extreme_rays(ineqs, dim)
     return ConeDescription(dim=dim, inequalities=ineqs, rays=tuple(rays))
 
 
@@ -492,7 +492,7 @@ def groebner_fan(sys):
     secondary fan.  Limited to rank at most 2.
     """
     _check_rank_le_2(sys)
-    from .toric import ConeDescription, dual_cone_extreme_rays
+    from .toric import ConeDescription
 
     def chamber_of(direction):
         omega = sys.lift_weight_class(direction)
@@ -503,7 +503,7 @@ def groebner_fan(sys):
             ineqs.add(xl.primitive_vector(sys.basis_coords(diff)))
         ineqs = tuple(sorted(ineqs))
         dim = len(sys.basis)
-        rays = dual_cone_extreme_rays(ineqs, dim)
+        rays = xl.extreme_rays(ineqs, dim)
         cone = ConeDescription(dim=dim, inequalities=ineqs, rays=tuple(rays))
         return frozenset(ideal.leading_exponents()), cone
 

@@ -1,13 +1,19 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 import pytest
 
+from test_random_fans import (BIPARTITION_SEEDS, INVARIANT_SEEDS,
+                              bipartition_fans, invariant_fans)
 from test_ring_table import INSTANCES
-from gkzfrac import checks, gkz
+from gkzfrac import checks, gkz, toric
+from gkzfrac import degeneracy as dg
 from gkzfrac import exact_linalg as xl
-from gkzfrac.errors import DimensionMismatch, RankDeficient
+from gkzfrac import polytopes as pt
+from gkzfrac import triangulations as tr
+from gkzfrac.errors import DimensionMismatch, EmptyInterior, RankDeficient
 
 
 # --- independent oracles ------------------------------------------------------
@@ -310,6 +316,319 @@ def test_primitive_normal_equals_the_replaced_routines():
                         if c not in xl.rref(rows)[1])
             assert normal[free] > 0
     assert found > 0
+
+
+# --- extreme_rays and the subset searches it replaced ------------------------------
+
+def dual_cone_extreme_rays(inequalities, dim):
+    """Extreme rays of {y : g . y >= 0}, one candidate per (dim - 1)-subset
+    of the rows: the enumerator of the old ``toric`` module."""
+    if dim == 1:
+        rays = set()
+        for cand in ((1,), (-1,)):
+            if all(xl.dot(g, cand) >= 0 for g in inequalities):
+                rays.add(cand)
+        if len(rays) == 2:
+            raise EmptyInterior("cone is a full line, not pointed")
+        return sorted(rays)
+    rays = set()
+    for subset in combinations(range(len(inequalities)), dim - 1):
+        cand = xl.primitive_normal([inequalities[i] for i in subset], dim)
+        if cand is None:
+            continue
+        for signed in (cand, tuple(-x for x in cand)):
+            if all(xl.dot(g, signed) >= 0 for g in inequalities):
+                rays.add(signed)
+    return sorted(rays)
+
+
+def subset_hull_facets(points):
+    """Facets (a, c) of a full-dimensional hull, one candidate per
+    rank-subset of the points: the loop of the old ``convex_hull``."""
+    points = pt._dedupe(points)
+    rank = len(points[0])
+    facets = set()
+    for subset in combinations(points, rank):
+        p0 = subset[0]
+        diffs = [xl.vec_sub(p, p0) for p in subset[1:]]
+        a = xl.primitive_normal(diffs, rank)
+        if a is None:
+            continue
+        c = xl.dot(a, p0)
+        vals = [xl.dot(a, p) for p in points]
+        if all(v <= c for v in vals):
+            facets.add((a, c))
+        elif all(v >= c for v in vals):
+            facets.add((tuple(-x for x in a), -c))
+    return sorted(facets)
+
+
+def vertices_from_inequalities(ineqs, rank):
+    """Vertex set of the bounded region {x : a.x <= c} by basic solutions."""
+    verts = set()
+    for subset in combinations(ineqs, rank):
+        m = tuple(a for a, _ in subset)
+        b = tuple(c for _, c in subset)
+        sol = xl.solve_unique(m, b)
+        if sol is None:
+            continue
+        if all(xl.dot(a, sol) <= c for a, c in ineqs):
+            verts.add(tuple(sol))
+    return sorted(verts)
+
+
+def rays_or_error(enumerate_rays, rows, dim):
+    try:
+        return enumerate_rays(rows, dim)
+    except EmptyInterior as exc:
+        return str(exc)
+
+
+def typed_facets(facets):
+    return [(a, c, type(c), [type(x) for x in a]) for a, c in facets]
+
+
+def cyclic_surface(rays, name):
+    """One-block surface fan whose maximal cones join consecutive rays."""
+    n = len(rays)
+    return toric.make_fan(2, rays, [[i, (i + 1) % n] for i in range(n)],
+                          [list(range(n))], name=name)
+
+
+ENGINE_INSTANCES = dict(INSTANCES)
+for _seed in INVARIANT_SEEDS:
+    for _i in range(2):
+        ENGINE_INSTANCES[f"random{_seed}_{_i}"] = \
+            lambda seed=_seed, i=_i: invariant_fans(seed)[i]
+for _seed in BIPARTITION_SEEDS:
+    ENGINE_INSTANCES[f"random2_{_seed}"] = \
+        lambda seed=_seed: bipartition_fans(seed)[0]
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_INSTANCES))
+def test_engine_equals_the_enumerators_on_instance_cones(name, monkeypatch):
+    """Every cone and hull an instance builds (Kahler cone, secondary cones,
+    Groebner chambers, facets of the Kahler cone, nablas, polar duals and
+    section polytopes) agrees with the enumerator the engine replaced."""
+    fan = ENGINE_INSTANCES[name]()
+    cones, hulls = [], []
+    engine, hull = xl.extreme_rays, pt.convex_hull
+
+    def record_cone(rows, dim):
+        cones.append((list(rows), dim))
+        return engine(rows, dim)
+
+    def record_hull(points):
+        hulls.append(list(points))
+        return hull(points)
+
+    monkeypatch.setattr(xl, "extreme_rays", record_cone)
+    monkeypatch.setattr(pt, "convex_hull", record_hull)
+    inst = checks.Instance(fan, order=1)
+    sys = inst.sys
+    tr.secondary_cone(sys, inst.points, inst.tmax)
+    if len(sys.basis) <= 2:
+        tr.secondary_fan(sys)
+        tr.groebner_fan(sys)
+    inst.nablas
+    if len(sys.basis) <= 3:  # cone splitting stops at rank 3
+        dg.subdivide_kahler_cone(sys)
+    monkeypatch.undo()
+    for rows, dim in cones:
+        assert xl.extreme_rays(rows, dim) == dual_cone_extreme_rays(rows, dim), \
+            (rows, dim)
+    full = [points for points in hulls
+            if pt._affine_dim(pt._dedupe(points)) == len(points[0])]
+    for points in full:
+        assert typed_facets(pt.convex_hull(points).facets) == \
+            typed_facets(subset_hull_facets(points)), points
+    for k in range(fan.r):
+        ineqs = []
+        for i_ray, ray in enumerate(fan.rays):
+            rhs = 1 if fan.block_of_ray[i_ray] == k else 0
+            ineqs.append((tuple(-x for x in ray), Fraction(rhs)))
+        expected = vertices_from_inequalities(ineqs, fan.rank)
+        assert list(pt.section_polytope(fan, k).vertices) == \
+            [tuple(int(x) for x in v) for v in expected]
+    assert len(cones) > len(full) > 2 * fan.r
+
+
+def random_cone_rows(rng, dim, kind):
+    """Rows of a cone {y : g . y >= 0} in dimension dim of the given kind,
+    then decorated with duplicate, zero, redundant and rescaled rows.
+
+    ``pointed``: full-dimensional; ``flat``: pointed but in a hyperplane;
+    ``zero``: the cone {0}; ``line``: lineality space a line; ``lineality``:
+    lineality space of dimension at least 2; ``full_line``: dimension 1, no
+    nonzero row.
+    """
+    def vec():
+        return tuple(rng.randint(-3, 3) for _ in range(dim))
+
+    if kind == "full_line":
+        rows = [(0,)] * rng.randint(0, 2)
+    elif kind in ("pointed", "flat"):
+        w = vec()
+        while not any(w):
+            w = vec()
+        rows = []
+        while len(rows) < dim + rng.randint(0, 4) or xl.rank(rows) < dim:
+            g = vec()
+            if xl.dot(g, w) > 0:
+                rows.append(g)
+        if kind == "flat":
+            h = vec()
+            h = xl.vec_sub(xl.vec_scale(xl.dot(w, w), h),
+                           xl.vec_scale(xl.dot(h, w), w))
+            rows += [h, xl.vec_scale(-1, h)]
+    elif kind == "zero":
+        rows = [vec() for _ in range(dim)]
+        while xl.rank(rows) < dim:
+            rows = [vec() for _ in range(dim)]
+        rows.append(tuple(-sum(col) for col in zip(*rows)))
+        rows += [vec() for _ in range(rng.randint(0, 2))]
+    elif kind == "line":
+        line = vec()
+        while not any(line):
+            line = vec()
+        rows = []
+        while len(rows) < dim - 1 + rng.randint(0, 3) or \
+                xl.rank(rows) < dim - 1:
+            g = vec()
+            rows.append(xl.vec_sub(xl.vec_scale(xl.dot(line, line), g),
+                                   xl.vec_scale(xl.dot(g, line), line)))
+    else:  # lineality
+        span = [vec() for _ in range(rng.randint(0, dim - 2))]
+        rows = [tuple(sum(rng.randint(-2, 2) * v[i] for v in span)
+                      for i in range(dim)) for _ in range(rng.randint(0, 4))]
+    for _ in range(rng.randint(0, 3)):
+        if rows:
+            a, b = rng.choice(rows), rng.choice(rows)
+            extra = rng.choice([a, xl.vec_scale(rng.randint(1, 3), a),
+                                xl.vec_add(a, b), (0,) * dim])
+        else:
+            extra = (0,) * dim
+        rows.insert(rng.randrange(len(rows) + 1), extra)
+    return [tuple(Fraction(x, rng.randint(1, 3)) for x in g)
+            if rng.random() < 0.2 else g for g in rows]
+
+
+ROW_KINDS = {1: ("pointed", "zero", "full_line")}
+ROW_KINDS.update({dim: ("pointed", "flat", "zero", "line", "lineality")
+                  for dim in range(2, 6)})
+
+
+def random_row_cases(seed=1953, per_kind=10):
+    rng = random.Random(seed)
+    return [(random_cone_rows(rng, dim, kind), dim)
+            for dim, kinds in ROW_KINDS.items() for kind in kinds
+            for _ in range(per_kind)]
+
+
+def cone_shape(rows, dim):
+    """The shape of {y : g . y >= 0}, read off the reference enumerator."""
+    rays = rays_or_error(dual_cone_extreme_rays, rows, dim)
+    r = xl.rank(rows) if rows else 0
+    if isinstance(rays, str):
+        return "full_line"
+    if r < dim:
+        return "line" if r == dim - 1 else "lineality"
+    if not rays:
+        return "zero"
+    return "pointed" if xl.rank(rays) == dim else "flat"
+
+
+def test_random_row_cases_cover_every_shape():
+    cases = random_row_cases()
+    assert len(cases) >= 200
+    shapes = {(dim, cone_shape(rows, dim)) for rows, dim in cases}
+    assert shapes == {(dim, kind) for dim, kinds in ROW_KINDS.items()
+                      for kind in kinds}
+    assert any(len(set(rows)) < len(rows) for rows, _ in cases)
+    assert any(not any(g) for rows, dim in cases if dim > 1 for g in rows)
+    assert any(any(isinstance(x, Fraction) and x.denominator > 1 for x in g)
+               for rows, _ in cases for g in rows)
+
+
+def test_extreme_rays_equal_the_enumerator_on_random_rows():
+    for rows, dim in random_row_cases():
+        rays = rays_or_error(xl.extreme_rays, rows, dim)
+        assert rays == rays_or_error(dual_cone_extreme_rays, rows, dim), \
+            (rows, dim)
+        if not isinstance(rays, str):
+            assert all(type(x) is int for r in rays for x in r)
+            assert all(xl.primitive_vector(r) == r for r in rays)
+
+
+def test_hull_facets_equal_the_subset_loop_on_random_points():
+    rng = random.Random(1996)
+    tested = 0
+    for rank in range(1, 5):
+        for _ in range(15):
+            points = [tuple(Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
+                            for _ in range(rank))
+                      for _ in range(rng.randint(rank + 1, rank + 6))]
+            if pt._affine_dim(pt._dedupe(points)) < rank:
+                continue
+            assert typed_facets(pt.convex_hull(points).facets) == \
+                typed_facets(subset_hull_facets(points)), points
+            tested += 1
+    assert tested >= 40
+
+
+def pair_loop_triangulation(rays):
+    """The cones over the facets that miss the first ray, facets found by
+    trying every pair of rays: the loop of the old ``_triangulate_cone``."""
+    facets = []
+    for i in range(len(rays)):
+        for j in range(i + 1, len(rays)):
+            normal = xl.primitive_normal((rays[i], rays[j]), 3)
+            if normal is None:
+                continue
+            vals = [xl.dot(normal, r) for r in rays]
+            if all(v >= 0 for v in vals) or all(v <= 0 for v in vals):
+                facets.append(frozenset((rays[i], rays[j])))
+    return [tuple(sorted(facet)) + (rays[0],)
+            for facet in facets if rays[0] not in facet]
+
+
+def test_triangulate_cone_equals_the_pair_loop():
+    rng = random.Random(1997)
+    tested = 0
+    for _ in range(30):
+        rays = dual_cone_extreme_rays(random_cone_rows(rng, 3, "pointed"), 3)
+        if len(rays) <= 3:
+            continue
+        rng.shuffle(rays)
+        assert sorted(dg._triangulate_cone(rays, 3)) == \
+            sorted(pair_loop_triangulation(rays)), rays
+        tested += 1
+    assert tested >= 10
+
+
+SQUARE8 = [(1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1),
+           (1, 0)]
+TRIANGLE9 = [(1, 0), (0, 1), (-1, 2), (-1, 1), (-1, 0), (-1, -1), (0, -1),
+             (1, -1), (2, -1)]
+
+
+def test_eight_ray_surface_cones():
+    inst = checks.Instance(cyclic_surface(SQUARE8, "square8"), order=1)
+    kahler = inst.sys.kahler
+    assert (len(kahler.inequalities), len(kahler.rays)) == (20, 12)
+    assert list(kahler.rays) == \
+        dual_cone_extreme_rays(kahler.inequalities, kahler.dim)
+    assert dict(checks.CHECKS)["triangulations.secondary_contains_ample"](
+        inst) == (True, "ample cone inside the secondary cone")
+
+
+def test_nine_ray_surface_kahler_cone():
+    # the counts and the ray sum were read once from the subset enumerator,
+    # which tries C(27, 6) = 296,010 subsets here
+    kahler = gkz.build_system(cyclic_surface(TRIANGLE9, "triangle9")).kahler
+    assert (len(kahler.inequalities), len(kahler.rays)) == (27, 21)
+    assert tuple(sum(col) for col in zip(*kahler.rays)) == \
+        (9, 19, 38, 66, 38, 19, 9)
 
 
 # --- hermite_basis ------------------------------------------------------------

@@ -1,11 +1,10 @@
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
 from conftest import p1_fan, p1xp1_fan_r2, p2_fan, f1_fan
 from gkzfrac import polytopes as pt
-from gkzfrac.errors import (DimensionMismatch, DimensionTooLarge,
-                            OriginNotInterior)
+from gkzfrac.errors import DimensionMismatch, OriginNotInterior
 
 
 def brute_force_vertices(points):
@@ -44,9 +43,16 @@ def test_hull_matches_oracle_random():
         assert sorted(h.vertices) == brute_force_vertices(pts)
 
 
-def test_hull_rank_cap():
-    with pytest.raises(DimensionTooLarge):
-        pt.convex_hull([(0, 0, 0, 0, 0), (1, 0, 0, 0, 0)])
+def test_hull_rank_five():
+    units = [tuple(int(i == k) for i in range(5)) for k in range(5)]
+    cross = pt.convex_hull(units + [tuple(-x for x in u) for u in units])
+    assert len(cross.vertices) == 10 and len(cross.facets) == 32
+    assert pt.is_reflexive(cross)
+    cube = pt.polar_dual(cross)
+    assert set(cube.vertices) == set(product((-1, 1), repeat=5))
+    segment = pt.convex_hull([(0, 0, 0, 0, 0), (1, 0, 0, 0, 0)])
+    assert segment.dim == 1
+    assert set(segment.vertices) == {(0, 0, 0, 0, 0), (1, 0, 0, 0, 0)}
 
 
 def test_hull_degenerate_segment_in_plane():

@@ -80,29 +80,30 @@ def nef_bipartitions(fan_rays, cones, rng, tries=10):
     return found
 
 
-@pytest.mark.parametrize("seed", [2024, 7, 99])
-def test_random_surface_invariants(seed):
+INVARIANT_SEEDS = [2024, 7, 99]
+BIPARTITION_SEEDS = [11, 42]
+
+
+def invariant_fans(seed):
+    """Two one-block surface fans drawn with the given seed."""
     rng = random.Random(seed)
-    built = 0
-    while built < 2:
+    fans = []
+    while len(fans) < 2:
         result = random_smooth_surface_fan(rng, rng.randint(1, 3))
         if result is None:
             continue
         rays, cones = result
-        fan = toric.make_fan(2, rays, cones, [list(range(len(rays)))],
-                             name=f"random{seed}_{built}")
-        results = checks.run_all(checks.Instance(fan, order=5))
-        bad = [r for r in results if not r["ok"]]
-        assert not bad, (rays, bad)
-        built += 1
+        fans.append(toric.make_fan(2, rays, cones, [list(range(len(rays)))],
+                                   name=f"random{seed}_{len(fans)}"))
+    return fans
 
 
-@pytest.mark.parametrize("seed", [11, 42])
-def test_random_surface_bipartitions(seed):
+def bipartition_fans(seed):
+    """At most one surface fan with a nef bipartition, drawn with the seed."""
     rng = random.Random(seed)
-    checked = 0
+    fans = []
     attempts = 0
-    while checked < 1 and attempts < 10:
+    while not fans and attempts < 10:
         attempts += 1
         result = random_smooth_surface_fan(rng, rng.randint(1, 2))
         if result is None:
@@ -110,10 +111,24 @@ def test_random_surface_bipartitions(seed):
         rays, cones = result
         partitions = nef_bipartitions(rays, cones, rng)
         for block, other in partitions[:1]:
-            fan = toric.make_fan(2, rays, cones, [block, other],
-                                 name=f"random2_{seed}")
-            results = checks.run_all(checks.Instance(fan, order=5))
-            bad = [r for r in results if not r["ok"]]
-            assert not bad, (rays, block, other, bad)
-            checked += 1
-    assert checked, "no nef bipartition found; loosen the generator"
+            fans.append(toric.make_fan(2, rays, cones, [block, other],
+                                       name=f"random2_{seed}"))
+    return fans
+
+
+@pytest.mark.parametrize("seed", INVARIANT_SEEDS)
+def test_random_surface_invariants(seed):
+    for fan in invariant_fans(seed):
+        results = checks.run_all(checks.Instance(fan, order=5))
+        bad = [r for r in results if not r["ok"]]
+        assert not bad, (fan.rays, bad)
+
+
+@pytest.mark.parametrize("seed", BIPARTITION_SEEDS)
+def test_random_surface_bipartitions(seed):
+    fans = bipartition_fans(seed)
+    assert fans, "no nef bipartition found; loosen the generator"
+    for fan in fans:
+        results = checks.run_all(checks.Instance(fan, order=5))
+        bad = [r for r in results if not r["ok"]]
+        assert not bad, (fan.rays, fan.blocks, bad)
