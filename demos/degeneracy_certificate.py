@@ -31,6 +31,6 @@ for name in ("p1", "p2", "p1xp1", "f1"):
         pairings = degeneracy.chart_pairings(system, ring, chart, b6)
         log_profile = sorted(
             max((sum(logdeg) for _, logdeg in s.terms), default=0)
-            for s in pairings)
+            for s in pairings.components())
         print("    log-degree profile of the solution basis:", log_profile)
     print()

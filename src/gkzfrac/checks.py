@@ -36,7 +36,7 @@ def _check_exact_linalg_kernel(inst):
             missing += 1
     # the certificate: relations, as many as the kernel's rank, and unit
     # Hermite pivots (the gcd of the maximal minors is 1), so saturated
-    hnf = xl.hermite_basis(tuple(sys.basis))
+    hnf = xl.hermite_with_transform(tuple(sys.basis))[0]
     pivots = [next(x for x in col if x) for col in zip(*hnf) if any(col)]
     certified = (all(sys.in_kernel(b) for b in sys.basis)
                  and len(sys.basis) == sys.nvars - xl.rank(sys.a_ext)
@@ -152,22 +152,21 @@ def _check_oracle_match(inst):
 
 
 def _check_annihilation(inst):
-    # two passes per operator: gamma and the pairings stacked, and the
-    # period (twisted for box operators); a failure is named in the order
+    # three passes per operator: gamma, the period (twisted for box
+    # operators) and the stacked pairings; a failure is named in the order
     # gamma, period, pairing_0, ...
     sys = inst.sys
-    untwisted = se.stack([inst.gamma] + inst.pairings)
     ops = [(op, f"Euler row {op.row}", False) for op in sys.euler_operators()]
     ops += [(box, f"box {box.ell}", True) for box in sys.box_operators()]
     for op, label, twisted in ops:
-        first = se.apply_operator(op, untwisted).first_nonzero_component()
-        if first == 0:
+        if not se.apply_operator(op, inst.gamma).is_zero_on_reliable_region():
             return False, f"{label} fails on gamma"
         period = se.apply_operator(op, inst.period, twisted=twisted)
         if not period.is_zero_on_reliable_region():
             return False, f"{label} fails on period"
+        first = se.apply_operator(op, inst.pairings).first_nonzero_component()
         if first is not None:
-            return False, f"{label} fails on pairing_{first - 1}"
+            return False, f"{label} fails on pairing_{first}"
     return True, (f"{sys.n + sys.r} Euler rows and {len(sys.collections)} "
                   f"box operators kill all solutions at order {inst.order}")
 
@@ -216,25 +215,23 @@ def low_degree_keys(series, omega, cap):
     """
     weights, den = xl.integer_scaled(omega)
     bound = cap * den
-    low, keys = {}, set()
-    for s in series:
-        for key in s.terms:
-            ell = key[0]
-            ok = low.get(ell)
-            if ok is None:
-                ok = low[ell] = sum(w * e for w, e in zip(weights, ell)) <= bound
-            if ok:
-                keys.add(key)
+    low, keys = {}, []
+    for key in series.terms:
+        ell = key[0]
+        ok = low.get(ell)
+        if ok is None:
+            ok = low[ell] = sum(w * e for w, e in zip(weights, ell)) <= bound
+        if ok:
+            keys.append(key)
     return sorted(keys)
 
 
 def _check_solution_rank(inst):
-    # the pairings truncated at weight degree min(order, 6)
-    ring, cap = inst.ring, min(inst.order, 6)
-    keys = low_degree_keys(inst.pairings, inst.omega, cap)
-    matrix = [tuple(s.terms.get(key, 0) for key in keys)
-              for s in inst.pairings]
-    rank = xl.rank(matrix)
+    # the pairings truncated at weight degree min(order, 6), one coordinate
+    # tuple per key
+    ring, cap, pairings = inst.ring, min(inst.order, 6), inst.pairings
+    rank = xl.rank([pairings.terms[key]
+                    for key in low_degree_keys(pairings, inst.omega, cap)])
     ok = rank == ring.dim == len(inst.fan.max_cones)
     return ok, f"solution rank {rank} matches the ring dimension"
 

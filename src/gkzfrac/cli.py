@@ -249,7 +249,8 @@ def run_command(cmd, spec, flags=None):
             "weight": [xl.fraction_str(w) for w in omega],
             "order": order,
             "dual_basis": inst.ring.basis_names(),
-            "pairings": [se.series_to_dict(s) for s in inst.pairings],
+            "pairings": [se.series_to_dict(s)
+                         for s in inst.pairings.components()],
         }
         return Report("bseries", spec.name, payload)
 

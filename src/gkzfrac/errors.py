@@ -107,10 +107,6 @@ class NegativeExponent(GkzfracError):
     """Chart re-expansion produced a negative exponent."""
 
 
-class CertificateFailed(GkzfracError):
-    """A clause of the degeneracy certificate does not hold."""
-
-
 # --- input / CLI -------------------------------------------------------------
 
 class ParseError(GkzfracError):

@@ -115,21 +115,24 @@ def det(m):
 def rank(m):
     """Rank over the rationals.
 
-    Each column is scaled to integers on its own and reduced against an
-    integer echelon basis of the columns before it.  The rank is at most the
-    row count, so the sweep stops as soon as the basis reaches it.
+    The sweep runs over the longer side of the matrix (the rank does not
+    change under transposition): each line is scaled to integers on its own
+    and reduced against an integer echelon basis of the lines before it.
+    The rank is at most the length of the shorter side, so the sweep stops
+    as soon as the basis reaches it.
     """
-    nrows = len(m)
-    basis = []  # (pivot index, integer column), pivots zero in later columns
-    for col in zip(*m):
-        v = integer_scaled(col)[0]
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    lines, limit = (m, ncols) if nrows > ncols else (zip(*m), nrows)
+    basis = []  # (pivot index, integer line), pivots zero in later lines
+    for line in lines:
+        v = integer_scaled(line)[0]
         for piv, b in basis:
             if v[piv]:
                 v = _eliminate(v, b, piv)
         piv = next((i for i, x in enumerate(v) if x), None)
         if piv is not None:
             basis.append((piv, v))
-            if len(basis) == nrows:
+            if len(basis) == limit:
                 break
     return len(basis)
 
@@ -329,19 +332,6 @@ def _col_hnf(m, rows_order):
     h = tuple(tuple(cols[c][r] for c in range(ncols)) for r in range(nrows))
     u = tuple(tuple(ucols[c][r] for c in range(ncols)) for r in range(ncols))
     return h, u, pivot_rows
-
-
-def hermite_basis(m):
-    """Column Hermite normal form of an integer matrix.
-
-    Column span over the integers is preserved; pivots are positive, chosen
-    top-down (lowest row index first), and entries left of a pivot in its row
-    are reduced into [0, pivot).
-    """
-    if not m or not m[0]:
-        raise DimensionMismatch("hermite_basis: empty matrix")
-    h, _u, _rows = _col_hnf(m, range(len(m)))
-    return h
 
 
 def hermite_with_transform(m):

@@ -77,7 +77,8 @@ class Instance:
 
     @cached_property
     def pairings(self):
-        """Dual-basis pairings of the cohomology-valued series."""
+        """Dual-basis pairings of the cohomology-valued series, stacked:
+        one coordinate tuple per term."""
         from . import series as se
         ring = self.ring
         return se.pair_with_dual(ring, self.b, [

@@ -261,6 +261,15 @@ class LogSeries:
                     if self._is_reliable(ell)
                     for i, c in enumerate(row) if c), default=None)
 
+    def components(self):
+        """The scalar series of a stacked series, one per entry of its
+        coefficient tuples, each holding its nonzero entries."""
+        width = len(next(iter(self.terms.values()), ()))
+        return [self.replace(terms={key: row[i]
+                                    for key, row in self.terms.items()
+                                    if row[i]})
+                for i in range(width)]
+
     def integer_form(self):
         """(stacked, denominators, groups): each component written once as
         integers over its own common denominator, and the terms grouped by
@@ -282,25 +291,6 @@ class LogSeries:
         form = (stacked, [d for d, _ in scaled], groups)
         self._integer_form = (keys, values, form)
         return form
-
-
-def stack(series_list):
-    """One series over the union of the inputs' keys whose coefficients are
-    tuples with one entry per input (0 where an input has no term), so that
-    ``apply_operator`` does its per-exponent work once for all of them."""
-    first = series_list[0]
-    meta = (first.alpha, first.weight, first.order, first.shifts)
-    rows = {}
-    for i, s in enumerate(series_list):
-        if (s.alpha, s.weight, s.order, s.shifts) != meta:
-            raise ValueError(f"series {i} differs from series 0 in alpha, "
-                             "weight, order or shifts")
-        for key, c in s.terms.items():
-            row = rows.get(key)
-            if row is None:
-                row = rows[key] = [0] * len(series_list)
-            row[i] = c
-    return first.replace(terms={key: tuple(row) for key, row in rows.items()})
 
 
 # --- series builders --------------------------------------------------------------------
@@ -439,14 +429,14 @@ def b_series(sys, ring, omega, order):
 
 
 def pair_with_dual(ring, b, classes):
-    """The ``ring.dim`` scalar series pairing the B-series ``b`` against
-    each dual-basis functional, with x^D expanded in the log slots whose
-    divisor classes are ``classes``: term (ell, m) of series h is
-    coordinate h of O_ell * prod_j classes[j]^m_j / m_j!.
+    """The B-series ``b`` paired with the dual basis, as one stacked series
+    with x^D expanded in the log slots whose divisor classes are
+    ``classes``: term (ell, m) holds the coordinate tuple of
+    O_ell * prod_j classes[j]^m_j / m_j!, entry h pairing against the h-th
+    dual-basis functional.  Keys whose coordinates are all 0 are dropped.
     """
     logs = log_part(ring, classes, ring.top)
-    out = [LogSeries(alpha=b.alpha, weight=b.weight, order=b.order,
-                     shifts=b.shifts) for _ in range(ring.dim)]
+    out = b.replace(terms={})
     one = ring.one().coords
     for (ell, _), base in b.terms.items():
         unit = base.coords == one           # O_0 is the unit class
@@ -458,9 +448,8 @@ def pair_with_dual(ring, b, classes):
                 prod = base * cls
             else:
                 prod = base
-            for s, c in zip(out, prod.coords):
-                if c:
-                    s.terms[(ell, m)] = c
+            if any(prod.coords):
+                out.terms[(ell, m)] = prod.coords
     return out
 
 
@@ -468,7 +457,8 @@ def pair_with_dual(ring, b, classes):
 
 def apply_operator(op, s, twisted=False):
     """Apply an Euler or box operator to a truncated rational series, scalar
-    or stacked (see ``stack``); a scalar series is the one-component case.
+    or stacked (see ``pair_with_dual``); a scalar series is the
+    one-component case.
 
     Each component is written once as integers over its own common
     denominator (``LogSeries.integer_form``, kept between passes) and the

@@ -9,7 +9,6 @@ time.
 """
 
 from fractions import Fraction
-from itertools import combinations
 from math import gcd
 
 from . import exact_linalg as xl
@@ -100,25 +99,20 @@ def normalized_volume(pc, tri):
 def regular_subdivision(pc, omega):
     """Lower-hull subdivision of the lifted cone for the given weight.
 
-    Returns a Triangulation when every cell is a simplex; otherwise a
-    Subdivision carrying the cells.
+    The cells are the vertices u of {u : u . p_i <= omega_i}, each holding
+    the points whose inequality u makes tight.  The vertices are x / t for
+    the rays with t > 0 of {(x, t) : t omega_i - x . p_i >= 0}; no row
+    t >= 0 is needed, since such a ray is extreme exactly when its tight
+    point rows have rank m.  Returns a Triangulation when every cell is a
+    simplex; otherwise a Subdivision carrying the cells.
     """
     omega = tuple(Fraction(w) for w in omega)
     m = pc.dim
-    npts = len(pc.points)
-    cells = {}
-    for subset in combinations(range(npts), m):
-        mat = tuple(pc.points[i] for i in subset)
-        rhs = tuple(omega[i] for i in subset)
-        u = xl.solve_unique(mat, rhs)
-        if u is None:
-            continue
-        values = [xl.dot(u, p) for p in pc.points]
-        if any(v > w for v, w in zip(values, omega)):
-            continue
-        cell = tuple(i for i in range(npts) if values[i] == omega[i])
-        cells[cell] = u
-    ordered = tuple(sorted(cells))
+    rows = [tuple(-x for x in p) + (w,) for p, w in zip(pc.points, omega)]
+    ordered = tuple(sorted(
+        tuple(i for i, (p, w) in enumerate(zip(pc.points, omega))
+              if xl.dot(r[:-1], p) == r[-1] * w)
+        for r in xl.extreme_rays(rows, m + 1) if r[-1] > 0))
     if all(len(c) == m for c in ordered):
         return Triangulation(simplices=ordered, weight=omega)
     return Subdivision(cells=ordered, weight=omega)
@@ -402,10 +396,6 @@ def _cw_ray(cone_rays):
     return u if _cross(u, w) > 0 else w
 
 
-def _strictly_inside(cone, direction):
-    return all(xl.dot(g, direction) > 0 for g in cone.inequalities)
-
-
 def _walk_plane_fan(sys, chamber_of, start):
     """Enumerate a complete fan of pointed 2d cones by walking the circle.
 
@@ -415,7 +405,7 @@ def _walk_plane_fan(sys, chamber_of, start):
     """
     chambers = []
     label, cone = chamber_of(start)
-    assert _strictly_inside(cone, start), "start direction lies on a wall"
+    assert cone.contains(start, strict=True), "start direction lies on a wall"
     first = cone
     guard = 0
     while True:
@@ -434,7 +424,7 @@ def _walk_plane_fan(sys, chamber_of, start):
             except NotRegular:
                 next_cone = None
             if (next_cone is not None
-                    and _strictly_inside(next_cone, probe)
+                    and next_cone.contains(probe, strict=True)
                     and _cw_ray(next_cone.rays) == boundary):
                 break
             scale *= 4

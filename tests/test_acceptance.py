@@ -76,7 +76,8 @@ def test_criterion_3_annihilation_suite():
         alpha = gkz.canonical_alpha(sys)
         gamma = se.gamma_series(sys, alpha, omega, order)
         b = se.b_series(sys, ring, omega, order)
-        pairings = se.pair_with_dual(ring, b, divisor_classes(sys, ring))
+        pairings = se.pair_with_dual(
+            ring, b, divisor_classes(sys, ring)).components()
         for op in sys.euler_operators():
             assert se.apply_operator(op, gamma).is_zero_on_reliable_region()
             for s in pairings:

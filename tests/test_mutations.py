@@ -38,7 +38,8 @@ def annihilation_per_series(inst):
     per (operator, series) pair."""
     sys = inst.sys
     targets = [("gamma", inst.gamma, False), ("period", inst.period, True)] + [
-        (f"pairing_{h}", s, False) for h, s in enumerate(inst.pairings)]
+        (f"pairing_{h}", s, False)
+        for h, s in enumerate(inst.pairings.components())]
     for op in sys.euler_operators():
         for name, s, _tw in targets:
             if not se.apply_operator(op, s).is_zero_on_reliable_region():
@@ -117,9 +118,10 @@ def test_doubled_pairing_coefficient_fails_annihilation(name, monkeypatch):
     """The stack still looks at its last component."""
     inst = instance(name)
     assert CHECK["series.annihilation"](inst)[0]
-    last = inst.pairings[-1]
-    key, coeff = last.sorted_items()[0]
-    monkeypatch.setitem(last.terms, key, 2 * coeff)
+    terms = inst.pairings.terms
+    key = next(key for key, row in inst.pairings.sorted_items() if row[-1])
+    row = terms[key]
+    monkeypatch.setitem(terms, key, row[:-1] + (2 * row[-1],))
     assert DOUBLED_LAST_PAIRING[name].endswith(
         f"pairing_{inst.ring.dim - 1}")
     assert_annihilation_fails(inst, DOUBLED_LAST_PAIRING[name])
@@ -184,10 +186,9 @@ def test_duplicated_pairing_fails_solution_rank(name, monkeypatch):
     inst = instance(name)
     assert check(inst)[0]
     pairings = inst.pairings
-    # one pairing repeated in place of another: the rank falls by one, so
-    # the sweep never reaches the row count and cannot stop early
-    monkeypatch.setitem(inst.__dict__, "pairings",
-                        pairings[:-1] + [pairings[0]])
+    # one pairing repeated in place of another: the rank falls by one
+    monkeypatch.setitem(inst.__dict__, "pairings", pairings.replace(terms={
+        key: row[:-1] + row[:1] for key, row in pairings.terms.items()}))
     ok, detail = check(inst)
     assert not ok
     assert detail == (f"solution rank {inst.ring.dim - 1} matches the ring "
@@ -214,7 +215,7 @@ def test_euler_branch_equals_per_term_formula(name):
     inst = instance(name)
     wrong = wrong_alpha(inst.sys)
     nonzero = 0
-    for s in [inst.gamma, inst.period] + inst.pairings:
+    for s in [inst.gamma, inst.period] + inst.pairings.components():
         for series in (s, s.replace(alpha=wrong)):
             for op in inst.sys.euler_operators():
                 result = se.apply_operator(op, series)

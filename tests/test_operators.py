@@ -13,10 +13,10 @@ The annihilation check is only as strong as the positions it tests, so every
 smallest counts are 9 on p1 and p2, 35 on both P1^3 partitions and 3 on the
 6-ray surface.
 
-The check applies each operator twice, to gamma and the pairings stacked and
-to the period; it must give the (ok, detail) of the per-series loop it
-replaced, and a stacked pass must give, component by component, the terms
-of the scalar passes.
+The check applies each operator three times, to gamma, to the period and
+to the stacked pairings; it must give the (ok, detail) of the per-series
+loop it replaced, and a stacked pass must give, component by component, the
+terms of the scalar passes.
 """
 
 from fractions import Fraction
@@ -101,7 +101,8 @@ def inst(request):
 def targets(inst):
     """The series the annihilation check applies every box operator to."""
     return [("gamma", inst.gamma), ("period", inst.period)] + [
-        (f"pairing_{h}", s) for h, s in enumerate(inst.pairings)]
+        (f"pairing_{h}", s)
+        for h, s in enumerate(inst.pairings.components())]
 
 
 def test_box_equals_reference_on_reliable_region(inst):
@@ -206,8 +207,9 @@ def test_stacked_pass_equals_scalar_passes(inst):
     ops = inst.sys.euler_operators() + inst.sys.box_operators()
     nonzero = 0
     for alpha in (inst.sys.alpha, wrong):
-        series = [s.replace(alpha=alpha) for _name, s in targets(inst)]
-        stacked = se.stack(series)
+        stacked = inst.pairings.replace(alpha=alpha)
+        series = [s.replace(alpha=alpha) for s in inst.pairings.components()]
+        assert len(series) == inst.ring.dim
         for op in ops:
             for twisted in (False, True):
                 result = se.apply_operator(op, stacked, twisted=twisted)
@@ -224,21 +226,10 @@ def test_stacked_pass_equals_scalar_passes(inst):
     assert nonzero
 
 
-def test_stack_rejects_mismatched_series():
-    sys, s = p1_series()
-    s.add_term((-2, 1, 1), (0, 0, 0), Fraction(5))
-    assert se.stack([s, s]).terms == {((-2, 1, 1), (0, 0, 0)): (5, 5)}
-    for other in (s.replace(alpha=(Fraction(-1, 3),) + s.alpha[1:]),
-                  s.replace(weight=tuple(2 * w for w in s.weight)),
-                  s.replace(order=5),
-                  s.replace(shifts=((0, 1, 1), (2, 0, 0)))):
-        with pytest.raises(ValueError):
-            se.stack([s, other])
-
-
-def test_check_all_applies_each_operator_twice(monkeypatch):
-    """check-all on the one-block P1^3: the stack and the period, once per
-    operator, so a return to one pass per series fails here."""
+def test_check_all_applies_each_operator_three_times(monkeypatch):
+    """check-all on the one-block P1^3: gamma, the period and the stacked
+    pairings, once per operator, so a return to one pass per series fails
+    here."""
     calls = []
     original = se.apply_operator
 
@@ -252,4 +243,4 @@ def test_check_all_applies_each_operator_twice(monkeypatch):
     assert all(r["ok"] for r in results), results
     ops = inst.sys.euler_operators() + inst.sys.box_operators()
     assert len(ops) == 7
-    assert len(calls) == 2 * len(ops) == 14
+    assert len(calls) == 3 * len(ops) == 21

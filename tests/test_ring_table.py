@@ -301,7 +301,8 @@ def test_pair_with_dual_matches_per_functional_walk(name):
     ring = toric.cohomology_ring(fan, sys.collections)
     omega = gkz.default_weight(sys)
     b = se.b_series(sys, ring, omega, 4)
-    pairings = se.pair_with_dual(ring, b, divisor_classes(sys, ring))
+    pairings = se.pair_with_dual(
+        ring, b, divisor_classes(sys, ring)).components()
     expected = _split_by_coordinate(
         ring, _log_expanded_b_series(sys, ring, omega, 4))
     assert len(pairings) == ring.dim

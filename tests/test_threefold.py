@@ -46,8 +46,8 @@ def test_threefold_r3_structure():
     assert se.residue_oracle(sys, ell) == Fraction(27, 64)
     # three log slots stratify the eight solutions as 1, 3, 3, 1
     chart = dg.subdivide_kahler_cone(sys)[0]
-    pairings = dg.chart_pairings(sys, ring, chart,
-                                 se.b_series(sys, ring, omega, 3))
+    pairings = dg.chart_pairings(
+        sys, ring, chart, se.b_series(sys, ring, omega, 3)).components()
     profile = sorted(max((sum(m) for _, m in s.terms), default=0)
                      for s in pairings)
     assert profile == [0, 1, 1, 1, 2, 2, 2, 3]

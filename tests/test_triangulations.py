@@ -1,6 +1,11 @@
+import random
+from fractions import Fraction
+from itertools import combinations
+
 import pytest
 
 from conftest import CORPUS, f1_fan, p1_fan, p1xp1_fan_r2, p2_fan
+from test_exact_linalg import ENGINE_INSTANCES
 from gkzfrac import gkz, toric, triangulations as tr
 from gkzfrac import exact_linalg as xl
 from gkzfrac.errors import DegenerateSimplex, NotRegular
@@ -98,6 +103,69 @@ def test_ample_weight_induces_tmax(corpus_fan):
     result = tr.regular_subdivision(pc, omega)
     assert isinstance(result, tr.Triangulation)
     assert result.simplex_set() == tmax(sys).simplex_set()
+
+
+def subset_regular_subdivision(pc, omega):
+    """The loop of the old ``regular_subdivision``, kept verbatim: one
+    ``solve_unique`` per m-subset of the points."""
+    omega = tuple(Fraction(w) for w in omega)
+    m = pc.dim
+    npts = len(pc.points)
+    cells = {}
+    for subset in combinations(range(npts), m):
+        mat = tuple(pc.points[i] for i in subset)
+        rhs = tuple(omega[i] for i in subset)
+        u = xl.solve_unique(mat, rhs)
+        if u is None:
+            continue
+        values = [xl.dot(u, p) for p in pc.points]
+        if any(v > w for v, w in zip(values, omega)):
+            continue
+        cell = tuple(i for i in range(npts) if values[i] == omega[i])
+        cells[cell] = u
+    ordered = tuple(sorted(cells))
+    if all(len(c) == m for c in ordered):
+        return tr.Triangulation(simplices=ordered, weight=omega)
+    return tr.Subdivision(cells=ordered, weight=omega)
+
+
+def probe_weights(sys, pc, seed):
+    """Seeded weights, integer and rational, and wall weights: 0, the lift
+    of each Kahler ray and of each pair sum of them, each also shifted by a
+    seeded linear function of the points (which moves no cell)."""
+    rng = random.Random(seed)
+    npts = len(pc.points)
+    weights = [(0,) * npts]
+    for _ in range(8):
+        weights.append(tuple(rng.randint(-3, 6) for _ in range(npts)))
+        weights.append(tuple(Fraction(rng.randint(-6, 12), rng.randint(1, 3))
+                             for _ in range(npts)))
+    rays = sys.kahler.rays
+    walls = [sys.lift_weight_class(r) for r in rays]
+    walls += [sys.lift_weight_class(xl.vec_add(a, b))
+              for a, b in combinations(rays, 2)]
+    for omega in walls:
+        u = tuple(rng.randint(-2, 2) for _ in range(pc.dim))
+        weights.append(omega)
+        weights.append(tuple(w + xl.dot(u, p)
+                             for w, p in zip(omega, pc.points)))
+    return weights
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_INSTANCES))
+def test_regular_subdivision_equals_the_subset_search(name):
+    """The cells read from the extreme rays are the cells of the subset
+    search, on seeded and wall weights, with both outcomes occurring."""
+    sys = gkz.build_system(ENGINE_INSTANCES[name]())
+    pc = tr.PointConfiguration.from_system(sys)
+    kinds = set()
+    for omega in probe_weights(sys, pc, seed=len(name)):
+        result = tr.regular_subdivision(pc, omega)
+        expected = subset_regular_subdivision(pc, omega)
+        assert type(result) is type(expected), omega
+        assert vars(result) == vars(expected), omega
+        kinds.add(type(result))
+    assert kinds == {tr.Triangulation, tr.Subdivision}
 
 
 # --- secondary cones ---------------------------------------------------------------------
