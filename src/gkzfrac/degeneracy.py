@@ -13,7 +13,7 @@ from itertools import product
 
 from . import exact_linalg as xl
 from . import series as se
-from .errors import NegativeExponent, SubdivisionFailed
+from .errors import NegativeExponent, NotUnimodular, SubdivisionFailed
 from .gkz import indicial_ideal_zero_locus
 
 SUBDIVISION_DEPTH_CAP = 32
@@ -24,43 +24,36 @@ class CanonicalChart:
 
     ``basis_vectors`` are the relation-lattice vectors dual to the cone's
     extreme rays; coordinate k is the monomial of basis vector k times the
-    sign ``signs[k]``.
+    sign ``signs[k]``.  The lattice projects isomorphically onto the exponent
+    positions ``slots``; ``inverse`` inverts the basis restricted to them.
     """
 
-    def __init__(self, cone_rays, basis_vectors, signs):
+    def __init__(self, cone_rays, basis_vectors, signs, slots):
         self.cone_rays = cone_rays
         self.basis_vectors = basis_vectors
         self.signs = signs
+        self.slots = slots
+        self.inverse = xl.unimodular_inverse(
+            [[v[s] for v in basis_vectors] for s in slots])
 
 
 def _chart_from_simplicial_cone(sys, rays):
     """Chart of a smooth maximal cone given by its extreme rays."""
-    dim = len(sys.basis)
-    u = tuple(rays)
-    d = xl.det(u)
-    if abs(d) != 1:
+    try:
+        inv = xl.unimodular_inverse(tuple(rays))
+    except NotUnimodular:
         return None
-    inv = _integer_inverse(u)
-    basis_vectors = []
-    for k in range(dim):
-        col = tuple(inv[i][k] for i in range(dim))
-        basis_vectors.append(sys.from_basis_coords(col))
+    basis_vectors = tuple(sys.from_basis_coords(col) for col in zip(*inv))
     assert xl.is_unimodular_lattice_basis(basis_vectors, sys.basis)
     aux = sys.aux_positions()
     signs = tuple((-1) ** (sum(v[j] for j in aux) % 2) for v in basis_vectors)
-    return CanonicalChart(cone_rays=tuple(u),
-                          basis_vectors=tuple(basis_vectors), signs=signs)
-
-
-def _integer_inverse(m):
-    k = len(m)
-    cols = []
-    for i in range(k):
-        e = tuple(1 if j == i else 0 for j in range(k))
-        col = xl.solve_unique(m, e)
-        assert col is not None and all(c.denominator == 1 for c in col)
-        cols.append(tuple(int(c) for c in col))
-    return tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
+    # a relation is fixed by its entries on the rays off one smooth maximal
+    # cone: the cone's own entries and the auxiliary ones follow integrally
+    cone = sys.fan.max_cones[0]
+    slots = tuple(sys.fan.j_position_of_ray(i) for i in range(sys.p)
+                  if i not in cone)
+    return CanonicalChart(cone_rays=tuple(rays), basis_vectors=basis_vectors,
+                          signs=signs, slots=slots)
 
 
 def _triangulate_cone(rays, dim):
@@ -151,12 +144,12 @@ def subdivide_kahler_cone(sys):
 # --- chart re-expansion -------------------------------------------------------------
 
 def chart_coordinates(chart, ell):
-    """Nonnegative integer exponents of x^ell in the chart monomials."""
-    cols = tuple(zip(*chart.basis_vectors))
-    sol = xl.solve_unique(cols, ell)
-    assert sol is not None and all(c.denominator == 1 for c in sol), \
+    """Nonnegative integer exponents of x^ell in the chart monomials, read
+    off the chart's slots through its inverse."""
+    m = xl.mat_vec(chart.inverse, tuple(ell[s] for s in chart.slots))
+    assert all(sum(c * v[i] for c, v in zip(m, chart.basis_vectors)) == x
+               for i, x in enumerate(ell)), \
         f"{ell} is not an integer combination of the chart basis"
-    m = tuple(int(c) for c in sol)
     if any(x < 0 for x in m):
         raise NegativeExponent(
             f"{ell} needs negative chart exponents {m}")

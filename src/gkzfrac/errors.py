@@ -19,6 +19,10 @@ class DimensionMismatch(GkzfracError):
     """Operands have incompatible dimensions."""
 
 
+class NotUnimodular(GkzfracError):
+    """Square matrix whose determinant is not +-1."""
+
+
 # --- polytopes ---------------------------------------------------------------
 
 class OriginNotInterior(GkzfracError):

@@ -10,8 +10,8 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 
-from .errors import (DimensionMismatch, EmptyInterior, RankDeficient,
-                     TruncationTooLarge)
+from .errors import (DimensionMismatch, EmptyInterior, NotUnimodular,
+                     RankDeficient, TruncationTooLarge)
 
 
 # --- small vector helpers ----------------------------------------------------
@@ -273,6 +273,18 @@ def solve_unique(m, b):
     if sol is None or sol[1]:
         return None
     return sol[0]
+
+
+def unimodular_inverse(m):
+    """The integer inverse of a square integer matrix of determinant +-1,
+    from one ``rref`` of ``[m | I]``; raises NotUnimodular otherwise."""
+    d = det(m)
+    if abs(d) != 1:
+        raise NotUnimodular(f"matrix has determinant {d}, expected +-1")
+    k = len(m)
+    reduced, _ = rref([tuple(row) + tuple(int(i == j) for j in range(k))
+                       for i, row in enumerate(m)])
+    return tuple(tuple(int(x) for x in row[k:]) for row in reduced)
 
 
 # --- Hermite normal form ------------------------------------------------------

@@ -18,7 +18,7 @@ from . import exact_linalg as xl
 from .errors import (ConfigError, InMoriCone, NotInKernel, NotInRegion,
                      TruncationTooLarge)
 from .gkz import BoxOperator, EulerOperator, check_weight, weight_class
-from .toric import CohClass
+from .toric import CohClass, integer_act
 
 DEFAULT_MAX_TERMS = 100000
 
@@ -247,10 +247,6 @@ class LogSeries:
         return all(xl.dot(self.weight, xl.vec_add(ell, s)) <= self.order
                    for s in self.shifts)
 
-    def reliable_items(self):
-        return [((ell, logdeg), c) for (ell, logdeg), c in self.sorted_items()
-                if self._is_reliable(ell)]
-
     def is_zero_on_reliable_region(self):
         return not any(self._is_reliable(ell) for ell, _ in self.terms)
 
@@ -283,13 +279,22 @@ class LogSeries:
         stacked = bool(values) and isinstance(values[0], tuple)
         scaled = [_integers(column)
                   for column in (zip(*values) if stacked else [values])]
+        return self._keep_integer_form(
+            stacked, [d for d, _ in scaled],
+            ((key, [(i, n) for i, n in enumerate(row) if n])
+             for key, row in zip(keys, zip(*(n for _, n in scaled)))))
+
+    def _keep_integer_form(self, stacked, denominators, rows):
+        """Group the rows ``(key, nonzero (component, numerator) pairs)``,
+        keep the form for ``integer_form`` against the current terms and
+        return it."""
         groups = {}
-        for (ell, logdeg), row in zip(keys, zip(*(n for _, n in scaled))):
-            nz = tuple((i, n) for i, n in enumerate(row) if n)
+        for (ell, logdeg), nz in rows:
             if nz:
-                groups.setdefault(ell, []).append((logdeg, nz))
-        form = (stacked, [d for d, _ in scaled], groups)
-        self._integer_form = (keys, values, form)
+                groups.setdefault(ell, []).append((logdeg, tuple(nz)))
+        form = (stacked, denominators, groups)
+        self._integer_form = (list(self.terms), list(self.terms.values()),
+                              form)
         return form
 
 
@@ -344,7 +349,7 @@ def o_class(sys, ring, ell):
         for k in range(-c):
             p, q = (a - k).numerator, (a - k).denominator
             v = [q * y + scale * p * x
-                 for x, y in zip(v, _integer_act(columns, v))]
+                 for x, y in zip(v, integer_act(columns, v))]
             den *= scale * q
         for m in range(1, c + 1):
             p, q = (a + m).numerator, (a + m).denominator
@@ -353,7 +358,7 @@ def o_class(sys, ring, ell):
             v = [q * x for x in v]
             den *= p
             for _ in range(sys.n):
-                term = _integer_act(columns, term)
+                term = integer_act(columns, term)
                 if not any(term):
                     break
                 sign_q *= -q
@@ -364,16 +369,6 @@ def o_class(sys, ring, ell):
         if not any(v):
             break
     return CohClass(ring, [Fraction(x, den) for x in v])
-
-
-def _integer_act(columns, v):
-    """M v for an integer matrix given column by column as sparse pairs."""
-    out = [0] * len(v)
-    for x, column in zip(v, columns):
-        if x:
-            for k, c in column:
-                out[k] += c * x
-    return out
 
 
 def _log_multidegrees(nvars, top):
@@ -392,22 +387,28 @@ def _log_multidegrees(nvars, top):
 
 
 def log_part(ring, classes, top):
-    """The nonzero log-slot classes prod_j classes[j]^m_j / m_j! over all
-    log multidegrees m of total degree at most ``top``."""
-    out = []
-    for m in _log_multidegrees(len(classes), top):
-        factors = [classes[j] for j, e in enumerate(m) for _ in range(e)]
-        cls = factors[0] if factors else ring.one()
-        for f in factors[1:]:
-            cls = cls * f
-            if cls.is_zero():
-                break
-        if cls.is_zero():
+    """The nonzero log-slot classes L_m = prod_j classes[j]^m_j / m_j! over
+    all log multidegrees m of total degree at most ``top``.
+
+    L_m is its parent L_(m - e_j), j the last slot of m, times classes[j]
+    / m_j: one integer act of that class's ``ring.multiplier``.
+    """
+    acts = [ring.multiplier(cls) for cls in classes]
+    m0, *degrees = _log_multidegrees(len(classes), top)
+    kept = {m0: ([int(x) for x in ring.one().coords], 1)}  # the nonzero L_m
+    out = [(m0, ring.one())]
+    for m in degrees:
+        j = max(k for k, e in enumerate(m) if e)
+        parent = kept.get(m[:j] + (m[j] - 1,) + m[j + 1:])
+        if parent is None:
             continue
-        denom = 1
-        for e in m:
-            denom *= factorial(e)
-        out.append((m, Fraction(1, denom) * cls))
+        scale, columns = acts[j]
+        v = integer_act(columns, parent[0])
+        if not any(v):
+            continue
+        den = parent[1] * scale * m[j]
+        kept[m] = v, den
+        out.append((m, CohClass(ring, [Fraction(x, den) for x in v])))
     return out
 
 
@@ -432,24 +433,40 @@ def pair_with_dual(ring, b, classes):
     """The B-series ``b`` paired with the dual basis, as one stacked series
     with x^D expanded in the log slots whose divisor classes are
     ``classes``: term (ell, m) holds the coordinate tuple of
-    O_ell * prod_j classes[j]^m_j / m_j!, entry h pairing against the h-th
-    dual-basis functional.  Keys whose coordinates are all 0 are dropped.
+    O_ell * L_m, L_m = prod_j classes[j]^m_j / m_j! from ``log_part``,
+    entry h pairing against the h-th dual-basis functional.  Keys whose
+    coordinates are all 0 are dropped.
+
+    Each product is one integer act of O_ell's ``ring.multiplier`` on L_m;
+    O_0 = 1 and L_0 = 1 enter as they are.  Entries are shared Fractions,
+    one per (numerator, denominator) pair, and the series keeps the integer
+    form ``apply_operator`` reads, over one common denominator.
     """
-    logs = log_part(ring, classes, ring.top)
-    out = b.replace(terms={})
+    logs = [(m, cls.coords, *xl.integer_scaled(cls.coords))
+            for m, cls in log_part(ring, classes, ring.top)]
     one = ring.one().coords
+    fractions = {}  # denominator -> numerator -> the shared Fraction
+    rows = []  # (key, coordinates, numerators, denominator)
     for (ell, _), base in b.terms.items():
-        unit = base.coords == one           # O_0 is the unit class
-        for m, cls in logs:
-            # no ring product with the unit: O_0, or the m = 0 log class
-            if unit:
-                prod = cls
-            elif any(m):
-                prod = base * cls
-            else:
-                prod = base
-            if any(prod.coords):
-                out.terms[(ell, m)] = prod.coords
+        if base.coords == one:  # O_0 is the unit class
+            rows.extend(((ell, m), *row) for m, *row in logs)
+            continue
+        rows.append(((ell, logs[0][0]), base.coords,  # the m = 0 class is 1
+                     *xl.integer_scaled(base.coords)))
+        scale, columns = ring.multiplier(base)
+        for m, _, ints, den in logs[1:]:
+            v = integer_act(columns, ints)
+            if any(v):
+                d = scale * den
+                shared = fractions.setdefault(d, {})
+                for x in set(v).difference(shared):
+                    shared[x] = Fraction(x, d)
+                rows.append(((ell, m), tuple(map(shared.__getitem__, v)), v, d))
+    out = b.replace(terms={key: prod for key, prod, _, _ in rows})
+    common = lcm(*{d for *_, d in rows})
+    out._keep_integer_form(True, [common] * ring.dim, (
+        (key, [(i, x * (common // d)) for i, x in enumerate(v) if x])
+        for key, _, v, d in rows))
     return out
 
 

@@ -6,12 +6,13 @@ extended point configuration appends one auxiliary point per block at j = 0.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from functools import cached_property
+from itertools import chain, combinations
 from math import gcd, lcm
 
 from . import exact_linalg as xl
-from .errors import (EmptyInterior, NotComplete, NotSmooth, RayNotPrimitive,
-                     SemanticError)
+from .errors import (EmptyInterior, NotComplete, NotSmooth, NotUnimodular,
+                     RayNotPrimitive, SemanticError)
 
 
 # --- fan data ------------------------------------------------------------------
@@ -77,6 +78,26 @@ class FanData:
         i, j = self.double_index_of_ray(i_ray)
         return self.j_position(i, j)
 
+    @cached_property
+    def cone_inverses(self):
+        """Each maximal cone's sorted rays with the integer inverse of the
+        matrix whose columns they are, built once per fan; raises NotSmooth
+        naming the first cone that is not unimodular."""
+        out = []
+        for cone in self.max_cones:
+            rays = sorted(cone)
+            if len(rays) != self.rank:
+                raise NotSmooth(
+                    f"cone {rays} has {len(rays)} rays, expected {self.rank}")
+            cols = tuple(zip(*(self.rays[i] for i in rays)))
+            try:
+                out.append((rays, xl.unimodular_inverse(cols)))
+            except NotUnimodular:
+                d = xl.det(cols)
+                raise NotSmooth(f"cone {rays} is degenerate" if d == 0 else
+                                f"cone {rays} has determinant {d}") from None
+        return out
+
 
 def make_fan(rank, rays, max_cones, nef_partition, name="", ample_weight=None):
     """Canonical FanData: rays reordered block by block, cones remapped."""
@@ -136,12 +157,6 @@ class ValidationReport:
         return {name: detail for name, detail in self.checks}
 
 
-def _cone_coefficients(fan, cone_rays, v):
-    """Exact expansion of v over the rays of a simplicial cone, or None."""
-    cols = tuple(zip(*(fan.rays[i] for i in cone_rays)))
-    return xl.solve_unique(cols, v)
-
-
 def validate_fan(fan):
     """Check primitivity, smoothness, simpliciality and completeness.
 
@@ -159,15 +174,7 @@ def validate_fan(fan):
             raise RayNotPrimitive(f"ray {idx} = {ray} has entry gcd {g}")
     report.add("primitivity", f"{fan.p} rays primitive")
 
-    for cone in fan.max_cones:
-        if len(cone) != fan.rank:
-            raise NotSmooth(
-                f"cone {sorted(cone)} has {len(cone)} rays, expected {fan.rank}")
-        d = xl.det([fan.rays[i] for i in sorted(cone)])
-        if d == 0:
-            raise NotSmooth(f"cone {sorted(cone)} is degenerate")
-        if abs(d) != 1:
-            raise NotSmooth(f"cone {sorted(cone)} has determinant {d}")
+    fan.cone_inverses  # raises NotSmooth on the first bad cone
     report.add("smoothness", f"{len(fan.max_cones)} maximal cones unimodular")
     report.add("simpliciality", "all maximal cones simplicial")
 
@@ -199,9 +206,9 @@ def _check_complete(fan):
         if xl.vec_is_zero(v):
             continue
         interior, boundary = 0, False
-        for cone in fan.max_cones:
-            coeffs = _cone_coefficients(fan, sorted(cone), v)
-            if coeffs is None or any(c < 0 for c in coeffs):
+        for _rays, inverse in fan.cone_inverses:
+            coeffs = xl.mat_vec(inverse, v)
+            if any(c < 0 for c in coeffs):
                 continue
             if any(c == 0 for c in coeffs):
                 boundary = True
@@ -244,7 +251,9 @@ def primitive_collections(fan):
     """All minimal non-faces with exact primitive-relation data.
 
     Every proper subset of a minimal non-face is a cone of the simplicial
-    fan, so has at most ``rank`` rays: sizes stop at ``rank + 1``.
+    fan, so has at most ``rank`` rays: sizes stop at ``rank + 1``.  The
+    relation coefficients are read through ``fan.cone_inverses``, so a cone
+    that is not unimodular raises NotSmooth.
     """
     out = []
     indices = range(fan.p)
@@ -266,19 +275,15 @@ def _build_collection(fan, collection):
         total = xl.vec_add(total, fan.rays[i])
     sigma, coeffs = frozenset(), {}
     if not xl.vec_is_zero(total):
-        for cone in fan.max_cones:
-            sol = _cone_coefficients(fan, sorted(cone), total)
-            if sol is not None and all(c >= 0 for c in sol):
-                rays_sorted = sorted(cone)
-                sigma = frozenset(i for i, c in zip(rays_sorted, sol) if c > 0)
-                coeffs = {i: c for i, c in zip(rays_sorted, sol) if c > 0}
+        for rays, inverse in fan.cone_inverses:
+            sol = xl.mat_vec(inverse, total)
+            if all(c >= 0 for c in sol):
+                coeffs = {i: c for i, c in zip(rays, sol) if c > 0}
+                sigma = frozenset(coeffs)
                 break
         else:
             raise NotComplete(f"sum of collection {sorted(collection)} "
                               "lies in no maximal cone")
-        assert all(c.denominator == 1 for c in coeffs.values()), \
-            "non-integer relation coefficients contradict smoothness"
-        coeffs = {i: int(c) for i, c in coeffs.items()}
     assert not (collection & sigma), \
         "collection meets the carrier cone, contradicting smoothness"
     block_of = fan.block_of_ray
@@ -424,7 +429,8 @@ class CohomologyRing:
     earliest independent ones degree by degree; the intersection pairing is
     normalised so the class of a point integrates to 1.  Classes are
     coordinate vectors over that basis, multiplied through a table of basis
-    products built once by the constructor.
+    products built once by the constructor, held as integers over one
+    common denominator.
     """
 
     def __init__(self, fan, collections):
@@ -442,24 +448,26 @@ class CohomologyRing:
         self._global_pos = {m: i for i, m in enumerate(self.basis_monomials)}
         self._point = self._point_class()
         self._one = CohClass(self, _unit(self.dim, 0))
-        # Structure constants of the basis, then multiplication by each
-        # divisor class; nothing is computed or cached after this point.
-        self._table = [[None] * self.dim for _ in range(self.dim)]
+        # Structure constants of the basis as integers over the common
+        # denominator _scale, then multiplication by each divisor class;
+        # nothing is computed or cached after this point.
+        products = {}
         for a, ma in enumerate(self.basis_monomials):
             for b in range(a, self.dim):
                 expo = tuple(x + y for x, y in zip(ma, self.basis_monomials[b]))
-                self._table[a][b] = self._table[b][a] = _sparse(
-                    self.class_from_poly({expo: 1}).coords)
+                products[a, b] = self.class_from_poly({expo: 1}).coords
+        self._scale = lcm(*(c.denominator for coords in products.values()
+                            for c in coords))
+        self._table = [[None] * self.dim for _ in range(self.dim)]
+        for (a, b), coords in products.items():
+            self._table[a][b] = self._table[b][a] = _sparse(
+                [c.numerator * (self._scale // c.denominator) for c in coords])
         self._divisors = {}
         for (i, j) in fan.j_indices():
             rays = fan.blocks[i] if j == 0 else (fan.ray_of_double_index(i, j),)
             d = self.class_from_poly({_unit(self.p, r): -1 if j == 0 else 1
                                       for r in rays})
-            columns = [_sparse(self._contract(d.coords, _unit(self.dim, b)))
-                       for b in range(self.dim)]
-            scale = lcm(*(c.denominator for col in columns for _, c in col))
-            self._divisors[(i, j)] = d, scale, tuple(
-                tuple((k, int(c * scale)) for k, c in col) for col in columns)
+            self._divisors[(i, j)] = d, self.multiplier(d)
 
     # -- construction --
 
@@ -507,21 +515,6 @@ class CohomologyRing:
             for row, c in zip(reduced, pivots):
                 self._normal[cols[c]] = {cols[f]: -row[f] for f in free if row[f]}
 
-    def _contract(self, x, y):
-        """Coordinates of the product of two coordinate vectors."""
-        out = [_ZERO] * self.dim
-        nonzero_y = [(b, cy) for b, cy in enumerate(y) if cy]
-        for a, cx in enumerate(x):
-            if not cx:
-                continue
-            row = self._table[a]
-            for b, cy in nonzero_y:
-                if row[b]:
-                    c = cx * cy
-                    for k, t in row[b]:
-                        out[k] += c * t
-        return out
-
     def reduce_monomial(self, expo):
         """Coordinates of a monomial over the selected basis of its degree."""
         if sum(expo) > self.top:
@@ -566,11 +559,9 @@ class CohomologyRing:
         return self._divisors[(i, j)][0]
 
     def divisor_matrix(self, i, j):
-        """Multiplication by the divisor class of (i, j) as (L, M) with M / L
-        the matrix: M is integer, and its column b lists the nonzero
-        (index, coefficient) pairs of L times the class times basis monomial
-        b.  The matrix is nilpotent of order rank + 1."""
-        return self._divisors[(i, j)][1:]
+        """``multiplier`` of the divisor class of (i, j), built once; the
+        matrix is nilpotent of order rank + 1."""
+        return self._divisors[(i, j)][1]
 
     def class_from_poly(self, poly):
         """Class of a polynomial in the ray variables, given as expo -> coeff."""
@@ -585,7 +576,29 @@ class CohomologyRing:
         return CohClass(self, tuple(out))
 
     def multiply(self, a, b):
-        return CohClass(self, self._contract(a.coords, b.coords))
+        scale, columns = self.multiplier(a)
+        y, den = xl.integer_scaled(b.coords)
+        return CohClass(self, [Fraction(n, scale * den)
+                               for n in integer_act(columns, y)])
+
+    def multiplier(self, cls):
+        """Multiplication by ``cls`` as (L, M) with M / L the matrix: M is
+        integer, L is the least positive integer that makes it so, and
+        column b of M lists the nonzero (index, coefficient) pairs of L
+        times the class times basis element b."""
+        x, den = xl.integer_scaled(cls.coords)
+        rows = [(self._table[a], c) for a, c in enumerate(x) if c]
+        columns = []
+        for b in range(self.dim):
+            col = [0] * self.dim
+            for row, c in rows:
+                for k, t in row[b]:
+                    col[k] += c * t
+            columns.append(col)
+        g = gcd(den * self._scale, *chain.from_iterable(columns))
+        return den * self._scale // g, tuple(
+            tuple((k, c // g) for k, c in enumerate(col) if c)
+            for col in columns)
 
     def integral(self, cls):
         """Pairing with the fundamental class, point class normalised to 1."""
@@ -608,6 +621,16 @@ class CohomologyRing:
                     parts.extend([f"a_{i + 1}_{j}"] * e)
             names.append("*".join(parts))
         return names
+
+
+def integer_act(columns, v):
+    """M v for an integer matrix given column by column as sparse pairs."""
+    out = [0] * len(v)
+    for x, column in zip(v, columns):
+        if x:
+            for k, c in column:
+                out[k] += c * x
+    return out
 
 
 class CohClass:
@@ -654,10 +677,6 @@ class CohClass:
 
     def is_zero(self):
         return all(c == 0 for c in self.coords)
-
-    def scalar_part(self):
-        """Coefficient of the unit basis element."""
-        return self.coords[0]
 
     def __repr__(self):
         items = [f"{c}*{n}" for (m, c), n in

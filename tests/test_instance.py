@@ -45,41 +45,62 @@ def test_check_all_walks_the_mori_slab_once(monkeypatch):
     assert len(calls) == 1
 
 
+def count_expansion_acts(monkeypatch):
+    """Record the matrix of every integer multiplier act made while x^D is
+    expanded (``pair_with_dual`` and the ``log_part`` it calls)."""
+    acts, inside = [], []
+
+    def expansion(*args, _fn=se.pair_with_dual):
+        inside.append(1)
+        try:
+            return _fn(*args)
+        finally:
+            inside.pop()
+
+    def act(columns, v, _fn=se.integer_act):
+        if inside:
+            acts.append(columns)
+        return _fn(columns, v)
+    monkeypatch.setattr(se, "pair_with_dual", expansion)
+    monkeypatch.setattr(se, "integer_act", act)
+    return acts
+
+
 @pytest.mark.parametrize("name", ["p2", "f1", "p1xp1"])
-def test_degeneracy_multiplies_less_than_bseries(name, monkeypatch):
+def test_degeneracy_expands_less_than_bseries(name, monkeypatch):
     # the chart pairings expand x^D once; bseries expands it for the
     # system's own log slots, so it is the larger job of the two
-    calls = []
-
-    def counted(self, a, b, _fn=toric.CohomologyRing.multiply):
-        calls.append(1)
-        return _fn(self, a, b)
-    monkeypatch.setattr(toric.CohomologyRing, "multiply", counted)
+    acts = count_expansion_acts(monkeypatch)
     spec = cli.parse_input(cli.fixture_path(name))
     counts = {}
     for cmd in ("degeneracy", "bseries"):
-        calls.clear()
+        acts.clear()
         assert not cli.run_command(cmd, spec, {"order": None}).failed
-        counts[cmd] = len(calls)
+        counts[cmd] = len(acts)
     assert 0 < counts["degeneracy"] < counts["bseries"], counts
 
 
-def test_no_ring_product_has_a_unit_factor(monkeypatch):
-    # the unit class O_0 and the m = 0 log class enter the pairings as they
-    # are, so no product in the x^D expansion merely returns its input
-    calls = []
+def _is_scalar(columns):
+    """Whether a sparse integer matrix is a multiple of the identity."""
+    return all(column == tuple((b, c) for _, c in columns[0][:1])
+               for b, column in enumerate(columns))
 
-    def counted(self, a, b, _fn=toric.CohomologyRing.multiply):
-        one = self.one().coords
-        calls.append(a.coords == one or b.coords == one)
-        return _fn(self, a, b)
-    monkeypatch.setattr(toric.CohomologyRing, "multiply", counted)
+
+def test_no_expansion_act_merely_scales(monkeypatch):
+    # the unit class O_0 and the m = 0 log class enter the pairings as they
+    # are, so no act in the x^D expansion is by the identity, or by any
+    # multiple of it
+    acts = count_expansion_acts(monkeypatch)
     for name in ("p1", "p2", "f1", "p1xp1", "p1xp1_r1"):
         spec = cli.parse_input(cli.fixture_path(name))
         for cmd in ("bseries", "degeneracy"):
             assert not cli.run_command(cmd, spec, {"order": 12}).failed
-    assert len(calls) > 5000
-    assert sum(calls) == 0
+    assert len(acts) > 5000
+    assert not any(_is_scalar(columns) for columns in acts)
+    # the test sees the acts it forbids
+    ring = checks.Instance(CORPUS["p2"](), order=4).ring
+    assert _is_scalar(ring.multiplier(ring.one())[1])
+    assert _is_scalar(ring.multiplier(3 * ring.one())[1])
 
 
 @pytest.mark.parametrize("name", ["p2", "f1", "f1_r2"])
