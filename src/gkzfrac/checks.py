@@ -193,18 +193,36 @@ def _check_mori_vanishing_samples(inst):
 
 
 def mori_vanishing_samples(sys, bound=3, limit=10):
-    """Relation vectors outside the curve cone from small generator mixes."""
+    """Relation vectors outside the curve cone from small generator mixes:
+    the first ``limit`` nonzero coefficient vectors in [-bound, bound]^k
+    off the cone, by increasing L1 norm and lexicographically within a
+    norm, walked shell by shell so only the vectors up to the last sample
+    are formed."""
     k = len(sys.basis)
-    combos = sorted(product(range(-bound, bound + 1), repeat=k),
-                    key=lambda c: (sum(abs(x) for x in c), c))
     out = []
-    for c in combos:
-        if all(x == 0 for x in c) or se.coords_in_mori_cone(sys, c):
-            continue
-        out.append(sys.from_basis_coords(c))
-        if len(out) == limit:
-            break
+    for norm in range(1, k * bound + 1):
+        for c in _shell(k, norm, bound):
+            if se.coords_in_mori_cone(sys, c):
+                continue
+            out.append(sys.from_basis_coords(c))
+            if len(out) == limit:
+                return out
     return out
+
+
+def _shell(k, norm, bound):
+    """The vectors of [-bound, bound]^k with L1 norm ``norm``, in
+    lexicographic order."""
+    if k == 0:
+        if norm == 0:
+            yield ()
+        return
+    top = min(bound, norm)
+    for x in range(-top, top + 1):
+        rest = norm - abs(x)
+        if rest <= bound * (k - 1):
+            for tail in _shell(k - 1, rest, bound):
+                yield (x,) + tail
 
 
 def low_degree_keys(series, omega, cap):

@@ -7,6 +7,7 @@ primitive collection).
 """
 
 from fractions import Fraction
+from functools import cached_property
 
 from . import exact_linalg as xl
 from . import toric
@@ -172,6 +173,15 @@ class GkzSystem:
             for idx, x in enumerate(vec):
                 out[idx] += coeff * x
         return tuple(out)
+
+    @cached_property
+    def lattice_ideal(self):
+        """Generators of the saturated lattice ideal
+        (``triangulations.lattice_ideal_generators``); they do not depend
+        on the weight, so every Groebner basis of the system starts from
+        the same ones."""
+        from . import triangulations as tr
+        return tuple(tr.lattice_ideal_generators(self))
 
     def euler_operators(self):
         return [EulerOperator(row=k, coeffs=tuple(self.a_ext[k]),

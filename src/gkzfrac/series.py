@@ -162,7 +162,8 @@ def _slab(sys, omega, order, extra_rows):
     points = xl.lattice_points(rows, k, cap=max_terms(),
                                cap_name="GKZFRAC_MAX_TERMS")
     ells = [sys.from_basis_coords(m) for m in points]
-    ells.sort(key=lambda e: (xl.dot(omega, e), e))
+    weights = xl.integer_scaled(omega)[0]  # same order, integer degrees
+    ells.sort(key=lambda e: (xl.dot(weights, e), e))
     return ells
 
 
@@ -229,8 +230,9 @@ class LogSeries:
             self.terms[key] = coeff
 
     def sorted_items(self):
+        weights = xl.integer_scaled(self.weight)[0]  # same order, integers
         return sorted(self.terms.items(),
-                      key=lambda kv: (xl.dot(self.weight, kv[0][0]),
+                      key=lambda kv: (xl.dot(weights, kv[0][0]),
                                       kv[0][0], kv[0][1]))
 
     def coefficient(self, ell, logdeg=None):
@@ -244,17 +246,26 @@ class LogSeries:
     def _is_reliable(self, ell):
         """Whether every input feeding exponent offset ``ell`` lies inside
         the truncation order."""
-        return all(xl.dot(self.weight, xl.vec_add(ell, s)) <= self.order
-                   for s in self.shifts)
+        return self._reliable()(ell)
+
+    def _reliable(self):
+        """``_is_reliable`` built once for many offsets: the weight is
+        scaled to integers and the largest shift's degree is taken off the
+        order scaled alike, so each offset costs one integer dot product."""
+        weights, den = xl.integer_scaled(self.weight)
+        top = self.order * den - max(xl.dot(weights, s) for s in self.shifts)
+        return lambda ell: xl.dot(weights, ell) <= top
 
     def is_zero_on_reliable_region(self):
-        return not any(self._is_reliable(ell) for ell, _ in self.terms)
+        reliable = self._reliable()
+        return not any(reliable(ell) for ell, _ in self.terms)
 
     def first_nonzero_component(self):
         """For a stacked series, the index of the first component with a
         nonzero term on the reliable region, or None."""
+        reliable = self._reliable()
         return min((i for (ell, _), row in self.terms.items()
-                    if self._is_reliable(ell)
+                    if reliable(ell)
                     for i, c in enumerate(row) if c), default=None)
 
     def components(self):
@@ -334,25 +345,31 @@ def o_class(sys, ring, ell):
     which stops at t = rank because D^(rank+1) = 0.  The vector is kept as
     integer numerators over one common denominator, with D = M / L for the
     integer matrix M of ``ring.divisor_matrix``; with s = p / q, the series
-    cut after its t-th term has denominator (L p)^t p.  Fractions are built
-    only for the result.
+    cut after its t-th term has denominator (L p)^t p.  Every s shares a's
+    denominator q, so p is read off a's numerator once per slot.  The
+    factors commute, so every lowering slot (c < 0) is applied before any
+    inverse: off the curve cone the lowering factors of a primitive
+    collection kill the vector, and the zero class is returned before any
+    Neumann series is formed.  Fractions are built only for the result.
     """
     ell = tuple(ell)
     alpha = sys.alpha
+    slots = [(ell[pos], alpha[pos], i, j) for (i, j) in sys.j_indices()
+             for pos in [sys.j_position(i, j)] if ell[pos]]
+    slots.sort(key=lambda slot: slot[0] > 0)  # lowering slots first
     v, den = [int(x) for x in ring.one().coords], 1
-    for (i, j) in sys.j_indices():
-        pos = sys.j_position(i, j)
-        a, c = alpha[pos], ell[pos]
-        if not c:
-            continue
+    for c, a, i, j in slots:
+        p0, q = a.numerator, a.denominator
         scale, columns = ring.divisor_matrix(i, j)
         for k in range(-c):
-            p, q = (a - k).numerator, (a - k).denominator
+            p = p0 - k * q
             v = [q * y + scale * p * x
                  for x, y in zip(v, integer_act(columns, v))]
+            if not any(v):
+                return ring.zero()
             den *= scale * q
         for m in range(1, c + 1):
-            p, q = (a + m).numerator, (a + m).denominator
+            p = p0 + m * q
             assert p != 0, "slot factor with vanishing scalar part"
             term, sign_q = v, q
             v = [q * x for x in v]
@@ -366,8 +383,6 @@ def o_class(sys, ring, ell):
                 den *= scale * p
         g = gcd(den, *v)
         v, den = [x // g for x in v], den // g
-        if not any(v):
-            break
     return CohClass(ring, [Fraction(x, den) for x in v])
 
 

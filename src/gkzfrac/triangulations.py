@@ -173,13 +173,26 @@ def secondary_cone(sys, pc, tri):
 # --- binomial Groebner bases -----------------------------------------------------
 
 class TermOrder:
-    """Matrix term order: compare weight rows lexicographically."""
+    """Matrix term order: compare weight rows lexicographically.
+
+    Each row is scaled to integers by the lcm of its denominators, which
+    leaves the order unchanged, and kept as its nonzero (slot, weight)
+    pairs; each monomial's key is computed once and kept for the life of
+    the order.
+    """
 
     def __init__(self, rows):
-        self.rows = rows
+        self._rows = tuple(
+            tuple((j, w) for j, w in enumerate(xl.integer_scaled(row)[0]) if w)
+            for row in rows)
+        self._keys = {}
 
     def key(self, mono):
-        return tuple(xl.dot(row, mono) for row in self.rows)
+        key = self._keys.get(mono)
+        if key is None:
+            key = self._keys[mono] = tuple(
+                sum(w * mono[j] for j, w in row) for row in self._rows)
+        return key
 
     def greater(self, a, b):
         return self.key(a) > self.key(b)
@@ -353,8 +366,7 @@ def lattice_ideal_generators(sys):
 def toric_groebner_basis(sys, omega):
     """Reduced Groebner basis of the toric ideal for the weight order."""
     order = weight_order(omega, sys.nvars)
-    gens = lattice_ideal_generators(sys)
-    basis = buchberger(gens, order)
+    basis = buchberger(sys.lattice_ideal, order)
     return BinomialIdeal(generators=tuple(basis),
                          weight=tuple(Fraction(w) for w in omega),
                          nvars=sys.nvars)

@@ -271,6 +271,37 @@ def test_o_class_matches_product_form_on_the_box(instance):
     assert off_cone > 0
 
 
+@pytest.mark.parametrize("name,expected", [("p1p1p1_r1", 98),
+                                           ("surface8", 399)])
+def test_o_class_makes_no_neumann_step_off_the_cone(name, expected,
+                                                     monkeypatch):
+    """Off the curve cone the lowering factors, applied before any inverse,
+    kill the vector: ``o_class`` makes at most one integer act per unit of
+    -c over the lowering slots, none for a Neumann series."""
+    fan = INSTANCES[name]()
+    ring = toric.cohomology_ring(fan, toric.primitive_collections(fan))
+    sys = gkz.build_system(fan)
+    acts = [0]
+
+    def act(columns, v, _fn=se.integer_act):
+        acts[0] += 1
+        return _fn(columns, v)
+
+    monkeypatch.setattr(se, "integer_act", act)
+    slots = [sys.j_position(i, j) for (i, j) in sys.j_indices()]
+    off_cone = 0
+    for coords in product(range(-2, 3), repeat=len(sys.basis)):
+        if se.coords_in_mori_cone(sys, coords):
+            continue
+        ell = sys.from_basis_coords(coords)
+        acts[0] = 0
+        assert se.o_class(sys, ring, ell).is_zero(), ell
+        assert 0 < acts[0] <= sum(-ell[pos] for pos in slots
+                                  if ell[pos] < 0), ell
+        off_cone += 1
+    assert off_cone == expected
+
+
 def _log_expanded_b_series(sys, ring, omega, order):
     """The B-series with x^D expanded term by term: every nonzero product
     class times every log class, as one cohomology-valued series."""

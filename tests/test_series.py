@@ -1,10 +1,12 @@
 import json
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from conftest import divisor_classes, p1_fan, p1xp1_fan_r2, p2_fan
 from test_ring_table import INSTANCES, scalar_part
+from test_triangulations import weights_with_denominators
 from gkzfrac import checks, gkz, series as se, toric
 from gkzfrac import exact_linalg as xl
 from gkzfrac.errors import (InMoriCone, NotInRegion, TruncationTooLarge,
@@ -191,6 +193,45 @@ def test_non_ample_weight_rejected():
     sys = system(p1_fan)
     with pytest.raises(WeightNotAmple):
         se.gamma_series(sys, gkz.canonical_alpha(sys), (0, 0, 0), 4)
+
+
+def fraction_sorted_items(s):
+    """``LogSeries.sorted_items`` with Fraction weight degrees, the
+    reference for the integer ones."""
+    return sorted(s.terms.items(), key=lambda kv: (
+        xl.dot(s.weight, kv[0][0]), kv[0][0], kv[0][1]))
+
+
+def fraction_is_reliable(s, ell):
+    """``LogSeries._is_reliable`` with Fraction weight degrees."""
+    return all(xl.dot(s.weight, xl.vec_add(ell, shift)) <= s.order
+               for shift in s.shifts)
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_integer_weight_degrees_equal_the_fraction_weight(name):
+    """Slabs, print order and the reliable region come out the same with
+    the weight scaled to integers, also for weights and orders with
+    denominators."""
+    sys = gkz.build_system(INSTANCES[name]())
+    outcomes = set()
+    for omega in weights_with_denominators(sys):
+        weight = gkz.check_weight(sys, omega)
+        for order in (2, Fraction(5, 2)):
+            for slab in (se.region_slab(sys, weight, order),
+                         se.mori_slab(sys, weight, order)):
+                assert slab == sorted(slab,
+                                      key=lambda e: (xl.dot(weight, e), e))
+            period = se.normalized_period_series(sys, weight, order)
+            for s in [period] + [se.apply_operator(op, period, twisted=True)
+                                 for op in sys.box_operators()]:
+                assert s.sorted_items() == fraction_sorted_items(s)
+                for ell in {ell for ell, _ in s.terms} | {
+                        ell for ell, _ in period.terms}:
+                    reliable = s._is_reliable(ell)
+                    assert reliable == fraction_is_reliable(s, ell), ell
+                    outcomes.add(reliable)
+    assert outcomes == {True, False}
 
 
 # --- gamma series ------------------------------------------------------------------------
@@ -436,6 +477,43 @@ def test_b_series_support_inside_mori(corpus_fan):
         ell = sys.from_basis_coords(coords)
         if not se.in_mori_cone(sys, ell):
             assert se.o_class(sys, ring, ell).is_zero()
+
+
+def sorted_mori_vanishing_samples(sys, bound, limit):
+    """The sample walk the shell walk replaced, kept as the reference: sort
+    every coefficient vector of the box by (L1 norm, vector)."""
+    k = len(sys.basis)
+    combos = sorted(product(range(-bound, bound + 1), repeat=k),
+                    key=lambda c: (sum(abs(x) for x in c), c))
+    out = []
+    for c in combos:
+        if all(x == 0 for x in c) or se.coords_in_mori_cone(sys, c):
+            continue
+        out.append(sys.from_basis_coords(c))
+        if len(out) == limit:
+            break
+    return out
+
+
+HEPTAGON = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)]
+
+
+def test_shell_walk_samples_equal_the_sorted_box():
+    fans = [p2_fan, INSTANCES["f1"], INSTANCES["p1p1p1_r1"],
+            INSTANCES["surface8"],
+            lambda: toric.make_fan(2, HEPTAGON,
+                                   [[i, (i + 1) % 7] for i in range(7)],
+                                   [list(range(7))], name="heptagon")]
+    for k, fan in enumerate(fans, start=1):
+        sys = system(fan)
+        assert len(sys.basis) == k
+        for bound in (1, 2, 3):
+            # the default limit, and one past the box: the whole walk
+            for limit in (10, (2 * bound + 1) ** k):
+                samples = checks.mori_vanishing_samples(sys, bound, limit)
+                assert samples == sorted_mori_vanishing_samples(
+                    sys, bound, limit), (k, bound, limit)
+                assert samples
 
 
 # --- linear independence of the pairings ----------------------------------------------------------

@@ -279,6 +279,87 @@ def test_leading_term_is_collection_side(corpus_fan):
         assert xl.dot(omega, pc.ell_ext) > 0
 
 
+class FractionTermOrder:
+    """The term order the integer one replaced, kept as the reference: the
+    rows stay as given (Fractions for a weight order) and every comparison
+    rebuilds both keys as dot products."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def key(self, mono):
+        return tuple(xl.dot(row, mono) for row in self.rows)
+
+    def greater(self, a, b):
+        return self.key(a) > self.key(b)
+
+
+def weights_with_denominators(sys):
+    """The default weight, a third of it, and a third of it plus half the
+    last (block indicator) row of the lifted matrix: a non-integral lift of
+    the same class, so every weight is ample."""
+    omega = gkz.default_weight(sys)
+    third = tuple(Fraction(w, 3) for w in omega)
+    lift = tuple(w + Fraction(x, 2) for w, x in zip(third, sys.a_ext[-1]))
+    assert any(x.denominator % 2 == 0 for x in lift)
+    return [omega, third, lift]
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_INSTANCES))
+def test_integer_term_orders_equal_the_fraction_rows(name, monkeypatch):
+    """Saturation, Buchberger, the reduced basis and the collection
+    binomials come out the same under the Fraction-row reference order."""
+    fan = ENGINE_INSTANCES[name]()
+    weights = weights_with_denominators(gkz.build_system(fan))
+
+    def results():
+        # a fresh system, so its saturation runs under the order in force
+        sys = gkz.build_system(fan)
+        gens = [xl.split_positive_negative(b) for b in sys.basis]
+        out = [tr.lattice_ideal_generators(sys)]
+        for omega in weights:
+            ideal = tr.toric_groebner_basis(sys, omega)
+            out.append((tr.buchberger(gens, tr.weight_order(omega, sys.nvars)),
+                        ideal.generators, ideal.weight,
+                        tr.primitive_collection_binomials(sys, omega)))
+        return out
+
+    monkeypatch.setattr(tr, "TermOrder", FractionTermOrder)
+    assert isinstance(tr.weight_order(weights[2], len(weights[2])),
+                      FractionTermOrder)
+    expected = results()
+    monkeypatch.undo()
+    assert results() == expected
+
+
+def test_groebner_fan_saturates_once_per_system(monkeypatch):
+    """The lattice ideal does not depend on the weight: one saturation
+    (one grevlex basis per variable) serves every chamber probe of the
+    walk, and a second walk on the same system saturates nothing."""
+    sys = system(f1_fan)
+    calls = {"lattice_ideal_generators": 0, "buchberger": 0}
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(tr, name, counted(getattr(tr, name)))
+
+    def walk():
+        return [(cone.rays, cone.inequalities, label)
+                for cone, label in tr.groebner_fan(sys)]
+
+    chambers = walk()
+    assert len(chambers) == 7
+    # 10 chamber probes, each one basis from the 5-variable saturation
+    assert calls == {"lattice_ideal_generators": 1, "buchberger": 15}
+    assert walk() == chambers
+    assert calls == {"lattice_ideal_generators": 1, "buchberger": 25}
+
+
 def test_buchberger_reduces_spair_disjoint_supports():
     sys = system(p1xp1_fan_r2)
     omega = gkz.default_weight(sys)
