@@ -144,9 +144,9 @@ def _check_surjection(inst):
 
 
 def _check_oracle_match(inst):
-    sys = inst.sys
+    sys, period = inst.sys, inst.period
     for ell in se.region_slab(sys, inst.omega, min(inst.order, 8)):
-        if se.period_coefficient_C(sys, ell) != se.residue_oracle(sys, ell):
+        if period.coefficient(ell) != se.residue_oracle(sys, ell):
             return False, f"coefficient mismatch at {ell}"
     return True, "period coefficients equal the residue expansion"
 
@@ -278,10 +278,11 @@ def _check_secondary_contains_ample(inst):
 
 def _check_groebner_minimal(inst):
     sys = inst.sys
-    if not tr.minimal_gb_is_primitive_collections(sys, inst.fan, inst.omega):
+    candidates = tr.primitive_collection_binomials(sys, inst.omega)
+    if not tr.minimal_gb_is_primitive_collections(sys, inst.fan, inst.omega,
+                                                  candidates):
         return False, "collection binomials fail the S-pair or leading test"
     ideal = tr.toric_groebner_basis(sys, inst.omega)
-    candidates = tr.primitive_collection_binomials(sys, inst.omega)
     ok = sorted(ideal.generators) == sorted(candidates)
     return ok, "reduced basis equals the collection binomials"
 

@@ -41,12 +41,17 @@ def max_terms():
 
 # --- rational protagonists -------------------------------------------------------
 
+def _sqrt_coefficients(k_max):
+    """r_k = r_(k-1) (1 - 2k) / 2k as unreduced integer pairs (num, den)."""
+    out = [(1, 1)]
+    for k in range(1, k_max + 1):
+        out.append((out[-1][0] * (1 - 2 * k), out[-1][1] * 2 * k))
+    return out
+
+
 def binomial_sqrt_coefficients(k_max):
     """Coefficients r_k of the expansion of 1/sqrt(1+w), k = 0..k_max."""
-    out = [Fraction(1)]
-    for k in range(1, k_max + 1):
-        out.append(out[-1] * (Fraction(-1, 2) - (k - 1)) / k)
-    return out
+    return [Fraction(n, d) for n, d in _sqrt_coefficients(k_max)]
 
 
 def _region_split(sys, ell):
@@ -71,84 +76,76 @@ def _region_split(sys, ell):
 
 
 def period_coefficient_C(sys, ell):
-    """Exact period coefficient of x^ell over the summation region."""
+    """Exact period coefficient of x^ell over the summation region, in
+    integers over one denominator."""
     ell = tuple(ell)
     if not sys.in_kernel(ell):
         raise NotInKernel(f"{ell} is not a relation of the configuration")
     ks, rays = _region_split(sys, ell)
-    r = binomial_sqrt_coefficients(max(ks, default=0))
-    out = Fraction(1)
+    r = _sqrt_coefficients(max(ks, default=0))
+    num, den = 1, 1
     for k_i, block in zip(ks, rays):
-        out *= r[k_i] * Fraction(-1) ** k_i * factorial(k_i)
+        num *= (-1) ** k_i * r[k_i][0] * factorial(k_i)
+        den *= r[k_i][1]
         for e in block:
-            out /= factorial(e)
-    return out
+            den *= factorial(e)
+    return Fraction(num, den)
 
 
 def gamma_coefficient(sys, ell):
-    """Gamma-series coefficient in fully rational product form."""
-    ell = tuple(ell)
+    """Gamma-series coefficient in rising-product form, in integers over one
+    denominator."""
     ks, rays = _region_split(sys, ell)
-    out = Fraction(1)
+    num, den = (-1) ** (sum(ks) % 2), 1
     for k_i, block in zip(ks, rays):
         for k in range(k_i):
-            out *= Fraction(1, 2) + k
+            num *= 2 * k + 1
+            den *= 2
         for e in block:
-            out /= factorial(e)
-    sign = (-1) ** (sum(ks) % 2)
-    return sign * out
+            den *= factorial(e)
+    return Fraction(num, den)
 
 
 def residue_oracle(sys, ell):
     """Constant-term extraction oracle for the period coefficients.
 
     Expands the product over blocks of (-x_{i,1} t^{rho} - ...)^{k_i} by
-    iterated polynomial multiplication in the torus variables, then reads the
-    torus-constant coefficient of x^ell.  A monomial whose x-exponent in some
-    slot passes that slot's exponent in ell divides no x^ell term, so it is
-    never formed.  No Gamma factors appear anywhere; this is an independent
-    route to period_coefficient_C.
+    iterated polynomial multiplication and reads the torus-constant
+    coefficient of x^ell.  A block monomial's torus exponent is sum_j
+    xdeg_j rho_j, so terms are keyed by the x-degree alone (a mixed-radix
+    integer, digit j in base target_j + 1) and the torus exponent is read
+    off the one monomial of the target x-degree.  A monomial whose x-exponent
+    in some slot passes that slot's exponent in ell divides no x^ell term,
+    so it is never formed.  No Gamma factors appear anywhere; this is an
+    independent route to period_coefficient_C.
     """
-    ell = tuple(ell)
     ks, targets = _region_split(sys, ell)
     cap = max_terms()
-    r = binomial_sqrt_coefficients(max(ks, default=0))
-    matches = []
+    r = _sqrt_coefficients(max(ks, default=0))
+    num, den = 1, 1
+    texp = [0] * sys.n
     for i, (k_i, target) in enumerate(zip(ks, targets)):
-        rays = [sys.fan.rays[b] for b in sys.fan.blocks[i]]
-        terms = {((0,) * len(rays), (0,) * sys.n): 1}
+        digits, size = [], 1  # (place value, base, target digit) per slot
+        for top in target:
+            digits.append((size, top + 1, top))
+            size *= top + 1
+        terms = {0: 1}
         for _ in range(k_i):
             new = {}
-            for (xdeg, texp), c in terms.items():
-                for j, rho in enumerate(rays):
-                    if xdeg[j] == target[j]:
-                        continue
-                    nx = xdeg[:j] + (xdeg[j] + 1,) + xdeg[j + 1:]
-                    nt = tuple(a + b for a, b in zip(texp, rho))
-                    key = (nx, nt)
-                    new[key] = new.get(key, 0) - c
+            for xdeg, c in terms.items():
+                for place, base, top in digits:
+                    if xdeg // place % base != top:
+                        new[xdeg + place] = new.get(xdeg + place, 0) - c
             terms = new
             if len(terms) > cap:
                 raise TruncationTooLarge(
                     f"residue expansion grew past {cap} monomials "
                     f"(cap GKZFRAC_MAX_TERMS)")
-        matches.append([(texp, c) for (xdeg, texp), c in terms.items()
-                        if xdeg == target])
-    total = Fraction(0)
-
-    def combine(idx, texp, coeff):
-        nonlocal total
-        if idx == len(matches):
-            if all(t == 0 for t in texp):
-                total += coeff
-            return
-        for t, c in matches[idx]:
-            combine(idx + 1, tuple(a + b for a, b in zip(texp, t)), coeff * c)
-
-    combine(0, (0,) * sys.n, Fraction(1))
-    for k_i in ks:
-        total *= r[k_i]
-    return total
+        num *= terms.get(size - 1, 0) * r[k_i][0]  # every digit at target
+        den *= r[k_i][1]
+        for b, e in zip(sys.fan.blocks[i], target):
+            texp = [t + e * x for t, x in zip(texp, sys.fan.rays[b])]
+    return Fraction(0 if any(texp) else num, den)
 
 
 # --- slab enumeration ------------------------------------------------------------

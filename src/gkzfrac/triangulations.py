@@ -515,7 +515,7 @@ def groebner_fan(sys):
     return _walk_plane_fan(sys, chamber_of, start)
 
 
-def minimal_gb_is_primitive_collections(sys, fan, omega):
+def minimal_gb_is_primitive_collections(sys, fan, omega, candidates=None):
     """Do the collection binomials form a Groebner basis with Stanley-Reisner
     leading terms?
 
@@ -524,7 +524,7 @@ def minimal_gb_is_primitive_collections(sys, fan, omega):
     indicators.
     """
     order = weight_order(omega, sys.nvars)
-    candidates = primitive_collection_binomials(sys, omega)
+    candidates = candidates or primitive_collection_binomials(sys, omega)
     for i in range(len(candidates)):
         for j in range(i):
             u1, _ = candidates[i]

@@ -45,6 +45,20 @@ def test_check_all_walks_the_mori_slab_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("name", ["p1xp1_r1", "f1"])
+def test_check_all_computes_each_period_coefficient_once(name, monkeypatch):
+    # the oracle check reads the stored period instead of recomputing C
+    calls = []
+
+    def counted(sys, ell, _fn=se.period_coefficient_C):
+        calls.append(ell)
+        return _fn(sys, ell)
+    monkeypatch.setattr(se, "period_coefficient_C", counted)
+    inst = checks.Instance(CORPUS[name](), 8)
+    assert all(r["ok"] for r in checks.run_all(inst))
+    assert len(calls) == len(inst.period.terms) > 1
+
+
 def count_expansion_acts(monkeypatch):
     """Record the matrix of every integer multiplier act made while x^D is
     expanded (``pair_with_dual`` and the ``log_part`` it calls)."""

@@ -2,7 +2,8 @@
 guards them.
 
 Each check passes on the unmutated code and returns ``ok=False`` under its
-mutation, on p2, f1 and the one-block P1^3; the kernel check also on the
+mutation, on p2, f1 and the one-block P1^3 (the oracle check under a
+flipped period sign, a flipped oracle sign and a period term deleted); the kernel check also on the
 one-block P1xP1 and the three-block P1^3 (on p2 and the three-block P1^3
 its box holds no kernel vector, so only the Hermite certificate sees the
 defect there); the parity twist on p2 and f1, the inputs where some box
@@ -71,14 +72,40 @@ def wrong_alpha(sys):
 @pytest.mark.parametrize("name", sorted(FANS))
 def test_flipped_period_sign_fails_oracle_match(name, monkeypatch):
     check = CHECK["series.oracle_match"]
+    assert check(instance(name))[0]
     inst = instance(name)
-    assert check(inst)[0]
     original = se.period_coefficient_C
+    # before the period is built, so every stored coefficient is flipped
     monkeypatch.setattr(se, "period_coefficient_C",
                         lambda sys, ell: -original(sys, ell))
     ok, detail = check(inst)
     assert not ok
     assert "mismatch" in detail
+
+
+@pytest.mark.parametrize("name", sorted(FANS))
+def test_flipped_oracle_sign_fails_oracle_match(name, monkeypatch):
+    check = CHECK["series.oracle_match"]
+    inst = instance(name)
+    assert check(inst)[0]
+    original = se.residue_oracle
+    monkeypatch.setattr(se, "residue_oracle",
+                        lambda sys, ell: -original(sys, ell))
+    ok, detail = check(inst)
+    assert not ok
+    assert "mismatch" in detail
+
+
+@pytest.mark.parametrize("name", sorted(FANS))
+def test_deleted_period_term_fails_oracle_match(name, monkeypatch):
+    """The check reads the stored period: a region term missing from it is
+    a mismatch at that exponent."""
+    check = CHECK["series.oracle_match"]
+    inst = instance(name)
+    assert check(inst)[0]
+    (ell, logdeg), _ = inst.period.sorted_items()[-1]
+    monkeypatch.delitem(inst.period.terms, (ell, logdeg))
+    assert check(inst) == (False, f"coefficient mismatch at {ell}")
 
 
 @pytest.mark.parametrize("name", sorted(FANS))

@@ -1,8 +1,9 @@
 """Byte-level guard on the JSON reports of the ring-heavy commands.
 
 Each digest is the SHA-256 of the report a command writes to standard output
-for a bundled fixture at the fixture's own order (timing goes to standard
-error, so the bytes are deterministic).  A change to the cohomology ring, the
+for a bundled fixture at the fixture's own order, or at the order given as
+a third key entry (timing goes to standard error, so the bytes are
+deterministic).  A change to the cohomology ring, the
 product-form coefficients or the chart pairings that alters any report byte
 fails here, whatever it does to speed.
 """
@@ -34,16 +35,27 @@ DIGESTS = {
         "cab3b3c23d50bea97fd8f4986c91f6b97314cb63aaa088e921d0345ed1b14be2",
     ("degeneracy", "f1"):
         "2a02da9fbbfd06d0d0c3d6352acde092cb9d56e08e2365dd3d990624d86c027e",
+    ("check-all", "p1"):
+        "43fc19c015f7c76e322db036e8fbc13e885190720416be5d867db44bac881212",
+    ("check-all", "p1xp1"):
+        "4ed98114c1267d76068277b1d62c938c9bd3306270147b5c2a85e3432e7b9508",
+    ("check-all", "p1xp1_r1"):
+        "60a20a5b6d0545ac2cc58d14c9796d35d531c13dcb6e9afff9aef0f98056ea93",
     ("check-all", "p2"):
         "ad513711531eb35195ba4fa57180710c40b22108abb5d118491d70246e6299c7",
     ("check-all", "f1"):
         "da596c6a253b16a8ac7e70de3550f8115676d17bf47483498c2887433368bb6e",
+    ("series", "p1xp1", 12):
+        "98909d1a2cb1f26a84a4a21dc293d621b591424cbba08362ce304c51c6a2d5d6",
 }
 
 
-@pytest.mark.parametrize("command,name", sorted(DIGESTS))
-def test_report_digest(command, name):
+@pytest.mark.parametrize("key", sorted(DIGESTS),
+                         ids=lambda key: "-".join(map(str, key)))
+def test_report_digest(key):
+    command, name, *order = key
     spec = cli.parse_input(cli.fixture_path(name))
-    text = cli.run_command(command, spec, {"order": None}).to_json()
+    text = cli.run_command(command, spec,
+                           {"order": order[0] if order else None}).to_json()
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    assert digest == DIGESTS[(command, name)]
+    assert digest == DIGESTS[key]

@@ -1,16 +1,17 @@
 import json
 from fractions import Fraction
 from itertools import product
+from math import factorial
 
 import pytest
 
-from conftest import divisor_classes, p1_fan, p1xp1_fan_r2, p2_fan
+from conftest import CORPUS, divisor_classes, p1_fan, p1xp1_fan_r2, p2_fan
 from test_ring_table import INSTANCES, scalar_part
 from test_triangulations import weights_with_denominators
 from gkzfrac import checks, gkz, series as se, toric
 from gkzfrac import exact_linalg as xl
-from gkzfrac.errors import (InMoriCone, NotInRegion, TruncationTooLarge,
-                            WeightNotAmple)
+from gkzfrac.errors import (InMoriCone, NotInKernel, NotInRegion,
+                            TruncationTooLarge, WeightNotAmple)
 
 
 def sqrt_series_derivative_oracle(k_max):
@@ -159,26 +160,160 @@ def test_oracle_equals_C_beyond_corpus(name, order):
     assert_oracle_matches(INSTANCES[name](), order)
 
 
+def off_degree_vectors(sys):
+    """Region vectors of order 3 moved off degree: a block's auxiliary
+    exponent moved by one, or the ray exponents doubled, so k_i differs from
+    the x-degree of the block's target and the coefficient is 0.  Doubled
+    rays keep a torus-constant monomial of x-degree k_i below the target,
+    which only the final x-degree test drops."""
+    aux = sys.aux_positions()
+    out = []
+    for ell in se.region_slab(sys, gkz.default_weight(sys), 3):
+        out.extend(tuple(e + step * (j == pos) for j, e in enumerate(ell))
+                   for pos in aux for step in (-1, 1) if ell[pos] + step <= 0)
+        if any(ell[pos] for pos in aux):
+            out.append(tuple(e if j in aux else 2 * e
+                             for j, e in enumerate(ell)))
+    return out
+
+
 @pytest.mark.parametrize("name", sorted(INSTANCES))
 def test_oracle_off_degree_vanishes(name):
-    # Moving a block's auxiliary exponent, or doubling the ray exponents,
-    # makes k_i differ from the x-degree of the block's target, so the
-    # coefficient is 0.  Doubled rays keep a torus-constant monomial of
-    # x-degree k_i below the target, which only the final x-degree test drops.
     sys = gkz.build_system(INSTANCES[name]())
-    aux = sys.aux_positions()
-    tested = 0
-    for ell in se.region_slab(sys, gkz.default_weight(sys), 3):
-        moved = [tuple(e + step * (j == pos) for j, e in enumerate(ell))
-                 for pos in aux for step in (-1, 1) if ell[pos] + step <= 0]
-        if any(ell[pos] for pos in aux):
-            moved.append(tuple(e if j in aux else 2 * e
-                               for j, e in enumerate(ell)))
-        for vec in moved:
-            assert se.residue_oracle(sys, vec) == 0
-            assert unpruned_residue_oracle(sys, vec) == 0
-        tested += len(moved)
-    assert tested
+    moved = off_degree_vectors(sys)
+    assert moved
+    for vec in moved:
+        assert se.residue_oracle(sys, vec) == 0
+        assert unpruned_residue_oracle(sys, vec) == 0
+
+
+def keyed_residue_oracle(sys, ell):
+    """The residue oracle keyed by (x-degree, torus exponent) with Fraction
+    r_k, kept verbatim as the reference for ``se.residue_oracle``, which
+    keys by the x-degree alone and works in integers."""
+    ell = tuple(ell)
+    ks, targets = se._region_split(sys, ell)
+    cap = se.max_terms()
+    r = se.binomial_sqrt_coefficients(max(ks, default=0))
+    matches = []
+    for i, (k_i, target) in enumerate(zip(ks, targets)):
+        rays = [sys.fan.rays[b] for b in sys.fan.blocks[i]]
+        terms = {((0,) * len(rays), (0,) * sys.n): 1}
+        for _ in range(k_i):
+            new = {}
+            for (xdeg, texp), c in terms.items():
+                for j, rho in enumerate(rays):
+                    if xdeg[j] == target[j]:
+                        continue
+                    nx = xdeg[:j] + (xdeg[j] + 1,) + xdeg[j + 1:]
+                    nt = tuple(a + b for a, b in zip(texp, rho))
+                    key = (nx, nt)
+                    new[key] = new.get(key, 0) - c
+            terms = new
+            if len(terms) > cap:
+                raise TruncationTooLarge(
+                    f"residue expansion grew past {cap} monomials "
+                    f"(cap GKZFRAC_MAX_TERMS)")
+        matches.append([(texp, c) for (xdeg, texp), c in terms.items()
+                        if xdeg == target])
+    total = Fraction(0)
+
+    def combine(idx, texp, coeff):
+        nonlocal total
+        if idx == len(matches):
+            if all(t == 0 for t in texp):
+                total += coeff
+            return
+        for t, c in matches[idx]:
+            combine(idx + 1, tuple(a + b for a, b in zip(texp, t)), coeff * c)
+
+    combine(0, (0,) * sys.n, Fraction(1))
+    for k_i in ks:
+        total *= r[k_i]
+    return total
+
+
+def fraction_period_coefficient_C(sys, ell):
+    """``se.period_coefficient_C`` in Fraction arithmetic, kept verbatim."""
+    ell = tuple(ell)
+    if not sys.in_kernel(ell):
+        raise NotInKernel(f"{ell} is not a relation of the configuration")
+    ks, rays = se._region_split(sys, ell)
+    r = se.binomial_sqrt_coefficients(max(ks, default=0))
+    out = Fraction(1)
+    for k_i, block in zip(ks, rays):
+        out *= r[k_i] * Fraction(-1) ** k_i * factorial(k_i)
+        for e in block:
+            out /= factorial(e)
+    return out
+
+
+def fraction_gamma_coefficient(sys, ell):
+    """``se.gamma_coefficient`` in Fraction arithmetic, kept verbatim."""
+    ell = tuple(ell)
+    ks, rays = se._region_split(sys, ell)
+    out = Fraction(1)
+    for k_i, block in zip(ks, rays):
+        for k in range(k_i):
+            out *= Fraction(1, 2) + k
+        for e in block:
+            out /= factorial(e)
+    sign = (-1) ** (sum(ks) % 2)
+    return sign * out
+
+
+def outcome(fn, sys, ell):
+    """The value with its type, or the type of the error raised."""
+    try:
+        value = fn(sys, ell)
+    except NotInKernel as exc:
+        return type(exc)
+    return value, type(value)
+
+
+REFERENCE_ORDERS = dict.fromkeys(CORPUS, 8) | {
+    "p1p1p1_r1": 4, "p1p1p1_r3": 4, "surface5": 5, "surface8": 5}
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_integer_coefficients_equal_the_fraction_forms(name):
+    """The oracle, C and the Gamma coefficient give the values and value
+    types of their Fraction forms on the region slab and off degree."""
+    sys = gkz.build_system(INSTANCES[name]())
+    slab = se.region_slab(sys, gkz.default_weight(sys),
+                          REFERENCE_ORDERS[name])
+    pairs = [(se.residue_oracle, keyed_residue_oracle),
+             (se.period_coefficient_C, fraction_period_coefficient_C),
+             (se.gamma_coefficient, fraction_gamma_coefficient)]
+    nonzero = 0
+    for ell in slab + off_degree_vectors(sys):
+        for fn, reference in pairs:
+            got = outcome(fn, sys, ell)
+            assert got == outcome(reference, sys, ell), (fn.__name__, ell)
+            nonzero += got not in (NotInKernel, (0, Fraction))
+    assert nonzero >= 3 * len(slab)
+
+
+@pytest.mark.parametrize("name", ["p1xp1_r1", "p1p1p1_r3"])
+def test_oracle_cap_trips_where_the_keyed_oracle_trips(name, monkeypatch):
+    """Keyed by x-degree alone, the expansion holds as many monomials at
+    every step as the (x-degree, torus exponent) one, so each cap raises on
+    the same vectors."""
+    sys = gkz.build_system(INSTANCES[name]())
+    slab = se.region_slab(sys, gkz.default_weight(sys), 6)
+    tripped = set()
+    for cap in range(1, 13):
+        monkeypatch.setenv("GKZFRAC_MAX_TERMS", str(cap))
+        for ell in slab:
+            outcomes = []
+            for oracle in (se.residue_oracle, keyed_residue_oracle):
+                try:
+                    outcomes.append(oracle(sys, ell))
+                except TruncationTooLarge:
+                    outcomes.append(TruncationTooLarge)
+            assert outcomes[0] == outcomes[1], (cap, ell)
+            tripped.add(outcomes[0] is TruncationTooLarge)
+    assert tripped == {True, False}
 
 
 # --- weights ---------------------------------------------------------------------------
