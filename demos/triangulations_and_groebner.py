@@ -49,7 +49,7 @@ print("equals the primitive-collection binomials:",
       sorted(ideal.generators)
       == sorted(tri.primitive_collection_binomials(system, omega)))
 print("leading terms form the Stanley-Reisner ideal:",
-      tri.minimal_gb_is_primitive_collections(system, fan, omega))
+      tri.minimal_gb_is_primitive_collections(system, omega))
 print()
 
 # At relation-lattice rank two the whole chamber structure can be walked.

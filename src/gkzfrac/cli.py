@@ -293,7 +293,7 @@ def run_command(cmd, spec, flags=None):
         from . import triangulations as tr
         ideal = tr.toric_groebner_basis(sys, omega)
         candidates = tr.primitive_collection_binomials(sys, omega)
-        minimal = tr.minimal_gb_is_primitive_collections(sys, fan, omega,
+        minimal = tr.minimal_gb_is_primitive_collections(sys, omega,
                                                          candidates)
         matches = sorted(ideal.generators) == sorted(candidates)
         payload = {

@@ -14,7 +14,6 @@ from itertools import product
 from . import exact_linalg as xl
 from . import series as se
 from .errors import NegativeExponent, NotUnimodular, SubdivisionFailed
-from .gkz import indicial_ideal_zero_locus
 
 SUBDIVISION_DEPTH_CAP = 32
 
@@ -314,7 +313,7 @@ def maximal_degeneracy_check(sys, ring, chart, period, b):
         report.add("unique_log_free_solution", False,
                    f"log-free subspace has dimension {len(null)}")
 
-    locus = indicial_ideal_zero_locus(sys)
+    locus = sys.indicial_locus
     expected = [sys.alpha]
     report.add("indicial_locus_is_canonical", locus == expected,
                "single canonical exponent" if locus == expected

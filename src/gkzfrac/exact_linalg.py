@@ -445,9 +445,13 @@ def is_unimodular_lattice_basis(vs, lattice_basis):
     return abs(det(change)) == 1
 
 
-def solve_integer(m, b):
-    """One integer solution of m x = b, or None if none exists."""
-    h, u = hermite_with_transform(m)
+def solve_integer(m, b, hermite=None):
+    """One integer solution of m x = b, or None if none exists.
+
+    ``hermite`` is ``hermite_with_transform(m)`` when the caller already
+    holds it, so several right-hand sides share one Hermite form.
+    """
+    h, u = hermite or hermite_with_transform(m)
     nrows, ncols = len(m), len(m[0])
     # Forward-substitute through the column echelon structure of h.
     y = [0] * ncols
@@ -469,9 +473,10 @@ def solve_integer(m, b):
     return mat_vec(u, tuple(y))
 
 
-def in_integer_span(m_cols, v):
-    """Whether v lies in the integer column span of m_cols (a matrix)."""
-    return solve_integer(m_cols, v) is not None
+def in_integer_span(m_cols, v, hermite=None):
+    """Whether v lies in the integer column span of m_cols (a matrix);
+    ``hermite`` as in ``solve_integer``."""
+    return solve_integer(m_cols, v, hermite) is not None
 
 
 # --- Fourier-Motzkin elimination ----------------------------------------------

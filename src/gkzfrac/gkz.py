@@ -183,6 +183,12 @@ class GkzSystem:
         from . import triangulations as tr
         return tuple(tr.lattice_ideal_generators(self))
 
+    @cached_property
+    def indicial_locus(self):
+        """``indicial_ideal_zero_locus`` of the system; it depends on the
+        lifted matrix and beta only, so every chart reads the same one."""
+        return indicial_ideal_zero_locus(self)
+
     def euler_operators(self):
         return [EulerOperator(row=k, coeffs=tuple(self.a_ext[k]),
                               eigenvalue=self.beta[k])

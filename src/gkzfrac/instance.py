@@ -31,17 +31,14 @@ class Instance:
 
     @cached_property
     def nablas(self):
+        """The dual nef blocks, with their sum and the section polytopes."""
         from . import polytopes as pt
         return pt.dual_nef_partition(self.fan)
 
-    @cached_property
+    @property
     def nabla(self):
         """Minkowski sum of the dual nef blocks."""
-        from . import polytopes as pt
-        nabla = self.nablas[0]
-        for q in self.nablas[1:]:
-            nabla = pt.minkowski_sum(nabla, q)
-        return nabla
+        return self.nablas.nabla
 
     @cached_property
     def points(self):
@@ -59,15 +56,23 @@ class Instance:
         return dg.subdivide_kahler_cone(self.sys)
 
     @cached_property
+    def region_slab(self):
+        """The summation-region slab up to the order, sorted by weight
+        degree; the period, gamma and the region checks all walk it."""
+        from . import series as se
+        return se.region_slab(self.sys, self.omega, self.order)
+
+    @cached_property
     def period(self):
         from . import series as se
-        return se.normalized_period_series(self.sys, self.omega, self.order)
+        return se.normalized_period_series(self.sys, self.omega, self.order,
+                                           self.region_slab)
 
     @cached_property
     def gamma(self):
         from . import series as se
         return se.gamma_series(self.sys, self.sys.alpha, self.omega,
-                               self.order)
+                               self.order, self.region_slab)
 
     @cached_property
     def b(self):

@@ -7,6 +7,7 @@ implicitly through the vertex list.
 """
 
 from fractions import Fraction
+from functools import cached_property
 
 from . import exact_linalg as xl
 from .errors import DimensionMismatch, NotReflexive, OriginNotInterior
@@ -16,7 +17,8 @@ class LatticePolytope:
     """Convex hull of finitely many points, stored by its exact vertex set.
 
     ``facets`` lists pairs (a, c) meaning a.x <= c with primitive integer a;
-    it is populated only for full-dimensional polytopes.
+    it is populated only for full-dimensional polytopes.  A polytope is an
+    immutable value, so its polar ``dual`` is formed once and kept.
     """
 
     def __init__(self, rank, vertices, dim, facets=()):
@@ -47,6 +49,10 @@ class LatticePolytope:
             return False
         origin = (0,) * self.rank
         return all(xl.dot(a, origin) < c for a, c in self.facets)
+
+    @cached_property
+    def dual(self):
+        return polar_dual(self)
 
 
 def _dedupe(points):
@@ -176,10 +182,7 @@ def is_reflexive(p):
     """Lattice polytope with interior origin whose polar dual is again one."""
     if p.dim != p.rank or not p.has_interior_origin() or not p.is_lattice():
         return False
-    dual = polar_dual(p)
-    if not dual.is_lattice():
-        return False
-    return polar_dual(dual) == p
+    return p.dual.is_lattice() and p.dual.dual == p
 
 
 def section_polytope(fan, block):
@@ -204,6 +207,17 @@ def section_polytope(fan, block):
     return convex_hull(out)
 
 
+class DualNefPartition(tuple):
+    """The polytopes conv({0} u I_k) of the partner partition, in block
+    order, with their Minkowski sum ``nabla`` and the section polytopes
+    ``sections`` of the input blocks."""
+
+    def __new__(cls, nablas, nabla, sections):
+        self = super().__new__(cls, nablas)
+        self.nabla, self.sections = nabla, sections
+        return self
+
+
 def dual_nef_partition(fan):
     """The polytopes conv({0} u I_k) of the partner partition, with checks.
 
@@ -220,10 +234,10 @@ def dual_nef_partition(fan):
         nabla = minkowski_sum(nabla, q)
     if not is_reflexive(nabla):
         raise NotReflexive("Minkowski sum of the partner polytopes is not reflexive")
-    deltas = [section_polytope(fan, k) for k in range(fan.r)]
+    deltas = tuple(section_polytope(fan, k) for k in range(fan.r))
     hull_deltas = convex_hull([v for d in deltas for v in d.vertices])
-    if polar_dual(nabla) != hull_deltas:
+    if nabla.dual != hull_deltas:
         raise NotReflexive(
             "polar dual of the Minkowski sum differs from the hull of the "
             "section polytopes")
-    return nablas
+    return DualNefPartition(nablas, nabla, deltas)

@@ -308,26 +308,28 @@ class LogSeries:
 
 # --- series builders --------------------------------------------------------------------
 
-def gamma_series(sys, alpha, omega, order):
-    """Rational solution series with product-form coefficients."""
+def gamma_series(sys, alpha, omega, order, slab=None):
+    """Rational solution series with product-form coefficients; ``slab`` is
+    ``region_slab(sys, omega, order)`` when the caller already holds it."""
     omega = check_weight(sys, omega)
     assert tuple(alpha) == sys.alpha, \
         "only the canonical exponent is supported"
     s = LogSeries(alpha=tuple(alpha), weight=omega, order=order)
-    for ell in region_slab(sys, omega, order):
+    for ell in region_slab(sys, omega, order) if slab is None else slab:
         s.add_term(ell, (0,) * sys.nvars, gamma_coefficient(sys, ell))
     return s
 
 
-def normalized_period_series(sys, omega, order):
+def normalized_period_series(sys, omega, order, slab=None):
     """Period series: coefficients C_ell over the summation region.
 
     The leading transcendental prefactor is dropped and the base exponent is
     recorded in ``alpha``; printed tables show the coefficients C_ell alone.
+    ``slab`` as in ``gamma_series``.
     """
     omega = check_weight(sys, omega)
     s = LogSeries(alpha=sys.alpha, weight=omega, order=order)
-    for ell in region_slab(sys, omega, order):
+    for ell in region_slab(sys, omega, order) if slab is None else slab:
         s.add_term(ell, (0,) * sys.nvars, period_coefficient_C(sys, ell))
     return s
 

@@ -10,6 +10,7 @@ time.
 
 from fractions import Fraction
 from math import gcd
+from operator import le
 
 from . import exact_linalg as xl
 from .errors import (DegenerateSimplex, DimensionTooLarge, NonTermination,
@@ -235,7 +236,7 @@ def _orient(u, v, order):
 
 
 def _divides(u, a):
-    return all(x <= y for x, y in zip(u, a))
+    return all(map(le, u, a))
 
 
 def _reduce(binomial, basis, order):
@@ -515,7 +516,7 @@ def groebner_fan(sys):
     return _walk_plane_fan(sys, chamber_of, start)
 
 
-def minimal_gb_is_primitive_collections(sys, fan, omega, candidates=None):
+def minimal_gb_is_primitive_collections(sys, omega, candidates=None):
     """Do the collection binomials form a Groebner basis with Stanley-Reisner
     leading terms?
 

@@ -97,7 +97,7 @@ def test_criterion_4_groebner_correspondence():
         fan = CORPUS[name]()
         sys = gkz.build_system(fan)
         omega = gkz.default_weight(sys)
-        assert tr.minimal_gb_is_primitive_collections(sys, fan, omega)
+        assert tr.minimal_gb_is_primitive_collections(sys, omega)
         ideal = tr.toric_groebner_basis(sys, omega)
         candidates = tr.primitive_collection_binomials(sys, omega)
         assert sorted(ideal.generators) == sorted(candidates)

@@ -759,7 +759,8 @@ def test_kernel_check_tests_each_box_kernel_vector(name, count,
     calls = []
     original = xl.in_integer_span
     monkeypatch.setattr(xl, "in_integer_span",
-                        lambda m, v: calls.append(v) or original(m, v))
+                        lambda m, v, *form: calls.append(v)
+                        or original(m, v, *form))
     assert dict(checks.CHECKS)["exact_linalg.kernel"](inst) == (
         True, f"saturation verified on the [-{bound},{bound}] box")
     assert len(calls) == count

@@ -156,3 +156,48 @@ def test_weight_rule():
                               [[0, 1, 2]], ample_weight=(0, 2, 2, 2))
     assert checks.Instance(weighted, 4).omega == (0, 2, 2, 2)
     assert checks.Instance(weighted, 4, (0, 3, 3, 3)).omega == (0, 3, 3, 3)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_oracle_slab_cut_equals_an_order_8_slab(name):
+    # above order 8 series.oracle_match reads the shared region slab cut at
+    # weight degree 8; it must be the order-8 slab, in the same order
+    inst = checks.Instance(CORPUS[name](), order=10)
+    cut = checks.low_degree_slab(inst.region_slab, inst.omega, 8)
+    assert cut == se.region_slab(inst.sys, inst.omega, 8)
+    assert 0 < len(cut) < len(inst.region_slab)
+
+
+WORK_COUNTED = [(se, "region_slab"), (xl, "lattice_points"),
+                (pt, "polar_dual"), (pt, "section_polytope"),
+                (gkz, "indicial_ideal_zero_locus"),
+                (xl, "hermite_with_transform"), (xl, "in_integer_span")]
+# builder, order, nonzero kernel vectors in the kernel check's box; p1xp1
+# is the two-block partition
+WORK_INSTANCES = {
+    "p2": (CORPUS["p2"], 8, 0), "f1": (CORPUS["f1"], 8, 8),
+    "p1xp1": (CORPUS["p1xp1"], 8, 8), "p1xp1_r1": (CORPUS["p1xp1_r1"], 8, 12),
+    "p1p1p1_r1": (INSTANCES["p1p1p1_r1"], 4, 54)}
+
+
+@pytest.mark.parametrize("name", sorted(WORK_INSTANCES))
+def test_check_all_does_its_exact_work_once(name, monkeypatch):
+    # one region slab (the Mori slab is the other lattice walk), one polar
+    # dual and one double dual, each section polytope once, one indicial
+    # locus, and one Hermite form of the basis columns for all the box
+    # vectors the kernel check tests
+    build, order, box = WORK_INSTANCES[name]
+    inst = checks.Instance(build(), order)
+    columns = tuple(zip(*inst.sys.basis))
+    calls = {attr: 0 for _module, attr in WORK_COUNTED}
+    for module, attr in WORK_COUNTED:
+        def counted(*args, _fn=getattr(module, attr), _attr=attr, **kwargs):
+            if _attr != "hermite_with_transform" or args[0] == columns:
+                calls[_attr] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, attr, counted)
+    assert all(r["ok"] for r in checks.run_all(inst))
+    assert calls == {"region_slab": 1, "lattice_points": 2, "polar_dual": 2,
+                     "section_polytope": inst.fan.r,
+                     "indicial_ideal_zero_locus": 1,
+                     "hermite_with_transform": 1, "in_integer_span": box}

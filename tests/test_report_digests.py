@@ -41,6 +41,9 @@ DIGESTS = {
         "4ed98114c1267d76068277b1d62c938c9bd3306270147b5c2a85e3432e7b9508",
     ("check-all", "p1xp1_r1"):
         "60a20a5b6d0545ac2cc58d14c9796d35d531c13dcb6e9afff9aef0f98056ea93",
+    # above order 8 the oracle check reads a cut of the shared region slab
+    ("check-all", "p1xp1_r1", 10):
+        "675a5e538b1e2e84dd39606993a205d25696e4f53ee04dab9ac8fef8eab0706d",
     ("check-all", "p2"):
         "ad513711531eb35195ba4fa57180710c40b22108abb5d118491d70246e6299c7",
     ("check-all", "f1"):

@@ -269,7 +269,7 @@ def test_gb_matches_primitive_collections(corpus_fan):
 def test_minimal_gb_check(corpus_fan):
     sys = gkz.build_system(corpus_fan)
     omega = gkz.default_weight(sys)
-    assert tr.minimal_gb_is_primitive_collections(sys, sys.fan, omega)
+    assert tr.minimal_gb_is_primitive_collections(sys, omega)
 
 
 def test_leading_term_is_collection_side(corpus_fan):
