@@ -52,7 +52,7 @@ print("leading terms form the Stanley-Reisner ideal:",
       tri.minimal_gb_is_primitive_collections(system, omega))
 print()
 
-# At relation-lattice rank two the whole chamber structure can be walked.
+# The whole chamber structure is walked one chamber facet at a time.
 print("secondary fan (chamber rays and simplex counts):")
 for cone, t in tri.secondary_fan(system):
     print(f"    {[list(r) for r in cone.rays]} -> {len(t.simplices)} simplices")

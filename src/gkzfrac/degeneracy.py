@@ -185,20 +185,19 @@ def period_in_chart(chart, series):
 
 
 def _dual_divisor_classes(sys, ring, chart):
-    """Classes pairing as a dual basis against the chart basis vectors."""
-    dim = len(chart.basis_vectors)
+    """Classes pairing as a dual basis against the chart basis vectors.
+
+    Row k of the chart's inverse, placed on its slots, pairs to the k-th
+    unit vector against the basis, so W_k is the sum over t of
+    inverse[k][t] * D_(slots[t]).
+    """
     d_classes = [ring.divisor_class(i, j) for (i, j) in sys.j_indices()]
     w_classes = []
-    rows = tuple(chart.basis_vectors)
-    for k in range(dim):
-        target = tuple(Fraction(1 if i == k else 0) for i in range(dim))
-        sol = xl.solve_linear(rows, target)
-        assert sol is not None, "chart basis does not span the dual"
-        particular, _null = sol
+    for row in chart.inverse:
         cls = ring.zero()
-        for j, w in enumerate(particular):
+        for slot, w in zip(chart.slots, row):
             if w:
-                cls = cls + w * d_classes[j]
+                cls = cls + w * d_classes[slot]
         w_classes.append(cls)
     # the divisor classes must re-assemble from the duals
     for j in range(sys.nvars):

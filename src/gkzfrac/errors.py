@@ -20,7 +20,8 @@ class DimensionMismatch(GkzfracError):
 
 
 class NotUnimodular(GkzfracError):
-    """Square matrix whose determinant is not +-1."""
+    """Determinant not +-1: a square matrix to invert over the integers, or
+    a simplex of the maximal triangulation."""
 
 
 # --- polytopes ---------------------------------------------------------------
@@ -80,14 +81,6 @@ class InMoriCone(GkzfracError):
 
 
 # --- triangulations ----------------------------------------------------------
-
-class DimensionTooLarge(GkzfracError):
-    """Relation-lattice rank exceeds what full fan enumeration supports."""
-
-
-class NotUnimodular(GkzfracError):
-    """A simplex of the maximal triangulation has determinant != +-1."""
-
 
 class DegenerateSimplex(GkzfracError):
     """A simplex has linearly dependent points."""

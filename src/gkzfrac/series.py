@@ -285,12 +285,12 @@ class LogSeries:
         if cached is not None and cached[:2] == (keys, values):
             return cached[2]
         stacked = bool(values) and isinstance(values[0], tuple)
-        scaled = [_integers(column)
+        scaled = [xl.integer_scaled(column)
                   for column in (zip(*values) if stacked else [values])]
         return self._keep_integer_form(
-            stacked, [d for d, _ in scaled],
+            stacked, [d for _, d in scaled],
             ((key, [(i, n) for i, n in enumerate(row) if n])
-             for key, row in zip(keys, zip(*(n for _, n in scaled)))))
+             for key, row in zip(keys, zip(*(n for n, _ in scaled)))))
 
     def _keep_integer_form(self, stacked, denominators, rows):
         """Group the rows ``(key, nonzero (component, numerator) pairs)``,
@@ -540,10 +540,10 @@ def apply_operator(op, s, twisted=False):
             sign = (-1) ** (aux % 2)
         # exponents alpha_j + ell_j become integers after scaling by a_scale;
         # both monomials are brought to the larger power of a_scale
-        a_scale, alpha = _integers(s.alpha)
+        alpha, a_scale = xl.integer_scaled(s.alpha)
         top = max(sum(op.plus), sum(op.minus))
         scale = a_scale ** top
-        w_scale, weight = _integers(s.weight)
+        weight, w_scale = xl.integer_scaled(s.weight)
         weight = [(k, w) for k, w in enumerate(weight) if w]
         w_plus, w_minus = (sum(w * mono[k] for k, w in weight)
                            for mono in (op.plus, op.minus))
@@ -563,12 +563,6 @@ def apply_operator(op, s, twisted=False):
                            for v, d in zip(row, denoms))
             terms[key] = coeffs if stacked else coeffs[0]
     return s.replace(shifts=shifts, terms=terms)
-
-
-def _integers(values):
-    """The lcm d of the denominators and the integers d * v."""
-    d = lcm(*(v.denominator for v in values))
-    return d, [v.numerator * (d // v.denominator) for v in values]
 
 
 def _apply_monomial(acc, groups, degree, mono, factor, alpha, a_scale, limit,

@@ -9,12 +9,11 @@ time.
 """
 
 from fractions import Fraction
-from math import gcd
 from operator import le
 
 from . import exact_linalg as xl
-from .errors import (DegenerateSimplex, DimensionTooLarge, NonTermination,
-                     NotRegular, NotUnimodular)
+from .errors import (DegenerateSimplex, NonTermination, NotRegular,
+                     NotUnimodular)
 
 GB_PAIR_CAP = 20000
 GB_BASIS_CAP = 2000
@@ -150,10 +149,7 @@ def secondary_cone(sys, pc, tri):
             lam[outside] = Fraction(1)
             for i, c in zip(s, coeffs):
                 lam[i] -= c
-            den = 1
-            for x in lam:
-                den = den * x.denominator // gcd(den, x.denominator)
-            lam = xl.primitive_vector(tuple(int(x * den) for x in lam))
+            lam = xl.primitive_vector(xl.integer_scaled(lam)[0])
             assert sys.in_kernel(lam)
             covectors.add(lam)
     from .toric import ConeDescription
@@ -388,89 +384,86 @@ def primitive_collection_binomials(sys, omega):
     return sorted(out, key=lambda g: order.key(g[0]))
 
 
-# --- full fan enumeration in rank <= 2 ----------------------------------------------
+# --- full fan enumeration -------------------------------------------------------------
 
-def _cross(u, w):
-    return u[0] * w[1] - u[1] * w[0]
-
-
-def _rot_ccw(v):
-    return (-v[1], v[0])
+FAN_CHAMBER_CAP = 200
 
 
-def _ccw_ray(cone_rays):
-    """The counterclockwise boundary ray of a 2d pointed cone."""
-    u, w = cone_rays
-    return w if _cross(u, w) > 0 else u
+def _facets(cone):
+    """(rays, inward normal) of each facet of a full-dimensional chamber, in
+    decreasing order of det(rays + [outward normal]) for a facet of dim - 1
+    rays and 0 for any other; in rank 2 this puts the counterclockwise
+    facet first."""
+    def turn(facet):
+        rays, normal = facet
+        if len(rays) != cone.dim - 1:
+            return 0
+        return xl.det(rays + (tuple(-x for x in normal),))
+
+    facets = [(tuple(r for r in cone.rays if xl.dot(normal, r) == 0), normal)
+              for normal in xl.extreme_rays(cone.rays, cone.dim)]
+    return sorted(facets, key=turn, reverse=True)
 
 
-def _cw_ray(cone_rays):
-    u, w = cone_rays
-    return u if _cross(u, w) > 0 else w
-
-
-def _walk_plane_fan(sys, chamber_of, start):
-    """Enumerate a complete fan of pointed 2d cones by walking the circle.
+def walk_fan(chamber_of, start):
+    """Enumerate a complete fan of pointed chambers by a depth-first walk
+    across their facets.
 
     ``chamber_of(direction)`` returns (label, ConeDescription) for a
-    direction strictly inside a maximal cone; the walk starts at ``start``
-    and steps just past the counterclockwise boundary of each chamber.
+    direction strictly inside a maximal cone, or raises NotRegular on a
+    wall.  The walk starts at the chamber of ``start`` and crosses a facet
+    at ``primitive(scale * sum of its rays - inward normal)``, moving the
+    probe closer (scale 2, 8, ..., 2 * 4^11) until a chamber holds it
+    strictly together with every ray of the facet.  The chambers already
+    found are tried at every scale before ``chamber_of`` is called, so a
+    facet shared with a known chamber costs no call.  Every facet of every
+    returned chamber is crossed into a returned chamber, so the list closes
+    up.  In rank 2 the chambers come counterclockwise from the start; in
+    rank 1 the facet is the origin.
     """
-    chambers = []
     label, cone = chamber_of(start)
     assert cone.contains(start, strict=True), "start direction lies on a wall"
-    first = cone
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 200:
-            raise NonTermination("fan walk did not close up")
-        chambers.append((cone, label))
-        boundary = _ccw_ray(cone.rays)
-        scale = 2
-        while True:
-            probe = xl.primitive_vector(
-                tuple(scale * b + p
-                      for b, p in zip(boundary, _rot_ccw(boundary))))
+    chambers = [(cone, label)]
+
+    def cross(rays, normal):
+        """The chamber across a facet, or None when it is already found."""
+        probes = [xl.primitive_vector(
+            tuple(2 * 4 ** k * sum(r[i] for r in rays) - n
+                  for i, n in enumerate(normal))) for k in range(12)]
+        known = [c for c, _ in chambers if all(r in c.rays for r in rays)]
+        if any(c.contains(p, strict=True) for p in probes for c in known):
+            return None
+        for probe in probes:
             try:
-                next_label, next_cone = chamber_of(probe)
+                label, chamber = chamber_of(probe)
             except NotRegular:
-                next_cone = None
-            if (next_cone is not None
-                    and next_cone.contains(probe, strict=True)
-                    and _cw_ray(next_cone.rays) == boundary):
-                break
-            scale *= 4
-            if scale > 4 ** 12:
-                raise NonTermination("could not step across a chamber wall")
-        if next_cone.rays == first.rays:
-            break
-        label, cone = next_label, next_cone
+                continue
+            if (chamber.contains(probe, strict=True)
+                    and all(r in chamber.rays for r in rays)):
+                return chamber, label
+        raise NonTermination("could not step across a chamber wall")
+
+    def visit(chamber):
+        for rays, normal in _facets(chamber):
+            found = cross(rays, normal)
+            if found is not None:
+                chambers.append(found)
+                if len(chambers) > FAN_CHAMBER_CAP:
+                    raise NonTermination(
+                        f"fan walk passed {FAN_CHAMBER_CAP} chambers "
+                        "(cap FAN_CHAMBER_CAP)")
+                visit(found[0])
+
+    visit(cone)
     return chambers
-
-
-def _check_rank_le_2(sys):
-    if len(sys.basis) > 2:
-        raise DimensionTooLarge(
-            "full fan enumeration supports relation-lattice rank at most 2; "
-            "use per-cone queries instead")
-
-
-def _rank_one_chambers(sys, chamber_of):
-    out = []
-    for direction in ((1,), (-1,)):
-        label, cone = chamber_of(direction)
-        out.append((cone, label))
-    return out
 
 
 def secondary_fan(sys):
     """All maximal secondary cones with their regular triangulations.
 
     Returns a list of (ConeDescription, Triangulation) covering the whole
-    relation-lattice dual; limited to rank at most 2.
+    relation-lattice dual, walked from the Kaehler chamber.
     """
-    _check_rank_le_2(sys)
     pc = PointConfiguration.from_system(sys)
 
     def chamber_of(direction):
@@ -481,10 +474,7 @@ def secondary_fan(sys):
                 f"direction {direction} lies on a wall of the secondary fan")
         return result, secondary_cone(sys, pc, result)
 
-    if len(sys.basis) == 1:
-        return _rank_one_chambers(sys, chamber_of)
-    start = tuple(sum(col) for col in zip(*sys.kahler.rays))
-    return _walk_plane_fan(sys, chamber_of, start)
+    return walk_fan(chamber_of, tuple(map(sum, zip(*sys.kahler.rays))))
 
 
 def groebner_fan(sys):
@@ -492,9 +482,8 @@ def groebner_fan(sys):
 
     Each chamber is cut out by the exponent differences of the reduced
     basis computed at an interior direction; the result refines the
-    secondary fan.  Limited to rank at most 2.
+    secondary fan.
     """
-    _check_rank_le_2(sys)
     from .toric import ConeDescription
 
     def chamber_of(direction):
@@ -510,10 +499,7 @@ def groebner_fan(sys):
         cone = ConeDescription(dim=dim, inequalities=ineqs, rays=tuple(rays))
         return frozenset(ideal.leading_exponents()), cone
 
-    if len(sys.basis) == 1:
-        return _rank_one_chambers(sys, chamber_of)
-    start = tuple(sum(col) for col in zip(*sys.kahler.rays))
-    return _walk_plane_fan(sys, chamber_of, start)
+    return walk_fan(chamber_of, tuple(map(sum, zip(*sys.kahler.rays))))
 
 
 def minimal_gb_is_primitive_collections(sys, omega, candidates=None):

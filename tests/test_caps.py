@@ -71,6 +71,17 @@ def test_buchberger_names_its_cap(cap, value, monkeypatch):
         tr.toric_groebner_basis(gkz.build_system(CORPUS["f1"]()), omega)
 
 
+@pytest.mark.parametrize("fan_walk", [tr.secondary_fan, tr.groebner_fan])
+def test_fan_walk_names_its_chamber_cap(fan_walk, monkeypatch):
+    # both fans of P1xP1 have 4 chambers: a cap of 4 holds, 3 is passed
+    sys = gkz.build_system(CORPUS["p1xp1"]())
+    monkeypatch.setattr(tr, "FAN_CHAMBER_CAP", 4)
+    assert len(fan_walk(sys)) == 4
+    monkeypatch.setattr(tr, "FAN_CHAMBER_CAP", 3)
+    with pytest.raises(NonTermination, match="FAN_CHAMBER_CAP"):
+        fan_walk(sys)
+
+
 def test_stellar_refine_names_depth_cap(monkeypatch):
     # a determinant-2 cone needs one level of stellar subdivision
     cone = ((1, 0), (1, 2))

@@ -3,11 +3,12 @@ from fractions import Fraction
 import pytest
 
 from conftest import p1_fan, p1xp1_fan_r2, p2_fan
+from test_exact_linalg import ENGINE_INSTANCES
 from test_ring_table import INSTANCES
 from gkzfrac import degeneracy as dg
 from gkzfrac import gkz, series as se, toric
 from gkzfrac import exact_linalg as xl
-from gkzfrac.errors import NegativeExponent
+from gkzfrac.errors import NegativeExponent, SubdivisionFailed
 
 
 def system(fan_maker):
@@ -188,6 +189,47 @@ def test_chart_pairings_match_the_slab_walk(name, order):
         expected = slab_chart_pairings(sys, ring, chart, omega, order)
         assert [s.terms for s in pairings] == expected
         assert any(expected)
+
+
+def reference_dual_divisor_classes(sys, ring, chart):
+    """One ``solve_linear`` per dual class, kept verbatim as the reference
+    for the classes read off the chart's inverse."""
+    dim = len(chart.basis_vectors)
+    d_classes = [ring.divisor_class(i, j) for (i, j) in sys.j_indices()]
+    w_classes = []
+    rows = tuple(chart.basis_vectors)
+    for k in range(dim):
+        target = tuple(Fraction(1 if i == k else 0) for i in range(dim))
+        sol = xl.solve_linear(rows, target)
+        assert sol is not None, "chart basis does not span the dual"
+        particular, _null = sol
+        cls = ring.zero()
+        for j, w in enumerate(particular):
+            if w:
+                cls = cls + w * d_classes[j]
+        w_classes.append(cls)
+    return w_classes
+
+
+def test_dual_classes_equal_the_per_class_solve():
+    """The slot-supported duals differ from the solved ones by a linear
+    relation, which vanishes in cohomology: equal classes on every chart."""
+    without_charts, compared = [], 0
+    for name, build in sorted(ENGINE_INSTANCES.items()):
+        fan = build()
+        sys = gkz.build_system(fan)
+        try:
+            charts = dg.subdivide_kahler_cone(sys)
+        except SubdivisionFailed:
+            without_charts.append(name)
+            continue
+        ring = toric.cohomology_ring(fan, sys.collections)
+        for chart in charts:
+            assert dg._dual_divisor_classes(sys, ring, chart) == \
+                reference_dual_divisor_classes(sys, ring, chart), name
+            compared += 1
+    assert without_charts == ["surface8"]
+    assert compared == 17
 
 
 # --- the certificate ---------------------------------------------------------------------------

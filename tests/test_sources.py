@@ -1,5 +1,6 @@
 """Rules on the package sources themselves."""
 
+import ast
 import os
 import re
 
@@ -34,3 +35,62 @@ def test_private_fraction_pattern_matches_both_forms():
     assert PRIVATE_FRACTION.search("Fraction._from_coprime_ints(n, d)")
     assert not PRIVATE_FRACTION.search("Fraction(n, d)")
     assert len(list(package_sources())) > 10
+
+
+def bound_names(target):
+    """Names an assignment target binds; a subscript or attribute target
+    binds none."""
+    if isinstance(target, ast.Name):
+        yield target.id
+    elif isinstance(target, (ast.Tuple, ast.List)):
+        for element in target.elts:
+            yield from bound_names(element)
+    elif isinstance(target, ast.Starred):
+        yield from bound_names(target.value)
+
+
+def top_level_names(tree):
+    """(name, line) of each class, function and assigned name at module
+    level, in source order."""
+    for node in tree.body:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for target in targets:
+                for name in bound_names(target):
+                    yield name, node.lineno
+
+
+def duplicate_definitions(source):
+    seen, hits = {}, []
+    for name, line in top_level_names(ast.parse(source)):
+        if name in seen:
+            hits.append(f"{name} at lines {seen[name]} and {line}")
+        seen.setdefault(name, line)
+    return hits
+
+
+def test_no_top_level_name_defined_twice():
+    # a second definition silently replaces the first
+    hits = []
+    for path in package_sources():
+        with open(path, encoding="utf-8") as f:
+            hits += [f"{os.path.basename(path)}: {hit}"
+                     for hit in duplicate_definitions(f.read())]
+    assert not hits, hits
+
+
+def test_duplicate_scan_sees_classes_functions_and_constants():
+    assert duplicate_definitions(
+        "class A:\n    pass\n\n\nclass A(B):\n    pass\n") == \
+        ["A at lines 1 and 5"]
+    assert duplicate_definitions("def f():\n    pass\nf = 1\n") == \
+        ["f at lines 1 and 3"]
+    assert duplicate_definitions("X, Y = 1, 2\nY: int = 3\n") == \
+        ["Y at lines 1 and 2"]
+    assert duplicate_definitions(
+        "class A:\n    x = 1\n    x = 2\n") == []
+    assert duplicate_definitions("D = {}\nD['k'] = 1\nD.k = 2\n") == []

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -8,7 +8,7 @@ from conftest import CORPUS, f1_fan, p1_fan, p1xp1_fan_r2, p2_fan
 from test_exact_linalg import ENGINE_INSTANCES
 from gkzfrac import gkz, toric, triangulations as tr
 from gkzfrac import exact_linalg as xl
-from gkzfrac.errors import DegenerateSimplex, NotRegular
+from gkzfrac.errors import DegenerateSimplex, NonTermination, NotRegular
 
 
 def system(fan_maker):
@@ -354,10 +354,10 @@ def test_groebner_fan_saturates_once_per_system(monkeypatch):
 
     chambers = walk()
     assert len(chambers) == 7
-    # 10 chamber probes, each one basis from the 5-variable saturation
-    assert calls == {"lattice_ideal_generators": 1, "buchberger": 15}
+    # 9 chamber probes, each one basis from the 5-variable saturation
+    assert calls == {"lattice_ideal_generators": 1, "buchberger": 14}
     assert walk() == chambers
-    assert calls == {"lattice_ideal_generators": 1, "buchberger": 25}
+    assert calls == {"lattice_ideal_generators": 1, "buchberger": 23}
 
 
 def test_buchberger_reduces_spair_disjoint_supports():
@@ -369,14 +369,159 @@ def test_buchberger_reduces_spair_disjoint_supports():
     assert len(basis) == 2
 
 
-# --- full fan enumeration (rank <= 2) --------------------------------------------------
+# --- full fan enumeration -------------------------------------------------------------
+
+# The rank-1 branch and the planar circle walk that ``tr.walk_fan`` replaced,
+# kept verbatim as the reference for every instance of rank <= 2.
+
+def _cross(u, w):
+    return u[0] * w[1] - u[1] * w[0]
+
+
+def _rot_ccw(v):
+    return (-v[1], v[0])
+
+
+def _ccw_ray(cone_rays):
+    """The counterclockwise boundary ray of a 2d pointed cone."""
+    u, w = cone_rays
+    return w if _cross(u, w) > 0 else u
+
+
+def _cw_ray(cone_rays):
+    u, w = cone_rays
+    return u if _cross(u, w) > 0 else w
+
+
+def _walk_plane_fan(sys, chamber_of, start):
+    """Enumerate a complete fan of pointed 2d cones by walking the circle.
+
+    ``chamber_of(direction)`` returns (label, ConeDescription) for a
+    direction strictly inside a maximal cone; the walk starts at ``start``
+    and steps just past the counterclockwise boundary of each chamber.
+    """
+    chambers = []
+    label, cone = chamber_of(start)
+    assert cone.contains(start, strict=True), "start direction lies on a wall"
+    first = cone
+    guard = 0
+    while True:
+        guard += 1
+        if guard > 200:
+            raise NonTermination("fan walk did not close up")
+        chambers.append((cone, label))
+        boundary = _ccw_ray(cone.rays)
+        scale = 2
+        while True:
+            probe = xl.primitive_vector(
+                tuple(scale * b + p
+                      for b, p in zip(boundary, _rot_ccw(boundary))))
+            try:
+                next_label, next_cone = chamber_of(probe)
+            except NotRegular:
+                next_cone = None
+            if (next_cone is not None
+                    and next_cone.contains(probe, strict=True)
+                    and _cw_ray(next_cone.rays) == boundary):
+                break
+            scale *= 4
+            if scale > 4 ** 12:
+                raise NonTermination("could not step across a chamber wall")
+        if next_cone.rays == first.rays:
+            break
+        label, cone = next_label, next_cone
+    return chambers
+
+
+def _rank_one_chambers(sys, chamber_of):
+    out = []
+    for direction in ((1,), (-1,)):
+        label, cone = chamber_of(direction)
+        out.append((cone, label))
+    return out
+
+
+def reference_walk(chamber_of, start):
+    """The old dispatch: the rank-1 branch, else the circle walk from
+    ``start``."""
+    if len(start) == 1:
+        return _rank_one_chambers(None, chamber_of)
+    return _walk_plane_fan(None, chamber_of, start)
+
+
+def chamber_keys(chambers):
+    """Rays, inequalities and label of each chamber, in walk order; a
+    triangulation label is its simplices and weight."""
+    return [(cone.dim, cone.rays, cone.inequalities,
+             (label.simplices, label.weight)
+             if isinstance(label, tr.Triangulation) else label)
+            for cone, label in chambers]
+
+
+RANK_LE_2 = sorted(name for name, build in ENGINE_INSTANCES.items()
+                   if len(gkz.build_system(build()).basis) <= 2)
+
+
+def test_rank_le_2_instances_are_the_corpus_and_two_surfaces():
+    assert RANK_LE_2 == sorted(list(CORPUS) + ["random2024_1", "random2_42"])
+
+
+@pytest.mark.parametrize("name", RANK_LE_2)
+def test_facet_walk_equals_the_circle_walk(name, monkeypatch):
+    """Same chambers, labels and order as the planar walk and the rank-1
+    branch, and never more chamber probes."""
+    sys = gkz.build_system(ENGINE_INSTANCES[name]())
+    calls = {"regular_subdivision": 0, "toric_groebner_basis": 0}
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+        return wrapper
+
+    for fn_name in calls:
+        monkeypatch.setattr(tr, fn_name, counted(getattr(tr, fn_name)))
+    walked = [chamber_keys(tr.secondary_fan(sys)),
+              chamber_keys(tr.groebner_fan(sys))]
+    walk_calls = dict(calls)
+    monkeypatch.setattr(tr, "walk_fan", reference_walk)
+    calls.update(dict.fromkeys(calls, 0))
+    assert walked == [chamber_keys(tr.secondary_fan(sys)),
+                      chamber_keys(tr.groebner_fan(sys))]
+    assert all(walk_calls[k] <= calls[k] for k in calls), (walk_calls, calls)
+
 
 def chambers_tile_circle(chambers):
     """Consecutive chambers share a wall and the chain closes up."""
     if len(chambers) == 2 and all(c.dim == 1 for c, _ in chambers):
         return {c.rays for c, _ in chambers} == {((1,),), ((-1,),)}
     for (cone, _), (nxt, _) in zip(chambers, chambers[1:] + chambers[:1]):
-        if tr._ccw_ray(cone.rays) != tr._cw_ray(nxt.rays):
+        if _ccw_ray(cone.rays) != _cw_ray(nxt.rays):
+            return False
+    return True
+
+
+def closes_up(chambers):
+    """Across every facet of every chamber lies exactly one other chamber
+    holding all the facet's rays, on the far side of the facet."""
+    for cone, _ in chambers:
+        for rays, normal in tr._facets(cone):
+            across = [other for other, _ in chambers
+                      if other is not cone
+                      and all(r in other.rays for r in rays)]
+            if len(across) != 1 or not any(
+                    xl.dot(normal, r) < 0 for r in across[0].rays):
+                return False
+    return True
+
+
+def refines(groebner, secondary):
+    """Every Groebner chamber lies in a secondary chamber."""
+    for gcone, _ in groebner:
+        inside = tuple(map(sum, zip(*gcone.rays)))
+        if not any(all(scone.contains(r) for r in gcone.rays)
+                   and scone.contains(inside, strict=True)
+                   for scone, _ in secondary):
             return False
     return True
 
@@ -424,16 +569,7 @@ def test_groebner_fan_strictly_refines_on_f1():
 
 def test_groebner_refines_secondary(corpus_fan):
     sys = gkz.build_system(corpus_fan)
-    if len(sys.basis) > 2:
-        return
-    secondary = tr.secondary_fan(sys)
-    for gcone, _label in tr.groebner_fan(sys):
-        inside = tuple(sum(col) for col in zip(*gcone.rays)) \
-            if gcone.dim == 2 else gcone.rays[0]
-        carriers = [scone for scone, _ in secondary
-                    if all(scone.contains(r) for r in gcone.rays)
-                    and scone.contains(inside)]
-        assert carriers, f"groebner chamber {gcone.rays} not carried"
+    assert refines(tr.groebner_fan(sys), tr.secondary_fan(sys))
 
 
 def test_groebner_fan_matches_secondary_for_product():
@@ -470,16 +606,77 @@ def test_leading_term_ideal_oracle():
     assert leading(inside_kahler) != leading(opposite)
 
 
-def test_fan_enumeration_rank_cap():
-    from gkzfrac.errors import DimensionTooLarge
+def synthetic_chamber_of(cones):
+    """``chamber_of`` over a given complete fan, a list of ray tuples: the
+    label is the cone's index, and a direction on a wall raises
+    NotRegular."""
+    dim = len(cones[0][0])
+    chambers = [toric.ConeDescription(
+        dim=dim, inequalities=tuple(xl.extreme_rays(rays, dim)),
+        rays=tuple(sorted(rays))) for rays in cones]
+
+    def chamber_of(direction):
+        for label, cone in enumerate(chambers):
+            if cone.contains(direction, strict=True):
+                return label, cone
+        raise NotRegular(f"{direction} lies on a wall")
+    return chamber_of
+
+
+def test_walk_steps_past_a_thin_chamber():
+    """The scale-2 probe across the last wall lands in the first chamber,
+    which lacks the wall's ray: the walk probes closer and finds the thin
+    chamber in between."""
+    cones = [((1, 0), (0, 1)), ((0, 1), (-1, 0)), ((-1, 0), (0, -1)),
+             ((0, -1), (3, -1)), ((3, -1), (1, 0))]
+    chambers = tr.walk_fan(synthetic_chamber_of(cones), (1, 1))
+    assert [label for _, label in chambers] == [0, 1, 2, 3, 4]
+    assert closes_up(chambers)
+
+
+def test_walk_crosses_facets_with_more_rays_than_a_simplex():
+    """The fan over the facets of the 4-cube: each chamber has 8 rays and 6
+    facets of 4 rays each."""
+    vertices = list(product((1, -1), repeat=4))
+    cones = [tuple(v for v in vertices if v[i] == sign)
+             for i in range(4) for sign in (1, -1)]
+    chambers = tr.walk_fan(synthetic_chamber_of(cones), (1, 0, 0, 0))
+    assert sorted(label for _, label in chambers) == list(range(8))
+    assert chambers[0][1] == 0
+    assert all(len(rays) == 4 for cone, _ in chambers
+               for rays, _ in tr._facets(cone))
+    assert closes_up(chambers)
+
+
+def test_p1_cubed_fans():
+    """P1^3 has rank 3: the same walk gives both fans of the one-block and
+    the three-block partition, each closed up, the Groebner fan refining the
+    secondary fan, the walk starting at the ample chamber of tmax."""
     from gkzfrac.toric import make_fan
     rays = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
             (0, 0, 1), (0, 0, -1)]
     cones = [[i, j, k] for i in (0, 1) for j in (2, 3) for k in (4, 5)]
-    fan = make_fan(3, rays, cones, [[0, 1, 2, 3, 4, 5]], name="p1cubed")
-    sys = gkz.build_system(fan)
-    assert len(sys.basis) == 3
-    with pytest.raises(DimensionTooLarge):
-        tr.secondary_fan(sys)
-    with pytest.raises(DimensionTooLarge):
-        tr.groebner_fan(sys)
+    for blocks, count in (([[0, 1, 2, 3, 4, 5]], 4),
+                          ([[0, 1], [2, 3], [4, 5]], 8)):
+        sys = gkz.build_system(make_fan(3, rays, cones, blocks,
+                                        name="p1cubed"))
+        assert len(sys.basis) == 3
+        secondary = tr.secondary_fan(sys)
+        groebner = tr.groebner_fan(sys)
+        assert (len(secondary), len(groebner)) == (count, count)
+        assert closes_up(secondary) and closes_up(groebner)
+        assert refines(groebner, secondary)
+        _, t = kahler_chamber(sys, secondary)
+        assert t.simplex_set() == tmax(sys).simplex_set()
+        assert secondary[0][1] is t
+
+
+def test_rank_four_secondary_fan():
+    sys = gkz.build_system(ENGINE_INSTANCES["random7_1"]())
+    assert len(sys.basis) == 4
+    secondary = tr.secondary_fan(sys)
+    assert len(secondary) == 32
+    assert closes_up(secondary)
+    assert len({cone.rays for cone, _ in secondary}) == 32
+    _, t = kahler_chamber(sys, secondary)
+    assert t.simplex_set() == tmax(sys).simplex_set()
