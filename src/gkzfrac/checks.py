@@ -307,7 +307,7 @@ def _check_tmax_contains_aux(inst):
 def _check_region_decomposition(inst):
     chart = inst.charts[0]
     for ell in inst.region_slab:
-        m = dg.chart_coordinates(chart, ell)
+        m = dg.chart_coordinates(inst.sys, chart, ell)
         if any(x < 0 for x in m):
             return False, f"{ell} fails to decompose"
     return True, "summation region decomposes with nonnegative exponents"

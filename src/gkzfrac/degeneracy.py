@@ -23,17 +23,14 @@ class CanonicalChart:
 
     ``basis_vectors`` are the relation-lattice vectors dual to the cone's
     extreme rays; coordinate k is the monomial of basis vector k times the
-    sign ``signs[k]``.  The lattice projects isomorphically onto the exponent
-    positions ``slots``; ``inverse`` inverts the basis restricted to them.
+    sign ``signs[k]``.  The chart coordinates of a relation are
+    ``cone_rays`` times its system coordinates (``GkzSystem.basis_coords``).
     """
 
-    def __init__(self, cone_rays, basis_vectors, signs, slots):
+    def __init__(self, cone_rays, basis_vectors, signs):
         self.cone_rays = cone_rays
         self.basis_vectors = basis_vectors
         self.signs = signs
-        self.slots = slots
-        self.inverse = xl.unimodular_inverse(
-            [[v[s] for v in basis_vectors] for s in slots])
 
 
 def _chart_from_simplicial_cone(sys, rays):
@@ -46,13 +43,8 @@ def _chart_from_simplicial_cone(sys, rays):
     assert xl.is_unimodular_lattice_basis(basis_vectors, sys.basis)
     aux = sys.aux_positions()
     signs = tuple((-1) ** (sum(v[j] for j in aux) % 2) for v in basis_vectors)
-    # a relation is fixed by its entries on the rays off one smooth maximal
-    # cone: the cone's own entries and the auxiliary ones follow integrally
-    cone = sys.fan.max_cones[0]
-    slots = tuple(sys.fan.j_position_of_ray(i) for i in range(sys.p)
-                  if i not in cone)
     return CanonicalChart(cone_rays=tuple(rays), basis_vectors=basis_vectors,
-                          signs=signs, slots=slots)
+                          signs=signs)
 
 
 def _triangulate_cone(rays, dim):
@@ -142,13 +134,10 @@ def subdivide_kahler_cone(sys):
 
 # --- chart re-expansion -------------------------------------------------------------
 
-def chart_coordinates(chart, ell):
-    """Nonnegative integer exponents of x^ell in the chart monomials, read
-    off the chart's slots through its inverse."""
-    m = xl.mat_vec(chart.inverse, tuple(ell[s] for s in chart.slots))
-    assert all(sum(c * v[i] for c, v in zip(m, chart.basis_vectors)) == x
-               for i, x in enumerate(ell)), \
-        f"{ell} is not an integer combination of the chart basis"
+def chart_coordinates(sys, chart, ell):
+    """Nonnegative integer exponents of x^ell in the chart monomials: the
+    cone rays applied to the system coordinates of ell."""
+    m = xl.mat_vec(chart.cone_rays, sys.basis_coords(ell))
     if any(x < 0 for x in m):
         raise NegativeExponent(
             f"{ell} needs negative chart exponents {m}")
@@ -164,7 +153,7 @@ def _chart_series(chart, source):
                         order=source.order)
 
 
-def period_in_chart(chart, series):
+def period_in_chart(sys, chart, series):
     """Re-index a log-free series by the chart monomials.
 
     Every stored exponent must decompose with nonnegative integer
@@ -175,7 +164,7 @@ def period_in_chart(chart, series):
     no_logs = (0,) * len(chart.basis_vectors)
     for (ell, logdeg), coeff in series.sorted_items():
         assert all(x == 0 for x in logdeg), "chart transport needs log-free input"
-        m = chart_coordinates(chart, ell)
+        m = chart_coordinates(sys, chart, ell)
         sign = 1
         for s, e in zip(chart.signs, m):
             if s == -1 and e % 2:
@@ -187,15 +176,15 @@ def period_in_chart(chart, series):
 def _dual_divisor_classes(sys, ring, chart):
     """Classes pairing as a dual basis against the chart basis vectors.
 
-    Row k of the chart's inverse, placed on its slots, pairs to the k-th
-    unit vector against the basis, so W_k is the sum over t of
-    inverse[k][t] * D_(slots[t]).
+    Row k of ``cone_rays`` times the system's inverse, placed on the
+    system's slots, pairs to the k-th unit vector against the chart basis,
+    so W_k is the sum over t of that row's entry t times D_(slots[t]).
     """
     d_classes = [ring.divisor_class(i, j) for (i, j) in sys.j_indices()]
     w_classes = []
-    for row in chart.inverse:
+    for row in xl.mat_mul(chart.cone_rays, sys.inverse):
         cls = ring.zero()
-        for slot, w in zip(chart.slots, row):
+        for slot, w in zip(sys.slots, row):
             if w:
                 cls = cls + w * d_classes[slot]
         w_classes.append(cls)
@@ -223,7 +212,7 @@ def chart_pairings(sys, ring, chart, b):
     chart_b = _chart_series(chart, b)
     no_logs = (0,) * len(chart.basis_vectors)
     for (ell, _), base in b.terms.items():
-        chart_b.terms[(chart_coordinates(chart, ell), no_logs)] = base
+        chart_b.terms[(chart_coordinates(sys, chart, ell), no_logs)] = base
     return se.pair_with_dual(ring, chart_b,
                              _dual_divisor_classes(sys, ring, chart))
 
@@ -262,7 +251,7 @@ def maximal_degeneracy_check(sys, ring, chart, period, b):
     """
     report = CertificateReport(order=period.order)
     try:
-        chart_period = period_in_chart(chart, period)
+        chart_period = period_in_chart(sys, chart, period)
         report.add("holomorphic_extension", True,
                    f"{len(chart_period.terms)} monomials, all exponents "
                    "nonnegative")

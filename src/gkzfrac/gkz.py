@@ -122,17 +122,29 @@ class BoxOperator:
 class GkzSystem:
     """The lifted system of a fan: ray matrix ``a``, lifted matrix
     ``a_ext``, exponent vector ``beta``, relation-lattice ``basis``,
-    primitive ``collections``, Kaehler cone ``kahler`` and the canonical
-    exponent ``alpha`` (set by ``build_system``)."""
+    primitive ``collections``, and the Kaehler cone ``kahler`` and canonical
+    exponent ``alpha`` (both set by ``build_system``).
 
-    def __init__(self, fan, a, a_ext, beta, basis, collections, kahler):
+    A relation is fixed by its entries on the rays off the fan's first
+    maximal cone: the cone's own entries and the auxiliary ones follow
+    integrally.  So the lattice projects isomorphically onto those exponent
+    positions, ``slots``, and ``inverse``, the integer inverse of the basis
+    restricted to them, is the one coordinate map of the relation lattice
+    (``basis_coords``)."""
+
+    def __init__(self, fan, a, a_ext, beta, basis, collections):
         self.fan = fan
         self.a = a
         self.a_ext = a_ext
         self.beta = beta
         self.basis = basis
         self.collections = collections
-        self.kahler = kahler
+        cone = fan.max_cones[0]
+        self.slots = tuple(fan.j_position_of_ray(i) for i in range(fan.p)
+                           if i not in cone)
+        self.inverse = xl.unimodular_inverse(
+            [[v[s] for v in basis] for s in self.slots])
+        self.kahler = None
         self.alpha = None
 
     @property
@@ -165,7 +177,12 @@ class GkzSystem:
         return xl.vec_is_zero(xl.mat_vec(self.a_ext, ell))
 
     def basis_coords(self, ell):
-        return toric.coords_in_basis(self.basis, ell)
+        """Integer coordinates of a lattice vector in ``basis``, read off
+        ``slots`` through ``inverse``; a vector off the lattice raises."""
+        m = xl.mat_vec(self.inverse, tuple(ell[s] for s in self.slots))
+        assert self.from_basis_coords(m) == tuple(ell), \
+            f"{ell} is not an integer combination of the basis"
+        return m
 
     def from_basis_coords(self, m):
         out = [0] * self.nvars
@@ -254,11 +271,11 @@ def build_system(fan):
     beta = tuple([Fraction(0)] * fan.rank + [Fraction(-1, 2)] * fan.r)
     basis = xl.kernel_basis(a_ext)
     collections = toric.primitive_collections(fan)
-    kahler = toric.kahler_cone(basis, collections)
     sys = GkzSystem(fan=fan, a=a, a_ext=a_ext, beta=beta, basis=basis,
-                    collections=collections, kahler=kahler)
+                    collections=collections)
     for b in basis:
         assert sys.in_kernel(b)
+    sys.kahler = toric.kahler_cone(sys.basis_coords, collections)
     sys.alpha = canonical_alpha(sys)
     return sys
 

@@ -49,11 +49,6 @@ def _sqrt_coefficients(k_max):
     return out
 
 
-def binomial_sqrt_coefficients(k_max):
-    """Coefficients r_k of the expansion of 1/sqrt(1+w), k = 0..k_max."""
-    return [Fraction(n, d) for n, d in _sqrt_coefficients(k_max)]
-
-
 def _region_split(sys, ell):
     """Per-block data (k_i, ray multidegrees) of a summation-region vector."""
     ell = tuple(ell)

@@ -341,30 +341,22 @@ class ConeDescription:
         return all(xl.dot(g, y) >= 0 for g in self.inequalities)
 
 
-def coords_in_basis(basis, v):
-    """Coordinates of a lattice vector in the given basis (must be exact)."""
-    bmat = tuple(zip(*basis))
-    sol = xl.solve_unique(bmat, v)
-    assert sol is not None and all(c.denominator == 1 for c in sol), \
-        f"{v} is not an integer combination of the basis"
-    return tuple(int(c) for c in sol)
-
-
-def kahler_cone(basis, collections):
+def kahler_cone(coords, collections):
     """Closure of the ample cone, dual to the Mori cone.
 
-    Returned in coordinates dual to ``basis``, the canonical relation-lattice
-    basis, from the fan's primitive collections; raises EmptyInterior when
-    the input admits no ample class.
+    Returned in coordinates dual to the canonical relation-lattice basis,
+    from the fan's primitive collections; ``coords`` maps a relation to its
+    basis coordinates (``GkzSystem.basis_coords``).  Raises EmptyInterior
+    when the input admits no ample class.
     """
-    dim = len(basis)
     gens = []
     seen = set()
     for pc in collections:
-        g = xl.primitive_vector(coords_in_basis(basis, pc.ell_ext))
+        g = xl.primitive_vector(coords(pc.ell_ext))
         if g not in seen:
             seen.add(g)
             gens.append(g)
+    dim = len(gens[0])
     rays = xl.extreme_rays(gens, dim)
     if not rays:
         raise EmptyInterior("no extreme rays: ample cone is empty")

@@ -35,7 +35,7 @@ def test_criterion_1_elliptic_period_coefficients():
     omega = gkz.default_weight(sys)
     period = se.normalized_period_series(sys, omega, 8)
     chart = dg.subdivide_kahler_cone(sys)[0]
-    z = dg.period_in_chart(chart, period)
+    z = dg.period_in_chart(sys, chart, period)
     for k in range(5):
         expected = closed_form_coefficient(k)
         assert z.coefficient((k,)) == expected

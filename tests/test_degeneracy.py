@@ -68,7 +68,7 @@ def test_period_in_chart_p1():
     sys = system(p1_fan)
     chart = dg.subdivide_kahler_cone(sys)[0]
     period = se.normalized_period_series(sys, gkz.default_weight(sys), 8)
-    z = dg.period_in_chart(chart, period)
+    z = dg.period_in_chart(sys, chart, period)
     assert z.coefficient((0,)) == 1
     assert z.coefficient((1,)) == Fraction(3, 4)
     assert z.coefficient((2,)) == Fraction(105, 64)
@@ -80,7 +80,7 @@ def test_period_in_chart_p2_signs():
     sys = system(p2_fan)
     chart = dg.subdivide_kahler_cone(sys)[0]
     period = se.normalized_period_series(sys, gkz.default_weight(sys), 6)
-    z = dg.period_in_chart(chart, period)
+    z = dg.period_in_chart(sys, chart, period)
     assert z.coefficient((0,)) == 1
     assert z.coefficient((1,)) == Fraction(-15, 8)
     assert z.coefficient((2,)) == Fraction(10395, 512)
@@ -93,7 +93,7 @@ def test_period_in_chart_trivial_series():
                      weight=tuple(Fraction(x) for x in gkz.default_weight(sys)),
                      order=0)
     s.add_term((0, 0, 0), (0, 0, 0), Fraction(1))
-    z = dg.period_in_chart(chart, s)
+    z = dg.period_in_chart(sys, chart, s)
     assert z.terms == {((0,), (0,)): Fraction(1)}
 
 
@@ -105,7 +105,7 @@ def test_period_in_chart_negative_exponent():
                      order=4)
     s.add_term((2, -1, -1), (0, 0, 0), Fraction(1))
     with pytest.raises(NegativeExponent):
-        dg.period_in_chart(chart, s)
+        dg.period_in_chart(sys, chart, s)
 
 
 def test_region_decomposes_in_chart(corpus_fan):
@@ -114,7 +114,7 @@ def test_region_decomposes_in_chart(corpus_fan):
     chart = dg.subdivide_kahler_cone(sys)[0]
     omega = gkz.default_weight(sys)
     for ell in se.region_slab(sys, omega, 8):
-        m = dg.chart_coordinates(chart, ell)
+        m = dg.chart_coordinates(sys, chart, ell)
         assert all(x >= 0 for x in m)
 
 
@@ -128,7 +128,7 @@ def test_chart_pairings_unit_matches_period_p1():
     pairings = dg.chart_pairings(sys, ring, chart,
                                  b_series(sys, ring, 6)).components()
     period = dg.period_in_chart(
-        chart, se.normalized_period_series(sys, omega, 6))
+        sys, chart, se.normalized_period_series(sys, omega, 6))
     unit = pairings[0]
     assert unit.is_log_free()
     assert unit.terms == period.terms
@@ -167,7 +167,7 @@ def slab_chart_pairings(sys, ring, chart, omega, order):
         base = se.o_class(sys, ring, ell)
         if base.is_zero():
             continue
-        m = dg.chart_coordinates(chart, ell)
+        m = dg.chart_coordinates(sys, chart, ell)
         for logdeg, cls in log_part:
             total = base * cls
             for h in range(ring.dim):

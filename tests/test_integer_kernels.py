@@ -2,10 +2,10 @@
 
 The x^D expansion acts by integer multiplier matrices, fan validation and
 primitive relations read each maximal cone through its integer inverse, and
-chart coordinates go through one inverse per chart.  The routes they
-replaced are kept here verbatim as references: the class-product
-``log_part`` and ``pair_with_dual``, the solve-per-direction completeness
-loop, the solve-per-cone relation coefficients and the solve-per-key
+chart coordinates go through the system's one coordinate map.  The routes
+they replaced are kept here as references: the class-product ``log_part``
+and ``pair_with_dual``, the solve-per-direction completeness loop, the
+solve-per-cone relation coefficients and the solve-per-key
 ``chart_coordinates``.
 """
 
@@ -70,7 +70,7 @@ def reference_chart_coordinates(chart, ell):
     cols = tuple(zip(*chart.basis_vectors))
     sol = xl.solve_unique(cols, ell)
     assert sol is not None and all(c.denominator == 1 for c in sol), \
-        f"{ell} is not an integer combination of the chart basis"
+        f"{ell} is not an integer combination of the basis"
     m = tuple(int(c) for c in sol)
     if any(x < 0 for x in m):
         raise NegativeExponent(
@@ -443,7 +443,8 @@ def test_chart_coordinates_equal_the_solve_per_key(name):
     seen = set()
     for chart in inst.charts:
         for ell in keys:
-            got = outcome(lambda e: dg.chart_coordinates(chart, e), ell)
+            got = outcome(
+                lambda e: dg.chart_coordinates(inst.sys, chart, e), ell)
             assert got == outcome(
                 lambda e: reference_chart_coordinates(chart, e), ell), ell
             seen.add(got[0] if got[0] in (NegativeExponent, AssertionError)

@@ -29,6 +29,12 @@ def sqrt_series_derivative_oracle(k_max):
     return out
 
 
+def binomial_sqrt_coefficients(k_max):
+    """Coefficients r_k of the expansion of 1/sqrt(1+w), k = 0..k_max, from
+    the integer pairs the period coefficients use."""
+    return [Fraction(n, d) for n, d in se._sqrt_coefficients(k_max)]
+
+
 def system(fan_maker):
     return gkz.build_system(fan_maker())
 
@@ -36,17 +42,17 @@ def system(fan_maker):
 # --- binomial sqrt coefficients ---------------------------------------------------
 
 def test_r0():
-    assert se.binomial_sqrt_coefficients(0) == [1]
+    assert binomial_sqrt_coefficients(0) == [1]
 
 
 def test_r2_r3():
-    rs = se.binomial_sqrt_coefficients(3)
+    rs = binomial_sqrt_coefficients(3)
     assert rs[2] == Fraction(3, 8)
     assert rs[3] == Fraction(-5, 16)
 
 
 def test_r_against_derivative_oracle():
-    assert se.binomial_sqrt_coefficients(10) == sqrt_series_derivative_oracle(10)
+    assert binomial_sqrt_coefficients(10) == sqrt_series_derivative_oracle(10)
 
 
 # --- period coefficients -----------------------------------------------------------
@@ -100,7 +106,7 @@ def unpruned_residue_oracle(sys, ell):
     ell = tuple(ell)
     ks, targets = se._region_split(sys, ell)
     cap = se.max_terms()
-    r = se.binomial_sqrt_coefficients(max(ks, default=0))
+    r = binomial_sqrt_coefficients(max(ks, default=0))
     block_terms = []
     for i, k_i in enumerate(ks):
         n_i = len(sys.fan.blocks[i])
@@ -194,7 +200,7 @@ def keyed_residue_oracle(sys, ell):
     ell = tuple(ell)
     ks, targets = se._region_split(sys, ell)
     cap = se.max_terms()
-    r = se.binomial_sqrt_coefficients(max(ks, default=0))
+    r = binomial_sqrt_coefficients(max(ks, default=0))
     matches = []
     for i, (k_i, target) in enumerate(zip(ks, targets)):
         rays = [sys.fan.rays[b] for b in sys.fan.blocks[i]]
@@ -239,7 +245,7 @@ def fraction_period_coefficient_C(sys, ell):
     if not sys.in_kernel(ell):
         raise NotInKernel(f"{ell} is not a relation of the configuration")
     ks, rays = se._region_split(sys, ell)
-    r = se.binomial_sqrt_coefficients(max(ks, default=0))
+    r = binomial_sqrt_coefficients(max(ks, default=0))
     out = Fraction(1)
     for k_i, block in zip(ks, rays):
         out *= r[k_i] * Fraction(-1) ** k_i * factorial(k_i)

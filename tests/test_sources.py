@@ -94,3 +94,67 @@ def test_duplicate_scan_sees_classes_functions_and_constants():
     assert duplicate_definitions(
         "class A:\n    x = 1\n    x = 2\n") == []
     assert duplicate_definitions("D = {}\nD['k'] = 1\nD.k = 2\n") == []
+
+
+# Called by name from outside the package: CI's installed-package smoke step
+# prints ``fixture_path`` of each bundled fixture.
+ENTRY_POINTS = {("cli", "fixture_path")}
+
+
+def read_names(tree):
+    """Every name a module reads, bare or as an attribute, except a
+    top-level function's reads of its own name (recursion is no caller)."""
+    names = set()
+    for node in tree.body:
+        own = node.name if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                name = sub.id
+            elif isinstance(sub, ast.Attribute):
+                name = sub.attr
+            else:
+                continue
+            if name != own:
+                names.add(name)
+    return names
+
+
+def uncalled_functions(sources, homes, entry_points):
+    """``module.name`` of each top-level function in ``sources`` (module
+    name -> source text) that no module reads, that ``homes`` does not
+    export and that is not an entry point; dunder names are module
+    protocol."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    read = set().union(*map(read_names, trees.values()))
+    return [f"{module}.{node.name}"
+            for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name not in read and node.name not in homes
+            and (module, node.name) not in entry_points
+            and not node.name.startswith("__")]
+
+
+def test_every_top_level_function_has_a_caller():
+    sources = {}
+    for path in package_sources():
+        with open(path, encoding="utf-8") as f:
+            sources[os.path.basename(path)[:-3]] = f.read()
+    assert not uncalled_functions(sources, gkzfrac._HOMES, ENTRY_POINTS)
+
+
+def test_caller_scan_sees_calls_exports_and_entry_points():
+    sources = {
+        "a": "def used():\n    pass\n\n\ndef dead(n):\n    return dead(n)\n"
+             "\n\ndef exported():\n    pass\n\n\ndef entry():\n    pass\n"
+             "\n\ndef __getattr__(name):\n    pass\n\n\nclass K:\n"
+             "    def method(self):\n        pass\n",
+        "b": "from . import a\n\nVALUE = a.used()\n",
+    }
+    assert uncalled_functions(sources, {"exported": "a"}, {("a", "entry")}) \
+        == ["a.dead"]
+    assert uncalled_functions(sources, {}, set()) == \
+        ["a.dead", "a.exported", "a.entry"]
+    sources["b"] += "\n\ndef g():\n    return dead\n"
+    assert uncalled_functions(sources, {}, set()) == \
+        ["a.exported", "a.entry", "b.g"]

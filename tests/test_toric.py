@@ -1,11 +1,13 @@
+import random
 from itertools import combinations
 
 import pytest
 
 from conftest import f1_fan, p1_fan, p1xp1_fan_r2, p2_fan
+from test_exact_linalg import ENGINE_INSTANCES
 from test_ring_table import INSTANCES
 from gkzfrac import exact_linalg as xl
-from gkzfrac import toric
+from gkzfrac import gkz, toric
 from gkzfrac.errors import (NotComplete, NotSmooth, RayNotPrimitive,
                             SemanticError)
 
@@ -18,8 +20,20 @@ def sr_of(fan):
     return toric.stanley_reisner_ideal(toric.primitive_collections(fan))
 
 
+def coords_in_basis(basis, v):
+    """Reference for ``GkzSystem.basis_coords``: the coordinates of a lattice
+    vector in the basis by one ``solve_unique`` (a full ``rref``) per
+    vector, the route the system's one integer inverse replaced."""
+    bmat = tuple(zip(*basis))
+    sol = xl.solve_unique(bmat, v)
+    assert sol is not None and all(c.denominator == 1 for c in sol), \
+        f"{v} is not an integer combination of the basis"
+    return tuple(int(c) for c in sol)
+
+
 def kahler_of(fan):
-    return toric.kahler_cone(xl.kernel_basis(toric.a_ext_matrix(fan)),
+    basis = xl.kernel_basis(toric.a_ext_matrix(fan))
+    return toric.kahler_cone(lambda v: coords_in_basis(basis, v),
                              toric.primitive_collections(fan))
 
 
@@ -192,8 +206,36 @@ def test_kahler_interior_positive(corpus_fan):
     basis = xl.kernel_basis(toric.a_ext_matrix(corpus_fan))
     interior = tuple(sum(col) for col in zip(*cone.rays))
     for pc in toric.primitive_collections(corpus_fan):
-        coords = toric.coords_in_basis(basis, pc.ell_ext)
+        coords = coords_in_basis(basis, pc.ell_ext)
         assert xl.dot(interior, coords) > 0
+
+
+# --- the coordinate map of the relation lattice ------------------------------------
+
+@pytest.mark.parametrize("name", sorted(ENGINE_INSTANCES))
+def test_basis_coords_equal_the_solve_per_vector(name):
+    fan = ENGINE_INSTANCES[name]()
+    sys = gkz.build_system(fan)
+    rng = random.Random(name)
+    k = len(sys.basis)
+    for _ in range(200):
+        m = tuple(rng.randint(-6, 6) for _ in range(k))
+        ell = sys.from_basis_coords(m)
+        got = sys.basis_coords(ell)
+        assert got == coords_in_basis(sys.basis, ell) == m
+        assert all(type(x) is int for x in got)
+        # one unit off the lattice: every column of a_ext is nonzero
+        j = rng.randrange(sys.nvars)
+        off = tuple(x + (i == j) for i, x in enumerate(ell))
+        for route in (sys.basis_coords,
+                      lambda v: coords_in_basis(sys.basis, v)):
+            with pytest.raises(AssertionError) as exc:
+                route(off)
+            assert str(exc.value).startswith(
+                f"{off} is not an integer combination of the basis")
+    reference = kahler_of(fan)
+    assert sys.kahler.inequalities == reference.inequalities
+    assert sys.kahler.rays == reference.rays
 
 
 # --- Stanley-Reisner -----------------------------------------------------------------

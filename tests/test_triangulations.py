@@ -680,3 +680,14 @@ def test_rank_four_secondary_fan():
     assert len({cone.rays for cone, _ in secondary}) == 32
     _, t = kahler_chamber(sys, secondary)
     assert t.simplex_set() == tmax(sys).simplex_set()
+
+
+def test_rank_four_groebner_fan():
+    sys = gkz.build_system(ENGINE_INSTANCES["random7_1"]())
+    assert len(sys.basis) == 4
+    groebner = tr.groebner_fan(sys)
+    assert len(groebner) == 150 < tr.FAN_CHAMBER_CAP
+    assert closes_up(groebner)
+    secondary = tr.secondary_fan(sys)
+    assert len(secondary) == 32
+    assert refines(groebner, secondary)
