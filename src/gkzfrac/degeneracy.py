@@ -51,9 +51,6 @@ def _triangulate_cone(rays, dim):
     """Split a pointed cone into simplicial cones (rank <= 3)."""
     if len(rays) == dim:
         return [tuple(rays)]
-    if dim == 2:
-        raise SubdivisionFailed(
-            f"two-dimensional cone with {len(rays)} extreme rays")
     if dim != 3:
         raise SubdivisionFailed(f"cone splitting unsupported in rank {dim}")
     # fan out from the first ray across the facets not containing it; the
@@ -118,11 +115,7 @@ def subdivide_kahler_cone(sys):
     single chart is returned.
     """
     cone = sys.kahler
-    dim = cone.dim
-    if len(cone.rays) == dim and abs(xl.det(cone.rays)) == 1:
-        return [_chart_from_simplicial_cone(sys, cone.rays)]
-    pieces = _triangulate_cone(list(cone.rays), dim)
-    pieces = _stellar_refine(pieces)
+    pieces = _stellar_refine(_triangulate_cone(list(cone.rays), cone.dim))
     charts = []
     for rays in sorted(pieces):
         chart = _chart_from_simplicial_cone(sys, rays)

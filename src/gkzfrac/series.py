@@ -344,14 +344,14 @@ def o_class(sys, ring, ell):
     factors commute, so every lowering slot (c < 0) is applied before any
     inverse: off the curve cone the lowering factors of a primitive
     collection kill the vector, and the zero class is returned before any
-    Neumann series is formed.  Fractions are built only for the result.
+    Neumann series is formed.
     """
     ell = tuple(ell)
     alpha = sys.alpha
     slots = [(ell[pos], alpha[pos], i, j) for (i, j) in sys.j_indices()
              for pos in [sys.j_position(i, j)] if ell[pos]]
     slots.sort(key=lambda slot: slot[0] > 0)  # lowering slots first
-    v, den = [int(x) for x in ring.one().coords], 1
+    v, den = ring.one().nums, 1
     for c, a, i, j in slots:
         p0, q = a.numerator, a.denominator
         scale, columns = ring.divisor_matrix(i, j)
@@ -377,7 +377,7 @@ def o_class(sys, ring, ell):
                 den *= scale * p
         g = gcd(den, *v)
         v, den = [x // g for x in v], den // g
-    return CohClass(ring, [Fraction(x, den) for x in v])
+    return CohClass(ring, v, den)
 
 
 def _log_multidegrees(nvars, top):
@@ -404,21 +404,17 @@ def log_part(ring, classes, top):
     """
     acts = [ring.multiplier(cls) for cls in classes]
     m0, *degrees = _log_multidegrees(len(classes), top)
-    kept = {m0: ([int(x) for x in ring.one().coords], 1)}  # the nonzero L_m
-    out = [(m0, ring.one())]
+    kept = {m0: ring.one()}  # the nonzero L_m
     for m in degrees:
         j = max(k for k, e in enumerate(m) if e)
         parent = kept.get(m[:j] + (m[j] - 1,) + m[j + 1:])
         if parent is None:
             continue
         scale, columns = acts[j]
-        v = integer_act(columns, parent[0])
-        if not any(v):
-            continue
-        den = parent[1] * scale * m[j]
-        kept[m] = v, den
-        out.append((m, CohClass(ring, [Fraction(x, den) for x in v])))
-    return out
+        v = integer_act(columns, parent.nums)
+        if any(v):
+            kept[m] = CohClass(ring, v, parent.den * scale * m[j])
+    return list(kept.items())
 
 
 def b_series(sys, ring, omega, order):
@@ -451,17 +447,17 @@ def pair_with_dual(ring, b, classes):
     one per (numerator, denominator) pair, and the series keeps the integer
     form ``apply_operator`` reads, over one common denominator.
     """
-    logs = [(m, cls.coords, *xl.integer_scaled(cls.coords))
+    logs = [(m, cls.coords, cls.nums, cls.den)
             for m, cls in log_part(ring, classes, ring.top)]
-    one = ring.one().coords
+    one = ring.one()
     fractions = {}  # denominator -> numerator -> the shared Fraction
     rows = []  # (key, coordinates, numerators, denominator)
     for (ell, _), base in b.terms.items():
-        if base.coords == one:  # O_0 is the unit class
+        if base == one:  # O_0 is the unit class
             rows.extend(((ell, m), *row) for m, *row in logs)
             continue
         rows.append(((ell, logs[0][0]), base.coords,  # the m = 0 class is 1
-                     *xl.integer_scaled(base.coords)))
+                     base.nums, base.den))
         scale, columns = ring.multiplier(base)
         for m, _, ints, den in logs[1:]:
             v = integer_act(columns, ints)

@@ -385,9 +385,6 @@ def _monomials_of_degree(p, d):
     return out
 
 
-_ZERO = Fraction(0)
-
-
 def _unit(n, i):
     """The i-th unit vector of length n."""
     return tuple(int(k == i) for k in range(n))
@@ -420,9 +417,9 @@ class CohomologyRing:
     Basis monomials are square-free, chosen greedily as the lexicographically
     earliest independent ones degree by degree; the intersection pairing is
     normalised so the class of a point integrates to 1.  Classes are
-    coordinate vectors over that basis, multiplied through a table of basis
-    products built once by the constructor, held as integers over one
-    common denominator.
+    integer numerators over that basis with one denominator (``CohClass``),
+    multiplied through a table of basis products built once by the
+    constructor, held as integers over one common denominator.
     """
 
     def __init__(self, fan, collections):
@@ -432,12 +429,15 @@ class CohomologyRing:
         self._sr = stanley_reisner_ideal(collections)
         self._linear = [tuple(ray[k] for ray in fan.rays)
                         for k in range(fan.rank)]
-        self._normal = {}      # monomial of degree <= top -> its coordinates
         self.basis_monomials = []
         self.basis_degrees = []
-        self._build()
+        normal = self._build()
         self.dim = len(self.basis_monomials)
-        self._global_pos = {m: i for i, m in enumerate(self.basis_monomials)}
+        self._zero = CohClass(self, (0,) * self.dim)
+        # monomial of degree <= top -> its class
+        self._normal = {m: CohClass(self, [sparse.get(k, 0)
+                                           for k in range(self.dim)], den)
+                        for m, (sparse, den) in normal.items()}
         self._point = self._point_class()
         self._one = CohClass(self, _unit(self.dim, 0))
         # Structure constants of the basis as integers over the common
@@ -446,14 +446,13 @@ class CohomologyRing:
         products = {}
         for a, ma in enumerate(self.basis_monomials):
             for b in range(a, self.dim):
-                expo = tuple(x + y for x, y in zip(ma, self.basis_monomials[b]))
-                products[a, b] = self.class_from_poly({expo: 1}).coords
-        self._scale = lcm(*(c.denominator for coords in products.values()
-                            for c in coords))
+                products[a, b] = self.reduce_monomial(
+                    tuple(x + y for x, y in zip(ma, self.basis_monomials[b])))
+        self._scale = lcm(*(cls.den for cls in products.values()))
         self._table = [[None] * self.dim for _ in range(self.dim)]
-        for (a, b), coords in products.items():
+        for (a, b), cls in products.items():
             self._table[a][b] = self._table[b][a] = _sparse(
-                [c.numerator * (self._scale // c.denominator) for c in coords])
+                [x * (self._scale // cls.den) for x in cls.nums])
         self._divisors = {}
         for (i, j) in fan.j_indices():
             rays = fan.blocks[i] if j == 0 else (fan.ray_of_double_index(i, j),)
@@ -474,8 +473,10 @@ class CohomologyRing:
         so a row's leading entry sits at its latest candidate.  A candidate
         is thus skipped iff some relation has its leading entry there: the
         free columns of the rref, in candidate order, are the greedy basis,
-        and each pivot row writes its monomial over them.
+        and each pivot row writes its monomial over them.  Returns each
+        monomial's normal form as (basis index -> numerator, denominator).
         """
+        normal = {}
         for d in range(self.top + 1):
             cols = sorted(_monomials_of_degree(self.p, d),
                           key=lambda m: (max(m) > 1, _monomial_key(m)))[::-1]
@@ -500,44 +501,38 @@ class CohomologyRing:
             basis = [cols[c] for c in free]
             assert all(max(m) <= 1 for m in basis), \
                 "square-free monomials do not span; input fan not smooth projective?"
+            index = {f: len(self.basis_monomials) + k
+                     for k, f in enumerate(free)}
             self.basis_monomials.extend(basis)
             self.basis_degrees.extend([d] * len(basis))
-            for m in basis:
-                self._normal[m] = {m: Fraction(1)}
+            for f in free:
+                normal[cols[f]] = {index[f]: 1}, 1
             for row, c in zip(reduced, pivots):
-                self._normal[cols[c]] = {cols[f]: -row[f] for f in free if row[f]}
+                ints, den = xl.integer_scaled(row)
+                normal[cols[c]] = {index[f]: -ints[f] for f in free}, den
+        return normal
 
     def reduce_monomial(self, expo):
-        """Coordinates of a monomial over the selected basis of its degree."""
+        """The class of a monomial, read from the normal forms built by the
+        constructor; the zero class above the top degree."""
         if sum(expo) > self.top:
-            return {}
-        return dict(self._normal[tuple(expo)])
+            return self._zero
+        return self._normal[tuple(expo)]
 
     def _point_class(self):
         ref = None
         for cone in self.fan.max_cones:
-            expo = [0] * self.p
-            for i in cone:
-                expo[i] += 1
-            coords = self.reduce_monomial(tuple(expo))
-            vec = self._coords_to_global(coords)
-            if ref is None:
-                ref = vec
-            else:
-                assert vec == ref, \
-                    "point classes of maximal cones disagree; fan not smooth?"
+            cls = self.reduce_monomial(tuple(int(i in cone)
+                                             for i in range(self.p)))
+            assert ref is None or cls == ref, \
+                "point classes of maximal cones disagree; fan not smooth?"
+            ref = cls
         return ref
-
-    def _coords_to_global(self, coords):
-        out = [Fraction(0)] * self.dim
-        for m, c in coords.items():
-            out[self._global_pos[m]] = c
-        return tuple(out)
 
     # -- public interface --
 
     def zero(self):
-        return CohClass(self, (_ZERO,) * self.dim)
+        return self._zero
 
     def one(self):
         return self._one
@@ -557,29 +552,22 @@ class CohomologyRing:
 
     def class_from_poly(self, poly):
         """Class of a polynomial in the ray variables, given as expo -> coeff."""
-        out = [_ZERO] * self.dim
+        out = self._zero
         for expo, c in poly.items():
-            if c == 0:
-                continue
-            red = self._coords_to_global(self.reduce_monomial(tuple(expo)))
-            for i, x in enumerate(red):
-                if x:
-                    out[i] += c * x
-        return CohClass(self, tuple(out))
+            if c:
+                out = out + c * self.reduce_monomial(tuple(expo))
+        return out
 
     def multiply(self, a, b):
         scale, columns = self.multiplier(a)
-        y, den = xl.integer_scaled(b.coords)
-        return CohClass(self, [Fraction(n, scale * den)
-                               for n in integer_act(columns, y)])
+        return CohClass(self, integer_act(columns, b.nums), scale * b.den)
 
     def multiplier(self, cls):
         """Multiplication by ``cls`` as (L, M) with M / L the matrix: M is
         integer, L is the least positive integer that makes it so, and
         column b of M lists the nonzero (index, coefficient) pairs of L
         times the class times basis element b."""
-        x, den = xl.integer_scaled(cls.coords)
-        rows = [(self._table[a], c) for a, c in enumerate(x) if c]
+        rows = [(self._table[a], c) for a, c in enumerate(cls.nums) if c]
         columns = []
         for b in range(self.dim):
             col = [0] * self.dim
@@ -587,8 +575,9 @@ class CohomologyRing:
                 for k, t in row[b]:
                     col[k] += c * t
             columns.append(col)
-        g = gcd(den * self._scale, *chain.from_iterable(columns))
-        return den * self._scale // g, tuple(
+        scale = cls.den * self._scale
+        g = gcd(scale, *chain.from_iterable(columns))
+        return scale // g, tuple(
             tuple((k, c // g) for k, c in enumerate(col) if c)
             for col in columns)
 
@@ -596,9 +585,9 @@ class CohomologyRing:
         """Pairing with the fundamental class, point class normalised to 1."""
         top_idx = [i for i, d in enumerate(self.basis_degrees) if d == self.top]
         assert len(top_idx) == 1, "top degree is not one-dimensional"
-        i = top_idx[0]
-        assert self._point[i] != 0
-        return cls.coords[i] / self._point[i]
+        i, point = top_idx[0], self._point
+        assert point.nums[i] != 0
+        return Fraction(cls.nums[i] * point.den, cls.den * point.nums[i])
 
     def basis_names(self):
         names = []
@@ -626,25 +615,36 @@ def integer_act(columns, v):
 
 
 class CohClass:
-    """Element of a CohomologyRing, stored as coordinates over its basis."""
+    """Element of a CohomologyRing: integer numerators ``nums`` over its
+    basis and one positive denominator ``den``, in lowest terms, so equal
+    classes have equal fields; zero is all zeros over 1.  ``coords`` is
+    the read-only view as Fractions."""
 
-    __slots__ = ("ring", "coords")
+    __slots__ = ("ring", "nums", "den")
 
-    def __init__(self, ring, coords):
+    def __init__(self, ring, nums, den=1):
+        nums = tuple(nums)
+        g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
         self.ring = ring
-        self.coords = tuple(c if type(c) is Fraction else Fraction(c)
-                            for c in coords)
+        self.nums = nums if g == 1 else tuple(x // g for x in nums)
+        self.den = den // g
+
+    @property
+    def coords(self):
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     def __add__(self, other):
         if isinstance(other, CohClass):
-            return CohClass(self.ring,
-                            tuple(a + b for a, b in zip(self.coords, other.coords)))
+            d = lcm(self.den, other.den)
+            a, b = d // self.den, d // other.den
+            return CohClass(self.ring, [a * x + b * y for x, y in
+                                        zip(self.nums, other.nums)], d)
         return self + other * self.ring.one()
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CohClass(self.ring, tuple(-a for a in self.coords))
+        return CohClass(self.ring, [-x for x in self.nums], self.den)
 
     def __sub__(self, other):
         if isinstance(other, CohClass):
@@ -658,17 +658,18 @@ class CohClass:
         if isinstance(other, CohClass):
             return self.ring.multiply(self, other)
         c = Fraction(other)
-        return CohClass(self.ring, tuple(c * a for a in self.coords))
+        return CohClass(self.ring, [c.numerator * x for x in self.nums],
+                        c.denominator * self.den)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         if isinstance(other, CohClass):
-            return self.coords == other.coords
+            return self.nums == other.nums and self.den == other.den
         return self == other * self.ring.one()
 
     def is_zero(self):
-        return all(c == 0 for c in self.coords)
+        return not any(self.nums)
 
     def __repr__(self):
         items = [f"{c}*{n}" for (m, c), n in

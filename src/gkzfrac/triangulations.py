@@ -253,16 +253,19 @@ def _reduce(binomial, basis, order):
                 a, b = ori
                 changed = True
                 break
-    # tail reduction
-    changed = True
-    while changed:
-        changed = False
+    return _orient(a, _rewrite(b, basis), order)
+
+
+def _rewrite(mono, basis):
+    """``mono`` rewritten by the first binomial whose leading exponent
+    divides it, until none does."""
+    while True:
         for u, v in basis:
-            if _divides(u, b):
-                b = tuple(x - y + z for x, y, z in zip(b, u, v))
-                changed = True
+            if _divides(u, mono):
+                mono = tuple(x - y + z for x, y, z in zip(mono, u, v))
                 break
-    return _orient(a, b, order)
+        else:
+            return mono
 
 
 def _spair(g1, g2):
@@ -307,28 +310,18 @@ def buchberger(generators, order):
 
 
 def reduce_basis(basis, order):
-    """Minimalize and inter-reduce to the unique reduced basis.
+    """The unique reduced basis of a Groebner basis, by leading term.
 
-    Repeatedly reduces every element against the others until nothing
-    changes; elements that drop to zero are removed.
+    Taken by total degree, so every proper divisor comes first, an element
+    is dropped when the leading exponent of one kept before it divides its
+    own; each tail of that minimal basis is then rewritten once against it.
     """
-    work = sorted(set(basis), key=lambda g: order.key(g[0]))
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(work)):
-            rest = work[:i] + work[i + 1:]
-            red = _reduce(work[i], rest, order)
-            if red is None:
-                work = rest
-                changed = True
-                break
-            if red != work[i]:
-                work = sorted(set(rest + [red]),
-                              key=lambda g: order.key(g[0]))
-                changed = True
-                break
-    return sorted(work, key=lambda g: order.key(g[0]))
+    minimal = []
+    for u, v in sorted(set(basis), key=lambda g: sum(g[0])):
+        if not any(_divides(w, u) for w, _ in minimal):
+            minimal.append((u, v))
+    minimal.sort(key=lambda g: order.key(g[0]))
+    return [(u, _rewrite(v, minimal)) for u, v in minimal]
 
 
 def _saturate_variable(basis, nvars, var):

@@ -5,6 +5,7 @@ import pytest
 from conftest import p1_fan, p1xp1_fan_r2, p2_fan
 from test_exact_linalg import ENGINE_INSTANCES
 from test_ring_table import INSTANCES
+from gkzfrac import checks
 from gkzfrac import degeneracy as dg
 from gkzfrac import gkz, series as se, toric
 from gkzfrac import exact_linalg as xl
@@ -288,3 +289,19 @@ def test_stellar_refinement_of_index_two_cone():
 def test_parallelepiped_witness():
     assert dg._parallelepiped_witness(((1, 0), (1, 2))) == (1, 1)
     assert dg._parallelepiped_witness(((1, 0), (0, 1))) is None
+
+
+def test_region_decomposition_fails_without_aborting_check_all(monkeypatch):
+    """A region vector with a negative chart exponent fails its own check;
+    check-all goes on to the certificate instead of raising."""
+    inst = checks.Instance(p1_fan(), order=8)
+    inst.period  # built from the true region slab before it is replaced
+    inst.region_slab = [(2, -1, -1)]
+    assert checks._check_region_decomposition(inst) == \
+        (False, "(2, -1, -1) fails to decompose")
+    ids = [check_id for check_id, _ in checks.CHECKS]
+    tail = checks.CHECKS[ids.index("degeneracy.region_decomposition"):]
+    monkeypatch.setattr(checks, "CHECKS", tail)
+    assert [(r["id"], r["ok"]) for r in checks.run_all(inst)] == [
+        ("degeneracy.region_decomposition", False),
+        ("degeneracy.certificate", True)]

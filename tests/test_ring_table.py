@@ -10,6 +10,7 @@ coefficient out of ``CohClass`` arithmetic with an explicit nilpotent inverse.
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -167,7 +168,9 @@ def test_ring_matches_the_greedy_fraction_construction(name):
     assert ring.basis_degrees == ref.basis_degrees
     for d in range(fan.rank + 2):
         for expo in toric._monomials_of_degree(fan.p, d):
-            assert ring.reduce_monomial(expo) == ref.reduce_monomial(expo), expo
+            expected = ref.reduce_monomial(expo)
+            assert ring.reduce_monomial(expo).coords == tuple(
+                expected.get(m, 0) for m in ring.basis_monomials), expo
 
 
 @pytest.fixture(params=sorted(INSTANCES))
@@ -178,6 +181,66 @@ def instance(request):
 
 def _basis_class(ring, k):
     return toric.CohClass(ring, [int(i == k) for i in range(ring.dim)])
+
+
+def test_class_fields_are_canonical(instance):
+    _fan, ring = instance
+    rest = (0,) * (ring.dim - 1)
+    half = toric.CohClass(ring, (6,) + rest, -12)
+    assert (half.nums, half.den) == ((-1,) + rest, 2)
+    zero = toric.CohClass(ring, (0,) * ring.dim, 7)
+    assert (zero.nums, zero.den) == ((0,) * ring.dim, 1)
+    assert zero == ring.zero() and zero.is_zero()
+    assert (ring.one().nums, ring.one().den) == ((1,) + rest, 1)
+
+
+def test_coords_is_a_read_only_fraction_view(instance):
+    _fan, ring = instance
+    cls = toric.CohClass(ring, range(1, ring.dim + 1), 4)
+    assert cls.coords == tuple(Fraction(k, 4) for k in range(1, ring.dim + 1))
+    assert all(type(c) is Fraction for c in cls.coords)
+    with pytest.raises(AttributeError):
+        cls.coords = ring.one().coords
+
+
+def _fraction_product(ring, x, y):
+    """Coordinates of x * y from the normal forms of the basis products."""
+    out = [Fraction(0)] * ring.dim
+    for (ma, a), (mb, b) in product(zip(ring.basis_monomials, x),
+                                    zip(ring.basis_monomials, y)):
+        if a and b:
+            expo = tuple(p + q for p, q in zip(ma, mb))
+            for k, c in enumerate(ring.reduce_monomial(expo).coords):
+                out[k] += a * b * c
+    return tuple(out)
+
+
+def test_class_arithmetic_equals_fraction_tuples(instance):
+    _fan, ring = instance
+    rng = random.Random(ring.dim)
+
+    def seeded():
+        nums = [rng.choice((0, rng.randint(-9, 9))) for _ in range(ring.dim)]
+        return toric.CohClass(ring, nums, rng.randint(1, 12))
+
+    def canonical(cls):
+        return cls.den > 0 and gcd(cls.den, *cls.nums) == 1
+
+    for _ in range(12):
+        a, b = seeded(), seeded()
+        c = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+        x, y = a.coords, b.coords
+        cases = [(a + b, tuple(p + q for p, q in zip(x, y))),
+                 (a - b, tuple(p - q for p, q in zip(x, y))),
+                 (c * a, tuple(c * p for p in x)),
+                 (a * c, tuple(c * p for p in x)),
+                 (a * b, _fraction_product(ring, x, y))]
+        for got, expected in cases:
+            assert got.coords == expected and canonical(got)
+        k = rng.randint(2, 5)
+        assert a == toric.CohClass(ring, [k * n for n in a.nums], k * a.den)
+        assert (a == b) == (x == y)
+        assert (a - a).is_zero() and a - a == ring.zero()
 
 
 def test_table_matches_monomial_reduction(instance):

@@ -11,6 +11,10 @@ import gkzfrac
 # either skips the gcd that keeps a Fraction in lowest terms.
 PRIVATE_FRACTION = re.compile(r"_normalize\s*=|_from_coprime_ints")
 
+# A class already is integer numerators over one denominator (CohClass.nums
+# and .den); scaling its Fraction view back to integers is a round trip.
+SCALED_COORDS = re.compile(r"integer_scaled\([^)]*\.coords\b")
+
 
 def package_sources():
     root = os.path.dirname(gkzfrac.__file__)
@@ -20,13 +24,19 @@ def package_sources():
                 yield os.path.join(folder, name)
 
 
-def test_no_private_fraction_constructor():
+def matching_lines(pattern):
+    """``file:line`` of each package source line the pattern matches."""
     hits = []
     for path in package_sources():
         with open(path, encoding="utf-8") as f:
             for number, line in enumerate(f, 1):
-                if PRIVATE_FRACTION.search(line):
+                if pattern.search(line):
                     hits.append(f"{os.path.basename(path)}:{number}")
+    return hits
+
+
+def test_no_private_fraction_constructor():
+    hits = matching_lines(PRIVATE_FRACTION)
     assert not hits, hits
 
 
@@ -35,6 +45,19 @@ def test_private_fraction_pattern_matches_both_forms():
     assert PRIVATE_FRACTION.search("Fraction._from_coprime_ints(n, d)")
     assert not PRIVATE_FRACTION.search("Fraction(n, d)")
     assert len(list(package_sources())) > 10
+
+
+def test_no_class_coordinates_scaled_to_integers():
+    hits = matching_lines(SCALED_COORDS)
+    assert not hits, hits
+
+
+def test_scaled_coords_pattern_matches_the_round_trip():
+    assert SCALED_COORDS.search("x, den = xl.integer_scaled(cls.coords)")
+    assert SCALED_COORDS.search("*xl.integer_scaled(base.coords)))")
+    assert not SCALED_COORDS.search("xl.integer_scaled(sys.alpha)")
+    assert not SCALED_COORDS.search("integer_scaled(row)[0]  # cls.coords")
+    assert not SCALED_COORDS.search("v, den = cls.nums, cls.den")
 
 
 def bound_names(target):
