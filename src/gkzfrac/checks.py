@@ -306,12 +306,12 @@ def _check_tmax_contains_aux(inst):
 
 
 def _check_region_decomposition(inst):
-    chart = inst.charts[0]
-    for ell in inst.region_slab:
-        try:
-            dg.chart_coordinates(inst.sys, chart, ell)
-        except NegativeExponent:
-            return False, f"{ell} fails to decompose"
+    for chart in inst.charts:
+        for ell in inst.region_slab:
+            try:
+                dg.chart_coordinates(inst.sys, chart, ell)
+            except NegativeExponent:
+                return False, f"{ell} fails to decompose"
     return True, "summation region decomposes with nonnegative exponents"
 
 

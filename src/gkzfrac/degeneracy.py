@@ -10,10 +10,11 @@ of logarithms, which is the executable content of the degeneracy statement.
 
 from fractions import Fraction
 from itertools import product
+from math import floor
 
 from . import exact_linalg as xl
 from . import series as se
-from .errors import NegativeExponent, NotUnimodular, SubdivisionFailed
+from .errors import NegativeExponent, SubdivisionFailed
 
 SUBDIVISION_DEPTH_CAP = 32
 
@@ -35,10 +36,7 @@ class CanonicalChart:
 
 def _chart_from_simplicial_cone(sys, rays):
     """Chart of a smooth maximal cone given by its extreme rays."""
-    try:
-        inv = xl.unimodular_inverse(tuple(rays))
-    except NotUnimodular:
-        return None
+    inv = xl.unimodular_inverse(tuple(rays))
     basis_vectors = tuple(sys.from_basis_coords(col) for col in zip(*inv))
     assert xl.is_unimodular_lattice_basis(basis_vectors, sys.basis)
     aux = sys.aux_positions()
@@ -48,22 +46,29 @@ def _chart_from_simplicial_cone(sys, rays):
 
 
 def _triangulate_cone(rays, dim):
-    """Split a pointed cone into simplicial cones (rank <= 3)."""
-    if len(rays) == dim:
-        return [tuple(rays)]
-    if dim != 3:
-        raise SubdivisionFailed(f"cone splitting unsupported in rank {dim}")
-    # fan out from the first ray across the facets not containing it; the
-    # facet normals are the extreme rays of the dual cone
-    base = rays[0]
-    cones = []
-    for normal in xl.extreme_rays(rays, 3):
-        facet = tuple(sorted(r for r in rays if xl.dot(normal, r) == 0))
-        if base not in facet:
-            cones.append(facet + (base,))
-    if not cones:
-        raise SubdivisionFailed("could not facet the cone")
-    return cones
+    """Pulling triangulation of a full-dimensional pointed cone in any rank
+    (De Loera-Rambau-Santos, Triangulations, 4.3): a face is the union of
+    the cones over its first ray and the pieces of its facets missing that
+    ray, each piece listed as the facet's piece, then that ray.  The cone is
+    pulled from ``rays[0]``, each proper face, its rays sorted, from its
+    least ray.  The facets of a face of rank k are its rank k - 1 cuts by
+    the cone's facet hyperplanes, normal to the rays of the dual cone.
+    """
+    normals = xl.extreme_rays(rays, dim) if len(rays) > dim else ()
+
+    def pull(face, k):
+        if len(face) == k:
+            return [face]
+        facets = []
+        for normal in normals:
+            facet = tuple(sorted(r for r in face if xl.dot(normal, r) == 0))
+            if face[0] not in facet and facet not in facets and \
+                    xl.rank(facet) == k - 1:
+                facets.append(facet)
+        return [piece + (face[0],) for facet in facets
+                for piece in pull(facet, k - 1)]
+
+    return pull(tuple(rays), dim)
 
 
 def _stellar_refine(cones, depth=0):
@@ -78,8 +83,6 @@ def _stellar_refine(cones, depth=0):
             out.append(rays)
             continue
         witness = _parallelepiped_witness(rays)
-        if witness is None:
-            raise SubdivisionFailed(f"no witness for cone {rays}")
         pieces = []
         for drop in range(len(rays)):
             new = tuple(witness if i == drop else r
@@ -91,38 +94,31 @@ def _stellar_refine(cones, depth=0):
 
 
 def _parallelepiped_witness(rays):
-    """Shortest nonzero lattice point in the half-open span of the rays."""
-    dim = len(rays)
-    bound = sum(max(abs(x) for x in r) for r in rays)
-    candidates = []
-    for point in product(range(-bound, bound + 1), repeat=dim):
-        if all(x == 0 for x in point):
-            continue
-        coeffs = xl.solve_unique(tuple(zip(*rays)), point)
-        if coeffs is None:
-            continue
-        if all(0 <= c < 1 for c in coeffs):
-            candidates.append(point)
-    if not candidates:
-        return None
-    return min(candidates, key=lambda v: (max(abs(x) for x in v), v))
+    """Shortest nonzero lattice point in the half-open span of the rays, by
+    (max norm, vector); None for a lattice basis.  The points are the
+    classes of Z^d / R Z^d, R the rays as columns: the Hermite form of R is
+    lower triangular, so 0 <= z_i < H_ii lists each class once, and
+    z - R floor(R^-1 z) is its point (Cohen, GTM 138, 2.4).
+    """
+    r = xl.transpose(rays)
+    h = xl.hermite_with_transform(r)[0]
+    points = []
+    for z in product(*(range(h[i][i]) for i in range(len(rays)))):
+        if any(z):
+            floors = [floor(c) for c in xl.solve_unique(r, z)]
+            points.append(xl.vec_sub(z, xl.mat_vec(r, floors)))
+    return min(points, key=lambda v: (max(abs(x) for x in v), v),
+               default=None)
 
 
 def subdivide_kahler_cone(sys):
-    """Charts covering the closed ample cone by smooth maximal subcones.
-
-    For a simplicial unimodular ample cone the subdivision is trivial and a
-    single chart is returned.
+    """Charts covering the closed ample cone by smooth maximal subcones:
+    the pieces of its pulling triangulation, made unimodular by stellar
+    subdivision, in sorted order; a unimodular simplicial cone is one chart.
     """
     cone = sys.kahler
     pieces = _stellar_refine(_triangulate_cone(list(cone.rays), cone.dim))
-    charts = []
-    for rays in sorted(pieces):
-        chart = _chart_from_simplicial_cone(sys, rays)
-        if chart is None:
-            raise SubdivisionFailed(f"cone {rays} is not unimodular")
-        charts.append(chart)
-    return charts
+    return [_chart_from_simplicial_cone(sys, rays) for rays in sorted(pieces)]
 
 
 # --- chart re-expansion -------------------------------------------------------------

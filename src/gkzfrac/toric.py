@@ -681,7 +681,4 @@ class CohClass:
 def cohomology_ring(fan, collections):
     """Quotient presentation of the even cohomology with its pairing, from
     the fan and its primitive collections."""
-    ring = CohomologyRing(fan, collections)
-    assert ring.dim == len(fan.max_cones), \
-        f"ring dimension {ring.dim} != {len(fan.max_cones)} maximal cones"
-    return ring
+    return CohomologyRing(fan, collections)

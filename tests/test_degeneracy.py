@@ -1,15 +1,17 @@
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from conftest import p1_fan, p1xp1_fan_r2, p2_fan
-from test_exact_linalg import ENGINE_INSTANCES
+from test_exact_linalg import ENGINE_INSTANCES, SQUARE8, cyclic_surface
 from test_ring_table import INSTANCES
 from gkzfrac import checks
 from gkzfrac import degeneracy as dg
 from gkzfrac import gkz, series as se, toric
 from gkzfrac import exact_linalg as xl
-from gkzfrac.errors import NegativeExponent, SubdivisionFailed
+from gkzfrac.errors import NegativeExponent
 
 
 def system(fan_maker):
@@ -215,22 +217,17 @@ def reference_dual_divisor_classes(sys, ring, chart):
 def test_dual_classes_equal_the_per_class_solve():
     """The slot-supported duals differ from the solved ones by a linear
     relation, which vanishes in cohomology: equal classes on every chart."""
-    without_charts, compared = [], 0
+    compared = 0
     for name, build in sorted(ENGINE_INSTANCES.items()):
         fan = build()
         sys = gkz.build_system(fan)
-        try:
-            charts = dg.subdivide_kahler_cone(sys)
-        except SubdivisionFailed:
-            without_charts.append(name)
-            continue
+        charts = dg.subdivide_kahler_cone(sys)
         ring = toric.cohomology_ring(fan, sys.collections)
         for chart in charts:
             assert dg._dual_divisor_classes(sys, ring, chart) == \
                 reference_dual_divisor_classes(sys, ring, chart), name
             compared += 1
-    assert without_charts == ["surface8"]
-    assert compared == 17
+    assert compared == 19
 
 
 # --- the certificate ---------------------------------------------------------------------------
@@ -291,6 +288,43 @@ def test_parallelepiped_witness():
     assert dg._parallelepiped_witness(((1, 0), (0, 1))) is None
 
 
+def box_walk_witness(rays):
+    """The (2B + 1)^d box walk the Hermite residues replaced, kept verbatim
+    as the reference: every point of the box solved against the rays."""
+    dim = len(rays)
+    bound = sum(max(abs(x) for x in r) for r in rays)
+    candidates = []
+    for point in product(range(-bound, bound + 1), repeat=dim):
+        if all(x == 0 for x in point):
+            continue
+        coeffs = xl.solve_unique(tuple(zip(*rays)), point)
+        if coeffs is None:
+            continue
+        if all(0 <= c < 1 for c in coeffs):
+            candidates.append(point)
+    if not candidates:
+        return None
+    return min(candidates, key=lambda v: (max(abs(x) for x in v), v))
+
+
+def test_witness_equals_the_box_walk():
+    rng = random.Random(2008)
+    dets = set()
+    for dim, entry, count in ((2, 3, 30), (3, 2, 6), (4, 1, 3)):
+        tested = 0
+        while tested < count:
+            rays = tuple(tuple(rng.randint(-entry, entry) for _ in range(dim))
+                         for _ in range(dim))
+            if xl.det(rays) == 0:
+                continue
+            assert dg._parallelepiped_witness(rays) == \
+                box_walk_witness(rays), rays
+            dets.add((dim, abs(xl.det(rays)) > 1))
+            tested += 1
+    # every rank met both a lattice basis and a cone that needs a witness
+    assert dets == set(product((2, 3, 4), (False, True)))
+
+
 def test_region_decomposition_fails_without_aborting_check_all(monkeypatch):
     """A region vector with a negative chart exponent fails its own check;
     check-all goes on to the certificate instead of raising."""
@@ -305,3 +339,79 @@ def test_region_decomposition_fails_without_aborting_check_all(monkeypatch):
     assert [(r["id"], r["ok"]) for r in checks.run_all(inst)] == [
         ("degeneracy.region_decomposition", False),
         ("degeneracy.certificate", True)]
+
+
+def test_region_decomposition_reads_every_chart():
+    """A second chart on the negated cone: the region vectors decompose in
+    the first chart only, and the check fails on the second."""
+    inst = checks.Instance(p1xp1_fan_r2(), order=8)
+    chart = inst.charts[0]
+    negated = dg.CanonicalChart(
+        tuple(xl.vec_scale(-1, r) for r in chart.cone_rays),
+        chart.basis_vectors, chart.signs)
+    assert checks._check_region_decomposition(inst)[0]
+    inst.charts = [chart, negated]
+    assert checks._check_region_decomposition(inst) == \
+        (False, "(-2, 1, 1, 0, 0, 0) fails to decompose")
+
+
+# --- several charts ----------------------------------------------------------------
+
+HEXAGON = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
+# the 6-ray fan of the seed-0 surfaces benchmark run, in its shape there
+SURFACE0_6 = [(2, -1), (1, -1), (-1, 0), (-1, 1), (0, 1), (1, 0)]
+# a rank-5 Kahler cone whose pulling triangulation has a piece of |det| 2
+SEVEN_RAYS = [(1, 0), (2, 1), (1, 1), (0, 1), (-1, 1), (-1, 0), (0, -1)]
+
+# name -> (fan, number of charts); none has a simplicial Kahler cone
+MULTI_CHART = {
+    "dp6": (lambda: cyclic_surface(HEXAGON, "dp6"), 2),
+    "surface0_6rays_r1": (
+        lambda: cyclic_surface(SURFACE0_6, "surface0_6rays_r1"), 2),
+    "surface0_6rays_r2": (
+        lambda: cyclic_surface(SURFACE0_6, "surface0_6rays_r2",
+                               [[2, 3], [0, 1, 4, 5]]), 2),
+    "seven_rays": (lambda: cyclic_surface(SEVEN_RAYS, "seven_rays"), 4),
+    "square8": (lambda: cyclic_surface(SQUARE8, "square8"), 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MULTI_CHART))
+def test_multi_chart_instances_pass_check_all(name):
+    build, count = MULTI_CHART[name]
+    inst = checks.Instance(build(), order=5)
+    results = checks.run_all(inst)
+    assert len(inst.charts) == count
+    assert len(inst.sys.kahler.rays) > inst.sys.kahler.dim
+    assert len(results) == len(checks.CHECKS) == 25
+    assert [r["id"] for r in results if not r["ok"]] == []
+
+
+def in_simplicial_cone(rays, v):
+    return all(c >= 0 for c in xl.solve_unique(xl.transpose(rays), v))
+
+
+TILED = dict({name: build for name, (build, _) in MULTI_CHART.items()},
+             surface8=INSTANCES["surface8"])
+
+
+@pytest.mark.parametrize("name", sorted(TILED))
+def test_charts_tile_the_kahler_cone(name):
+    """Unimodular pieces inside the cone; the ray sum of each piece, an
+    interior point of it, lies in no other piece, and seeded interior points
+    of the cone each lie in some piece."""
+    sys = gkz.build_system(TILED[name]())
+    kahler = sys.kahler
+    pieces = [chart.cone_rays for chart in dg.subdivide_kahler_cone(sys)]
+    assert len(pieces) >= 2
+    for piece in pieces:
+        assert abs(xl.det(piece)) == 1
+        assert all(xl.dot(g, r) >= 0
+                   for g in kahler.inequalities for r in piece)
+        inner = tuple(map(sum, zip(*piece)))
+        assert [p for p in pieces if in_simplicial_cone(p, inner)] == [piece]
+    rng = random.Random(name)
+    for _ in range(60):
+        point = tuple(map(sum, zip(*(xl.vec_scale(rng.randint(1, 6), r)
+                                     for r in kahler.rays))))
+        assert any(in_simplicial_cone(piece, point) for piece in pieces)

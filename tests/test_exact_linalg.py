@@ -390,11 +390,12 @@ def typed_facets(facets):
     return [(a, c, type(c), [type(x) for x in a]) for a, c in facets]
 
 
-def cyclic_surface(rays, name):
-    """One-block surface fan whose maximal cones join consecutive rays."""
+def cyclic_surface(rays, name, partition=None):
+    """Surface fan whose maximal cones join consecutive rays; one block
+    unless a partition is given."""
     n = len(rays)
     return toric.make_fan(2, rays, [[i, (i + 1) % n] for i in range(n)],
-                          [list(range(n))], name=name)
+                          partition or [list(range(n))], name=name)
 
 
 ENGINE_INSTANCES = dict(INSTANCES)

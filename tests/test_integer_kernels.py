@@ -24,8 +24,7 @@ from gkzfrac import degeneracy as dg
 from gkzfrac import exact_linalg as xl
 from gkzfrac import series as se
 from gkzfrac.errors import (NegativeExponent, NotComplete, NotSmooth,
-                            NotUnimodular, RayNotPrimitive,
-                            SubdivisionFailed)
+                            NotUnimodular, RayNotPrimitive)
 
 
 # --- the references ---------------------------------------------------------------
@@ -303,10 +302,6 @@ def test_pairings_equal_the_class_products(name, order):
     assert (inst.pairings.alpha, inst.pairings.weight, inst.pairings.order,
             inst.pairings.shifts) == (ref.alpha, ref.weight, ref.order,
                                       ref.shifts)
-    if name == "surface8":
-        with pytest.raises(SubdivisionFailed):
-            inst.charts
-        return
     for chart in inst.charts:
         got = dg.chart_pairings(inst.sys, inst.ring, chart, inst.b)
         assert typed_items(got) == typed_items(
@@ -325,9 +320,7 @@ def integer_values(form):
 @pytest.mark.parametrize("name, order", PAIRING_CASES)
 def test_kept_integer_form_equals_the_recomputed_one(name, order):
     inst = checks.Instance(INSTANCES[name](), order=order)
-    s = inst.pairings
-    if name != "surface8":
-        s = dg.chart_pairings(inst.sys, inst.ring, inst.charts[0], inst.b)
+    s = dg.chart_pairings(inst.sys, inst.ring, inst.charts[0], inst.b)
     for series in (inst.pairings, s):
         kept = vars(series)["_integer_form"][2]
         assert series.integer_form() is kept
@@ -423,12 +416,7 @@ def test_primitive_collections_equal_the_solve_per_cone_search(name):
 
 # --- charts ------------------------------------------------------------------------------
 
-# surface8's Kahler cone is not simplicial in rank 4 and raises
-# SubdivisionFailed (ROADMAP item 2), so it has no charts
-CHART_CASES = [name for name in sorted(INSTANCES) if name != "surface8"]
-
-
-@pytest.mark.parametrize("name", CHART_CASES)
+@pytest.mark.parametrize("name", sorted(INSTANCES))
 def test_chart_coordinates_equal_the_solve_per_key(name):
     inst = checks.Instance(INSTANCES[name](), order=6)
     rng = random.Random(name)

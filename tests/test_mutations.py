@@ -7,9 +7,10 @@ flipped period sign, a flipped oracle sign and a period term deleted); the kerne
 one-block P1xP1 and the three-block P1^3 (on p2 and the three-block P1^3
 its box holds no kernel vector, so only the Hermite certificate sees the
 defect there); the parity twist on p2 and f1, the inputs where some box
-operator has an odd auxiliary sum.  Every annihilation mutation also gives
-the per-series loop the stacked check replaced (``annihilation_per_series``)
-the same (ok, detail).  The Euler branch of ``apply_operator`` is also held
+operator has an odd auxiliary sum; the ring dimension check on f1 and
+the one-block P1xP1, with one Stanley-Reisner generator dropped.  Every
+annihilation mutation also gives the per-series loop the stacked check
+replaced (``annihilation_per_series``) the same (ok, detail).  The Euler branch of ``apply_operator`` is also held
 to the per-term formula it replaced, on the real solutions and under a
 wrong exponent, where its output is nonzero.
 """
@@ -20,7 +21,7 @@ import pytest
 
 from conftest import CORPUS
 from test_threefold import threefold
-from gkzfrac import checks, series as se
+from gkzfrac import checks, series as se, toric
 
 FANS = {"p2": (CORPUS["p2"], 8), "f1": (CORPUS["f1"], 8),
         "p1p1p1_r1": (lambda: threefold([[0, 1, 2, 3, 4, 5]], "r1"), 4)}
@@ -205,6 +206,25 @@ def test_finite_index_basis_fails_kernel(name, monkeypatch):
     # the doubled vector spans an index-2 sublattice of the relation lattice
     monkeypatch.setattr(inst.sys, "basis", [tuple(2 * a for a in first)] + rest)
     assert not check(inst)[0]
+
+
+@pytest.mark.parametrize("name", ["f1", "p1xp1_r1"])
+def test_dropped_ring_relation_fails_ring_dimension(name, monkeypatch):
+    """One Stanley-Reisner generator dropped: the quotient gains a class,
+    and check-all reports it instead of aborting.  (On P1^3 the ring's own
+    square-free span assertion fires first.)"""
+    check = CHECK["toric.ring_dimension"]
+    assert check(checks.Instance(BUILDERS[name](), order=4)) == \
+        (True, "dimension 4, top degree one-dimensional")
+    original = toric.stanley_reisner_ideal
+    monkeypatch.setattr(toric, "stanley_reisner_ideal",
+                        lambda collections: original(collections)[:-1])
+    results = {r["id"]: (r["ok"], r["detail"])
+               for r in checks.run_all(checks.Instance(BUILDERS[name](),
+                                                       order=4))}
+    assert len(results) == len(checks.CHECKS)
+    assert results["toric.ring_dimension"] == \
+        (False, "dimension 5, top degree one-dimensional")
 
 
 @pytest.mark.parametrize("name", sorted(FANS))
