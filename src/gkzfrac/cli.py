@@ -13,6 +13,7 @@ import argparse
 import json
 import sys as _sysmod
 import time
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import exact_linalg as xl
 from . import toric
@@ -141,14 +142,72 @@ class Report:
         self.failed = failed
 
     def to_json(self):
+        """The bytes of ``json.dumps(body, sort_keys=True, indent=2)`` and a
+        newline, written by ``_write_json``."""
         body = {"command": self.command, "input": self.name,
                 "payload": self.payload}
-        return json.dumps(body, sort_keys=True, indent=2) + "\n"
+        out = []
+        _write_json(body, out, "\n")
+        out.append("\n")
+        return "".join(out)
 
     def to_markdown(self):
         lines = [f"# {self.command} on {self.name}", ""]
         lines.extend(_markdown_value(self.payload, 0))
         return "\n".join(lines) + "\n"
+
+
+def _write_json(value, out, pad):
+    """Append ``value`` to ``out`` as ``json.dumps(sort_keys=True,
+    indent=2)`` writes it, ``pad`` being a newline and the current indent.
+
+    ``json.dumps`` runs its pure-Python encoder whenever ``indent`` is set;
+    this writer makes one call per container and writes an all-integer
+    list in one join.  It takes only dicts with str keys, lists, str, int,
+    bool and None, and raises TypeError on anything else, a float included.
+    """
+    kind = type(value)
+    if kind is str:
+        out.append(_quote(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is list:
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        if all(type(x) is int for x in value):  # bools are not ints here
+            out.append(f"[{inner}{(',' + inner).join(map(int.__repr__, value))}"
+                       f"{pad}]")
+            return
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, out, inner)
+            sep = "," + inner
+        out.append(pad + "]")
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            if type(key) is not str:
+                raise TypeError(
+                    f"report keys must be str, not {type(key).__name__}")
+            out.append(f"{sep}{_quote(key)}: ")
+            _write_json(value[key], out, inner)
+            sep = "," + inner
+        out.append(pad + "}")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif value is None:
+        out.append("null")
+    else:
+        raise TypeError(f"cannot write {kind.__name__} in a report")
 
 
 def _markdown_value(value, depth):
@@ -385,8 +444,13 @@ def main(argv=None):
 
     text = report.to_json() if args.fmt == "json" else report.to_markdown()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"gkzfrac: cannot write {args.out}: {exc.strerror or exc}",
+                  file=_sysmod.stderr)
+            return 2
     else:
         _sysmod.stdout.write(text)
     return 1 if report.failed else 0

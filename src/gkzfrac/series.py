@@ -12,7 +12,7 @@ region can be cut exactly.
 
 import os
 from fractions import Fraction
-from math import factorial, floor, gcd, lcm, perm
+from math import factorial, floor, lcm, perm
 
 from . import exact_linalg as xl
 from .errors import (ConfigError, InMoriCone, NotInKernel, NotInRegion,
@@ -332,19 +332,16 @@ def normalized_period_series(sys, omega, order, slab=None):
 def o_class(sys, ring, ell):
     """Cohomology-valued coefficient of x^(ell + alpha) in product form.
 
-    Each slot (i, j) with c = ell[pos] and a = alpha[pos] contributes a
-    factor acting on the coordinate vector: prod_{k=0}^{-c-1} (D + a - k)
-    for c <= 0, and for c > 0 the inverse of prod_{m=1}^{c} (D + a + m),
-    each inverse being the Neumann series sum_t (-D)^t / s^(t+1), s = a + m,
-    which stops at t = rank because D^(rank+1) = 0.  The vector is kept as
-    integer numerators over one common denominator, with D = M / L for the
-    integer matrix M of ``ring.divisor_matrix``; with s = p / q, the series
-    cut after its t-th term has denominator (L p)^t p.  Every s shares a's
-    denominator q, so p is read off a's numerator once per slot.  The
-    factors commute, so every lowering slot (c < 0) is applied before any
-    inverse: off the curve cone the lowering factors of a primitive
-    collection kill the vector, and the zero class is returned before any
-    Neumann series is formed.
+    Each slot (i, j) with c = ell[pos] != 0 and a = alpha[pos] contributes
+    the factor ``ring.slot_factor(i, j, a, c)``: prod_{k=0}^{-c-1} (D + a - k)
+    for c < 0, and for c > 0 the inverse of prod_{m=1}^{c} (D + a + m), D
+    the divisor class of the slot.  The ring builds each factor once, with
+    its integer multiplier, so the coefficient costs one integer act per
+    nonzero slot on a vector of integer numerators over one denominator,
+    brought to lowest terms once at the end.  The factors commute, so every
+    lowering slot (c < 0) acts before any inverse: off the curve cone the
+    lowering factors of a primitive collection kill the vector, and the
+    zero class is returned before any raising factor is looked up or built.
     """
     ell = tuple(ell)
     alpha = sys.alpha
@@ -353,30 +350,11 @@ def o_class(sys, ring, ell):
     slots.sort(key=lambda slot: slot[0] > 0)  # lowering slots first
     v, den = ring.one().nums, 1
     for c, a, i, j in slots:
-        p0, q = a.numerator, a.denominator
-        scale, columns = ring.divisor_matrix(i, j)
-        for k in range(-c):
-            p = p0 - k * q
-            v = [q * y + scale * p * x
-                 for x, y in zip(v, integer_act(columns, v))]
-            if not any(v):
-                return ring.zero()
-            den *= scale * q
-        for m in range(1, c + 1):
-            p = p0 + m * q
-            assert p != 0, "slot factor with vanishing scalar part"
-            term, sign_q = v, q
-            v = [q * x for x in v]
-            den *= p
-            for _ in range(sys.n):
-                term = integer_act(columns, term)
-                if not any(term):
-                    break
-                sign_q *= -q
-                v = [scale * p * x + sign_q * y for x, y in zip(v, term)]
-                den *= scale * p
-        g = gcd(den, *v)
-        v, den = [x // g for x in v], den // g
+        scale, columns = ring.slot_factor(i, j, a, c)[1]
+        v = integer_act(columns, v)
+        if not any(v):
+            return ring.zero()
+        den *= scale
     return CohClass(ring, v, den)
 
 

@@ -441,8 +441,8 @@ class CohomologyRing:
         self._point = self._point_class()
         self._one = CohClass(self, _unit(self.dim, 0))
         # Structure constants of the basis as integers over the common
-        # denominator _scale, then multiplication by each divisor class;
-        # nothing is computed or cached after this point.
+        # denominator _scale, then multiplication by each divisor class.
+        # After this point the ring only fills _slot_factors, on demand.
         products = {}
         for a, ma in enumerate(self.basis_monomials):
             for b in range(a, self.dim):
@@ -459,6 +459,7 @@ class CohomologyRing:
             d = self.class_from_poly({_unit(self.p, r): -1 if j == 0 else 1
                                       for r in rays})
             self._divisors[(i, j)] = d, self.multiplier(d)
+        self._slot_factors = {}
 
     # -- construction --
 
@@ -549,6 +550,53 @@ class CohomologyRing:
         """``multiplier`` of the divisor class of (i, j), built once; the
         matrix is nilpotent of order rank + 1."""
         return self._divisors[(i, j)][1]
+
+    def slot_factor(self, i, j, a, c):
+        """Factor of slot (i, j) at exponent c in a product-form coefficient
+        (``series.o_class``), as (class, ``multiplier`` of the class).
+
+        With D the divisor class of (i, j) and a the slot's alpha entry, it
+        is prod_{k=0}^{-c-1} (D + a - k) for c < 0, 1 for c = 0, and for
+        c > 0 the inverse of prod_{m=1}^{c} (D + a + m).  It is built once
+        per ring from the factor at c + 1 (c < 0) or c - 1 (c > 0), on
+        integer numerators over one denominator with D = M / L, (L, M) =
+        ``divisor_matrix(i, j)``: one step times (D + s), or times the
+        Neumann series sum_t (-D)^t / s^(t+1) of its inverse, which stops at
+        t = rank because D^(rank+1) = 0.  With s = p / q the step times
+        (D + s) has denominator L q, and the series cut after its t-th term
+        (L p)^t p; every s shares a's denominator q.
+        """
+        key = (i, j, a, c)
+        found = self._slot_factors.get(key)
+        if found is not None:
+            return found
+        if c == 0:
+            cls = self._one
+        else:
+            prev = self.slot_factor(i, j, a, c + 1 if c < 0 else c - 1)[0]
+            v, den = prev.nums, prev.den
+            q = a.denominator
+            p = a.numerator + (c + 1 if c < 0 else c) * q
+            scale, columns = self.divisor_matrix(i, j)
+            if c < 0:
+                v = [q * y + scale * p * x
+                     for x, y in zip(v, integer_act(columns, v))]
+                den *= scale * q
+            else:
+                assert p != 0, "slot factor with vanishing scalar part"
+                term, sign_q = v, q
+                v = [q * x for x in v]
+                den *= p
+                for _ in range(self.top):
+                    term = integer_act(columns, term)
+                    if not any(term):
+                        break
+                    sign_q *= -q
+                    v = [scale * p * x + sign_q * y for x, y in zip(v, term)]
+                    den *= scale * p
+            cls = CohClass(self, v, den)
+        found = self._slot_factors[key] = cls, self.multiplier(cls)
+        return found
 
     def class_from_poly(self, poly):
         """Class of a polynomial in the ray variables, given as expo -> coeff."""

@@ -3,9 +3,13 @@ import json
 import os
 import subprocess
 import sys as _sysmod
+from fractions import Fraction
 
 import pytest
 
+from test_degeneracy import SURFACE0_6
+from test_exact_linalg import cyclic_surface
+from test_threefold import threefold
 from gkzfrac import cli
 from gkzfrac.errors import ParseError, SchemaError, SemanticError
 
@@ -134,6 +138,78 @@ def test_markdown_rendering():
     assert "a_ext_matrix" in md
 
 
+# --- report writer ------------------------------------------------------------------
+
+FIXTURES = sorted(f[:-5] for f in os.listdir(os.path.dirname(
+    cli.fixture_path("p1"))) if f.endswith(".json"))
+
+
+def dumps_reference(body):
+    """The bytes ``Report.to_json`` must write: ``json.dumps`` with the
+    indent that sends it down its pure-Python encoder."""
+    return json.dumps(body, sort_keys=True, indent=2) + "\n"
+
+
+def written(body):
+    out = []
+    cli._write_json(body, out, "\n")
+    return "".join(out) + "\n"
+
+
+def assert_same_bytes(report):
+    body = {"command": report.command, "input": report.name,
+            "payload": report.payload}
+    assert report.to_json() == dumps_reference(body), report.command
+
+
+@pytest.mark.parametrize("order", [None, 12], ids=["own", "order12"])
+@pytest.mark.parametrize("name", FIXTURES)
+def test_reports_are_the_bytes_of_json_dumps(name, order):
+    spec = cli.parse_input(cli.fixture_path(name))
+    for cmd in cli.COMMANDS:
+        assert_same_bytes(cli.run_command(cmd, spec, {"order": order}))
+
+
+@pytest.mark.parametrize("fan", [
+    lambda: threefold([[0, 1, 2, 3, 4, 5]], "p1p1p1_r1"),
+    lambda: threefold([[0, 1], [2, 3], [4, 5]], "p1p1p1_r3"),
+    lambda: cyclic_surface(SURFACE0_6, "surface0_6rays_r1"),
+], ids=["p1p1p1_r1", "p1p1p1_r3", "surface0_6rays_r1"])
+def test_check_all_reports_are_the_bytes_of_json_dumps(fan):
+    fan = fan()
+    spec = cli.InputSpec(fan.name, fan.rank, fan.rays, fan.max_cones,
+                         fan.blocks, order=4)
+    report = cli.run_command("check-all", spec)
+    assert not report.failed
+    assert_same_bytes(report)
+
+
+@pytest.mark.parametrize("body", [
+    {}, [], {"a": {}, "b": [], "c": [{}, []], "d": [[[]]]},
+    [1, True, 0], [True, False], [0, None, -1], None, True, 0, "",
+    {"quote": 'say "hi"', "slash": "a\\b/c", "control": "\x00\x1f\t\n\r",
+     "accent": "\u00e9", "separator": "\u2028", "astral": "\U0001d11e"},
+    {"\u00e9\"\\": 1, "\u2028": [2]},
+    [-(10 ** 40), 10 ** 40, {"n": -12345678901234567890}],
+    {"b": 1, "a": 2, "B": [3, "x"], "": None},
+])
+def test_writer_matches_json_dumps_on_synthetic_bodies(body):
+    assert written(body) == dumps_reference(body)
+
+
+@pytest.mark.parametrize("body,kind", [
+    ([1, 0.5], "float"),
+    ({"x": Fraction(1, 2)}, "Fraction"),
+    ({"x": (1, 2)}, "tuple"),
+    ({1: "x"}, "int"),
+])
+def test_writer_rejects_what_a_report_never_holds(body, kind):
+    with pytest.raises(TypeError, match=kind):
+        written(body)
+    with pytest.raises(TypeError, match=kind):
+        cli.Report("system", "x", body).to_json()
+
+
 # --- subprocess behaviour -------------------------------------------------------------
 
 def test_cli_series_stdout():
@@ -210,6 +286,17 @@ def test_cli_out_file(tmp_path):
     assert result.returncode == 0
     data = json.loads(out.read_text())
     assert data["payload"]["normalized_volume"] == 4
+
+
+def test_cli_unwritable_out_is_usage_error(tmp_path):
+    out = tmp_path / "missing" / "report.json"
+    result = run_cli(["validate", cli.fixture_path("p2"), "--out", str(out)])
+    assert result.returncode == 2
+    assert result.stderr.splitlines()[-1] == (
+        f"gkzfrac: cannot write {out}: No such file or directory")
+    assert "Traceback" not in result.stderr
+    assert not result.stdout
+    assert not out.parent.exists()
 
 
 def test_cli_weight_flag():
