@@ -241,6 +241,42 @@ def extreme_rays(inequalities, dim):
     return sorted(r for r, _ in rays)
 
 
+def hull_facets(points):
+    """(equations, facets) of the convex hull of points: pairs (a, c)
+    meaning a.x == c and a.x <= c, with primitive integer a, that together
+    cut out the hull.
+
+    The rref of the differences from the first point has its pivots in
+    coordinates where the hull is full-dimensional; each other coordinate
+    is an affine function of those, which the equations state.  The facets
+    are those of the hull in the pivot coordinates, where a point's
+    coordinates are its own pivot entries: a.x <= c for the extreme rays
+    (a, c) of {(a, c) : c - a.p >= 0}.  The ray (0, ..., 0, 1) is interior
+    to that cone, so every ray has a != 0.
+    """
+    p0 = points[0]
+    reduced, pivots = rref([vec_sub(p, p0) for p in points[1:]])
+    equations = []
+    for f in range(len(p0)):
+        if f not in pivots:
+            n = [int(c == f) for c in range(len(p0))]
+            for row, col in zip(reduced, pivots):
+                n[col] = -row[f]
+            n = primitive_vector(integer_scaled(n)[0])
+            equations.append((n, dot(n, p0)))
+    facets = []
+    if pivots:
+        coords = [tuple(p[c] for c in pivots) for p in points]
+        for ray in extreme_rays([vec_scale(-1, y) + (1,) for y in coords],
+                                len(pivots) + 1):
+            normal = primitive_vector(ray[:-1])
+            a = [0] * len(p0)
+            for c, x in zip(pivots, normal):
+                a[c] = x
+            facets.append((tuple(a), max(dot(normal, y) for y in coords)))
+    return equations, sorted(facets)
+
+
 def solve_linear(m, b):
     """Solve m*x = b over the rationals.
 
@@ -532,31 +568,45 @@ def fm_feasible(rows, dim):
     return True
 
 
-def _ceil_frac(x):
-    return -((-x.numerator) // x.denominator)
-
-
-def _floor_frac(x):
-    return x.numerator // x.denominator
-
+# --- lattice points -------------------------------------------------------------
 
 def lattice_points(rows, dim, cap=None, cap_name=None):
-    """All integer points satisfying rows of (a, b) meaning a.x <= b.
+    """All integer points satisfying rows of (a, b) meaning a.x <= b, in
+    lexicographic order.
 
-    Bounded recursive search: Fourier-Motzkin gives exact per-variable
-    bounds at each level.  The constraint region must be bounded; an
-    unbounded direction surfaces as a missing bound and raises
-    TruncationTooLarge, as does exceeding ``cap`` points (the message then
-    names ``cap_name``, the setting the cap came from, when given).
+    The region's vertices are x / t for the extreme rays with t > 0 of
+    {(x, t) : b t - a.x >= 0, t >= 0}, in the coordinates where the rows'
+    coefficients have their rref pivots.  The search fixes one coordinate
+    at a time.  The bounds on coordinate k, given the ones before it, come
+    from ``hull_facets`` of the vertices projected onto coordinates 0..k
+    (the projection of a polytope is the hull of its projected vertices);
+    on the last coordinate they come from the rows themselves.  An empty
+    region gives [].  A nonempty unbounded region (a ray with t = 0, or
+    fewer pivots than ``dim``) raises TruncationTooLarge, as does exceeding
+    ``cap`` points (the message then names ``cap_name``, the setting the cap
+    came from, when given).
     """
-    systems = [None] * (dim + 1)
-    systems[dim] = [(tuple(Fraction(x) for x in a), Fraction(b), False)
-                    for a, b in rows]
-    for var in range(dim - 1, -1, -1):
-        systems[var] = fm_eliminate(systems[var + 1], var)
-    for a, b, _ in systems[0]:
-        if 0 > b:
-            return []
+    rows = [integer_scaled(tuple(a) + (b,))[0] for a, b in rows]
+    pivots = rref([r[:-1] for r in rows])[1]
+    cone = [[-r[c] for c in pivots] + [r[-1]] for r in rows]
+    cone.append([0] * len(pivots) + [1])
+    rays = extreme_rays(cone, len(pivots) + 1)
+    vertices = {tuple(Fraction(x, r[-1]) for x in r[:-1])
+                for r in rays if r[-1] > 0}
+    if not vertices:
+        return []
+    if len(pivots) < dim or any(r[-1] == 0 for r in rays):
+        raise TruncationTooLarge(
+            "enumeration region is unbounded; check the weight")
+    # levels[k]: integer rows (a_0..a_k, c) meaning a.x <= c with a_k != 0
+    levels = []
+    for k in range(dim - 1):
+        equations, facets = hull_facets(sorted({v[:k + 1] for v in vertices}))
+        level = facets + equations + [(vec_scale(-1, a), -c)
+                                      for a, c in equations]
+        levels.append([integer_scaled(a + (c,))[0] for a, c in level if a[k]])
+    if dim:
+        levels.append([r for r in rows if r[-2]])
     out = []
 
     def descend(prefix):
@@ -568,27 +618,17 @@ def lattice_points(rows, dim, cap=None, cap_name=None):
                 raise TruncationTooLarge(
                     f"enumeration exceeded cap of {cap} points{named}")
             return
-        lo, hi = None, None
-        for a, b, _ in systems[k + 1]:
-            c = a[k]
-            if c == 0:
-                continue
-            rest = b - sum(a[i] * prefix[i] for i in range(k))
-            bound = rest / c
-            if c > 0:
-                hi = bound if hi is None else min(hi, bound)
+        # the prefix lies in the projection onto coordinates 0..k-1, so it
+        # extends: rows with a_k = 0 hold, and both bounds exist
+        lo, hi = [], []
+        for row in levels[k]:
+            rest = row[-1] - sum(a * x for a, x in zip(row, prefix))
+            if row[k] > 0:
+                hi.append(rest // row[k])
             else:
-                lo = bound if lo is None else max(lo, bound)
-        if lo is None or hi is None:
-            raise TruncationTooLarge(
-                "enumeration region is unbounded; check the weight")
-        # rows of systems[k + 1] only involve variables 0..k
-        zero_rows = [(a, b) for a, b, _ in systems[k + 1] if a[k] == 0]
-        for a, b in zero_rows:
-            if sum(a[i] * prefix[i] for i in range(k)) > b:
-                return
-        for val in range(_ceil_frac(Fraction(lo)), _floor_frac(Fraction(hi)) + 1):
-            descend(prefix + [val])
+                lo.append(-(rest // -row[k]))
+        for value in range(max(lo), min(hi) + 1):
+            descend(prefix + [value])
 
     descend([])
     return out

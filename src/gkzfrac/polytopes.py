@@ -1,9 +1,9 @@
 """Lattice polytope operations for nef-partition duality.
 
 Facets and vertices come from the extreme rays of a homogenized cone
-(``exact_linalg.extreme_rays``), in any ambient rank.  Polytopes of lower
-dimension than their ambient space are allowed and carry their affine hull
-implicitly through the vertex list.
+(``exact_linalg.hull_facets``), in any ambient rank.  Polytopes of lower
+dimension than their ambient space are allowed and carry the equations of
+their affine hull.
 """
 
 from fractions import Fraction
@@ -16,16 +16,18 @@ from .errors import DimensionMismatch, NotReflexive, OriginNotInterior
 class LatticePolytope:
     """Convex hull of finitely many points, stored by its exact vertex set.
 
-    ``facets`` lists pairs (a, c) meaning a.x <= c with primitive integer a;
-    it is populated only for full-dimensional polytopes.  A polytope is an
-    immutable value, so its polar ``dual`` is formed once and kept.
+    ``equations`` and ``facets`` list pairs (a, c) meaning a.x == c and
+    a.x <= c with primitive integer a; together they cut out the polytope,
+    of any dimension.  A polytope is an immutable value, so its polar
+    ``dual`` is formed once and kept.
     """
 
-    def __init__(self, rank, vertices, dim, facets=()):
+    def __init__(self, rank, vertices, dim, facets, equations):
         self.rank = rank
         self.vertices = vertices
         self.dim = dim
         self.facets = facets
+        self.equations = equations
 
     def __eq__(self, other):
         if not isinstance(other, LatticePolytope):
@@ -39,10 +41,9 @@ class LatticePolytope:
         return all(Fraction(x).denominator == 1 for v in self.vertices for x in v)
 
     def contains(self, point):
-        """Exact membership test (works for degenerate polytopes too)."""
-        if self.dim == self.rank:
-            return all(xl.dot(a, point) <= c for a, c in self.facets)
-        return _in_hull(list(self.vertices), point)
+        """Exact membership test, degenerate polytopes included."""
+        return (all(xl.dot(a, point) == c for a, c in self.equations)
+                and all(xl.dot(a, point) <= c for a, c in self.facets))
 
     def has_interior_origin(self):
         if self.dim != self.rank:
@@ -66,48 +67,11 @@ def _dedupe(points):
     return out
 
 
-def _in_hull(points, q):
-    """Is q a convex combination of points?  Exact feasibility check.
-
-    The equality block (weights sum to 1 and reproduce q) is solved first;
-    Fourier-Motzkin then only sees the nonnegativity constraints in the
-    remaining free parameters.
-    """
-    n = len(points)
-    if n == 0:
-        return False
-    eq_rows = [tuple(Fraction(1) for _ in range(n))]
-    rhs = [Fraction(1)]
-    for k in range(len(q)):
-        eq_rows.append(tuple(Fraction(p[k]) for p in points))
-        rhs.append(Fraction(q[k]))
-    sol = xl.solve_linear(eq_rows, rhs)
-    if sol is None:
-        return False
-    particular, null = sol
-    if not null:
-        return all(x >= 0 for x in particular)
-    # lambda_i = particular_i + sum_j t_j null_j_i >= 0
-    rows = []
-    for i in range(n):
-        coeffs = tuple(-v[i] for v in null)
-        rows.append((coeffs, Fraction(particular[i]), False))
-    return xl.fm_feasible(rows, len(null))
-
-
-def _affine_dim(points):
-    if len(points) <= 1:
-        return 0
-    p0 = points[0]
-    diffs = [xl.vec_sub(p, p0) for p in points[1:]]
-    return xl.rank(diffs)
-
-
 def convex_hull(points):
-    """Convex hull with minimal vertex set.
+    """Convex hull with minimal vertex set, from ``xl.hull_facets``.
 
-    Accepts integer or rational points; facet data is attached when the hull
-    is full-dimensional in its ambient space.
+    Accepts integer or rational points; a point is a vertex when the facets
+    it lies on have rank equal to the hull's dimension.
     """
     points = _dedupe(points)
     if not points:
@@ -115,45 +79,15 @@ def convex_hull(points):
     rank = len(points[0])
     if any(len(p) != rank for p in points):
         raise DimensionMismatch("convex_hull: mixed ambient ranks")
-    dim = _affine_dim(points)
-    if dim == 0:
-        return LatticePolytope(rank, (points[0],), 0)
-    if dim < rank:
-        return _hull_degenerate(points, rank, dim)
-    # facets a.x <= c are the extreme rays of {(a, c) : c - a.p >= 0}; the
-    # ray (0, ..., 0, 1) is interior to that cone, so every ray has a != 0
-    facets = []
-    for ray in xl.extreme_rays([tuple(-x for x in p) + (1,) for p in points],
-                               rank + 1):
-        a = xl.primitive_vector(ray[:-1])
-        p0 = max(points, key=lambda p: xl.dot(a, p))
-        facets.append((a, xl.dot(a, p0)))
-    facets.sort()
+    equations, facets = xl.hull_facets(points)
+    dim = rank - len(equations)
     vertices = []
     for p in points:
         active = [a for a, c in facets if xl.dot(a, p) == c]
-        if len(active) >= rank and xl.rank(active) == rank:
+        if len(active) >= dim and xl.rank(active) == dim:
             vertices.append(p)
-    return LatticePolytope(rank, tuple(sorted(vertices)), rank, tuple(facets))
-
-
-def _hull_degenerate(points, rank, dim):
-    """Hull of points spanning a proper affine subspace: reduce coordinates."""
-    p0 = points[0]
-    diffs = [xl.vec_sub(p, p0) for p in points]
-    rows, pivots = xl.rref(diffs)
-    basis = rows[:dim]
-    coords = []
-    bmat = tuple(zip(*basis))
-    for d in diffs:
-        sol = xl.solve_unique(bmat, d)
-        if sol is None:
-            raise DimensionMismatch("point outside its own affine hull")
-        coords.append(sol)
-    inner = convex_hull(coords)
-    keep = {tuple(c) for c in inner.vertices}
-    vertices = tuple(sorted(p for p, c in zip(points, coords) if tuple(c) in keep))
-    return LatticePolytope(rank, vertices, dim)
+    return LatticePolytope(rank, tuple(sorted(vertices)), dim, tuple(facets),
+                           tuple(equations))
 
 
 def minkowski_sum(p, q):

@@ -1,19 +1,20 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import ceil, floor, gcd
 
 import pytest
 
 from test_random_fans import (BIPARTITION_SEEDS, INVARIANT_SEEDS,
                               bipartition_fans, invariant_fans)
-from test_ring_table import INSTANCES
-from gkzfrac import checks, gkz, toric
+from test_ring_table import INSTANCES, REFERENCE_ORDERS
+from gkzfrac import checks, gkz, series as se, toric
 from gkzfrac import degeneracy as dg
 from gkzfrac import exact_linalg as xl
 from gkzfrac import polytopes as pt
 from gkzfrac import triangulations as tr
-from gkzfrac.errors import DimensionMismatch, EmptyInterior, RankDeficient
+from gkzfrac.errors import (DimensionMismatch, EmptyInterior, RankDeficient,
+                             TruncationTooLarge)
 
 
 # --- independent oracles ------------------------------------------------------
@@ -386,8 +387,31 @@ def rays_or_error(enumerate_rays, rows, dim):
         return str(exc)
 
 
+def affine_dim(points):
+    return xl.rank([xl.vec_sub(p, points[0]) for p in points])
+
+
 def typed_facets(facets):
     return [(a, c, type(c), [type(x) for x in a]) for a, c in facets]
+
+
+def assert_hull_equals_the_subset_loop(points):
+    """A hull of any dimension: its equations hold on every point, and its
+    facets, read in the pivot coordinates of the point differences, are
+    the subset loop's facets of the points there."""
+    hull = pt.convex_hull(points)
+    points = pt._dedupe(points)
+    pivots = xl.rref([xl.vec_sub(p, points[0]) for p in points])[1]
+    assert len(hull.equations) == len(points[0]) - len(pivots) == \
+        len(points[0]) - hull.dim
+    assert all(xl.dot(a, p) == c for a, c in hull.equations for p in points)
+    if pivots:
+        reduced = [tuple(p[i] for i in pivots) for p in points]
+        assert typed_facets([(tuple(a[i] for i in pivots), c)
+                             for a, c in hull.facets]) == \
+            typed_facets(subset_hull_facets(reduced)), points
+        assert all(x == 0 for a, _ in hull.facets
+                   for i, x in enumerate(a) if i not in pivots)
 
 
 def cyclic_surface(rays, name, partition=None):
@@ -440,11 +464,8 @@ def test_engine_equals_the_enumerators_on_instance_cones(name, monkeypatch):
     for rows, dim in cones:
         assert xl.extreme_rays(rows, dim) == dual_cone_extreme_rays(rows, dim), \
             (rows, dim)
-    full = [points for points in hulls
-            if pt._affine_dim(pt._dedupe(points)) == len(points[0])]
-    for points in full:
-        assert typed_facets(pt.convex_hull(points).facets) == \
-            typed_facets(subset_hull_facets(points)), points
+    for points in hulls:
+        assert_hull_equals_the_subset_loop(points)
     for k in range(fan.r):
         ineqs = []
         for i_ray, ray in enumerate(fan.rays):
@@ -453,7 +474,7 @@ def test_engine_equals_the_enumerators_on_instance_cones(name, monkeypatch):
         expected = vertices_from_inequalities(ineqs, fan.rank)
         assert list(pt.section_polytope(fan, k).vertices) == \
             [tuple(int(x) for x in v) for v in expected]
-    assert len(cones) > len(full) > 2 * fan.r
+    assert len(cones) > len(hulls) > 2 * fan.r
 
 
 def random_cone_rows(rng, dim, kind):
@@ -571,12 +592,30 @@ def test_hull_facets_equal_the_subset_loop_on_random_points():
             points = [tuple(Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
                             for _ in range(rank))
                       for _ in range(rng.randint(rank + 1, rank + 6))]
-            if pt._affine_dim(pt._dedupe(points)) < rank:
+            if affine_dim(points) < rank:
                 continue
-            assert typed_facets(pt.convex_hull(points).facets) == \
-                typed_facets(subset_hull_facets(points)), points
+            assert_hull_equals_the_subset_loop(points)
             tested += 1
     assert tested >= 40
+    # degenerate sets: points p0 + sum t_j d_j over fewer directions than
+    # the rank
+    rng = random.Random(1997)
+    dims = set()
+    for rank in range(1, 5):
+        for _ in range(12):
+            p0 = [Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
+                  for _ in range(rank)]
+            dirs = [[rng.randint(-2, 2) for _ in range(rank)]
+                    for _ in range(rng.randint(0, rank - 1))]
+            points = []
+            for _ in range(rng.randint(1, rank + 5)):
+                ts = [rng.randint(-2, 2) for _ in dirs]
+                points.append(tuple(x + sum(t * d[i] for t, d in zip(ts, dirs))
+                                    for i, x in enumerate(p0)))
+            assert_hull_equals_the_subset_loop(points)
+            dims.add((rank, affine_dim(points)))
+    assert {d for _, d in dims} == {0, 1, 2, 3}
+    assert all(d < r for r, d in dims)
 
 
 def pair_loop_triangulation(rays):
@@ -632,6 +671,27 @@ def test_nine_ray_surface_kahler_cone():
     assert (len(kahler.inequalities), len(kahler.rays)) == (27, 21)
     assert tuple(sum(col) for col in zip(*kahler.rays)) == \
         (9, 19, 38, 66, 38, 19, 9)
+
+
+def test_nine_ray_surface_mori_slabs():
+    # plain Fourier-Motzkin elimination never finished these slabs
+    sys = gkz.build_system(cyclic_surface(TRIANGLE9, "triangle9"))
+    omega = gkz.default_weight(sys)
+    assert [len(se.mori_slab(sys, omega, order)) for order in (5, 10, 20)] \
+        == [1, 10, 55]
+
+
+# an eight-ray fan whose slabs hung in Fourier-Motzkin elimination
+EIGHT_RAY = [(1, 0), (1, 1), (1, 2), (0, 1), (-1, 0), (-2, -1), (-3, -2),
+             (-1, -1)]
+
+
+def test_eight_ray_surface_passes_check_all():
+    inst = checks.Instance(cyclic_surface(EIGHT_RAY, "eight_ray"), order=5)
+    results = checks.run_all(inst)
+    assert len(results) == 25
+    assert all(r["ok"] for r in results), \
+        [r for r in results if not r["ok"]]
 
 
 # --- hermite_with_transform --------------------------------------------------
@@ -849,3 +909,185 @@ def test_lattice_points_triangle():
 def test_lattice_points_empty():
     rows = [((1,), -1), ((-1,), 0)]  # x <= -1 and x >= 0
     assert xl.lattice_points(rows, 1) == []
+
+
+# --- lattice_points and the Fourier-Motzkin search it replaced ------------------
+
+def fm_eliminate(rows, var):
+    """Eliminate ``var`` from rows (a, b) meaning a.x <= b: every row with a
+    positive coefficient on it against every row with a negative one.
+    Rows are scaled so their first nonzero coefficient is +-1, and a
+    repeated left side keeps its least right side."""
+    keep, pos, neg = {}, [], []
+
+    def add(a, b):
+        scale = next((abs(x) for x in a if x != 0), 1)
+        a, b = tuple(x / scale for x in a), b / scale
+        keep[a] = min(b, keep.get(a, b))
+
+    for a, b in rows:
+        if a[var] > 0:
+            pos.append((a, b))
+        elif a[var] < 0:
+            neg.append((a, b))
+        else:
+            add(a, b)
+    for ap, bp in pos:
+        for an, bn in neg:
+            cp, cn = ap[var], -an[var]
+            add(tuple(cn * x + cp * y for x, y in zip(ap, an)), cn * bp + cp * bn)
+    return list(keep.items())
+
+
+def fm_lattice_points(rows, dim, cap=None, cap_name=None):
+    """The integer points of {x : a.x <= b} by plain Fourier-Motzkin, in
+    lexicographic order: the search the old ``lattice_points`` ran.  The
+    projection onto coordinates 0..k bounds coordinate k; a missing bound
+    raises the unbounded message, and more than ``cap`` points the cap's."""
+    systems = [None] * (dim + 1)
+    systems[dim] = [(tuple(Fraction(x) for x in a), Fraction(b)) for a, b in rows]
+    for var in range(dim - 1, -1, -1):
+        systems[var] = fm_eliminate(systems[var + 1], var)
+    if any(b < 0 for _, b in systems[0]):
+        return []
+    out = []
+
+    def descend(prefix):
+        k = len(prefix)
+        if k == dim:
+            out.append(tuple(prefix))
+            if cap is not None and len(out) > cap:
+                named = f" (cap {cap_name})" if cap_name else ""
+                raise TruncationTooLarge(
+                    f"enumeration exceeded cap of {cap} points{named}")
+            return
+        lo, hi = [], []
+        for a, b in systems[k + 1]:
+            rest = b - sum(a[i] * prefix[i] for i in range(k))
+            if a[k] > 0:
+                hi.append(rest / a[k])
+            elif a[k] < 0:
+                lo.append(rest / a[k])
+            elif rest < 0:
+                return
+        if not lo or not hi:
+            raise TruncationTooLarge(
+                "enumeration region is unbounded; check the weight")
+        for value in range(ceil(max(lo)), floor(min(hi)) + 1):
+            descend(prefix + [value])
+
+    descend([])
+    return out
+
+
+def points_or_error(search, rows, dim, **cap):
+    try:
+        return search(rows, dim, **cap)
+    except TruncationTooLarge as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_lattice_points_equal_fourier_motzkin_on_instance_slabs(
+        name, monkeypatch):
+    """The region and Mori slabs at orders 0, 1 and the instance's own."""
+    sys = gkz.build_system(INSTANCES[name]())
+    omega = gkz.default_weight(sys)
+    calls, search = [], xl.lattice_points
+
+    def recorded(rows, dim, **cap):
+        calls.append((list(rows), dim))
+        return search(rows, dim, **cap)
+
+    monkeypatch.setattr(xl, "lattice_points", recorded)
+    orders = sorted({0, 1, REFERENCE_ORDERS[name]})
+    for order in orders:
+        se.region_slab(sys, omega, order)
+        se.mori_slab(sys, omega, order)
+    monkeypatch.undo()
+    assert len(calls) == 2 * len(orders)
+    for rows, dim in calls:
+        points = xl.lattice_points(rows, dim)
+        assert points == fm_lattice_points(rows, dim), (rows, dim)
+        assert (0,) * dim in points
+
+
+def random_bounded_rows(rng, dim):
+    """Random rows (a, b) inside the simplex x_i >= -2, sum x_i <= 2, in a
+    shuffled order, and whether they carry an equation a.x = b as two
+    rows, which makes the region flat, empty or free of lattice points."""
+    rows = [(tuple(rng.randint(-3, 3) for _ in range(dim)),
+             Fraction(rng.randint(-2, 6), rng.choice((1, 1, 2, 3))))
+            for _ in range(rng.randint(0, dim + 2))]
+    rows += [(tuple(-int(i == k) for i in range(dim)), 2) for k in range(dim)]
+    rows.append(((1,) * dim, 2))
+    flat = rng.random() < 0.4
+    if flat:
+        a = tuple(rng.randint(-2, 2) for _ in range(dim))
+        b = rng.randint(-3, 3)
+        rows += [(a, b), (tuple(-x for x in a), -b)]
+    rng.shuffle(rows)
+    return rows, flat
+
+
+def test_lattice_points_equal_fourier_motzkin_on_random_rows():
+    rng = random.Random(2008)
+    seen = set()
+    for dim in range(1, 5):
+        for _ in range(40):
+            rows, flat = random_bounded_rows(rng, dim)
+            points = xl.lattice_points(rows, dim)
+            assert points == fm_lattice_points(rows, dim), (rows, dim)
+            seen.add((dim, "empty" if not points else "flat" if flat
+                      else "points"))
+    assert seen == {(d, kind) for d in range(1, 5)
+                    for kind in ("empty", "flat", "points")}
+
+
+SPECIAL_REGIONS = {
+    # name: (rows, dim, points, or the error message)
+    "triangle": ([((-1, 0), 0), ((0, -1), 0), ((1, 1), 2)], 2,
+                 [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]),
+    "empty": ([((1,), -1), ((-1,), 0)], 1, []),
+    "empty with a free plane": (
+        [((0, 0, 1), -1), ((0, 0, -1), 0)], 3, []),
+    "point": ([((1, 0), 1), ((-1, 0), -1), ((0, 1), 2), ((0, -1), -2)], 2,
+              [(1, 2)]),
+    "point off the lattice": ([((2,), 1), ((-2,), -1)], 1, []),
+    "origin in rank 0": ([((), 0)], 0, [()]),
+    "empty in rank 0": ([((), -1)], 0, []),
+    "segment in the plane": (
+        [((1, -1), 0), ((-1, 1), 0), ((1, 0), Fraction(7, 2)), ((-1, 0), 0)],
+        2, [(0, 0), (1, 1), (2, 2), (3, 3)]),
+    "triangle in space": (
+        [((1, 1, 1), 2), ((-1, -1, -1), -2), ((-1, 0, 0), 0),
+         ((0, -1, 0), 0), ((0, 0, -1), 0)], 3,
+        [(0, 0, 2), (0, 1, 1), (0, 2, 0), (1, 0, 1), (1, 1, 0), (2, 0, 0)]),
+    "half line": ([((-1,), 0)], 1,
+                  "enumeration region is unbounded; check the weight"),
+    "strip": ([((1, 0), 2), ((-1, 0), 0), ((1, -1), 5)], 2,
+              "enumeration region is unbounded; check the weight"),
+    "plane of lineality": ([((0, 0, 1), 1), ((0, 0, -1), 1)], 3,
+                           "enumeration region is unbounded; check the weight"),
+    "whole plane": ([((0, 0), 5)], 2,
+                    "enumeration region is unbounded; check the weight"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPECIAL_REGIONS))
+def test_lattice_points_on_special_regions(name):
+    rows, dim, expected = SPECIAL_REGIONS[name]
+    assert points_or_error(xl.lattice_points, rows, dim) == expected
+    assert points_or_error(fm_lattice_points, rows, dim) == expected
+
+
+@pytest.mark.parametrize("cap_name,message", [
+    (None, "enumeration exceeded cap of 3 points"),
+    ("GKZFRAC_MAX_TERMS",
+     "enumeration exceeded cap of 3 points (cap GKZFRAC_MAX_TERMS)")])
+def test_lattice_points_cap_message(cap_name, message):
+    rows = SPECIAL_REGIONS["triangle"][0]
+    for search in (xl.lattice_points, fm_lattice_points):
+        assert points_or_error(search, rows, 2, cap=3,
+                               cap_name=cap_name) == message
+        assert len(search(rows, 2, cap=6, cap_name=cap_name)) == 6

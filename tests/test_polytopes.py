@@ -1,17 +1,34 @@
-from itertools import permutations, product
+from fractions import Fraction
+from itertools import combinations, permutations, product
 
 import pytest
 
 from conftest import p1_fan, p1xp1_fan_r2, p2_fan, f1_fan
+from gkzfrac import exact_linalg as xl
 from gkzfrac import polytopes as pt
 from gkzfrac.errors import DimensionMismatch, OriginNotInterior
+
+
+def in_hull(points, q):
+    """Oracle: q is a convex combination of points.  By Caratheodory it is
+    one of at most len(q) + 1 affinely independent points, whose weights
+    are then the unique solution of the barycentric system."""
+    for size in range(1, len(q) + 2):
+        for subset in combinations(points, size):
+            weights = xl.solve_unique(
+                [(1,) * size] + [tuple(p[k] for p in subset)
+                                 for k in range(len(q))],
+                (1,) + tuple(q))
+            if weights is not None and all(w >= 0 for w in weights):
+                return True
+    return False
 
 
 def brute_force_vertices(points):
     """Oracle: p is a vertex iff it is not a convex combination of the rest."""
     points = pt._dedupe(points)
     return sorted(p for p in points
-                  if not pt._in_hull([q for q in points if q != p], p))
+                  if not in_hull([q for q in points if q != p], p))
 
 
 # --- convex_hull ----------------------------------------------------------------
@@ -59,6 +76,28 @@ def test_hull_degenerate_segment_in_plane():
     h = pt.convex_hull([(0, 0), (1, 1), (2, 2)])
     assert set(h.vertices) == {(0, 0), (2, 2)}
     assert h.dim == 1
+
+
+DEGENERATE = {
+    "point": [(2, -1)],
+    "segment in the plane": [(0, 0), (1, 1), (3, 3), (2, 2)],
+    "triangle in space": [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 1)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+def test_degenerate_contains_equals_the_oracle(name):
+    points = DEGENERATE[name]
+    h = pt.convex_hull(points)
+    assert h.dim < h.rank == len(h.equations) + h.dim
+    halves = [Fraction(k, 2) for k in range(-2, 6)]
+    inside = 0
+    for q in product(halves, repeat=h.rank):
+        assert h.contains(q) == in_hull(points, q), q
+        inside += h.contains(q)
+    assert inside == {"point": 1, "segment in the plane": 6,
+                      "triangle in space": 6}[name]
+    assert all(h.contains(p) for p in points)
 
 
 # --- minkowski_sum ----------------------------------------------------------------

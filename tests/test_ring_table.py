@@ -36,6 +36,10 @@ INSTANCES["p1p1p1_r1"] = lambda: threefold([[0, 1, 2, 3, 4, 5]], "r1")
 INSTANCES["p1p1p1_r3"] = lambda: threefold([[0, 1], [2, 3], [4, 5]], "r3")
 INSTANCES["surface5"] = lambda: _seeded_surface(5, 2)
 INSTANCES["surface8"] = lambda: _seeded_surface(8, 3)
+# each instance's own truncation order: the corpus at the acceptance order,
+# the threefolds and surfaces at their benchmark orders
+REFERENCE_ORDERS = dict.fromkeys(CORPUS, 8) | {
+    "p1p1p1_r1": 4, "p1p1p1_r3": 4, "surface5": 5, "surface8": 5}
 
 
 class _GreedyRing:

@@ -6,7 +6,7 @@ from math import factorial
 import pytest
 
 from conftest import CORPUS, divisor_classes, p1_fan, p1xp1_fan_r2, p2_fan
-from test_ring_table import INSTANCES, scalar_part
+from test_ring_table import INSTANCES, REFERENCE_ORDERS, scalar_part
 from test_triangulations import weights_with_denominators
 from gkzfrac import checks, gkz, series as se, toric
 from gkzfrac import exact_linalg as xl
@@ -275,10 +275,6 @@ def outcome(fn, sys, ell):
     except NotInKernel as exc:
         return type(exc)
     return value, type(value)
-
-
-REFERENCE_ORDERS = dict.fromkeys(CORPUS, 8) | {
-    "p1p1p1_r1": 4, "p1p1p1_r3": 4, "surface5": 5, "surface8": 5}
 
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))

@@ -181,3 +181,37 @@ def test_caller_scan_sees_calls_exports_and_entry_points():
     sources["b"] += "\n\ndef g():\n    return dead\n"
     assert uncalled_functions(sources, {}, set()) == \
         ["a.exported", "a.entry", "b.g"]
+
+
+def readers_of(sources, name):
+    """``module.definition`` of each top-level statement in ``sources``
+    (module name -> source text) that reads ``name``, bare or as an
+    attribute; a statement that is no definition is ``module.<module>``."""
+    readers = set()
+    for module, text in sources.items():
+        for node in ast.parse(text).body:
+            if name in read_names(ast.Module(body=[node], type_ignores=[])):
+                readers.add(f"{module}.{getattr(node, 'name', '<module>')}")
+    return readers
+
+
+def test_fm_eliminate_is_read_only_by_fm_feasible():
+    # plain Fourier-Motzkin keeps every redundant row, so it serves the
+    # one feasibility test that still needs it and nothing else
+    sources = {}
+    for path in package_sources():
+        with open(path, encoding="utf-8") as f:
+            sources[os.path.basename(path)[:-3]] = f.read()
+    assert readers_of(sources, "fm_eliminate") == {"exact_linalg.fm_feasible"}
+
+
+def test_reader_scan_sees_nested_attribute_and_module_reads():
+    sources = {
+        "a": "def fm_eliminate(rows):\n    return fm_eliminate(rows)\n\n\n"
+             "def fm_feasible(rows):\n    return fm_eliminate(rows)\n",
+        "b": "from . import a\n\n\ndef f():\n    def g():\n"
+             "        return a.fm_eliminate\n    return g\n",
+        "c": "from .a import fm_eliminate\n\nX = fm_eliminate\n",
+    }
+    assert readers_of(sources, "fm_eliminate") == \
+        {"a.fm_feasible", "b.f", "c.<module>"}
