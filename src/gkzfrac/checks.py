@@ -14,7 +14,7 @@ from . import gkz
 from . import polytopes as pt
 from . import series as se
 from . import triangulations as tr
-from .errors import NegativeExponent
+from .errors import EmptyInterior, NegativeExponent
 from .instance import Instance  # re-exported: checks.Instance
 
 
@@ -278,11 +278,17 @@ def _check_volume_rank(inst):
 
 
 def _check_secondary_contains_ample(inst):
-    sys = inst.sys
-    cone = tr.secondary_cone(sys, inst.points, inst.tmax)
-    for ray in sys.kahler.rays:
-        if not cone.contains(ray):
-            return False, f"ample ray {ray} escapes the secondary cone"
+    # the secondary cone of T_max is the Kahler cone (Oda-Park); one that
+    # lost a facet may not be pointed, which its constructor refuses
+    try:
+        cone = tr.secondary_cone(inst.sys, inst.points, inst.tmax)
+    except EmptyInterior as exc:
+        return False, f"secondary cone of the maximal triangulation: {exc}"
+    for kind in ("inequalities", "rays"):
+        odd = set(getattr(cone, kind)) ^ set(getattr(inst.sys.kahler, kind))
+        if odd:
+            return False, (f"{min(odd)} is in the {kind} of only one of the "
+                           "secondary and ample cones")
     return True, "ample cone inside the secondary cone"
 
 

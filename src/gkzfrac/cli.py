@@ -316,21 +316,17 @@ def run_command(cmd, spec, flags=None):
     if cmd == "fans":
         from . import triangulations as tr
         pc, tmax = inst.points, inst.tmax
-        cone = tr.secondary_cone(sys, pc, tmax)
+        cones = {"secondary_cone": tr.secondary_cone(sys, pc, tmax),
+                 "kahler_cone": sys.kahler}
         chamber = tr.regular_subdivision(pc, omega)
         payload = {
             "points": [list(p) for p in pc.points],
             "maximal_triangulation": [list(s) for s in tmax.simplices],
             "normalized_volume": tr.normalized_volume(pc, tmax),
             "max_cones": len(fan.max_cones),
-            "secondary_cone": {
-                "inequalities": [list(g) for g in cone.inequalities],
-                "rays": [list(ray) for ray in cone.rays],
-            },
-            "kahler_cone": {
-                "inequalities": [list(g) for g in sys.kahler.inequalities],
-                "rays": [list(ray) for ray in sys.kahler.rays],
-            },
+            **{field: {"inequalities": [list(g) for g in c.inequalities],
+                       "rays": [list(r) for r in c.rays]}
+               for field, c in cones.items()},
             "weight_chamber_is_maximal":
                 isinstance(chamber, tr.Triangulation)
                 and chamber.simplex_set() == tmax.simplex_set(),

@@ -45,22 +45,20 @@ def _chart_from_simplicial_cone(sys, rays):
                           signs=signs)
 
 
-def _triangulate_cone(rays, dim):
-    """Pulling triangulation of a full-dimensional pointed cone in any rank
+def _triangulate_cone(cone):
+    """Pulling triangulation of a ConeDescription in any rank
     (De Loera-Rambau-Santos, Triangulations, 4.3): a face is the union of
     the cones over its first ray and the pieces of its facets missing that
     ray, each piece listed as the facet's piece, then that ray.  The cone is
-    pulled from ``rays[0]``, each proper face, its rays sorted, from its
+    pulled from its least ray, each proper face, its rays sorted, from its
     least ray.  The facets of a face of rank k are its rank k - 1 cuts by
-    the cone's facet hyperplanes, normal to the rays of the dual cone.
+    the cone's facet hyperplanes.
     """
-    normals = xl.extreme_rays(rays, dim) if len(rays) > dim else ()
-
     def pull(face, k):
         if len(face) == k:
             return [face]
         facets = []
-        for normal in normals:
+        for normal in cone.inequalities:
             facet = tuple(sorted(r for r in face if xl.dot(normal, r) == 0))
             if face[0] not in facet and facet not in facets and \
                     xl.rank(facet) == k - 1:
@@ -68,7 +66,7 @@ def _triangulate_cone(rays, dim):
         return [piece + (face[0],) for facet in facets
                 for piece in pull(facet, k - 1)]
 
-    return pull(tuple(rays), dim)
+    return pull(cone.rays, cone.dim)
 
 
 def _stellar_refine(cones, depth=0):
@@ -116,8 +114,7 @@ def subdivide_kahler_cone(sys):
     the pieces of its pulling triangulation, made unimodular by stellar
     subdivision, in sorted order; a unimodular simplicial cone is one chart.
     """
-    cone = sys.kahler
-    pieces = _stellar_refine(_triangulate_cone(list(cone.rays), cone.dim))
+    pieces = _stellar_refine(_triangulate_cone(sys.kahler))
     return [_chart_from_simplicial_cone(sys, rays) for rays in sorted(pieces)]
 
 

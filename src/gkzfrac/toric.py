@@ -323,17 +323,28 @@ def stanley_reisner_ideal(collections):
 # --- cones in the relation lattice -------------------------------------------------
 
 class ConeDescription:
-    """Rational polyhedral cone given by inequalities and extreme rays.
-
-    Vectors are coordinates relative to the dual of the canonical relation
-    lattice basis: a weight class y satisfies y . g >= 0 for each inequality
-    generator g, and ``rays`` are the primitive extreme generators.
+    """A pointed full-dimensional cone {y : g . y >= 0} in coordinates dual
+    to the canonical relation-lattice basis, from any rows g: integer or
+    Fraction, repeated, rescaled, zero or redundant.  It keeps the sorted
+    primitive facet normals, the rows tight on rays of rank dim - 1, and
+    the sorted primitive extreme rays, so equal cones have equal
+    (inequalities, rays).  Raises EmptyInterior when the rays have rank
+    below dim or their sum is not strictly inside every nonzero row.
     """
 
-    def __init__(self, dim, inequalities, rays):
+    def __init__(self, dim, inequalities):
+        rows = sorted({xl.primitive_vector(xl.integer_scaled(g)[0])
+                       for g in inequalities if any(g)})
+        rays = xl.extreme_rays(rows, dim)
+        interior = tuple(map(sum, zip(*rays)))
+        if xl.rank(rays) < dim or \
+                not all(xl.dot(g, interior) > 0 for g in rows):
+            raise EmptyInterior("cone is not pointed and full-dimensional")
         self.dim = dim
-        self.inequalities = inequalities
-        self.rays = rays
+        self.inequalities = tuple(
+            g for g in rows
+            if xl.rank([r for r in rays if xl.dot(g, r) == 0]) == dim - 1)
+        self.rays = tuple(rays)
 
     def contains(self, y, strict=False):
         if strict:
@@ -345,25 +356,12 @@ def kahler_cone(coords, collections):
     """Closure of the ample cone, dual to the Mori cone.
 
     Returned in coordinates dual to the canonical relation-lattice basis,
-    from the fan's primitive collections; ``coords`` maps a relation to its
-    basis coordinates (``GkzSystem.basis_coords``).  Raises EmptyInterior
-    when the input admits no ample class.
+    cut out by the fan's primitive collections; ``coords`` maps a relation
+    to its basis coordinates (``GkzSystem.basis_coords``).  Raises
+    EmptyInterior when the input admits no ample class.
     """
-    gens = []
-    seen = set()
-    for pc in collections:
-        g = xl.primitive_vector(coords(pc.ell_ext))
-        if g not in seen:
-            seen.add(g)
-            gens.append(g)
-    dim = len(gens[0])
-    rays = xl.extreme_rays(gens, dim)
-    if not rays:
-        raise EmptyInterior("no extreme rays: ample cone is empty")
-    candidate = tuple(sum(col) for col in zip(*rays))
-    if not all(xl.dot(g, candidate) > 0 for g in gens):
-        raise EmptyInterior("dual of the curve cone has empty interior")
-    return ConeDescription(dim=dim, inequalities=tuple(gens), rays=tuple(rays))
+    rows = [coords(pc.ell_ext) for pc in collections]
+    return ConeDescription(len(rows[0]), rows)
 
 
 # --- cohomology ring ----------------------------------------------------------------

@@ -14,6 +14,7 @@ from operator import le
 from . import exact_linalg as xl
 from .errors import (DegenerateSimplex, NonTermination, NotRegular,
                      NotUnimodular)
+from .toric import ConeDescription
 
 GB_PAIR_CAP = 20000
 GB_BASIS_CAP = 2000
@@ -152,19 +153,15 @@ def secondary_cone(sys, pc, tri):
             lam = xl.primitive_vector(xl.integer_scaled(lam)[0])
             assert sys.in_kernel(lam)
             covectors.add(lam)
-    from .toric import ConeDescription
-    ineqs = set()
-    for lam in sorted(covectors):
-        coords = sys.basis_coords(lam)
-        ineqs.add(xl.primitive_vector(coords))
-    ineqs = tuple(sorted(ineqs))
+    rows = sorted(sys.basis_coords(lam) for lam in covectors)
     dim = len(sys.basis)
     strict_rows = [(tuple(-Fraction(x) for x in g), Fraction(0), True)
-                   for g in ineqs]
+                   for g in rows]
     if not xl.fm_feasible(strict_rows, dim):
         raise NotRegular("triangulation admits no strictly convex weight")
-    rays = xl.extreme_rays(ineqs, dim)
-    return ConeDescription(dim=dim, inequalities=ineqs, rays=tuple(rays))
+    # Redundant: a secondary cone is pointed here, so past this test the
+    # constructor's EmptyInterior cannot fire; ROADMAP C1 + 1 deletes it.
+    return ConeDescription(dim, rows)
 
 
 # --- binomial Groebner bases -----------------------------------------------------
@@ -394,7 +391,7 @@ def _facets(cone):
         return xl.det(rays + (tuple(-x for x in normal),))
 
     facets = [(tuple(r for r in cone.rays if xl.dot(normal, r) == 0), normal)
-              for normal in xl.extreme_rays(cone.rays, cone.dim)]
+              for normal in cone.inequalities]
     return sorted(facets, key=turn, reverse=True)
 
 
@@ -409,12 +406,22 @@ def walk_fan(chamber_of, start):
     probe closer (scale 2, 8, ..., 2 * 4^11) until a chamber holds it
     strictly together with every ray of the facet.  The chambers already
     found are tried at every scale before ``chamber_of`` is called, so a
-    facet shared with a known chamber costs no call.  Every facet of every
+    facet shared with a known chamber costs no call, nor does a probe
+    strictly inside any chamber returned before.  Every facet of every
     returned chamber is crossed into a returned chamber, so the list closes
     up.  In rank 2 the chambers come counterclockwise from the start; in
     rank 1 the facet is the origin.
     """
-    label, cone = chamber_of(start)
+    seen = []  # every (label, cone) chamber_of returned
+
+    def lookup(direction):
+        for label, cone in seen:
+            if cone.contains(direction, strict=True):
+                return label, cone
+        seen.append(chamber_of(direction))
+        return seen[-1]
+
+    label, cone = lookup(start)
     assert cone.contains(start, strict=True), "start direction lies on a wall"
     chambers = [(cone, label)]
 
@@ -428,7 +435,7 @@ def walk_fan(chamber_of, start):
             return None
         for probe in probes:
             try:
-                label, chamber = chamber_of(probe)
+                label, chamber = lookup(probe)
             except NotRegular:
                 continue
             if (chamber.contains(probe, strict=True)
@@ -477,19 +484,11 @@ def groebner_fan(sys):
     basis computed at an interior direction; the result refines the
     secondary fan.
     """
-    from .toric import ConeDescription
-
     def chamber_of(direction):
-        omega = sys.lift_weight_class(direction)
-        ideal = toric_groebner_basis(sys, omega)
-        ineqs = set()
-        for u, v in ideal.generators:
-            diff = tuple(a - b for a, b in zip(u, v))
-            ineqs.add(xl.primitive_vector(sys.basis_coords(diff)))
-        ineqs = tuple(sorted(ineqs))
-        dim = len(sys.basis)
-        rays = xl.extreme_rays(ineqs, dim)
-        cone = ConeDescription(dim=dim, inequalities=ineqs, rays=tuple(rays))
+        ideal = toric_groebner_basis(sys, sys.lift_weight_class(direction))
+        cone = ConeDescription(len(sys.basis), [
+            sys.basis_coords(tuple(a - b for a, b in zip(u, v)))
+            for u, v in ideal.generators])
         return frozenset(ideal.leading_exponents()), cone
 
     return walk_fan(chamber_of, tuple(map(sum, zip(*sys.kahler.rays))))

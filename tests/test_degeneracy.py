@@ -270,7 +270,8 @@ def test_certificate_json_shape():
 
 def test_triangulate_square_cone():
     rays = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]
-    pieces = dg._triangulate_cone(rays, 3)
+    pieces = dg._triangulate_cone(
+        toric.ConeDescription(3, xl.extreme_rays(rays, 3)))
     assert len(pieces) == 2
     total = sum(abs(xl.det(piece)) for piece in pieces)
     assert total == 4  # normalized volume of the cone over the diamond

@@ -8,7 +8,9 @@ one-block P1xP1 and the three-block P1^3 (on p2 and the three-block P1^3
 its box holds no kernel vector, so only the Hermite certificate sees the
 defect there); the parity twist on p2 and f1, the inputs where some box
 operator has an odd auxiliary sum; the ring dimension check on f1 and
-the one-block P1xP1, with one Stanley-Reisner generator dropped.  Every
+the one-block P1xP1, with one Stanley-Reisner generator dropped; the
+secondary-cone check on f1, the one-block P1xP1 and P1^3, with every
+covector of one facet-defining row dropped.  Every
 annihilation mutation also gives the per-series loop the stacked check
 replaced (``annihilation_per_series``) the same (ok, detail).  The Euler branch of ``apply_operator`` is also held
 to the per-term formula it replaced, on the real solutions and under a
@@ -22,6 +24,8 @@ import pytest
 from conftest import CORPUS
 from test_threefold import threefold
 from gkzfrac import checks, series as se, toric
+from gkzfrac import exact_linalg as xl
+from gkzfrac import triangulations as tr
 
 FANS = {"p2": (CORPUS["p2"], 8), "f1": (CORPUS["f1"], 8),
         "p1p1p1_r1": (lambda: threefold([[0, 1, 2, 3, 4, 5]], "r1"), 4)}
@@ -225,6 +229,32 @@ def test_dropped_ring_relation_fails_ring_dimension(name, monkeypatch):
     assert len(results) == len(checks.CHECKS)
     assert results["toric.ring_dimension"] == \
         (False, "dimension 5, top degree one-dimensional")
+
+
+@pytest.mark.parametrize("name", ["f1", "p1xp1_r1", "p1p1p1_r1"])
+def test_dropped_secondary_facet_fails_secondary_contains_ample(
+        name, monkeypatch):
+    """Every covector of one facet-defining row of the secondary cone of
+    T_max dropped, for each facet in turn.  On the one-block P1xP1 and P1^3
+    every row defines a facet, so the cone left is not pointed; on f1 it is
+    pointed and has a facet the Kahler cone lacks.  The ample rays stay
+    inside that larger cone, so a containment test passes."""
+    check = CHECK["triangulations.secondary_contains_ample"]
+    inst = checks.Instance(BUILDERS[name](), order=4)
+    assert check(inst) == (True, "ample cone inside the secondary cone")
+    for facet in inst.sys.kahler.inequalities:
+        def without_facet(dim, rows, facet=facet):
+            return toric.ConeDescription(
+                dim, [g for g in rows if xl.primitive_vector(g) != facet])
+
+        monkeypatch.setattr(tr, "ConeDescription", without_facet)
+        if name == "f1":
+            detail = (f"{facet} is in the inequalities of only one of the "
+                      "secondary and ample cones")
+        else:
+            detail = ("secondary cone of the maximal triangulation: cone is "
+                      "not pointed and full-dimensional")
+        assert check(inst) == (False, detail)
 
 
 @pytest.mark.parametrize("name", sorted(FANS))

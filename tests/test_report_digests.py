@@ -5,14 +5,17 @@ for a bundled fixture at the fixture's own order, or at the order given as
 a third key entry (timing goes to standard error, so the bytes are
 deterministic).  A change to the cohomology ring, the
 product-form coefficients or the chart pairings that alters any report byte
-fails here, whatever it does to speed.
+fails here, whatever it does to speed.  The `fans` reports are also pinned
+as they were while each cone kept the rows it was built from, and rebuilt
+from those rows.
 """
 
 import hashlib
 
 import pytest
 
-from gkzfrac import cli
+from test_cones import old_kahler_cone, old_secondary_cone
+from gkzfrac import checks, cli
 
 DIGESTS = {
     ("bseries", "p1"):
@@ -50,15 +53,58 @@ DIGESTS = {
         "da596c6a253b16a8ac7e70de3550f8115676d17bf47483498c2887433368bb6e",
     ("series", "p1xp1", 12):
         "98909d1a2cb1f26a84a4a21dc293d621b591424cbba08362ce304c51c6a2d5d6",
+    ("fans", "p1"):
+        "8ebe4e810ec5d4a1a2d8bf4654da4812820e11efb6d71a120b2c326bd489bae8",
+    ("fans", "p2"):
+        "0947afaa041ae86717ef81867f2dd6ce98aacd5b21628e1831720ee9f8919c60",
+    ("fans", "p1xp1"):
+        "0e9df57fb3b21bc57b7ec576dbcbb3d0237ac87f2b95b46db7c29dd32a5e061e",
+    ("fans", "p1xp1_r1"):
+        "c22b18cad9dad397778ff7869ec867e70b9deee2edb24e6a554cadb1a6891769",
+    ("fans", "f1"):
+        "098495d140eda7c4a2cfe29ca2deb8cdfea35565c11a272b046a828cb15c124b",
 }
+
+# The `fans` reports written while each cone kept the rows it was built
+# from: the Kahler cone's in collection order, and the secondary cone's
+# redundant (1, 1) on f1.
+FANS_WITH_THE_OLD_ROWS = {
+    "p1": "8ebe4e810ec5d4a1a2d8bf4654da4812820e11efb6d71a120b2c326bd489bae8",
+    "p2": "0947afaa041ae86717ef81867f2dd6ce98aacd5b21628e1831720ee9f8919c60",
+    "p1xp1":
+        "351092496a30096c36372a1392222102638500fc608d1942ed8f8a736242942c",
+    "p1xp1_r1":
+        "d7ce0b87ce3847a195f245a04ce4d23d25f610c123511a3079884a7083626fc9",
+    "f1": "d9c2eeb6e61851e2d5a1382310266d23d6c9e5bbf2feae5606b75d630a9aad04",
+}
+
+
+def report_digest(command, name, order=None):
+    spec = cli.parse_input(cli.fixture_path(name))
+    text = cli.run_command(command, spec, {"order": order}).to_json()
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @pytest.mark.parametrize("key", sorted(DIGESTS),
                          ids=lambda key: "-".join(map(str, key)))
 def test_report_digest(key):
     command, name, *order = key
+    assert report_digest(command, name, *order) == DIGESTS[key]
+
+
+@pytest.mark.parametrize("name", sorted(FANS_WITH_THE_OLD_ROWS))
+def test_fans_bytes_move_only_by_the_cone_rows(name):
+    """With the old builders' rows put back, in their old order, the
+    `fans` report is the old one byte for byte."""
     spec = cli.parse_input(cli.fixture_path(name))
-    text = cli.run_command(command, spec,
-                           {"order": order[0] if order else None}).to_json()
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    assert digest == DIGESTS[key]
+    report = cli.run_command("fans", spec, {"order": None})
+    inst = checks.Instance(spec.fan(), order=1)
+    sys = inst.sys
+    old = {"kahler_cone": old_kahler_cone(sys.basis_coords, sys.collections),
+           "secondary_cone": old_secondary_cone(sys, inst.points, inst.tmax)}
+    for field, cone in old.items():
+        assert report.payload[field]["rays"] == [list(r) for r in cone.rays]
+        report.payload[field]["inequalities"] = [
+            list(g) for g in cone.inequalities]
+    digest = hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
+    assert digest == FANS_WITH_THE_OLD_ROWS[name]

@@ -205,6 +205,23 @@ def test_fm_eliminate_is_read_only_by_fm_feasible():
     assert readers_of(sources, "fm_eliminate") == {"exact_linalg.fm_feasible"}
 
 
+def test_relation_lattice_cones_come_from_one_constructor():
+    # the Kahler, secondary and Groebner cones keep only their facets and
+    # rays, so equal cones compare equal; the other readers of the engine
+    # build hulls, polytope vertices and regular subdivisions
+    sources = {}
+    for path in package_sources():
+        with open(path, encoding="utf-8") as f:
+            sources[os.path.basename(path)[:-3]] = f.read()
+    assert readers_of(sources, "ConeDescription") == {
+        "toric.kahler_cone", "triangulations.secondary_cone",
+        "triangulations.groebner_fan"}
+    assert readers_of(sources, "extreme_rays") == {
+        "toric.ConeDescription", "exact_linalg.hull_facets",
+        "exact_linalg.lattice_points", "polytopes.section_polytope",
+        "triangulations.regular_subdivision"}
+
+
 def test_reader_scan_sees_nested_attribute_and_module_reads():
     sources = {
         "a": "def fm_eliminate(rows):\n    return fm_eliminate(rows)\n\n\n"

@@ -354,10 +354,11 @@ def test_groebner_fan_saturates_once_per_system(monkeypatch):
 
     chambers = walk()
     assert len(chambers) == 7
-    # 9 chamber probes, each one basis from the 5-variable saturation
-    assert calls == {"lattice_ideal_generators": 1, "buchberger": 14}
+    # 8 chamber probes, each one basis from the 5-variable saturation; a
+    # ninth probe lands in a chamber an earlier probe found
+    assert calls == {"lattice_ideal_generators": 1, "buchberger": 13}
     assert walk() == chambers
-    assert calls == {"lattice_ideal_generators": 1, "buchberger": 23}
+    assert calls == {"lattice_ideal_generators": 1, "buchberger": 21}
 
 
 def test_buchberger_reduces_spair_disjoint_supports():
@@ -611,9 +612,8 @@ def synthetic_chamber_of(cones):
     label is the cone's index, and a direction on a wall raises
     NotRegular."""
     dim = len(cones[0][0])
-    chambers = [toric.ConeDescription(
-        dim=dim, inequalities=tuple(xl.extreme_rays(rays, dim)),
-        rays=tuple(sorted(rays))) for rays in cones]
+    chambers = [toric.ConeDescription(dim, xl.extreme_rays(rays, dim))
+                for rays in cones]
 
     def chamber_of(direction):
         for label, cone in enumerate(chambers):
