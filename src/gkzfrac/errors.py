@@ -49,7 +49,8 @@ class RayNotPrimitive(GkzfracError):
 
 
 class EmptyInterior(GkzfracError):
-    """Cone has no interior point (non-projective input)."""
+    """Cone is not pointed and full-dimensional (non-projective input, or,
+    as NotRegular, a triangulation without a strictly convex lifting)."""
 
 
 # --- GKZ system --------------------------------------------------------------
@@ -86,8 +87,9 @@ class DegenerateSimplex(GkzfracError):
     """A simplex has linearly dependent points."""
 
 
-class NotRegular(GkzfracError):
-    """Triangulation admits no strictly convex lifting."""
+class NotRegular(EmptyInterior):
+    """Triangulation admits no strictly convex lifting: its secondary cone
+    is not pointed and full-dimensional."""
 
 
 class NonTermination(GkzfracError):

@@ -241,6 +241,19 @@ def extreme_rays(inequalities, dim):
     return sorted(r for r, _ in rays)
 
 
+def fm_feasible(rows, rays, dim):
+    """Whether the cone {y : g . y >= 0} of rows whose extreme rays are
+    ``rays`` is pointed and full-dimensional: the rays have rank dim and
+    their sum lies strictly inside every row.
+
+    Named for the Fourier-Motzkin elimination it replaced, because the
+    benchmark's layer table (bench/layers.py) traces it by this name;
+    ROADMAP C1 Part A renames both together.
+    """
+    interior = tuple(map(sum, zip(*rays)))
+    return rank(rays) == dim and all(dot(g, interior) > 0 for g in rows)
+
+
 def hull_facets(points):
     """(equations, facets) of the convex hull of points: pairs (a, c)
     meaning a.x == c and a.x <= c, with primitive integer a, that together
@@ -513,59 +526,6 @@ def in_integer_span(m_cols, v, hermite=None):
     """Whether v lies in the integer column span of m_cols (a matrix);
     ``hermite`` as in ``solve_integer``."""
     return solve_integer(m_cols, v, hermite) is not None
-
-
-# --- Fourier-Motzkin elimination ----------------------------------------------
-
-def _fm_normalize(a, b, strict):
-    scale = next((abs(x) for x in a if x != 0), None)
-    if scale is None:
-        return a, b, strict
-    return tuple(x / scale for x in a), b / scale, strict
-
-
-def fm_eliminate(rows, var):
-    """Eliminate variable ``var`` from rows (a, b, strict) meaning a.x <= b
-    (or < b when strict).  Duplicate rows are dropped to tame blowup."""
-    keep, pos, neg = {}, [], []
-
-    def add(a, b, strict):
-        a, b, strict = _fm_normalize(a, b, strict)
-        prev = keep.get(a)
-        if prev is None or (b, not strict) < (prev[0], not prev[1]):
-            keep[a] = (b, strict)
-
-    for a, b, strict in rows:
-        c = a[var]
-        if c == 0:
-            add(a, b, strict)
-        elif c > 0:
-            pos.append((a, b, strict))
-        else:
-            neg.append((a, b, strict))
-    for ap, bp, sp in pos:
-        cp = ap[var]
-        for an, bn, sn in neg:
-            cn = -an[var]
-            a = tuple(cn * x + cp * y for x, y in zip(ap, an))
-            b = cn * bp + cp * bn
-            add(a, b, sp or sn)
-    return [(a, b, s) for a, (b, s) in keep.items()]
-
-
-def fm_feasible(rows, dim):
-    """Exact feasibility of a system of rows (a, b, strict) over the reals."""
-    rows = [(tuple(Fraction(x) for x in a), Fraction(b), s) for a, b, s in rows]
-    for var in range(dim - 1, -1, -1):
-        rows = fm_eliminate(rows, var)
-    for a, b, strict in rows:
-        if strict:
-            if not Fraction(0) < b:
-                return False
-        else:
-            if not Fraction(0) <= b:
-                return False
-    return True
 
 
 # --- lattice points -------------------------------------------------------------

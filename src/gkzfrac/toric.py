@@ -336,9 +336,7 @@ class ConeDescription:
         rows = sorted({xl.primitive_vector(xl.integer_scaled(g)[0])
                        for g in inequalities if any(g)})
         rays = xl.extreme_rays(rows, dim)
-        interior = tuple(map(sum, zip(*rays)))
-        if xl.rank(rays) < dim or \
-                not all(xl.dot(g, interior) > 0 for g in rows):
+        if not xl.fm_feasible(rows, rays, dim):
             raise EmptyInterior("cone is not pointed and full-dimensional")
         self.dim = dim
         self.inequalities = tuple(

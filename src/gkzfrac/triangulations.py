@@ -12,8 +12,8 @@ from fractions import Fraction
 from operator import le
 
 from . import exact_linalg as xl
-from .errors import (DegenerateSimplex, NonTermination, NotRegular,
-                     NotUnimodular)
+from .errors import (DegenerateSimplex, EmptyInterior, NonTermination,
+                     NotRegular, NotUnimodular)
 from .toric import ConeDescription
 
 GB_PAIR_CAP = 20000
@@ -134,7 +134,8 @@ def secondary_cone(sys, pc, tri):
     on points that are vertices of no simplex; the latter clause is vacuous
     exactly when ``nonvertex_points`` is empty.  Covectors are kernel
     vectors, reported in coordinates dual to the relation-lattice basis.
-    Raises NotRegular when the cone has empty interior.
+    Raises NotRegular, with the constructor's EmptyInterior message, when
+    the cone is not pointed and full-dimensional.
     """
     npts = len(pc.points)
     covectors = set()
@@ -153,15 +154,11 @@ def secondary_cone(sys, pc, tri):
             lam = xl.primitive_vector(xl.integer_scaled(lam)[0])
             assert sys.in_kernel(lam)
             covectors.add(lam)
-    rows = sorted(sys.basis_coords(lam) for lam in covectors)
-    dim = len(sys.basis)
-    strict_rows = [(tuple(-Fraction(x) for x in g), Fraction(0), True)
-                   for g in rows]
-    if not xl.fm_feasible(strict_rows, dim):
-        raise NotRegular("triangulation admits no strictly convex weight")
-    # Redundant: a secondary cone is pointed here, so past this test the
-    # constructor's EmptyInterior cannot fire; ROADMAP C1 + 1 deletes it.
-    return ConeDescription(dim, rows)
+    try:
+        return ConeDescription(len(sys.basis),
+                               [sys.basis_coords(lam) for lam in covectors])
+    except EmptyInterior as exc:
+        raise NotRegular(str(exc)) from None
 
 
 # --- binomial Groebner bases -----------------------------------------------------

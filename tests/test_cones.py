@@ -15,7 +15,8 @@ import pytest
 
 from test_exact_linalg import (ENGINE_INSTANCES, SQUARE8, TRIANGLE9,
                                cone_shape, cyclic_surface,
-                               dual_cone_extreme_rays, random_row_cases)
+                               dual_cone_extreme_rays, fm_feasible,
+                               has_interior_point, random_row_cases)
 from gkzfrac import checks, gkz
 from gkzfrac import exact_linalg as xl
 from gkzfrac import triangulations as tr
@@ -85,7 +86,7 @@ def old_secondary_cone(sys, pc, tri):
     dim = len(sys.basis)
     strict_rows = [(tuple(-Fraction(x) for x in g), Fraction(0), True)
                    for g in ineqs]
-    if not xl.fm_feasible(strict_rows, dim):
+    if not fm_feasible(strict_rows, dim):
         raise NotRegular("triangulation admits no strictly convex weight")
     rays = xl.extreme_rays(ineqs, dim)
     return OldCone(dim=dim, inequalities=ineqs, rays=tuple(rays))
@@ -325,3 +326,45 @@ def test_walk_equals_the_walk_without_reuse(name, monkeypatch):
         assert len(fans[1]) == 150
         assert (reuse["toric_groebner_basis"],
                 calls["toric_groebner_basis"]) == (174, 249)
+
+
+def checked_by_fourier_motzkin(built):
+    """A ``ConeDescription`` that asks plain Fourier-Motzkin first: the cone
+    must build exactly when some point lies strictly inside every row.
+    Each cone built is appended to ``built``."""
+    def compared(dim, rows):
+        interior = has_interior_point(rows, dim)
+        try:
+            cone = ConeDescription(dim, rows)
+        except EmptyInterior:
+            assert not interior, rows
+            raise
+        assert interior, rows
+        built.append(cone)
+        return cone
+    return compared
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_INSTANCES))
+def test_secondary_fan_cones_agree_with_fourier_motzkin(name, monkeypatch):
+    """Every ``secondary_cone`` call of the secondary-fan walk builds its
+    cone, and plain Fourier-Motzkin finds a strictly convex weight for
+    each."""
+    sys = gkz.build_system(ENGINE_INSTANCES[name]())
+    built = []
+    monkeypatch.setattr(tr, "ConeDescription", checked_by_fourier_motzkin(built))
+    chambers = tr.secondary_fan(sys)
+    assert len(built) >= len(chambers) > 1
+
+
+def test_not_regular_agrees_with_fourier_motzkin(monkeypatch):
+    """A triangulation of P1's three points that is not regular: neither
+    finds a strictly convex weight, and ``NotRegular`` carries the
+    constructor's message."""
+    sys = gkz.build_system(ENGINE_INSTANCES["p1"]())
+    pc = PointConfiguration.from_system(sys)
+    bogus = tr.Triangulation(simplices=((0, 1), (1, 2)))
+    monkeypatch.setattr(tr, "ConeDescription", checked_by_fourier_motzkin([]))
+    with pytest.raises(NotRegular,
+                       match="^cone is not pointed and full-dimensional$"):
+        tr.secondary_cone(sys, pc, bogus)

@@ -890,18 +890,7 @@ def test_solve_integer_roundtrip():
         assert xl.mat_vec(m, y) == b
 
 
-# --- Fourier-Motzkin -------------------------------------------------------------
-
-def test_fm_feasible_simplex():
-    # x >= 0, y >= 0, x + y <= 1 strictly feasible
-    rows = [((-1, 0), 0, True), ((0, -1), 0, True), ((1, 1), 1, True)]
-    assert xl.fm_feasible(rows, 2)
-
-
-def test_fm_infeasible():
-    rows = [((1,), 0, False), ((-1,), -1, False)]  # x <= 0 and x >= 1
-    assert not xl.fm_feasible(rows, 1)
-
+# --- lattice_points ----------------------------------------------------------------
 
 def test_lattice_points_triangle():
     # x >= 0, y >= 0, x + y <= 2
@@ -915,32 +904,99 @@ def test_lattice_points_empty():
     assert xl.lattice_points(rows, 1) == []
 
 
-# --- lattice_points and the Fourier-Motzkin search it replaced ------------------
+# --- Fourier-Motzkin: the searches lattice_points and ConeDescription replaced
 
 def fm_eliminate(rows, var):
-    """Eliminate ``var`` from rows (a, b) meaning a.x <= b: every row with a
-    positive coefficient on it against every row with a negative one.
-    Rows are scaled so their first nonzero coefficient is +-1, and a
-    repeated left side keeps its least right side."""
+    """Eliminate ``var`` from rows (a, b, strict) meaning a.x <= b, or
+    a.x < b when strict: every row with a positive coefficient on it
+    against every row with a negative one, strict when either is.  Rows are
+    scaled so their first nonzero coefficient is +-1, and a repeated left
+    side keeps its tightest right side (the least; strict at a tie)."""
     keep, pos, neg = {}, [], []
 
-    def add(a, b):
+    def add(a, b, strict):
         scale = next((abs(x) for x in a if x != 0), 1)
         a, b = tuple(x / scale for x in a), b / scale
-        keep[a] = min(b, keep.get(a, b))
+        keep[a] = min((b, not strict), keep.get(a, (b, not strict)))
 
-    for a, b in rows:
+    for a, b, strict in rows:
         if a[var] > 0:
-            pos.append((a, b))
+            pos.append((a, b, strict))
         elif a[var] < 0:
-            neg.append((a, b))
+            neg.append((a, b, strict))
         else:
-            add(a, b)
-    for ap, bp in pos:
-        for an, bn in neg:
+            add(a, b, strict)
+    for ap, bp, sp in pos:
+        for an, bn, sn in neg:
             cp, cn = ap[var], -an[var]
-            add(tuple(cn * x + cp * y for x, y in zip(ap, an)), cn * bp + cp * bn)
-    return list(keep.items())
+            add(tuple(cn * x + cp * y for x, y in zip(ap, an)),
+                cn * bp + cp * bn, sp or sn)
+    return [(a, b, not loose) for a, (b, loose) in keep.items()]
+
+
+def fm_feasible(rows, dim):
+    """Whether some real x satisfies every row (a, b, strict): the plain
+    Fourier-Motzkin test ``triangulations.secondary_cone`` ran before the
+    cone's own interior test, with rows (-g, 0, True) for its covectors g."""
+    rows = [(tuple(map(Fraction, a)), Fraction(b), strict)
+            for a, b, strict in rows]
+    for var in range(dim - 1, -1, -1):
+        rows = fm_eliminate(rows, var)
+    return all(b > 0 if strict else b >= 0 for _, b, strict in rows)
+
+
+def has_interior_point(rows, dim):
+    """Whether some y has g . y > 0 for every nonzero row g, by
+    ``fm_feasible``."""
+    return fm_feasible([(xl.vec_scale(-1, g), 0, True) for g in rows if any(g)],
+                       dim)
+
+
+def test_fm_feasible_simplex():
+    # x >= 0, y >= 0, x + y <= 1 strictly feasible
+    rows = [((-1, 0), 0, True), ((0, -1), 0, True), ((1, 1), 1, True)]
+    assert fm_feasible(rows, 2)
+    # x <= 0 and x >= 0: the one point 0
+    assert fm_feasible([((1,), 0, False), ((-1,), 0, False)], 1)
+
+
+def test_fm_infeasible():
+    rows = [((1,), 0, False), ((-1,), -1, False)]  # x <= 0 and x >= 1
+    assert not fm_feasible(rows, 1)
+    # x < 0 and x >= 0, with the strict row given alone or next to its
+    # loose twin
+    assert not fm_feasible([((1,), 0, True), ((-1,), 0, False)], 1)
+    assert not fm_feasible([((1,), 0, False), ((1,), 0, True),
+                            ((-1,), 0, False)], 1)
+
+
+def test_cone_interior_equals_fourier_motzkin_on_random_rows():
+    """Seeded rows of every shape in ranks 1-4: rows of full rank give a
+    cone exactly when plain Fourier-Motzkin finds a point strictly inside
+    every nonzero row.  Rows of lower rank cut out a cone that is not
+    pointed, so the constructor raises that typed error whatever
+    Fourier-Motzkin finds (a strict point exists for some of them)."""
+    seen = set()
+    for rows, dim in random_row_cases(seed=1996):
+        if dim > 4:  # the reference takes about 9 s on the 50 rank-5 sets
+            continue
+        nonzero = [g for g in rows if any(g)]
+        full_rank = bool(nonzero) and xl.rank(nonzero) == dim
+        interior = has_interior_point(rows, dim)
+        seen.add((dim, full_rank, interior))
+        if not full_rank:
+            with pytest.raises(EmptyInterior, match="not pointed"):
+                toric.ConeDescription(dim, rows)
+            continue
+        try:
+            toric.ConeDescription(dim, rows)
+        except EmptyInterior:
+            assert not interior, (rows, dim)
+        else:
+            assert interior, (rows, dim)
+    for dim in range(1, 5):
+        assert {(dim, True, True), (dim, True, False),
+                (dim, False, True)} <= seen, dim
 
 
 def fm_lattice_points(rows, dim, cap=None, cap_name=None):
@@ -949,10 +1005,11 @@ def fm_lattice_points(rows, dim, cap=None, cap_name=None):
     projection onto coordinates 0..k bounds coordinate k; a missing bound
     raises the unbounded message, and more than ``cap`` points the cap's."""
     systems = [None] * (dim + 1)
-    systems[dim] = [(tuple(Fraction(x) for x in a), Fraction(b)) for a, b in rows]
+    systems[dim] = [(tuple(Fraction(x) for x in a), Fraction(b), False)
+                    for a, b in rows]
     for var in range(dim - 1, -1, -1):
         systems[var] = fm_eliminate(systems[var + 1], var)
-    if any(b < 0 for _, b in systems[0]):
+    if any(b < 0 for _, b, _ in systems[0]):
         return []
     out = []
 
@@ -966,7 +1023,7 @@ def fm_lattice_points(rows, dim, cap=None, cap_name=None):
                     f"enumeration exceeded cap of {cap} points{named}")
             return
         lo, hi = [], []
-        for a, b in systems[k + 1]:
+        for a, b, _ in systems[k + 1]:
             rest = b - sum(a[i] * prefix[i] for i in range(k))
             if a[k] > 0:
                 hi.append(rest / a[k])

@@ -8,11 +8,12 @@ nonnegatively with every primitive relation.  Each surviving input runs the
 full invariant registry.
 """
 
+import hashlib
 import random
 
 import pytest
 
-from gkzfrac import checks, toric
+from gkzfrac import checks, cli, toric
 from gkzfrac import exact_linalg as xl
 
 
@@ -132,3 +133,32 @@ def test_random_surface_bipartitions(seed):
         results = checks.run_all(checks.Instance(fan, order=5))
         bad = [r for r in results if not r["ok"]]
         assert not bad, (fan.rays, fan.blocks, bad)
+
+
+# The fan drawn with seed 17 and five extra rays.  Plain Fourier-Motzkin
+# elimination took about 24 s over its secondary cones in `check-all` and
+# in `fans`; the reports are pinned as they were written then.
+SEED17_RAYS = [(1, 0), (0, 1), (-1, 0), (-2, -1), (-1, -1), (0, -1), (1, -1),
+               (2, -1)]
+SEED17_DIGESTS = {
+    "check-all":
+        "ff6007cc2ae3ef7d9221b2c44f924e07c4acf9de59dabce87152dfd846dcc95f",
+    "fans":
+        "c157fcb36747d0adca7be5c6b720043d8e75455961cf91849a96f1139795bff4",
+}
+
+
+def test_seed_17_fan_passes_check_all_with_the_pinned_reports():
+    rays, cones = random_smooth_surface_fan(random.Random(17), 5)
+    assert rays == SEED17_RAYS
+    spec = cli.InputSpec(name="seed17", rank=2, rays=[list(r) for r in rays],
+                         max_cones=cones,
+                         nef_partition=[list(range(len(rays)))])
+    reports = {command: cli.run_command(command, spec, {"order": 5})
+               for command in SEED17_DIGESTS}
+    results = reports["check-all"].payload["checks"]
+    assert len(results) == 25
+    assert all(r["ok"] for r in results), [r for r in results if not r["ok"]]
+    assert {command: hashlib.sha256(report.to_json().encode("utf-8"))
+            .hexdigest() for command, report in reports.items()} == \
+        SEED17_DIGESTS

@@ -195,14 +195,18 @@ def readers_of(sources, name):
     return readers
 
 
-def test_fm_eliminate_is_read_only_by_fm_feasible():
-    # plain Fourier-Motzkin keeps every redundant row, so it serves the
-    # one feasibility test that still needs it and nothing else
+def test_no_fourier_motzkin_and_fm_feasible_is_read_only_by_the_cone():
+    # a cone's interior is read off the rays the constructor already has;
+    # plain Fourier-Motzkin stays in the tests as the reference
     sources = {}
     for path in package_sources():
         with open(path, encoding="utf-8") as f:
             sources[os.path.basename(path)[:-3]] = f.read()
-    assert readers_of(sources, "fm_eliminate") == {"exact_linalg.fm_feasible"}
+    defined = {node.name for text in sources.values()
+               for node in ast.walk(ast.parse(text))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    assert not {"fm_eliminate", "_fm_normalize"} & defined
+    assert readers_of(sources, "fm_feasible") == {"toric.ConeDescription"}
 
 
 def test_relation_lattice_cones_come_from_one_constructor():
