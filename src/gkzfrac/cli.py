@@ -304,12 +304,16 @@ def run_command(cmd, spec, flags=None):
 
     if cmd == "bseries":
         from . import series as se
+        ring = inst.ring
+        # the report prints the pairings in slot logs, one per divisor class
+        pairings = se.pair_with_dual(ring, inst.b, [
+            ring.divisor_class(i, j) for (i, j) in sys.j_indices()])
         payload = {
             "weight": [xl.fraction_str(w) for w in omega],
             "order": order,
-            "dual_basis": inst.ring.basis_names(),
+            "dual_basis": ring.basis_names(),
             "pairings": [se.series_to_dict(s)
-                         for s in inst.pairings.components()],
+                         for s in pairings.components()],
         }
         return Report("bseries", spec.name, payload)
 

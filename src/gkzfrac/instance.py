@@ -83,8 +83,19 @@ class Instance:
     @cached_property
     def pairings(self):
         """Dual-basis pairings of the cohomology-valued series, stacked:
-        one coordinate tuple per term."""
+        one coordinate tuple per term, in lattice logs.
+
+        Row k of the log map is the relation-lattice vector that is 1 on
+        ``sys.slots[k]`` and 0 on the other slots, so log slot k is
+        y_k = sum_j row[j] log x_j, and D_j = sum_k row_k[j] D_(slots[k])
+        makes D_(slots[k]) its class: the logs are polynomials in
+        dim H^2 log slots, not in all ``nvars`` (``bseries`` expands them
+        in slot logs instead)."""
         from . import series as se
-        ring = self.ring
-        return se.pair_with_dual(ring, self.b, [
-            ring.divisor_class(i, j) for (i, j) in self.sys.j_indices()])
+        sys, ring = self.sys, self.ring
+        index = sys.j_indices()
+        log_map = tuple(sys.from_basis_coords(column)
+                        for column in zip(*sys.inverse))
+        return se.pair_with_dual(
+            ring, self.b, [ring.divisor_class(*index[s]) for s in sys.slots],
+            log_map=log_map)

@@ -2,7 +2,9 @@
 cohomology-valued solution family.
 
 Exponents are stored as integer offsets against a fixed base exponent, so a
-term (ell, m) -> c stands for c * x^(ell + alpha) * prod log(x_j)^(m_j).
+term (ell, m) -> c stands for c * x^(ell + alpha) * prod_k y_k^(m_k), the
+log slots y_k = sum_j log_map[k][j] log(x_j) read off the series' log map;
+slot logs y_j = log(x_j), the identity map, are the default.
 Coefficients are exact rationals, except in the B-series, whose log-free
 terms hold cohomology classes (see ``b_series``).  Truncation keeps
 offsets ell with weight degree at most the stated order; after applying an
@@ -12,7 +14,9 @@ region can be cut exactly.
 
 import os
 from fractions import Fraction
+from itertools import product
 from math import factorial, floor, lcm, perm
+from operator import sub
 
 from . import exact_linalg as xl
 from .errors import (ConfigError, InMoriCone, NotInKernel, NotInRegion,
@@ -189,22 +193,32 @@ def coords_in_mori_cone(sys, coords):
 
 # --- the series container -------------------------------------------------------------
 
-class LogSeries:
-    """Truncated sum of c * x^(ell + alpha) * prod log(x_j)^(m_j)."""
+def slot_log_map(nvars):
+    """The identity log map: log slot j is log(x_j)."""
+    return tuple(tuple(int(j == k) for j in range(nvars))
+                 for k in range(nvars))
 
-    def __init__(self, alpha, weight, order, terms=None, shifts=None):
+
+class LogSeries:
+    """Truncated sum of c * x^(ell + alpha) * prod_k y_k^(m_k), with
+    y_k = sum_j log_map[k][j] log(x_j); slot logs unless a map is given."""
+
+    def __init__(self, alpha, weight, order, terms=None, shifts=None,
+                 log_map=None):
         self.alpha = alpha
         self.weight = weight
         self.order = order
         self.terms = {} if terms is None else terms
         self.shifts = ((0,) * len(alpha),) if shifts is None else shifts
+        self.log_map = slot_log_map(len(alpha)) if log_map is None \
+            else log_map
 
     def replace(self, **changes):
         """A new series with the given fields changed and the others shared
         with this one; the kept integer form is not carried over."""
         fields = {"alpha": self.alpha, "weight": self.weight,
                   "order": self.order, "terms": self.terms,
-                  "shifts": self.shifts}
+                  "shifts": self.shifts, "log_map": self.log_map}
         fields.update(changes)
         return LogSeries(**fields)
 
@@ -229,7 +243,7 @@ class LogSeries:
 
     def coefficient(self, ell, logdeg=None):
         if logdeg is None:
-            logdeg = (0,) * len(self.alpha)
+            logdeg = (0,) * len(self.log_map)
         return self.terms.get((tuple(ell), tuple(logdeg)), 0)
 
     def is_log_free(self):
@@ -400,7 +414,8 @@ def b_series(sys, ring, omega, order):
 
     Only the nonzero product-form classes O_ell of the Mori slab are stored,
     as log-free terms; the factor x^D = prod_j exp(D_j log x_j) shared by
-    every term is left unexpanded (``pair_with_dual`` expands it).
+    every term is left unexpanded (``pair_with_dual`` expands it, in any
+    log slots whose classes write sum_j D_j log x_j).
     """
     omega = check_weight(sys, omega)
     s = LogSeries(alpha=sys.alpha, weight=omega, order=order)
@@ -412,13 +427,17 @@ def b_series(sys, ring, omega, order):
     return s
 
 
-def pair_with_dual(ring, b, classes):
+def pair_with_dual(ring, b, classes, log_map=None):
     """The B-series ``b`` paired with the dual basis, as one stacked series
     with x^D expanded in the log slots whose divisor classes are
     ``classes``: term (ell, m) holds the coordinate tuple of
-    O_ell * L_m, L_m = prod_j classes[j]^m_j / m_j! from ``log_part``,
+    O_ell * L_m, L_m = prod_k classes[k]^m_k / m_k! from ``log_part``,
     entry h pairing against the h-th dual-basis functional.  Keys whose
     coordinates are all 0 are dropped.
+
+    Log slot k is y_k = sum_j log_map[k][j] log x_j (``LogSeries``), slot
+    logs when no map is given; the expansion is x^D when sum_k classes[k]
+    y_k = sum_j D_j log x_j, that is D_j = sum_k log_map[k][j] classes[k].
 
     Each product is one integer act of O_ell's ``ring.multiplier`` on L_m;
     O_0 = 1 and L_0 = 1 enter as they are.  Entries are shared Fractions,
@@ -445,7 +464,9 @@ def pair_with_dual(ring, b, classes):
                 for x in set(v).difference(shared):
                     shared[x] = Fraction(x, d)
                 rows.append(((ell, m), tuple(map(shared.__getitem__, v)), v, d))
-    out = b.replace(terms={key: prod for key, prod, _, _ in rows})
+    out = b.replace(terms={key: prod for key, prod, _, _ in rows},
+                    log_map=log_map)
+    assert len(out.log_map) == len(classes), "one class per log slot"
     common = lcm(*{d for *_, d in rows})
     out._keep_integer_form(True, [common] * ring.dim, (
         (key, [(i, x * (common // d)) for i, x in enumerate(v) if x])
@@ -467,6 +488,13 @@ def apply_operator(op, s, twisted=False):
     The terms are grouped by exponent offset, so the work that depends only
     on ``ell`` (weight degree, output exponent, exponent factors) is done
     once per offset for every log degree and component.
+    theta_j = x_j d_j acts on log slot k with coefficient log_map[k][j]
+    (``LogSeries``): an Euler row lowers log slot k by its pairing with
+    row k of the map, which is 0 on lattice logs (rows in the relation
+    lattice), so there it is the scalar a_i . (alpha + ell) - beta_i; a box
+    monomial lowers the logs by prod_j (sum_k log_map[k][j] d_k)^(i_j),
+    expanded once per monomial (``_derivations``).  Slot logs are the
+    identity map.
     The result records the exponent shifts of the operator monomials so
     that zero tests can be restricted to the reliable region, and a box
     operator computes nothing outside that region.  With ``twisted`` the
@@ -485,6 +513,9 @@ def apply_operator(op, s, twisted=False):
         base = sum((Fraction(c) * s.alpha[j] for j, c in active),
                    Fraction(0)) - op.eigenvalue
         shift, scale = base.numerator, base.denominator
+        # the row's coefficient on each log slot, scaled like the value
+        logs = [(k, scale * c) for k, row in enumerate(s.log_map)
+                for c in [sum(c * row[j] for j, c in active)] if c]
         lowerings = {}
         for ell, terms in groups.items():
             value = shift + scale * sum(c * ell[j] for j, c in active)
@@ -492,9 +523,9 @@ def apply_operator(op, s, twisted=False):
                 pattern = lowerings.get(logdeg)
                 if pattern is None:
                     pattern = lowerings[logdeg] = [
-                        (logdeg[:j] + (logdeg[j] - 1,) + logdeg[j + 1:],
-                         scale * c * logdeg[j])
-                        for j, c in active if logdeg[j]]
+                        (logdeg[:k] + (logdeg[k] - 1,) + logdeg[k + 1:],
+                         c * logdeg[k])
+                        for k, c in logs if logdeg[k]]
                 for lg, c in [(logdeg, value)] + pattern if value else pattern:
                     row = acc.get((ell, lg))
                     if row is None:
@@ -523,7 +554,7 @@ def apply_operator(op, s, twisted=False):
                 (op.plus, w_plus, a_scale ** (top - sum(op.plus))),
                 (op.minus, w_minus, -sign * a_scale ** (top - sum(op.minus)))):
             _apply_monomial(acc, groups, degree, mono, factor, alpha, a_scale,
-                            cut + w_shift, width)
+                            cut + w_shift, width, s.log_map)
         shifts = (op.plus, op.minus)
     terms = {}
     for key, row in acc.items():
@@ -535,20 +566,25 @@ def apply_operator(op, s, twisted=False):
 
 
 def _apply_monomial(acc, groups, degree, mono, factor, alpha, a_scale, limit,
-                    width):
+                    width, log_map):
     """Add ``factor`` times d^mono of every integer term whose weight degree
     is at most ``limit`` into ``acc``, everything scaled by a_scale^|mono|;
     ``alpha``, ``degree`` and ``limit`` are already scaled to integers.
 
     In slot j with e = mono[j] and gamma = alpha_j + ell_j,
-    d^e x^gamma log^m = sum_i [z^i] ff(gamma + z, e) * m!/(m-i)!
-    * x^(gamma-e) log^(m-i), with ff the falling factorial; the z^i
-    coefficients of prod_{t<e} (a_scale (gamma - t + z)) are integers.
-    The lowering of a log degree (target, m!/(m-i)! products, the power i
-    per slot) depends on no exponent and is built once per log degree.
+    d_j^e x^gamma f = x^(gamma-e) sum_i [z^i] ff(gamma + z, e) * D_j^i f,
+    with ff the falling factorial and D_j = sum_k log_map[k][j] d/dy_k the
+    log derivative of slot j; the z^i coefficients of
+    prod_{t<e} (a_scale (gamma - t + z)) are integers.  The products of the
+    D_j^(i_j) are expanded once per monomial (``_derivations``), when the
+    first log degree other than 0 needs them; the lowering of a log degree
+    (targets, weights, the powers i_j) depends on no exponent and is built
+    once per log degree.
     """
     slots = [(j, e) for j, e in enumerate(mono) if e]
-    lowerings = {}
+    derivations = None
+    zero = (0,) * len(log_map)
+    lowerings = {zero: [(zero, 1, 0)]}  # only the digits i_j = 0
     for ell, terms in groups.items():
         if degree[ell] > limit:
             continue
@@ -567,7 +603,9 @@ def _apply_monomial(acc, groups, degree, mono, factor, alpha, a_scale, limit,
         for logdeg, nz in terms:
             pattern = lowerings.get(logdeg)
             if pattern is None:
-                pattern = lowerings[logdeg] = _lowering(logdeg, slots)
+                if derivations is None:
+                    derivations = _derivations(slots, log_map)
+                pattern = lowerings[logdeg] = _lowering(logdeg, derivations)
             for lg, weight, index in pattern:
                 c = weight * coef[index]
                 if c:
@@ -578,19 +616,44 @@ def _apply_monomial(acc, groups, degree, mono, factor, alpha, a_scale, limit,
                         row[i] += n * c
 
 
-def _lowering(logdeg, slots):
-    """Every (lowered log degree, prod_j m_j!/(m_j-i_j)!, the digits i_j in
-    mixed radix (e_j + 1)) with i_j <= min(e_j, m_j) in each slot (j, e_j)."""
-    parts = [(logdeg, 1, 0)]
+def _derivations(slots, log_map):
+    """prod_j D_j^(i_j), D_j = sum_k log_map[k][j] d/dy_k, for every digit
+    tuple i_j <= e_j of the slots (j, e_j), in mixed radix (e_j + 1) with
+    the first slot most significant: per index, the nonzero coefficients
+    keyed by the multidegree n of d/dy.  Each is its predecessor in the
+    last slot times one D_j."""
+    parts = [{(0,) * len(log_map): 1}]
     for j, e in slots:
-        lowered = []
-        for lg, w, index in parts:
-            m = lg[j]
-            for i in range(min(e, m) + 1):
-                lowered.append((lg[:j] + (m - i,) + lg[j + 1:],
-                                w * perm(m, i), index * (e + 1) + i))
-        parts = lowered
+        column = [(k, row[j]) for k, row in enumerate(log_map) if row[j]]
+        grown = []
+        for part in parts:
+            grown.append(part)
+            for _ in range(e):
+                times = {}
+                for n, c in part.items():
+                    for k, b in column:
+                        key = n[:k] + (n[k] + 1,) + n[k + 1:]
+                        times[key] = times.get(key, 0) + c * b
+                part = {key: c for key, c in times.items() if c}
+                grown.append(part)
+        parts = grown
     return parts
+
+
+def _lowering(logdeg, derivations):
+    """Every (lowered log degree m - n, c * prod_k m_k!/(m_k-n_k)!, index)
+    with c the coefficient of d/dy^n, n <= m, in ``derivations[index]``."""
+    out = []
+    below = list(product(*(range(m + 1) for m in logdeg)))  # every n <= m
+    for index, part in enumerate(derivations):
+        for n in below:
+            c = part.get(n)
+            if c:
+                for m, d in zip(logdeg, n):
+                    if d:
+                        c *= perm(m, d)
+                out.append((tuple(map(sub, logdeg, n)), c, index))
+    return out
 
 
 def _aux_positions_from_alpha(alpha):

@@ -5,7 +5,8 @@ own copy.
 
 import pytest
 
-from conftest import CORPUS, divisor_classes
+from conftest import (CORPUS, divisor_classes, lattice_log_classes,
+                      slot_log_pairings)
 from test_ring_table import INSTANCES
 from gkzfrac import checks, cli, gkz, series as se, toric
 from gkzfrac import degeneracy as dg
@@ -30,6 +31,28 @@ def test_check_all_builds_each_artifact_once(name, monkeypatch):
     report = cli.run_command("check-all", spec, {"order": None})
     assert not report.failed
     assert calls == {attr: 1 for _module, attr in COUNTED}
+
+
+@pytest.mark.parametrize("name", ["p2", "f1", "p1xp1_r1"])
+def test_only_bseries_expands_x_d_in_slot_logs(name, monkeypatch):
+    # check-all reads the pairings in lattice logs (one class per Kahler
+    # direction) and the chart pairings in chart logs; only the bseries
+    # report pairs the B-series with one class per slot, once
+    nvars = gkz.build_system(CORPUS[name]()).nvars
+    widths = []
+
+    def counted(ring, b, classes, *args, _fn=se.pair_with_dual, **kwargs):
+        widths.append(len(classes))
+        return _fn(ring, b, classes, *args, **kwargs)
+    monkeypatch.setattr(se, "pair_with_dual", counted)
+    spec = cli.parse_input(cli.fixture_path(name))
+    counts = {}
+    for cmd in ("check-all", "bseries"):
+        widths.clear()
+        assert not cli.run_command(cmd, spec, {"order": None}).failed
+        counts[cmd] = (widths.count(nvars), len(widths))
+    assert counts["check-all"][0] == 0 < counts["check-all"][1]
+    assert counts["bseries"] == (1, 1)
 
 
 def test_check_all_walks_the_mori_slab_once(monkeypatch):
@@ -120,16 +143,20 @@ def test_no_expansion_act_merely_scales(monkeypatch):
 @pytest.mark.parametrize("name", ["p2", "f1", "f1_r2"])
 def test_low_degree_pairings_equal_an_order_6_build(name):
     # series.solution_rank reads the shared pairings up to weight degree 6;
-    # they must equal the pairings of a series built at order 6.
+    # they must equal the pairings of a series built at order 6, in the
+    # lattice logs check-all reads and in the slot logs bseries prints
     inst = checks.Instance(CORPUS[name](), order=8)
-    b = se.b_series(inst.sys, inst.ring, inst.omega, 6)
-    refs = se.pair_with_dual(inst.ring, b,
-                             divisor_classes(inst.sys, inst.ring))
-    for s, ref in zip(inst.pairings.components(), refs.components(),
-                      strict=True):
-        low = {key: c for key, c in s.terms.items()
-               if xl.dot(inst.omega, key[0]) <= 6}
-        assert low == ref.terms
+    sys, ring = inst.sys, inst.ring
+    b = se.b_series(sys, ring, inst.omega, 6)
+    for pairings, classes in (
+            (inst.pairings, lattice_log_classes(sys, ring)),
+            (slot_log_pairings(inst), divisor_classes(sys, ring))):
+        refs = se.pair_with_dual(ring, b, classes, log_map=pairings.log_map)
+        for s, ref in zip(pairings.components(), refs.components(),
+                          strict=True):
+            low = {key: c for key, c in s.terms.items()
+                   if xl.dot(inst.omega, key[0]) <= 6}
+            assert low == ref.terms
 
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))

@@ -16,7 +16,7 @@ from math import factorial, gcd, lcm
 
 import pytest
 
-from conftest import divisor_classes
+from conftest import divisor_classes, lattice_log_classes, slot_log_pairings
 from test_exact_linalg import ENGINE_INSTANCES
 from test_ring_table import INSTANCES
 from gkzfrac import checks, toric
@@ -295,13 +295,19 @@ def test_log_part_equals_the_class_products(name, order):
 
 @pytest.mark.parametrize("name, order", PAIRING_CASES)
 def test_pairings_equal_the_class_products(name, order):
+    # the lattice-log pairings check-all reads and the slot-log ones bseries
+    # prints, each against the class products in its own log slots
     inst = checks.Instance(INSTANCES[name](), order=order)
-    ref = reference_pair_with_dual(inst.ring, inst.b,
-                                   divisor_classes(inst.sys, inst.ring))
-    assert typed_items(inst.pairings) == typed_items(ref)
-    assert (inst.pairings.alpha, inst.pairings.weight, inst.pairings.order,
-            inst.pairings.shifts) == (ref.alpha, ref.weight, ref.order,
-                                      ref.shifts)
+    ring, sys = inst.ring, inst.sys
+    for got, classes in ((inst.pairings, lattice_log_classes(sys, ring)),
+                         (slot_log_pairings(inst),
+                          divisor_classes(sys, ring))):
+        ref = reference_pair_with_dual(ring, inst.b, classes)
+        assert typed_items(got) == typed_items(ref)
+        assert (got.alpha, got.weight, got.order, got.shifts) == \
+            (ref.alpha, ref.weight, ref.order, ref.shifts)
+        assert len(got.log_map) == len(classes)
+    assert slot_log_pairings(inst).log_map == se.slot_log_map(sys.nvars)
     for chart in inst.charts:
         got = dg.chart_pairings(inst.sys, inst.ring, chart, inst.b)
         assert typed_items(got) == typed_items(
@@ -321,7 +327,7 @@ def integer_values(form):
 def test_kept_integer_form_equals_the_recomputed_one(name, order):
     inst = checks.Instance(INSTANCES[name](), order=order)
     s = dg.chart_pairings(inst.sys, inst.ring, inst.charts[0], inst.b)
-    for series in (inst.pairings, s):
+    for series in (inst.pairings, slot_log_pairings(inst), s):
         kept = vars(series)["_integer_form"][2]
         assert series.integer_form() is kept
         fresh = series.replace().integer_form()
@@ -334,12 +340,19 @@ def test_kept_integer_form_equals_the_recomputed_one(name, order):
 
 
 def test_equal_entries_share_one_fraction():
-    # P1^3 r1: 3854 nonzero entries hold 127 distinct values; the O_0 and
-    # m = 0 rows enter as they are, the rest share one Fraction per
-    # (numerator, denominator) pair
+    # P1^3 r1: the O_0 and m = 0 rows enter as they are, the products share
+    # one Fraction per (numerator, denominator) pair.  In slot logs
+    # (bseries) 3854 nonzero entries hold 127 distinct values, 3524 of them
+    # in product rows; in lattice logs (check-all) 914 entries hold 62
+    # values, 640 in product rows, where every value is one Fraction
     inst = checks.Instance(INSTANCES["p1p1p1_r1"](), order=4)
-    entries = [c for row in inst.pairings.terms.values() for c in row if c]
+    slot = slot_log_pairings(inst)
+    entries = [c for row in slot.terms.values() for c in row if c]
     assert len({id(c) for c in entries}) * 8 < len(entries)
+    for pairings in (slot, inst.pairings):
+        products = [c for (ell, m), row in pairings.terms.items()
+                    if any(ell) and any(m) for c in row if c]
+        assert len({id(c) for c in products}) * 8 < len(products)
 
 
 # --- fans ---------------------------------------------------------------------------

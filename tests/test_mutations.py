@@ -14,14 +14,15 @@ covector of one facet-defining row dropped.  Every
 annihilation mutation also gives the per-series loop the stacked check
 replaced (``annihilation_per_series``) the same (ok, detail).  The Euler branch of ``apply_operator`` is also held
 to the per-term formula it replaced, on the real solutions and under a
-wrong exponent, where its output is nonzero.
+wrong exponent, where its output is nonzero, for the pairings in lattice
+logs (``Instance.pairings``) and in slot logs (the ``bseries`` form).
 """
 
 from fractions import Fraction
 
 import pytest
 
-from conftest import CORPUS
+from conftest import CORPUS, slot_log_pairings
 from test_threefold import threefold
 from gkzfrac import checks, series as se, toric
 from gkzfrac import exact_linalg as xl
@@ -139,10 +140,13 @@ def test_dropped_parity_twist_fails_annihilation(name, monkeypatch):
     assert annihilation_per_series(inst) == (ok, detail)
 
 
-# the first term of the last pairing in print order, its coefficient doubled
-DOUBLED_LAST_PAIRING = {"p2": "Euler row 0 fails on pairing_2",
-                        "f1": "Euler row 1 fails on pairing_3",
-                        "p1p1p1_r1": "Euler row 0 fails on pairing_7"}
+# the first term of the last pairing in print order, its coefficient
+# doubled; in lattice logs every Euler row is the scalar a_i . (alpha +
+# ell) - beta_i, 0 on every solution term, so a box operator catches it
+DOUBLED_LAST_PAIRING = {"p2": "box (-3, 1, 1, 1) fails on pairing_2",
+                        "f1": "box (-1, 1, -1, 1, 0) fails on pairing_3",
+                        "p1p1p1_r1": "box (-2, 1, 1, 0, 0, 0, 0) fails on "
+                                     "pairing_7"}
 
 
 @pytest.mark.parametrize("name", sorted(FANS))
@@ -157,6 +161,26 @@ def test_doubled_pairing_coefficient_fails_annihilation(name, monkeypatch):
     assert DOUBLED_LAST_PAIRING[name].endswith(
         f"pairing_{inst.ring.dim - 1}")
     assert_annihilation_fails(inst, DOUBLED_LAST_PAIRING[name])
+
+
+# the same defect in the slot-log form, where the Euler rows lower the logs
+DOUBLED_LAST_SLOT_PAIRING = {"p2": "Euler row 0 fails on pairing_2",
+                             "f1": "Euler row 1 fails on pairing_3",
+                             "p1p1p1_r1": "Euler row 0 fails on pairing_7"}
+
+
+@pytest.mark.parametrize("name", sorted(FANS))
+def test_doubled_slot_log_coefficient_fails_annihilation(name, monkeypatch):
+    """Handed the ``bseries`` form, the check catches the defect on the same
+    pairing, first by an Euler row."""
+    inst = instance(name)
+    slot = slot_log_pairings(inst)
+    monkeypatch.setitem(inst.__dict__, "pairings", slot)
+    assert CHECK["series.annihilation"](inst)[0]
+    key = next(key for key, row in slot.sorted_items() if row[-1])
+    row = slot.terms[key]
+    monkeypatch.setitem(slot.terms, key, row[:-1] + (2 * row[-1],))
+    assert_annihilation_fails(inst, DOUBLED_LAST_SLOT_PAIRING[name])
 
 
 # every log class of degree >= 2 doubled: a wrong 1/m! in the log slots
@@ -273,17 +297,20 @@ def test_duplicated_pairing_fails_solution_rank(name, monkeypatch):
 
 
 def euler_per_term(op, s):
-    """The Euler branch as it was: the whole scalar rebuilt for every term."""
+    """The Euler branch as it was: the whole scalar rebuilt for every term;
+    theta_j lowers log slot k with coefficient log_map[k][j]."""
     out = s.replace(terms={}, shifts=((0,) * len(s.alpha),))
     for (ell, logdeg), coeff in s.terms.items():
         scalar = sum(Fraction(c) * (s.alpha[j] + ell[j])
                      for j, c in enumerate(op.coeffs) if c)
         out.add_term(ell, logdeg, coeff * (scalar - op.eigenvalue))
         for j, c in enumerate(op.coeffs):
-            if c and logdeg[j] > 0:
-                lower = tuple(m - (1 if jj == j else 0)
-                              for jj, m in enumerate(logdeg))
-                out.add_term(ell, lower, coeff * (Fraction(c) * logdeg[j]))
+            for k, row in enumerate(s.log_map):
+                if c and row[j] and logdeg[k] > 0:
+                    lower = tuple(m - (1 if kk == k else 0)
+                                  for kk, m in enumerate(logdeg))
+                    out.add_term(ell, lower,
+                                 coeff * (Fraction(c * row[j]) * logdeg[k]))
     return out
 
 
@@ -292,7 +319,8 @@ def test_euler_branch_equals_per_term_formula(name):
     inst = instance(name)
     wrong = wrong_alpha(inst.sys)
     nonzero = 0
-    for s in [inst.gamma, inst.period] + inst.pairings.components():
+    for s in [inst.gamma, inst.period] + inst.pairings.components() + \
+            slot_log_pairings(inst).components():
         for series in (s, s.replace(alpha=wrong)):
             for op in inst.sys.euler_operators():
                 result = se.apply_operator(op, series)

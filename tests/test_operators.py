@@ -17,13 +17,22 @@ The check applies each operator three times, to gamma, to the period and
 to the stacked pairings; it must give the (ok, detail) of the per-series
 loop it replaced, and a stacked pass must give, component by component, the
 terms of the scalar passes.
+
+The pairings the check reads are in lattice logs (``Instance.pairings``);
+the ``bseries`` form in slot logs is the reference.  Substituting
+y_k = sum_j log_map[k][j] log x_j into the lattice-log pairings must give
+the slot-log pairings exactly, and it must commute with every operator on
+a defective series too, so the check sees on the lattice-log form what it
+saw on the slot-log one.  The slot-only lowering ``apply_operator`` used
+before log maps is kept as the reference for the identity map.
 """
 
 from fractions import Fraction
+from math import perm
 
 import pytest
 
-from conftest import p1_fan
+from conftest import p1_fan, slot_log_pairings, substitute
 from test_mutations import annihilation_per_series, wrong_alpha
 from test_ring_table import INSTANCES
 from gkzfrac import checks, gkz, series as se
@@ -33,17 +42,19 @@ ORDER = {"p1p1p1_r1": 4, "p1p1p1_r3": 4, "surface5": 5, "surface8": 5}
 
 
 def differentiate(s, pos):
-    """Formal partial derivative in slot ``pos``."""
+    """Formal partial derivative in slot ``pos``: d/dx_pos of log slot k is
+    log_map[k][pos] / x_pos."""
     out = s.replace(terms={})
     for (ell, logdeg), coeff in s.terms.items():
         gamma = s.alpha[pos] + ell[pos]
         shifted = tuple(e - (1 if j == pos else 0) for j, e in enumerate(ell))
         if gamma != 0:
             out.add_term(shifted, logdeg, coeff * gamma)
-        if logdeg[pos] > 0:
-            lower = tuple(m - (1 if j == pos else 0)
-                          for j, m in enumerate(logdeg))
-            out.add_term(shifted, lower, coeff * logdeg[pos])
+        for k, row in enumerate(s.log_map):
+            if logdeg[k] > 0 and row[pos]:
+                lower = tuple(m - (1 if j == k else 0)
+                              for j, m in enumerate(logdeg))
+                out.add_term(shifted, lower, coeff * logdeg[k] * row[pos])
     return out
 
 
@@ -112,10 +123,16 @@ def targets(inst):
         for h, s in enumerate(inst.pairings.components())]
 
 
+def slot_targets(inst):
+    """The pairings as ``bseries`` prints them, in slot logs."""
+    return [(f"slot pairing_{h}", s)
+            for h, s in enumerate(slot_log_pairings(inst).components())]
+
+
 def test_box_equals_reference_on_reliable_region(inst):
     wrong = wrong_alpha(inst.sys)
     nonzero = 0
-    for _name, s in targets(inst):
+    for _name, s in targets(inst) + slot_targets(inst):
         for series in (s, s.replace(alpha=wrong)):
             for op in inst.sys.box_operators():
                 assert_box_matches_reference(op, series)
@@ -194,7 +211,7 @@ def reliable_positions(op, s):
 
 
 def test_annihilation_tests_reliable_positions(inst):
-    for name, s in targets(inst):
+    for name, s in targets(inst) + slot_targets(inst):
         for op in inst.sys.box_operators():
             assert reliable_positions(op, s), (op.ell, name)
 
@@ -251,3 +268,74 @@ def test_check_all_applies_each_operator_three_times(monkeypatch):
     ops = inst.sys.euler_operators() + inst.sys.box_operators()
     assert len(ops) == 7
     assert len(calls) == 3 * len(ops) == 21
+
+
+# --- lattice logs against slot logs ----------------------------------------------------
+
+def reference_lowering(logdeg, slots):
+    """The slot-log lowering as it was, kept verbatim: every (lowered log
+    degree, prod_j m_j!/(m_j-i_j)!, the digits i_j in mixed radix
+    (e_j + 1)) with i_j <= min(e_j, m_j) in each slot (j, e_j)."""
+    parts = [(logdeg, 1, 0)]
+    for j, e in slots:
+        lowered = []
+        for lg, w, index in parts:
+            m = lg[j]
+            for i in range(min(e, m) + 1):
+                lowered.append((lg[:j] + (m - i,) + lg[j + 1:],
+                                w * perm(m, i), index * (e + 1) + i))
+        parts = lowered
+    return parts
+
+
+def test_identity_map_lowering_equals_the_slot_lowering(inst):
+    """On slot logs every box monomial lowers each log degree exactly as the
+    slot-only code did, in the same order."""
+    identity = se.slot_log_map(inst.sys.nvars)
+    logdegs = {m for _ell, m in slot_log_pairings(inst).terms}
+    assert len(logdegs) > 1
+    for op in inst.sys.box_operators():
+        for mono in (op.plus, op.minus):
+            slots = [(j, e) for j, e in enumerate(mono) if e]
+            derivations = se._derivations(slots, identity)
+            for m in logdegs:
+                assert se._lowering(m, derivations) == \
+                    reference_lowering(m, slots)
+
+
+def test_lattice_logs_transport_to_slot_logs(inst):
+    """Substituting the lattice logs into ``inst.pairings`` gives the slot-log
+    pairings key for key and Fraction for Fraction."""
+    got, ref = substitute(inst.pairings), slot_log_pairings(inst)
+    assert len(inst.pairings.log_map) == len(inst.sys.basis) < inst.sys.nvars
+    assert got.terms == ref.terms
+    assert {key: [type(c) for c in row] for key, row in got.terms.items()} \
+        == {key: [type(c) for c in row] for key, row in ref.terms.items()}
+
+
+def reliable_terms(s):
+    return {key: c for key, c in s.terms.items() if s._is_reliable(key[0])}
+
+
+def test_operators_commute_with_the_transport(inst):
+    """One lattice-log coefficient doubled (the first term of the last
+    pairing in print order): every Euler and box operator, applied in
+    lattice logs and then substituted, gives on the reliable region what it
+    gives applied to the substituted series, and the first failing pairing
+    is the same, so the check keeps its power on the lattice-log form."""
+    lattice = inst.pairings.replace(terms=dict(inst.pairings.terms))
+    key = next(key for key, row in lattice.sorted_items() if row[-1])
+    row = lattice.terms[key]
+    lattice.terms[key] = row[:-1] + (2 * row[-1],)
+    slot = substitute(lattice)
+    assert slot.terms != slot_log_pairings(inst).terms
+    failing = set()
+    for op in inst.sys.euler_operators() + inst.sys.box_operators():
+        got = se.apply_operator(op, lattice)
+        ref = se.apply_operator(op, slot)
+        assert reliable_terms(substitute(got)) == reliable_terms(ref)
+        first = got.first_nonzero_component()
+        assert first == ref.first_nonzero_component()
+        failing.add(first)
+    # the defect shows, on the pairing that carries it and nowhere else
+    assert failing == {None, inst.ring.dim - 1}
