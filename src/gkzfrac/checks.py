@@ -6,7 +6,7 @@ identifiers are stable and are referenced by the traceability table in the
 README.
 """
 
-from itertools import product, takewhile
+from itertools import takewhile
 
 from . import degeneracy as dg
 from . import exact_linalg as xl
@@ -174,12 +174,21 @@ def _check_annihilation(inst):
 
 
 def _check_mori_support(inst):
+    """Off the curve cone the ray slots with ell_j < 0 hold a primitive
+    collection P (the support half of the B-series theorem); O_ell is then 0
+    as prod_{j in P} D_j = 0, alpha_j = 0 and the factor at c = -1 is D_j."""
     sys, ring = inst.sys, inst.ring
-    for coords in product(range(-2, 3), repeat=len(sys.basis)):
-        if not se.coords_in_mori_cone(sys, coords):
-            ell = sys.from_basis_coords(coords)
-            if not se.o_class(sys, ring, ell).is_zero():
-                return False, f"nonzero coefficient at {ell} off the curve cone"
+    for pc in sys.collections:
+        cls = ring.one()
+        for i_ray in pc.rays:
+            cls *= ring.divisor_class(*sys.fan.double_index_of_ray(i_ray))
+        if not cls.is_zero():
+            return False, f"collection {sorted(pc.rays)} has a nonzero product"
+    for (i, j), a in zip(sys.j_indices(), sys.alpha):
+        if j and a:
+            return False, f"ray slot {(i, j)} has alpha {a}"
+        if j and ring.slot_factor(i, j, a, -1)[0] != ring.divisor_class(i, j):
+            return False, f"lowering factor of slot {(i, j)} is not its class"
     return True, "slab coefficients vanish off the curve cone"
 
 

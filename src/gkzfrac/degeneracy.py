@@ -8,9 +8,8 @@ to a plain power series, and among the solution pairings exactly one is free
 of logarithms, which is the executable content of the degeneracy statement.
 """
 
-from fractions import Fraction
 from itertools import product
-from math import floor
+from math import floor, lcm
 
 from . import exact_linalg as xl
 from . import series as se
@@ -247,13 +246,11 @@ def maximal_degeneracy_check(sys, ring, chart, period, b):
 
     # the combinations of the pairings that vanish on every log key
     pairings = chart_pairings(sys, ring, chart, b)
-    log_rows = [row for (_, logdeg), row in pairings.terms.items()
-                if any(logdeg)]
-    if log_rows:
-        null = xl.solve_linear(log_rows, (0,) * len(log_rows))[1]
-    else:
-        null = [tuple(Fraction(1 if i == j else 0) for i in range(ring.dim))
-                for j in range(ring.dim)]
+    _, dens, groups = pairings.integer_form()
+    scale = [lcm(*dens) // d for d in dens]
+    null = xl.null_basis([[(i, n * scale[i]) for i, n in nz]
+                          for terms in groups.values()
+                          for logdeg, nz in terms if any(logdeg)], ring.dim)
     if len(null) == 1:
         combo = [(i, c) for i, c in enumerate(null[0]) if c]
         log_free = _chart_series(chart, b)
@@ -267,7 +264,7 @@ def maximal_degeneracy_check(sys, ring, chart, period, b):
             ratio = None
             consistent = True
             for key, value in chart_period.sorted_items():
-                other = log_free.terms.get(key, Fraction(0))
+                other = log_free.terms.get(key, 0)
                 if ratio is None:
                     if value == 0:
                         continue

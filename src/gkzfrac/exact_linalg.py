@@ -9,6 +9,7 @@ favour determinism and transparency over asymptotics.
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
+from operator import attrgetter, mul
 
 from .errors import (DimensionMismatch, EmptyInterior, NotUnimodular,
                      RankDeficient, TruncationTooLarge)
@@ -19,7 +20,7 @@ from .errors import (DimensionMismatch, EmptyInterior, NotUnimodular,
 def dot(u, v):
     if len(u) != len(v):
         raise DimensionMismatch(f"dot: {len(u)} vs {len(v)}")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def vec_add(u, v):
@@ -65,9 +66,9 @@ def transpose(m):
 
 def integer_scaled(v):
     """(ints, den): the entries of v times den, the lcm of their denominators."""
-    den = lcm(*(x.denominator for x in v))
+    den = lcm(*map(attrgetter("denominator"), v))
     if den == 1:
-        return [int(x) for x in v], 1
+        return list(map(int, v)), 1
     return [x.numerator * (den // x.denominator) for x in v], den
 
 
@@ -139,19 +140,14 @@ def rank(m):
 
 # --- reduced row echelon form and linear solving ------------------------------
 
-def rref(m):
-    """Reduced row echelon form over the rationals.
-
-    Returns (rows, pivots) where pivots[i] is the column of the i-th pivot
-    and the entries of rows are Fractions.  Each row is scaled to integers
-    once and eliminated fraction-free; a pivot row is divided by its pivot
-    only when it is emitted.
-    """
+def echelon(m):
+    """Reduced row echelon form over the rationals as (rows, pivots):
+    rows[i] is an integer row standing for ``rows[i] / rows[i][pivots[i]]``,
+    and zero rows are dropped.  Each row is scaled to integers once and
+    eliminated fraction-free; no Fraction is built."""
     a = [integer_scaled(row)[0] for row in m]
-    nrows = len(a)
-    ncols = len(a[0]) if a else 0
-    pivots = []
-    row = 0
+    nrows, ncols = len(a), len(a[0]) if a else 0
+    pivots, row = [], 0
     for col in range(ncols):
         piv = next((r for r in range(row, nrows) if a[r][col]), None)
         if piv is None:
@@ -164,28 +160,28 @@ def rref(m):
         row += 1
         if row == nrows:
             break
-    out = []
-    for ints, col in zip(a, pivots):
-        p = ints[col]
-        out.append(tuple(map(Fraction, ints)) if p == 1
-                   else tuple(Fraction(x, p) for x in ints))
-    out.extend((Fraction(0),) * ncols for _ in range(nrows - row))
-    return out, pivots
+    return a[:row], pivots
+
+
+def _free_kernel_vector(rows, pivots, free, dim):
+    """The primitive integer kernel vector of ``echelon`` output that is
+    positive at the free column ``free`` and 0 at every other free column."""
+    scale = lcm(*(row[col] for row, col in zip(rows, pivots) if row[free]))
+    v = [scale if c == free else 0 for c in range(dim)]
+    for row, col in zip(rows, pivots):
+        v[col] = -row[free] * scale // row[col]
+    return primitive_vector(v)
 
 
 def primitive_normal(rows, dim):
     """Primitive integer vector spanning the kernel of ``rows`` (length
     ``dim``, integer or rational entries), with its free coordinate
     positive; None unless that kernel is one-dimensional."""
-    reduced, pivots = rref(rows)
+    reduced, pivots = echelon(rows)
     if len(pivots) != dim - 1:
         return None
     free = next(c for c in range(dim) if c not in pivots)
-    normal = [Fraction(0)] * dim
-    normal[free] = Fraction(1)
-    for row, col in zip(reduced, pivots):
-        normal[col] = -row[free]
-    return primitive_vector(integer_scaled(normal)[0])
+    return _free_kernel_vector(reduced, pivots, free, dim)
 
 
 # --- extreme rays -------------------------------------------------------------
@@ -202,7 +198,7 @@ def extreme_rays(inequalities, dim):
     dimension 1 raises EmptyInterior.
     """
     rows = [primitive_vector(integer_scaled(g)[0]) for g in inequalities]
-    basis = rref(transpose(rows))[1]
+    basis = echelon(transpose(rows))[1]
     if len(basis) < dim:
         if len(basis) < dim - 1:
             return []
@@ -259,23 +255,20 @@ def hull_facets(points):
     meaning a.x == c and a.x <= c, with primitive integer a, that together
     cut out the hull.
 
-    The rref of the differences from the first point has its pivots in
-    coordinates where the hull is full-dimensional; each other coordinate
-    is an affine function of those, which the equations state.  The facets
-    are those of the hull in the pivot coordinates, where a point's
-    coordinates are its own pivot entries: a.x <= c for the extreme rays
-    (a, c) of {(a, c) : c - a.p >= 0}.  The ray (0, ..., 0, 1) is interior
-    to that cone, so every ray has a != 0.
+    The echelon form of the differences from the first point has its
+    pivots in coordinates where the hull is full-dimensional; each other
+    coordinate is an affine function of those, which the equations state.
+    The facets are those of the hull in the pivot coordinates, where a
+    point's coordinates are its own pivot entries: a.x <= c for the extreme
+    rays (a, c) of {(a, c) : c - a.p >= 0}.  The ray (0, ..., 0, 1) is
+    interior to that cone, so every ray has a != 0.
     """
     p0 = points[0]
-    reduced, pivots = rref([vec_sub(p, p0) for p in points[1:]])
+    reduced, pivots = echelon([vec_sub(p, p0) for p in points[1:]])
     equations = []
     for f in range(len(p0)):
         if f not in pivots:
-            n = [int(c == f) for c in range(len(p0))]
-            for row, col in zip(reduced, pivots):
-                n[col] = -row[f]
-            n = primitive_vector(integer_scaled(n)[0])
+            n = _free_kernel_vector(reduced, pivots, f, len(p0))
             equations.append((n, dot(n, p0)))
     facets = []
     if pivots:
@@ -298,22 +291,38 @@ def solve_linear(m, b):
     if not m:
         return ((), [])
     ncols = len(m[0])
-    aug = [tuple(row) + (bi,) for row, bi in zip(m, b)]
-    rows, pivots = rref(aug)
+    rows, pivots = echelon([tuple(row) + (bi,) for row, bi in zip(m, b)])
     if ncols in pivots:
         return None
     particular = [Fraction(0)] * ncols
-    for i, col in enumerate(pivots):
-        particular[col] = rows[i][ncols]
-    free = [c for c in range(ncols) if c not in pivots]
+    for row, col in zip(rows, pivots):
+        particular[col] = Fraction(row[ncols], row[col])
     null = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for i, col in enumerate(pivots):
-            v[col] = -rows[i][f]
-        null.append(tuple(v))
+    for f in range(ncols):
+        if f not in pivots:
+            v = _free_kernel_vector(rows, pivots, f, ncols)
+            null.append(tuple(Fraction(x, v[f]) for x in v))
     return tuple(particular), null
+
+
+def null_basis(rows, ncols):
+    """``solve_linear(m, (0,) * len(m))[1]`` for the integer rows of m, given
+    as (column, entry) pairs, one row at a time: the vector of free column
+    f is 0 at the other free columns and after f; a row not vanishing on it
+    makes the least such f a pivot, and the later vectors clear by it."""
+    basis = [(f, [int(c == f) for c in range(ncols)]) for f in range(ncols)]
+    for row in rows:
+        for k, (_, pivot) in enumerate(basis):
+            p = sum([x * pivot[c] for c, x in row])
+            if p:
+                del basis[k]
+                for i, (g, b) in enumerate(basis[k:], k):
+                    v = sum([x * b[c] for c, x in row])
+                    if v:
+                        basis[i] = g, primitive_vector(
+                            [p * x - v * y for x, y in zip(b, pivot)])
+                break
+    return [tuple(Fraction(x, b[f]) for x in b) for f, b in basis]
 
 
 def solve_unique(m, b):
@@ -326,14 +335,15 @@ def solve_unique(m, b):
 
 def unimodular_inverse(m):
     """The integer inverse of a square integer matrix of determinant +-1,
-    from one ``rref`` of ``[m | I]``; raises NotUnimodular otherwise."""
+    from one ``echelon`` of ``[m | I]``; raises NotUnimodular otherwise."""
     d = det(m)
     if abs(d) != 1:
         raise NotUnimodular(f"matrix has determinant {d}, expected +-1")
     k = len(m)
-    reduced, _ = rref([tuple(row) + tuple(int(i == j) for j in range(k))
-                       for i, row in enumerate(m)])
-    return tuple(tuple(int(x) for x in row[k:]) for row in reduced)
+    reduced, _ = echelon([tuple(row) + tuple(int(i == j) for j in range(k))
+                          for i, row in enumerate(m)])
+    return tuple(tuple(x // row[i] for x in row[k:])
+                 for i, row in enumerate(reduced))
 
 
 # --- Hermite normal form ------------------------------------------------------
@@ -439,20 +449,17 @@ def kernel_basis(m):
 def kernel_points_in_box(m, bound):
     """Nonzero integer v with m v = 0 and every entry in [-bound, bound].
 
-    Only the free coordinates of rref(m) are walked; each pivot coordinate
+    Only the free coordinates of echelon(m) are walked; each pivot coordinate
     is solved from them and kept when it is an integer inside the box.  The
     result is the box's kernel points in lexicographic order, found from
     (2*bound+1)**(ncols - rank) candidates instead of (2*bound+1)**ncols.
     """
     ncols = len(m[0])
-    rows, pivots = rref(m)
+    rows, pivots = echelon(m)
     free = [c for c in range(ncols) if c not in pivots]
-    # pivot value = -sum(row[f] x_f) = sum(coeffs[f] x_f) / den, in integers
-    solved = []
-    for col, row in zip(pivots, rows):
-        den = lcm(*(row[f].denominator for f in free))
-        solved.append((col, den, [(f, int(-row[f] * den)) for f in free
-                                  if row[f]]))
+    # pivot value = -sum(row[f] x_f) / row[col], in integers
+    solved = [(col, row[col], [(f, -row[f]) for f in free if row[f]])
+              for col, row in zip(pivots, rows)]
     out = []
     for xs in product(range(-bound, bound + 1), repeat=len(free)):
         v = [0] * ncols
@@ -536,7 +543,7 @@ def lattice_points(rows, dim, cap=None, cap_name=None):
 
     The region's vertices are x / t for the extreme rays with t > 0 of
     {(x, t) : b t - a.x >= 0, t >= 0}, in the coordinates where the rows'
-    coefficients have their rref pivots.  The search fixes one coordinate
+    coefficients have their echelon pivots.  The search fixes one coordinate
     at a time.  The bounds on coordinate k, given the ones before it, come
     from ``hull_facets`` of the vertices projected onto coordinates 0..k
     (the projection of a polytope is the hull of its projected vertices);
@@ -547,7 +554,7 @@ def lattice_points(rows, dim, cap=None, cap_name=None):
     came from, when given).
     """
     rows = [integer_scaled(tuple(a) + (b,))[0] for a, b in rows]
-    pivots = rref([r[:-1] for r in rows])[1]
+    pivots = echelon([r[:-1] for r in rows])[1]
     cone = [[-r[c] for c in pivots] + [r[-1]] for r in rows]
     cone.append([0] * len(pivots) + [1])
     rays = extreme_rays(cone, len(pivots) + 1)

@@ -391,14 +391,6 @@ def _sparse(coords):
     return tuple((k, c) for k, c in enumerate(coords) if c)
 
 
-def _times(mu, variables):
-    """The monomial mu times the product of the given variables."""
-    expo = list(mu)
-    for var in variables:
-        expo[var] += 1
-    return tuple(expo)
-
-
 def _monomial_key(expo):
     """Sorted variable sequence of a monomial, for earliest-first ordering."""
     seq = []
@@ -460,39 +452,37 @@ class CohomologyRing:
     # -- construction --
 
     def _build(self):
-        """Basis and normal forms, degree by degree, from one ``xl.rref``.
+        """Basis and normal forms, degree by degree, from one ``xl.echelon``.
 
         The candidates of degree d are its monomials, square-free first,
         each group in ``_monomial_key`` order; the greedy search keeps a
         candidate unless it is congruent to a combination of earlier ones.
-        The relation rows (Stanley-Reisner multiples, then linear relations
-        times monomials) are written over the candidates in reverse order,
-        so a row's leading entry sits at its latest candidate.  A candidate
-        is thus skipped iff some relation has its leading entry there: the
-        free columns of the rref, in candidate order, are the greedy basis,
-        and each pivot row writes its monomial over them.  Returns each
-        monomial's normal form as (basis index -> numerator, denominator).
+        A monomial divisible by a Stanley-Reisner generator is 0; the other
+        ("live") candidates are the columns, in reverse order, of the linear
+        relations times monomials, so a row's leading entry sits at its
+        latest candidate.  A candidate is thus skipped iff some relation has
+        its leading entry there: the free columns of the echelon form, in
+        candidate order, are the greedy basis, and each pivot row writes its
+        monomial over them.  Returns each live monomial's normal form as
+        (basis index -> numerator, denominator).
         """
         normal = {}
         for d in range(self.top + 1):
-            cols = sorted(_monomials_of_degree(self.p, d),
-                          key=lambda m: (max(m) > 1, _monomial_key(m)))[::-1]
+            cols = [m for m in sorted(
+                _monomials_of_degree(self.p, d), reverse=True,
+                key=lambda m: (max(m) > 1, _monomial_key(m)))
+                if not any(all(m[v] for v in s) for s in self._sr)]
             pos = {m: c for c, m in enumerate(cols)}
-            rows = []
-            for s in self._sr:
-                if len(s) <= d:
-                    for mu in _monomials_of_degree(self.p, d - len(s)):
-                        row = [0] * len(cols)
-                        row[pos[_times(mu, s)]] = 1
-                        rows.append(row)
-            for lam in self._linear if d else ():
-                for mu in _monomials_of_degree(self.p, d - 1):
+            rows, lower = [], _monomials_of_degree(self.p, d - 1) if d else ()
+            for lam in self._linear:
+                for mu in lower:
                     row = [0] * len(cols)
                     for var, c in enumerate(lam):
-                        if c:
-                            row[pos[_times(mu, (var,))]] += c
+                        m = mu[:var] + (mu[var] + 1,) + mu[var + 1:]
+                        if c and m in pos:
+                            row[pos[m]] += c
                     rows.append(row)
-            reduced, pivots = xl.rref(rows)
+            reduced, pivots = xl.echelon(rows)
             pivot_set = set(pivots)
             free = [c for c in reversed(range(len(cols))) if c not in pivot_set]
             basis = [cols[c] for c in free]
@@ -505,16 +495,14 @@ class CohomologyRing:
             for f in free:
                 normal[cols[f]] = {index[f]: 1}, 1
             for row, c in zip(reduced, pivots):
-                ints, den = xl.integer_scaled(row)
-                normal[cols[c]] = {index[f]: -ints[f] for f in free}, den
+                normal[cols[c]] = {index[f]: -row[f] for f in free}, row[c]
         return normal
 
     def reduce_monomial(self, expo):
         """The class of a monomial, read from the normal forms built by the
-        constructor; the zero class above the top degree."""
-        if sum(expo) > self.top:
-            return self._zero
-        return self._normal[tuple(expo)]
+        constructor; a monomial without one (above the top degree, or
+        divisible by a Stanley-Reisner generator) is 0."""
+        return self._normal.get(tuple(expo), self._zero)
 
     def _point_class(self):
         ref = None

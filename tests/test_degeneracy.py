@@ -6,7 +6,7 @@ import pytest
 
 from conftest import p1_fan, p1xp1_fan_r2, p2_fan
 from test_exact_linalg import ENGINE_INSTANCES, SQUARE8, cyclic_surface
-from test_ring_table import INSTANCES
+from test_ring_table import INSTANCES, REFERENCE_ORDERS
 from gkzfrac import checks
 from gkzfrac import degeneracy as dg
 from gkzfrac import gkz, series as se, toric
@@ -416,3 +416,38 @@ def test_charts_tile_the_kahler_cone(name):
         point = tuple(map(sum, zip(*(xl.vec_scale(rng.randint(1, 6), r)
                                      for r in kahler.rays))))
         assert any(in_simplicial_cone(piece, point) for piece in pieces)
+
+
+# --- the certificate's null space ----------------------------------------------------
+
+CERTIFIED = dict(
+    {name: (build, REFERENCE_ORDERS[name]) for name, build in INSTANCES.items()},
+    **{name: (build, 5) for name, (build, _) in MULTI_CHART.items()})
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFIED))
+def test_certificate_null_space_equals_solve_linear(name, monkeypatch):
+    """On every chart, the null space the certificate finds from the
+    integer form of the log rows is ``solve_linear``'s on their Fraction
+    coordinate tuples."""
+    build, order = CERTIFIED[name]
+    inst = checks.Instance(build(), order=order)
+    found = []
+    original = xl.null_basis
+
+    def recorded(rows, ncols):
+        found.append(original(rows, ncols))
+        return found[-1]
+
+    monkeypatch.setattr(xl, "null_basis", recorded)
+    expected = []
+    for chart in inst.charts:
+        pairings = dg.chart_pairings(inst.sys, inst.ring, chart, inst.b)
+        log_rows = [row for (_, logdeg), row in pairings.terms.items()
+                    if any(logdeg)]
+        assert log_rows
+        expected.append(xl.solve_linear(log_rows, (0,) * len(log_rows))[1])
+        assert dg.maximal_degeneracy_check(inst.sys, inst.ring, chart,
+                                           inst.period, inst.b).passed
+    assert found == expected
+    assert all(len(null) == 1 for null in found)

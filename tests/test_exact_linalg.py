@@ -1,13 +1,14 @@
 import random
 from fractions import Fraction
-from itertools import combinations
-from math import ceil, floor, gcd
+from itertools import combinations, product
+from math import ceil, floor, gcd, lcm
 
 import pytest
 
 from test_random_fans import (BIPARTITION_SEEDS, INVARIANT_SEEDS,
                               bipartition_fans, invariant_fans)
-from test_ring_table import INSTANCES, REFERENCE_ORDERS
+from test_ring_table import (INSTANCES, REFERENCE_ORDERS, SQUARE8, TRIANGLE9,
+                             cyclic_surface)
 from gkzfrac import checks, gkz, series as se, toric
 from gkzfrac import degeneracy as dg
 from gkzfrac import exact_linalg as xl
@@ -142,12 +143,41 @@ def test_random_matrices_cover_every_shape():
                for m in random_matrices() if m and m[0])
 
 
-def test_rref_equals_fraction_reference():
-    for m in random_matrices():
-        rows, pivots = xl.rref(m)
+def echelon_cases():
+    """The seeded matrices, and the same matrices with a row repeated, a
+    zero row added and every row emptied."""
+    cases = random_matrices()
+    for m in random_matrices(seed=4343, count=120):
+        if m and m[0]:
+            cases += [m + [m[0]], [(0,) * len(m[0])] + m, [()] * len(m)]
+    return cases
+
+
+def fraction_echelon(m):
+    """``echelon`` read off the Fraction reference: its nonzero rows, each
+    scaled to integers."""
+    rows, pivots = fraction_rref(m)
+    return [xl.integer_scaled(row)[0] for row in rows[:len(pivots)]], pivots
+
+
+def test_echelon_cases_cover_repeated_zero_and_empty_rows():
+    cases = echelon_cases()
+    assert any(len(set(m)) < len(m) and any(map(any, m)) for m in cases)
+    assert any(not any(m[0]) and len(m[0]) for m in cases if m)
+    assert any(m and not m[0] for m in cases) and [] in cases
+    assert {type(x) for m in cases for row in m for x in row} == {int, Fraction}
+
+
+def test_echelon_equals_fraction_reference():
+    for m in echelon_cases():
+        rows, pivots = xl.echelon(m)
         expected_rows, expected_pivots = fraction_rref(m)
-        assert (rows, pivots) == (expected_rows, expected_pivots), m
-        assert entry_types(rows) == entry_types(expected_rows), m
+        assert pivots == expected_pivots, m
+        assert all(type(x) is int for row in rows for x in row), m
+        assert [tuple(Fraction(x, row[col]) for x in row)
+                for row, col in zip(rows, pivots)] == \
+            expected_rows[:len(pivots)], m
+        assert not any(map(any, expected_rows[len(pivots):])), m
 
 
 def test_rank_equals_fraction_reference():
@@ -188,7 +218,7 @@ def test_solving_equals_fraction_reference(solve, monkeypatch):
         arbitrary = tuple(rng.randint(-5, 5) for _ in m)
         cases += [(m, consistent), (m, arbitrary)]
     got = [getattr(xl, solve)(m, b) for m, b in cases]
-    monkeypatch.setattr(xl, "rref", fraction_rref)
+    monkeypatch.setattr(xl, "echelon", fraction_echelon)
     expected = [getattr(xl, solve)(m, b) for m, b in cases]
     assert got == expected
     for value, reference in zip(got, expected):
@@ -201,6 +231,201 @@ def test_solving_equals_fraction_reference(solve, monkeypatch):
     assert any(v is None for v in got) and any(v is not None for v in got)
 
 
+# --- each caller of echelon against its form on the Fraction rref ------------------
+
+def rref_solve_linear(m, b):
+    """``solve_linear`` as it read the Fraction rref."""
+    if not m:
+        return ((), [])
+    ncols = len(m[0])
+    rows, pivots = fraction_rref([tuple(row) + (bi,) for row, bi in zip(m, b)])
+    if ncols in pivots:
+        return None
+    particular = [Fraction(0)] * ncols
+    for i, col in enumerate(pivots):
+        particular[col] = rows[i][ncols]
+    null = []
+    for f in [c for c in range(ncols) if c not in pivots]:
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for i, col in enumerate(pivots):
+            v[col] = -rows[i][f]
+        null.append(tuple(v))
+    return tuple(particular), null
+
+
+def rref_hull_equations(points):
+    """The equations of ``hull_facets`` as they were read off the rref."""
+    p0 = points[0]
+    reduced, pivots = fraction_rref([xl.vec_sub(p, p0) for p in points[1:]])
+    equations = []
+    for f in range(len(p0)):
+        if f not in pivots:
+            n = [int(c == f) for c in range(len(p0))]
+            for row, col in zip(reduced, pivots):
+                n[col] = -row[f]
+            n = xl.primitive_vector(xl.integer_scaled(n)[0])
+            equations.append((n, xl.dot(n, p0)))
+    return equations
+
+
+def rref_unimodular_inverse(m):
+    """``unimodular_inverse`` as it read the rref of [m | I]."""
+    k = len(m)
+    reduced, _ = fraction_rref([tuple(row) + tuple(int(i == j) for j in range(k))
+                                for i, row in enumerate(m)])
+    return tuple(tuple(int(x) for x in row[k:]) for row in reduced)
+
+
+def rref_kernel_points_in_box(m, bound):
+    """``kernel_points_in_box`` as it solved the pivots from the rref."""
+    ncols = len(m[0])
+    rows, pivots = fraction_rref(m)
+    free = [c for c in range(ncols) if c not in pivots]
+    solved = []
+    for col, row in zip(pivots, rows):
+        den = lcm(*(row[f].denominator for f in free))
+        solved.append((col, den, [(f, int(-row[f] * den)) for f in free
+                                  if row[f]]))
+    out = []
+    for xs in product(range(-bound, bound + 1), repeat=len(free)):
+        v = [0] * ncols
+        for f, x in zip(free, xs):
+            v[f] = x
+        for col, den, coeffs in solved:
+            value, rem = divmod(sum(c * v[f] for f, c in coeffs), den)
+            if rem or abs(value) > bound:
+                break
+            v[col] = value
+        else:
+            if any(v):
+                out.append(tuple(v))
+    return sorted(out)
+
+
+def random_unimodular(rng, k):
+    """A k x k integer matrix of determinant +-1 from seeded row operations."""
+    m = [[int(i == j) for j in range(k)] for i in range(k)]
+    for _ in range(8):
+        i, j = rng.sample(range(k), 2) if k > 1 else (0, 0)
+        if i != j:
+            c = rng.randint(-3, 3)
+            m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+        if rng.random() < 0.3:
+            m[i] = [-x for x in m[i]]
+    return m
+
+
+def test_solve_linear_equals_its_rref_form():
+    rng = random.Random(98)
+    tested = 0
+    for m in random_matrices():
+        if m and m[0]:
+            x = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in m[0]]
+            for b in (tuple(xl.dot(row, x) for row in m),
+                      tuple(rng.randint(-5, 5) for _ in m)):
+                value, expected = xl.solve_linear(m, b), rref_solve_linear(m, b)
+                assert value == expected, (m, b)
+                if value is not None:
+                    tested += 1
+                    assert entry_types([value[0]] + value[1]) == \
+                        entry_types([expected[0]] + expected[1])
+    assert tested > 100
+
+
+def test_hull_equations_equal_their_rref_form():
+    rng = random.Random(1995)
+    dims = set()
+    for rank in range(1, 5):
+        for _ in range(20):
+            p0 = [Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
+                  for _ in range(rank)]
+            dirs = [[Fraction(rng.randint(-3, 3), rng.choice((1, 1, 3)))
+                     for _ in range(rank)]
+                    for _ in range(rng.randint(0, rank))]
+            points = [tuple(p + sum(rng.randint(-2, 2) * d[i] for d in dirs)
+                            for i, p in enumerate(p0))
+                      for _ in range(rng.randint(1, rank + 5))]
+            points = pt._dedupe(points)
+            dims.add((rank, affine_dim(points)))
+            assert xl.hull_facets(points)[0] == rref_hull_equations(points), \
+                points
+    assert {(rank, d) for rank in range(1, 5) for d in range(rank + 1)} \
+        <= dims
+
+
+def test_unimodular_inverse_equals_its_rref_form():
+    rng = random.Random(6)
+    for _ in range(80):
+        m = random_unimodular(rng, rng.randint(1, 6))
+        assert xl.unimodular_inverse(m) == rref_unimodular_inverse(m), m
+
+
+def test_kernel_points_in_box_equal_their_rref_form():
+    found = 0
+    for m in random_matrices(seed=4545, count=150):
+        if m and m[0] and len(m[0]) <= 5:
+            bound = 2 if len(m[0]) <= 4 else 1
+            points = xl.kernel_points_in_box(m, bound)
+            assert points == rref_kernel_points_in_box(m, bound), m
+            found += bool(points)
+    assert found > 20
+
+
+def null_space_cases(seed=1904, per_shape=4):
+    """Seeded integer row sets of 1 to 6 columns and every null dimension
+    from 0 to the column count, with zero and repeated rows and integer
+    combinations of the others mixed in."""
+    rng = random.Random(seed)
+    cases = []
+    for ncols in range(1, 7):
+        for null_dim in range(ncols + 1):
+            for _ in range(per_shape):
+                while True:
+                    rows = [[rng.randint(-4, 4) for _ in range(ncols)]
+                            for _ in range(ncols - null_dim)]
+                    if xl.rank(rows) == len(rows):
+                        break
+                for _ in range(rng.randint(0, 3)):
+                    kind = rng.choice(["zero", "repeat", "combination"])
+                    if kind == "zero" or not rows:
+                        rows.append([0] * ncols)
+                    elif kind == "repeat":
+                        rows.append(list(rng.choice(rows)))
+                    else:
+                        a, b = rng.choice(rows), rng.choice(rows)
+                        c, d = rng.randint(-3, 3), rng.randint(-3, 3)
+                        rows.append([c * x + d * y for x, y in zip(a, b)])
+                rng.shuffle(rows)
+                cases.append((rows, ncols, null_dim))
+    return cases
+
+
+def sparse_rows(rows):
+    return [[(c, x) for c, x in enumerate(row) if x] for row in rows]
+
+
+def test_null_basis_equals_solve_linear():
+    dims = set()
+    for rows, ncols, null_dim in null_space_cases():
+        null = xl.null_basis(sparse_rows(rows), ncols)
+        if rows:
+            assert null == xl.solve_linear(rows, (0,) * len(rows))[1], rows
+        assert len(null) == null_dim
+        assert all(type(x) is Fraction for v in null for x in v)
+        dims.add((ncols, null_dim))
+    assert dims == {(n, k) for n in range(1, 7) for k in range(n + 1)}
+
+
+def test_null_basis_of_no_rows_is_the_identity():
+    for ncols in range(6):
+        assert xl.null_basis([], ncols) == [
+            tuple(Fraction(int(i == j)) for i in range(ncols))
+            for j in range(ncols)]
+    # zero rows alone leave it too
+    assert xl.null_basis([[], []], 2) == [(1, 0), (0, 1)]
+
+
 # --- primitive_normal and the three routines it replaced ---------------------------
 
 def polytopes_primitive_normal(diffs, rank):
@@ -211,7 +436,7 @@ def polytopes_primitive_normal(diffs, rank):
         for x in d:
             den = den * Fraction(x).denominator // _gcd(den, Fraction(x).denominator)
         scaled.append(tuple(int(Fraction(x) * den) for x in d))
-    rows, pivots = xl.rref(scaled) if scaled else ([], [])
+    rows, pivots = fraction_rref(scaled) if scaled else ([], [])
     if len(pivots) != rank - 1:
         return None
     free = [c for c in range(rank) if c not in pivots]
@@ -233,7 +458,7 @@ def _gcd(a, b):
 
 def dual_cone_null_vector(m, dim):
     """The candidate ray of one inequality subset in the double description."""
-    rows, pivots = xl.rref(m)
+    rows, pivots = fraction_rref(m)
     if len(pivots) != dim - 1:
         return None
     free = [c for c in range(dim) if c not in pivots][0]
@@ -248,7 +473,7 @@ def dual_cone_null_vector(m, dim):
 
 
 def degeneracy_facet_normal(pair, rays):
-    rows, pivots = xl.rref(pair)
+    rows, pivots = fraction_rref(pair)
     free = [c for c in range(3) if c not in pivots]
     if len(free) != 1:
         return None
@@ -316,7 +541,7 @@ def test_primitive_normal_equals_the_replaced_routines():
             assert all(xl.dot(row, normal) == 0 for row in rows)
             assert xl.primitive_vector(normal) == normal
             free = next(c for c in range(dim)
-                        if c not in xl.rref(rows)[1])
+                        if c not in xl.echelon(rows)[1])
             assert normal[free] > 0
     assert found > 0
 
@@ -401,7 +626,7 @@ def assert_hull_equals_the_subset_loop(points):
     the subset loop's facets of the points there."""
     hull = pt.convex_hull(points)
     points = pt._dedupe(points)
-    pivots = xl.rref([xl.vec_sub(p, points[0]) for p in points])[1]
+    pivots = xl.echelon([xl.vec_sub(p, points[0]) for p in points])[1]
     assert len(hull.equations) == len(points[0]) - len(pivots) == \
         len(points[0]) - hull.dim
     assert all(xl.dot(a, p) == c for a, c in hull.equations for p in points)
@@ -412,14 +637,6 @@ def assert_hull_equals_the_subset_loop(points):
             typed_facets(subset_hull_facets(reduced)), points
         assert all(x == 0 for a, _ in hull.facets
                    for i, x in enumerate(a) if i not in pivots)
-
-
-def cyclic_surface(rays, name, partition=None):
-    """Surface fan whose maximal cones join consecutive rays; one block
-    unless a partition is given."""
-    n = len(rays)
-    return toric.make_fan(2, rays, [[i, (i + 1) % n] for i in range(n)],
-                          partition or [list(range(n))], name=name)
 
 
 ENGINE_INSTANCES = dict(INSTANCES)
@@ -648,12 +865,6 @@ def test_triangulate_cone_equals_the_pair_loop():
             sorted(pair_loop_triangulation(rays)), rays
         tested += 1
     assert tested >= 10
-
-
-SQUARE8 = [(1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1),
-           (1, 0)]
-TRIANGLE9 = [(1, 0), (0, 1), (-1, 2), (-1, 1), (-1, 0), (-1, -1), (0, -1),
-             (1, -1), (2, -1)]
 
 
 def test_eight_ray_surface_cones():

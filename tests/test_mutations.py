@@ -16,9 +16,13 @@ replaced (``annihilation_per_series``) the same (ok, detail).  The Euler branch 
 to the per-term formula it replaced, on the real solutions and under a
 wrong exponent, where its output is nonzero, for the pairings in lattice
 logs (``Instance.pairings``) and in slot logs (the ``bseries`` form).
+The table ``SUPPORT_MUTATIONS`` lists the defects the 5^k sweep of the
+curve-cone support check caught before that check became a proof; each
+still fails every check the table names.
 """
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -329,3 +333,131 @@ def test_euler_branch_equals_per_term_formula(name):
                 assert result.shifts == expected.shifts
                 nonzero += bool(result.terms)
     assert nonzero
+
+
+# --- the curve-cone support -------------------------------------------------------
+
+def sweep_mori_support(inst):
+    """The support check as it was, kept verbatim: ``o_class`` at every
+    point off the curve cone in the box [-2, 2]^k of basis coordinates."""
+    sys, ring = inst.sys, inst.ring
+    for coords in product(range(-2, 3), repeat=len(sys.basis)):
+        if not se.coords_in_mori_cone(sys, coords):
+            ell = sys.from_basis_coords(coords)
+            if not se.o_class(sys, ring, ell).is_zero():
+                return False, f"nonzero coefficient at {ell} off the curve cone"
+    return True, "slab coefficients vanish off the curve cone"
+
+
+def patch_slot_factor(monkeypatch, shift):
+    """Every slot factor read at ``shift(a, c)`` in place of (a, c)."""
+    original = toric.CohomologyRing.slot_factor
+    monkeypatch.setattr(toric.CohomologyRing, "slot_factor",
+                        lambda ring, i, j, a, c: original(
+                            ring, *shift(i, j, a, c)))
+
+
+def lowering_off_by_one(monkeypatch, inst):
+    # prod_{k=1}^{-c} (D + a - k): every lowering factor lacks D + a
+    patch_slot_factor(monkeypatch, lambda i, j, a, c:
+                      (i, j, a - 1 if c < 0 else a, c))
+
+
+def second_step_without_d(monkeypatch, inst):
+    # from c = -2 on the factor D + a is missing, at c = -1 it is there
+    patch_slot_factor(monkeypatch, lambda i, j, a, c:
+                      (i, j, a - 1, c + 1) if c <= -2 else (i, j, a, c))
+
+
+def lowering_by_block_class(monkeypatch, inst):
+    # each lowering factor built from the block's class D_(i, 0)
+    patch_slot_factor(monkeypatch, lambda i, j, a, c:
+                      (i, 0 if c < 0 else j, a, c))
+
+
+def dropped_ring_relation(monkeypatch, inst):
+    original = toric.stanley_reisner_ideal
+    monkeypatch.setattr(toric, "stanley_reisner_ideal",
+                        lambda collections: original(collections)[:-1])
+
+
+def ray_slot_alpha(monkeypatch, inst):
+    alpha = list(inst.sys.alpha)
+    alpha[inst.sys.j_position(0, 1)] = Fraction(1, 3)
+    monkeypatch.setattr(inst.sys, "alpha", tuple(alpha))
+
+
+def everything_off_the_cone(monkeypatch, inst):
+    monkeypatch.setattr(se, "coords_in_mori_cone", lambda sys, coords: False)
+
+
+def o_class_one_step_short(monkeypatch, inst):
+    original = se.o_class
+
+    def short(sys, ring, ell):
+        return original(sys, ring, tuple(
+            x + 1 if x < 0 and a == 0 else x for x, a in zip(ell, sys.alpha)))
+
+    monkeypatch.setattr(se, "o_class", short)
+
+
+# Every mutation here fails the 5^k sweep the support check was until it
+# became a proof (``sweep_mori_support``): label -> (mutation, instances,
+# the checks that must fail under it, the support check's detail or None
+# where the proof does not see the defect).  The sampled
+# ``series.mori_vanishing`` still runs ``o_class`` off the cone, on its
+# first 10 vectors by shell, and catches every one of them.
+SUPPORT_MUTATIONS = {
+    "lowering_off_by_one": (
+        lowering_off_by_one, ["p2", "f1", "p1p1p1_r1"],
+        {"series.mori_support", "series.mori_vanishing",
+         "series.annihilation"},
+        "lowering factor of slot (0, 1) is not its class"),
+    "second_step_without_d": (
+        second_step_without_d, ["p2", "f1", "p1p1p1_r3"],
+        {"series.mori_vanishing", "series.annihilation"}, None),
+    "lowering_by_block_class": (
+        lowering_by_block_class, ["f1", "p1xp1_r1", "p1p1p1_r1"],
+        {"series.mori_support", "series.mori_vanishing"},
+        "lowering factor of slot (0, 1) is not its class"),
+    "dropped_ring_relation": (
+        dropped_ring_relation, ["f1", "p1xp1_r1"],
+        {"series.mori_support", "series.mori_vanishing",
+         "toric.ring_dimension"}, "collection"),
+    "ray_slot_alpha": (
+        ray_slot_alpha, ["p2", "f1", "p1p1p1_r1"],
+        {"series.mori_support", "series.mori_vanishing",
+         "series.annihilation"}, "ray slot (0, 1) has alpha 1/3"),
+    "everything_off_the_cone": (
+        everything_off_the_cone, ["p2", "f1", "p1p1p1_r1"],
+        {"series.mori_vanishing"}, None),
+    "o_class_one_step_short": (
+        o_class_one_step_short, ["p2", "f1", "p1p1p1_r1"],
+        {"series.mori_vanishing"}, None),
+}
+
+
+@pytest.mark.parametrize("name", ["p2", "f1", "p1xp1_r1", "p1p1p1_r1",
+                                  "p1p1p1_r3"])
+def test_support_proof_and_sweep_pass_unmutated(name):
+    inst = checks.Instance(BUILDERS[name](), order=4)
+    assert CHECK["series.mori_support"](inst) == sweep_mori_support(inst) \
+        == (True, "slab coefficients vanish off the curve cone")
+
+
+@pytest.mark.parametrize("label,name", [
+    (label, name) for label, (_, names, _, _) in SUPPORT_MUTATIONS.items()
+    for name in names])
+def test_support_mutations_are_caught_without_the_sweep(label, name,
+                                                        monkeypatch):
+    mutate, _, catchers, detail = SUPPORT_MUTATIONS[label]
+    inst = checks.Instance(BUILDERS[name](), order=4)
+    mutate(monkeypatch, inst)
+    assert not sweep_mori_support(inst)[0]
+    results = {r["id"]: (r["ok"], r["detail"]) for r in checks.run_all(inst)}
+    assert {check for check in catchers if results[check][0]} == set()
+    ok, found = results["series.mori_support"]
+    if detail is None:
+        assert ok
+    else:
+        assert found.startswith(detail), found

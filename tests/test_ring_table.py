@@ -9,7 +9,7 @@ coefficient out of ``CohClass`` arithmetic with an explicit nilpotent inverse.
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 
 import pytest
@@ -42,8 +42,42 @@ REFERENCE_ORDERS = dict.fromkeys(CORPUS, 8) | {
     "p1p1p1_r1": 4, "p1p1p1_r3": 4, "surface5": 5, "surface8": 5}
 
 
+def cyclic_surface(rays, name, partition=None):
+    """Surface fan whose maximal cones join consecutive rays; one block
+    unless a partition is given."""
+    n = len(rays)
+    return toric.make_fan(2, rays, [[i, (i + 1) % n] for i in range(n)],
+                          partition or [list(range(n))], name=name)
+
+
+SQUARE8 = [(1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1),
+           (1, 0)]
+TRIANGLE9 = [(1, 0), (0, 1), (-1, 2), (-1, 1), (-1, 0), (-1, -1), (0, -1),
+             (1, -1), (2, -1)]
+P3_RAYS = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
+P3_CONES = [list(c) for c in combinations(range(4), 3)]
+P2XP1_RAYS = [(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1), (0, 0, -1)]
+P2XP1_CONES = [[i, j, k] for i, j in combinations(range(3), 2) for k in (3, 4)]
+# larger rings, built but not run through check-all: the 8-ray square and
+# the 9-ray triangle, and P^3 and P2xP1 under each of their partitions
+RING_ONLY = {
+    "square8": lambda: cyclic_surface(SQUARE8, "square8"),
+    "triangle9": lambda: cyclic_surface(TRIANGLE9, "triangle9"),
+    "p3_r1": lambda: toric.make_fan(3, P3_RAYS, P3_CONES, [[0, 1, 2, 3]],
+                                    name="p3_r1"),
+    "p3_r2": lambda: toric.make_fan(3, P3_RAYS, P3_CONES, [[0, 1], [2, 3]],
+                                    name="p3_r2"),
+    "p3_r4": lambda: toric.make_fan(3, P3_RAYS, P3_CONES,
+                                    [[0], [1], [2], [3]], name="p3_r4"),
+    "p2xp1_r1": lambda: toric.make_fan(3, P2XP1_RAYS, P2XP1_CONES,
+                                       [[0, 1, 2, 3, 4]], name="p2xp1_r1"),
+    "p2xp1_r2": lambda: toric.make_fan(3, P2XP1_RAYS, P2XP1_CONES,
+                                       [[0, 1, 2], [3, 4]], name="p2xp1_r2"),
+}
+
+
 class _GreedyRing:
-    """The ring construction the single ``xl.rref`` replaced, kept verbatim:
+    """The ring construction the single echelon form replaced, kept verbatim:
     a Fraction echelon of the relations, a greedy earliest-first basis
     search, and one ``solve_unique`` per reduced monomial."""
 
@@ -159,10 +193,13 @@ class _GreedyRing:
 SEEDED_SURFACES = {f"surface{seed}": (seed, 1 + seed % 3) for seed in range(24)}
 
 
-@pytest.mark.parametrize("name", sorted(INSTANCES) + sorted(SEEDED_SURFACES))
+@pytest.mark.parametrize("name", sorted(INSTANCES) + sorted(SEEDED_SURFACES)
+                         + sorted(RING_ONLY))
 def test_ring_matches_the_greedy_fraction_construction(name):
     if name in INSTANCES:
         fan = INSTANCES[name]()
+    elif name in RING_ONLY:
+        fan = RING_ONLY[name]()
     else:
         fan = _seeded_surface(*SEEDED_SURFACES[name])
     collections = toric.primitive_collections(fan)
@@ -175,6 +212,30 @@ def test_ring_matches_the_greedy_fraction_construction(name):
             expected = ref.reduce_monomial(expo)
             assert ring.reduce_monomial(expo).coords == tuple(
                 expected.get(m, 0) for m in ring.basis_monomials), expo
+
+
+def test_p1p1p1_eliminates_only_the_live_monomials(monkeypatch):
+    """The Stanley-Reisner monomials never enter the elimination: in degree
+    3, 18 of the 56 monomials are divisible by a generator, and the rows
+    are the 3 linear relations times the 21 monomials of degree 2."""
+    fan = INSTANCES["p1p1p1_r1"]()
+    collections = toric.primitive_collections(fan)
+    generators = toric.stanley_reisner_ideal(collections)
+    shapes = []
+    original = xl.echelon
+
+    def recorded(m):
+        shapes.append((len(m), {len(row) for row in m}))
+        return original(m)
+
+    monkeypatch.setattr(xl, "echelon", recorded)
+    toric.cohomology_ring(fan, collections)
+    cubics = toric._monomials_of_degree(fan.p, 3)
+    live = [m for m in cubics
+            if not any(all(m[v] for v in s) for s in generators)]
+    assert (len(cubics), len(live)) == (56, 38)
+    assert 63 == fan.rank * len(toric._monomials_of_degree(fan.p, 2))
+    assert shapes == [(0, set()), (3, {6}), (18, {18}), (63, {38})]
 
 
 @pytest.fixture(params=sorted(INSTANCES))

@@ -226,6 +226,27 @@ def test_relation_lattice_cones_come_from_one_constructor():
         "triangulations.regular_subdivision"}
 
 
+def test_one_elimination_kernel_and_a_support_proof_without_a_sweep():
+    # exact elimination is the integer echelon form alone; the Fraction
+    # rref stays in the tests as the reference.  The curve-cone support
+    # is proved from the ring and the slot factors: no o_class, no box
+    sources = {}
+    for path in package_sources():
+        with open(path, encoding="utf-8") as f:
+            sources[os.path.basename(path)[:-3]] = f.read()
+    defined = {node.name for text in sources.values()
+               for node in ast.walk(ast.parse(text))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    assert "rref" not in defined and "echelon" in defined
+    assert readers_of(sources, "rref") == set()
+    assert {"series.b_series", "series.vanishing_check_outside_mori"} <= \
+        readers_of(sources, "o_class")
+    for name in ("o_class", "product", "coords_in_mori_cone",
+                 "from_basis_coords"):
+        assert "checks._check_mori_support" not in \
+            readers_of(sources, name), name
+
+
 def test_reader_scan_sees_nested_attribute_and_module_reads():
     sources = {
         "a": "def fm_eliminate(rows):\n    return fm_eliminate(rows)\n\n\n"
