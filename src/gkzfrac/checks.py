@@ -333,7 +333,8 @@ def _check_region_decomposition(inst):
 def _check_certificate(inst):
     for idx, chart in enumerate(inst.charts):
         report = dg.maximal_degeneracy_check(inst.sys, inst.ring, chart,
-                                             inst.period, inst.b)
+                                             inst.period,
+                                             inst.chart_pairings(idx))
         if not report.passed:
             failed = [c["clause"] for c in report.clauses if not c["ok"]]
             return False, f"chart {idx} fails {failed}"

@@ -371,9 +371,10 @@ def run_command(cmd, spec, flags=None):
         from . import degeneracy as dg
         chart_reports = []
         all_ok = True
-        for chart in inst.charts:
+        for idx, chart in enumerate(inst.charts):
             report = dg.maximal_degeneracy_check(sys, inst.ring, chart,
-                                                 inst.period, inst.b)
+                                                 inst.period,
+                                                 inst.chart_pairings(idx))
             all_ok = all_ok and report.passed
             chart_reports.append({
                 "cone_rays": [list(r) for r in chart.cone_rays],

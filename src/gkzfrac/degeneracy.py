@@ -8,6 +8,7 @@ to a plain power series, and among the solution pairings exactly one is free
 of logarithms, which is the executable content of the degeneracy statement.
 """
 
+from fractions import Fraction
 from itertools import product
 from math import floor, lcm
 
@@ -129,23 +130,18 @@ def chart_coordinates(sys, chart, ell):
     return m
 
 
-def _chart_series(chart, source):
-    """Empty series in the chart monomials at the weight and order of
-    ``source``; a chart monomial m has the weight degree of its ell."""
-    return se.LogSeries(alpha=(0,) * len(chart.basis_vectors),
-                        weight=tuple(xl.dot(source.weight, v)
-                                     for v in chart.basis_vectors),
-                        order=source.order)
-
-
 def period_in_chart(sys, chart, series):
     """Re-index a log-free series by the chart monomials.
 
     Every stored exponent must decompose with nonnegative integer
     coefficients over the chart basis; a violation raises NegativeExponent
-    and falsifies holomorphy of the extension.
+    and falsifies holomorphy of the extension.  A chart monomial has the
+    weight degree of its ell.
     """
-    out = _chart_series(chart, series)
+    out = se.LogSeries(alpha=(0,) * len(chart.basis_vectors),
+                       weight=tuple(xl.dot(series.weight, v)
+                                    for v in chart.basis_vectors),
+                       order=series.order)
     no_logs = (0,) * len(chart.basis_vectors)
     for (ell, logdeg), coeff in series.sorted_items():
         assert all(x == 0 for x in logdeg), "chart transport needs log-free input"
@@ -184,22 +180,19 @@ def _dual_divisor_classes(sys, ring, chart):
 
 
 def chart_pairings(sys, ring, chart, b):
-    """Solution pairings written in chart coordinates, as one stacked series.
+    """Solution pairings in the chart's logs, as one stacked series keyed
+    by the lattice offsets ell.
 
-    ``b`` is the B-series of ``sys``; its classes are re-keyed by the chart
-    coordinates and paired with x^D expanded in the chart's dual divisor
-    classes.  Entry k of each coefficient tuple pairs against the k-th dual
-    basis functional; all coefficients are exact rationals.  The
+    ``b`` is the B-series of ``sys``, paired with x^D expanded in the
+    chart's dual divisor classes W_k: log slot k is the log of basis vector
+    k's monomial, as D_j = sum_k v_k[j] W_k.  Entry k of each coefficient
+    tuple pairs against the k-th dual basis functional.  The
     quotient-coordinate parity is already part of the product-form classes,
     so no sign enters here (unlike ``period_in_chart``, whose input is
     untwisted).
     """
-    chart_b = _chart_series(chart, b)
-    no_logs = (0,) * len(chart.basis_vectors)
-    for (ell, _), base in b.terms.items():
-        chart_b.terms[(chart_coordinates(sys, chart, ell), no_logs)] = base
-    return se.pair_with_dual(ring, chart_b,
-                             _dual_divisor_classes(sys, ring, chart))
+    return se.pair_with_dual(ring, b, _dual_divisor_classes(sys, ring, chart),
+                             log_map=chart.basis_vectors)
 
 
 # --- the certificate -----------------------------------------------------------------
@@ -224,15 +217,18 @@ class CertificateReport:
                 "clauses": self.clauses}
 
 
-def maximal_degeneracy_check(sys, ring, chart, period, b):
+def maximal_degeneracy_check(sys, ring, chart, period, pairings):
     """Certify the degeneracy behaviour of the chart at the truncation order
     and weight of ``period``, the normalized period series of ``sys``;
-    ``b`` is its cohomology-valued series at the same order and weight.
+    ``pairings`` are its solution pairings in the chart's logs
+    (``chart_pairings``) at the same order and weight.
 
     Three clauses: the period series extends as a genuine power series; the
     space of log-free solutions among the dual-basis pairings is exactly one
     dimensional and matches the transported period up to one scalar; the
-    indicial locus is the single canonical exponent.
+    indicial locus is the single canonical exponent.  The log-free
+    combination is one integer dot product per key of the pairings' integer
+    form; each offset is re-keyed by its chart coordinates once.
     """
     report = CertificateReport(order=period.order)
     try:
@@ -245,38 +241,34 @@ def maximal_degeneracy_check(sys, ring, chart, period, b):
         report.add("holomorphic_extension", False, str(exc))
 
     # the combinations of the pairings that vanish on every log key
-    pairings = chart_pairings(sys, ring, chart, b)
     _, dens, groups = pairings.integer_form()
-    scale = [lcm(*dens) // d for d in dens]
+    common = lcm(*dens)
+    scale = [common // d for d in dens]
     null = xl.null_basis([[(i, n * scale[i]) for i, n in nz]
                           for terms in groups.values()
                           for logdeg, nz in terms if any(logdeg)], ring.dim)
     if len(null) == 1:
-        combo = [(i, c) for i, c in enumerate(null[0]) if c]
-        log_free = _chart_series(chart, b)
-        for (expo, logdeg), row in pairings.terms.items():
-            log_free.add_term(expo, logdeg, sum(c * row[i] for i, c in combo))
-        ok = log_free.is_log_free() and bool(log_free.terms)
+        combo, den = xl.integer_scaled([c * s for c, s in zip(null[0], scale)])
+        log_free = {}
+        for ell, terms in groups.items():
+            m = chart_coordinates(sys, chart, ell)
+            for logdeg, nz in terms:
+                value = sum(combo[i] * n for i, n in nz)
+                if value:
+                    log_free[m, logdeg] = Fraction(value, den * common)
+        ok = bool(log_free) and not any(any(lg) for _, lg in log_free)
         report.add("unique_log_free_solution", ok,
                    "one-dimensional log-free subspace" if ok else
                    "log-free combination degenerates")
         if chart_period is not None and ok:
-            ratio = None
-            consistent = True
-            for key, value in chart_period.sorted_items():
-                other = log_free.terms.get(key, 0)
-                if ratio is None:
-                    if value == 0:
-                        continue
-                    if other == 0:
-                        consistent = False
-                        break
-                    ratio = other / value
-                elif other != ratio * value:
-                    consistent = False
-                    break
-            extra = set(log_free.terms) - set(chart_period.terms)
-            consistent = consistent and ratio is not None and not extra
+            # the period's stored terms are nonzero; one nonzero scalar must
+            # carry them onto the log-free solution, which has no other key
+            items = chart_period.sorted_items()
+            ratio = log_free.get(items[0][0], 0) / items[0][1] if items else 0
+            consistent = bool(ratio) and \
+                log_free.keys() <= chart_period.terms.keys() and \
+                all(log_free.get(key, 0) == ratio * value
+                    for key, value in items)
             report.add("log_free_matches_period", consistent,
                        f"global scalar {xl.fraction_str(ratio)}"
                        if consistent else "coefficient mismatch")

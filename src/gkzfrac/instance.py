@@ -83,19 +83,15 @@ class Instance:
     @cached_property
     def pairings(self):
         """Dual-basis pairings of the cohomology-valued series, stacked:
-        one coordinate tuple per term, in lattice logs.
+        one coordinate tuple per term, keyed by lattice offsets, in the
+        dim H^2 logs of the first chart (``degeneracy.chart_pairings``);
+        ``bseries`` expands them in the ``nvars`` slot logs instead."""
+        from . import degeneracy as dg
+        return dg.chart_pairings(self.sys, self.ring, self.charts[0], self.b)
 
-        Row k of the log map is the relation-lattice vector that is 1 on
-        ``sys.slots[k]`` and 0 on the other slots, so log slot k is
-        y_k = sum_j row[j] log x_j, and D_j = sum_k row_k[j] D_(slots[k])
-        makes D_(slots[k]) its class: the logs are polynomials in
-        dim H^2 log slots, not in all ``nvars`` (``bseries`` expands them
-        in slot logs instead)."""
-        from . import series as se
-        sys, ring = self.sys, self.ring
-        index = sys.j_indices()
-        log_map = tuple(sys.from_basis_coords(column)
-                        for column in zip(*sys.inverse))
-        return se.pair_with_dual(
-            ring, self.b, [ring.divisor_class(*index[s]) for s in sys.slots],
-            log_map=log_map)
+    def chart_pairings(self, k):
+        """The pairings in chart k's logs: the first chart's are ``pairings``,
+        a later chart's are built anew."""
+        from . import degeneracy as dg
+        return self.pairings if k == 0 else dg.chart_pairings(
+            self.sys, self.ring, self.charts[k], self.b)

@@ -459,21 +459,22 @@ class CohomologyRing:
         candidate unless it is congruent to a combination of earlier ones.
         A monomial divisible by a Stanley-Reisner generator is 0; the other
         ("live") candidates are the columns, in reverse order, of the linear
-        relations times monomials, so a row's leading entry sits at its
+        relations times live monomials, so a row's leading entry sits at its
         latest candidate.  A candidate is thus skipped iff some relation has
         its leading entry there: the free columns of the echelon form, in
         candidate order, are the greedy basis, and each pivot row writes its
         monomial over them.  Returns each live monomial's normal form as
         (basis index -> numerator, denominator).
         """
-        normal = {}
+        normal, cols = {}, []
         for d in range(self.top + 1):
+            lower = cols  # the live monomials of degree d - 1
             cols = [m for m in sorted(
                 _monomials_of_degree(self.p, d), reverse=True,
                 key=lambda m: (max(m) > 1, _monomial_key(m)))
                 if not any(all(m[v] for v in s) for s in self._sr)]
             pos = {m: c for c, m in enumerate(cols)}
-            rows, lower = [], _monomials_of_degree(self.p, d - 1) if d else ()
+            rows = []
             for lam in self._linear:
                 for mu in lower:
                     row = [0] * len(cols)

@@ -46,10 +46,12 @@ def divisor_classes(sys, ring):
 
 
 def lattice_log_classes(sys, ring):
-    """The classes of the lattice logs ``Instance.pairings`` expands:
-    D_(slots[k]) for log slot k."""
-    classes = divisor_classes(sys, ring)
-    return [classes[s] for s in sys.slots]
+    """The classes of the lattice logs ``Instance.pairings`` expands, the
+    logs of the first chart's basis vectors: its dual divisor class W_k
+    for log slot k."""
+    from gkzfrac import degeneracy as dg
+    chart = dg.subdivide_kahler_cone(sys)[0]
+    return dg._dual_divisor_classes(sys, ring, chart)
 
 
 def slot_log_pairings(inst):
@@ -61,10 +63,10 @@ def slot_log_pairings(inst):
 
 
 def substitute(s):
-    """A lattice-log series written in slot logs: each y_k replaced by
-    sum_j log_map[k][j] log x_j and y^m expanded by the multinomial
-    theorem, scalar or stacked coefficients alike; keys whose coefficients
-    sum to 0 are dropped."""
+    """A series in lattice logs (a chart's, say) written in slot logs: each
+    y_k replaced by sum_j log_map[k][j] log x_j and y^m expanded by the
+    multinomial theorem, scalar or stacked coefficients alike; keys whose
+    coefficients sum to 0 are dropped."""
     from gkzfrac import series as se
     nvars = len(s.alpha)
     linear = [{tuple(int(i == j) for i in range(nvars)): b

@@ -123,7 +123,8 @@ def test_criterion_5_maximal_degeneracy_certificates():
         period = se.normalized_period_series(sys, omega, 8)
         b = se.b_series(sys, ring, omega, 8)
         for chart in charts:
-            report = dg.maximal_degeneracy_check(sys, ring, chart, period, b)
+            report = dg.maximal_degeneracy_check(
+                sys, ring, chart, period, dg.chart_pairings(sys, ring, chart, b))
             assert report.passed, report.as_dict()
         locus = gkz.indicial_ideal_zero_locus(sys)
         alpha = gkz.canonical_alpha(sys)

@@ -26,6 +26,12 @@ def b_series(sys, ring, order):
     return se.b_series(sys, ring, gkz.default_weight(sys), order)
 
 
+def pairings(sys, ring, chart, order):
+    """The solution pairings in the chart's logs, as the certificate reads
+    them."""
+    return dg.chart_pairings(sys, ring, chart, b_series(sys, ring, order))
+
+
 # --- charts -----------------------------------------------------------------------
 
 def test_chart_p2_sign():
@@ -132,9 +138,11 @@ def test_chart_pairings_unit_matches_period_p1():
                                  b_series(sys, ring, 6)).components()
     period = dg.period_in_chart(
         sys, chart, se.normalized_period_series(sys, omega, 6))
+    # keyed by lattice offsets: re-keyed, the unit pairing is the period
     unit = pairings[0]
     assert unit.is_log_free()
-    assert unit.terms == period.terms
+    assert {(dg.chart_coordinates(sys, chart, ell), logdeg): c
+            for (ell, logdeg), c in unit.terms.items()} == period.terms
 
 
 def test_chart_pairings_log_stratification_p2():
@@ -162,7 +170,7 @@ def test_chart_pairings_bidegrees_p1xp1():
 
 def slab_chart_pairings(sys, ring, chart, omega, order):
     """Reference: walk the Mori slab, take each product-form class and
-    expand it in the chart log part, keyed by the chart coordinates."""
+    expand it in the chart log part, keyed by its lattice offset."""
     log_part = se.log_part(ring, dg._dual_divisor_classes(sys, ring, chart),
                            sys.n)
     outputs = [{} for _ in range(ring.dim)]
@@ -170,12 +178,11 @@ def slab_chart_pairings(sys, ring, chart, omega, order):
         base = se.o_class(sys, ring, ell)
         if base.is_zero():
             continue
-        m = dg.chart_coordinates(sys, chart, ell)
         for logdeg, cls in log_part:
             total = base * cls
             for h in range(ring.dim):
                 if total.coords[h]:
-                    outputs[h][(m, logdeg)] = total.coords[h]
+                    outputs[h][(ell, logdeg)] = total.coords[h]
     return outputs
 
 
@@ -237,7 +244,7 @@ def test_certificate_p1():
     ring = toric.cohomology_ring(sys.fan, sys.collections)
     chart = dg.subdivide_kahler_cone(sys)[0]
     report = dg.maximal_degeneracy_check(sys, ring, chart, period(sys, 8),
-                                         b_series(sys, ring, 8))
+                                         pairings(sys, ring, chart, 8))
     assert report.passed
     names = [c["clause"] for c in report.clauses]
     assert names == ["holomorphic_extension", "unique_log_free_solution",
@@ -248,10 +255,9 @@ def test_certificate_p1():
 def test_certificate_corpus(corpus_fan):
     sys = gkz.build_system(corpus_fan)
     ring = toric.cohomology_ring(corpus_fan, sys.collections)
-    b = b_series(sys, ring, 8)
     for chart in dg.subdivide_kahler_cone(sys):
         report = dg.maximal_degeneracy_check(sys, ring, chart, period(sys, 8),
-                                             b)
+                                             pairings(sys, ring, chart, 8))
         assert report.passed, report.as_dict()
 
 
@@ -260,10 +266,43 @@ def test_certificate_json_shape():
     ring = toric.cohomology_ring(sys.fan, sys.collections)
     chart = dg.subdivide_kahler_cone(sys)[0]
     report = dg.maximal_degeneracy_check(sys, ring, chart, period(sys, 6),
-                                         b_series(sys, ring, 6))
+                                         pairings(sys, ring, chart, 6))
     data = report.as_dict()
     assert data["passed"] is True
     assert all({"clause", "ok", "detail"} <= set(c) for c in data["clauses"])
+
+
+@pytest.mark.parametrize("name", ["p2", "f1", "p1xp1_r1"])
+def test_certificate_matches_the_period_up_to_one_scalar(name):
+    """The log-free solution is the transported period times one nonzero
+    scalar: the period scaled by -3 matches at a third of the scalar, with
+    the opposite sign; one term doubled or deleted, first or last in print
+    order, or every term deleted, is a mismatch."""
+    inst = checks.Instance(INSTANCES[name](), order=6)
+    chart, period = inst.charts[0], inst.period
+
+    def verdict(terms):
+        report = dg.maximal_degeneracy_check(
+            inst.sys, inst.ring, chart, period.replace(terms=terms),
+            inst.pairings)
+        clause = report.clauses[2]
+        assert clause["clause"] == "log_free_matches_period"
+        return clause["ok"], clause["detail"]
+
+    ok, detail = verdict(period.terms)
+    assert ok and detail.startswith("global scalar ")
+    ratio = Fraction(detail.removeprefix("global scalar "))
+    assert verdict({key: -3 * c for key, c in period.terms.items()}) == \
+        (True, f"global scalar {xl.fraction_str(ratio / -3)}")
+    keys = [key for key, _ in period.sorted_items()]
+    assert len(keys) > 2
+    mismatch = (False, "coefficient mismatch")
+    for key in (keys[0], keys[-1]):
+        assert verdict({**period.terms, key: 2 * period.terms[key]}) == \
+            mismatch
+        assert verdict({k: c for k, c in period.terms.items() if k != key}) \
+            == mismatch
+    assert verdict({}) == mismatch
 
 
 # --- cone-splitting helpers (defensive paths) -------------------------------------
@@ -442,12 +481,12 @@ def test_certificate_null_space_equals_solve_linear(name, monkeypatch):
     monkeypatch.setattr(xl, "null_basis", recorded)
     expected = []
     for chart in inst.charts:
-        pairings = dg.chart_pairings(inst.sys, inst.ring, chart, inst.b)
-        log_rows = [row for (_, logdeg), row in pairings.terms.items()
+        chart_pairings = dg.chart_pairings(inst.sys, inst.ring, chart, inst.b)
+        log_rows = [row for (_, logdeg), row in chart_pairings.terms.items()
                     if any(logdeg)]
         assert log_rows
         expected.append(xl.solve_linear(log_rows, (0,) * len(log_rows))[1])
         assert dg.maximal_degeneracy_check(inst.sys, inst.ring, chart,
-                                           inst.period, inst.b).passed
+                                           inst.period, chart_pairings).passed
     assert found == expected
     assert all(len(null) == 1 for null in found)

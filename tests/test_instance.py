@@ -7,6 +7,7 @@ import pytest
 
 from conftest import (CORPUS, divisor_classes, lattice_log_classes,
                       slot_log_pairings)
+from test_degeneracy import MULTI_CHART
 from test_ring_table import INSTANCES
 from gkzfrac import checks, cli, gkz, series as se, toric
 from gkzfrac import degeneracy as dg
@@ -35,8 +36,8 @@ def test_check_all_builds_each_artifact_once(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ["p2", "f1", "p1xp1_r1"])
 def test_only_bseries_expands_x_d_in_slot_logs(name, monkeypatch):
-    # check-all reads the pairings in lattice logs (one class per Kahler
-    # direction) and the chart pairings in chart logs; only the bseries
+    # check-all reads the pairings in the first chart's logs (one class per
+    # Kahler direction), and a later chart's in its own; only the bseries
     # report pairs the B-series with one class per slot, once
     nvars = gkz.build_system(CORPUS[name]()).nvars
     widths = []
@@ -84,13 +85,14 @@ def test_check_all_computes_each_period_coefficient_once(name, monkeypatch):
 
 def count_expansion_acts(monkeypatch):
     """Record the matrix of every integer multiplier act made while x^D is
-    expanded (``pair_with_dual`` and the ``log_part`` it calls)."""
+    expanded (``pair_with_dual``, with or without a ``log_map``, and the
+    ``log_part`` it calls)."""
     acts, inside = [], []
 
-    def expansion(*args, _fn=se.pair_with_dual):
+    def expansion(*args, _fn=se.pair_with_dual, **kwargs):
         inside.append(1)
         try:
-            return _fn(*args)
+            return _fn(*args, **kwargs)
         finally:
             inside.pop()
 
@@ -101,6 +103,29 @@ def count_expansion_acts(monkeypatch):
     monkeypatch.setattr(se, "pair_with_dual", expansion)
     monkeypatch.setattr(se, "integer_act", act)
     return acts
+
+
+EXPANDED = {"p2": CORPUS["p2"], "f1": CORPUS["f1"],
+            "p1p1p1_r1": INSTANCES["p1p1p1_r1"],
+            "surface0_6rays_r1": MULTI_CHART["surface0_6rays_r1"][0]}
+
+
+@pytest.mark.parametrize("name", sorted(EXPANDED))
+def test_check_all_expands_x_d_once_per_chart(name, monkeypatch):
+    # the first chart's pairings serve annihilation, the solution rank and
+    # that chart's certificate; only a later chart expands x^D again, in
+    # its own logs
+    logs = []
+
+    def expansion(*args, _fn=se.pair_with_dual, **kwargs):
+        logs.append(kwargs.get("log_map"))
+        return _fn(*args, **kwargs)
+    monkeypatch.setattr(se, "pair_with_dual", expansion)
+    inst = checks.Instance(EXPANDED[name](), order=4)
+    assert all(r["ok"] for r in checks.run_all(inst))
+    assert len(inst.charts) == (2 if name.startswith("surface") else 1)
+    assert logs == [chart.basis_vectors for chart in inst.charts]
+    assert inst.chart_pairings(0) is inst.pairings
 
 
 @pytest.mark.parametrize("name", ["p2", "f1", "p1xp1"])
@@ -144,7 +169,7 @@ def test_no_expansion_act_merely_scales(monkeypatch):
 def test_low_degree_pairings_equal_an_order_6_build(name):
     # series.solution_rank reads the shared pairings up to weight degree 6;
     # they must equal the pairings of a series built at order 6, in the
-    # lattice logs check-all reads and in the slot logs bseries prints
+    # first chart's logs check-all reads and in the slot logs bseries prints
     inst = checks.Instance(CORPUS[name](), order=8)
     sys, ring = inst.sys, inst.ring
     b = se.b_series(sys, ring, inst.omega, 6)

@@ -14,8 +14,11 @@ covector of one facet-defining row dropped.  Every
 annihilation mutation also gives the per-series loop the stacked check
 replaced (``annihilation_per_series``) the same (ok, detail).  The Euler branch of ``apply_operator`` is also held
 to the per-term formula it replaced, on the real solutions and under a
-wrong exponent, where its output is nonzero, for the pairings in lattice
-logs (``Instance.pairings``) and in slot logs (the ``bseries`` form).
+wrong exponent, where its output is nonzero, for the pairings in the
+first chart's logs (``Instance.pairings``) and in slot logs (the
+``bseries`` form).  The first chart's dual divisor classes, doubled in
+their first entry or reversed, fail the annihilation check on every
+instance where the mutation changes them.
 The table ``SUPPORT_MUTATIONS`` lists the defects the 5^k sweep of the
 curve-cone support check caught before that check became a proof; each
 still fails every check the table names.
@@ -27,15 +30,18 @@ from itertools import product
 import pytest
 
 from conftest import CORPUS, slot_log_pairings
+from test_degeneracy import MULTI_CHART
 from test_threefold import threefold
 from gkzfrac import checks, series as se, toric
+from gkzfrac import degeneracy as dg
 from gkzfrac import exact_linalg as xl
 from gkzfrac import triangulations as tr
 
 FANS = {"p2": (CORPUS["p2"], 8), "f1": (CORPUS["f1"], 8),
         "p1p1p1_r1": (lambda: threefold([[0, 1, 2, 3, 4, 5]], "r1"), 4)}
 BUILDERS = dict(CORPUS, p1p1p1_r1=FANS["p1p1p1_r1"][0],
-                p1p1p1_r3=lambda: threefold([[0, 1], [2, 3], [4, 5]], "r3"))
+                p1p1p1_r3=lambda: threefold([[0, 1], [2, 3], [4, 5]], "r3"),
+                surface0_6rays_r1=MULTI_CHART["surface0_6rays_r1"][0])
 CHECK = dict(checks.CHECKS)
 
 
@@ -145,7 +151,7 @@ def test_dropped_parity_twist_fails_annihilation(name, monkeypatch):
 
 
 # the first term of the last pairing in print order, its coefficient
-# doubled; in lattice logs every Euler row is the scalar a_i . (alpha +
+# doubled; in chart logs every Euler row is the scalar a_i . (alpha +
 # ell) - beta_i, 0 on every solution term, so a box operator catches it
 DOUBLED_LAST_PAIRING = {"p2": "box (-3, 1, 1, 1) fails on pairing_2",
                         "f1": "box (-1, 1, -1, 1, 0) fails on pairing_3",
@@ -205,6 +211,53 @@ def test_wrong_log_factorial_fails_annihilation(name, monkeypatch):
         (m, 2 * cls if sum(m) >= 2 else cls)
         for m, cls in original(ring, classes, top)])
     assert_annihilation_fails(inst, WRONG_LOG_FACTORIAL[name])
+
+
+# the first chart's dual divisor classes W_k, in which ``Instance.pairings``
+# expands x^D, mutated before the pairings are built: the first class
+# doubled, or the classes reversed.  Either breaks D_j = sum_k v_k[j] W_k;
+# the Euler rows act on the chart's logs as scalars, so a box operator
+# catches it.  Reversal is the identity in rank 1 (p1, p2)
+DUAL_CLASS_MUTATIONS = {"doubled": lambda classes: [2 * classes[0]]
+                        + classes[1:],
+                        "reversed": lambda classes: classes[::-1]}
+DUAL_CLASS_FAILURES = {
+    ("doubled", "p1"): "box (-2, 1, 1) fails on pairing_1",
+    ("doubled", "p2"): "box (-3, 1, 1, 1) fails on pairing_1",
+    ("doubled", "f1"): "box (-1, 1, -1, 1, 0) fails on pairing_1",
+    ("doubled", "f1_r2"): "box (-1, 1, -1, 1, 0, 0) fails on pairing_1",
+    ("doubled", "p1xp1"): "box (0, 0, 0, -2, 1, 1) fails on pairing_2",
+    ("doubled", "p1xp1_r1"): "box (-2, 1, 1, 0, 0) fails on pairing_2",
+    ("doubled", "p1p1p1_r1"): "box (-2, 1, 1, 0, 0, 0, 0) fails on "
+                              "pairing_3",
+    ("doubled", "p1p1p1_r3"): "box (0, 0, 0, 0, 0, 0, -2, 1, 1) fails on "
+                              "pairing_3",
+    ("doubled", "surface0_6rays_r1"): "box (-1, 1, -1, 1, 0, 0, 0) fails on "
+                                      "pairing_2",
+    ("reversed", "f1"): "box (-1, 1, -1, 1, 0) fails on pairing_2",
+    ("reversed", "f1_r2"): "box (-1, 1, -1, 1, 0, 0) fails on pairing_2",
+    ("reversed", "p1xp1"): "box (-2, 1, 1, 0, 0, 0) fails on pairing_1",
+    ("reversed", "p1xp1_r1"): "box (-2, 1, 1, 0, 0) fails on pairing_1",
+    ("reversed", "p1p1p1_r1"): "box (-2, 1, 1, 0, 0, 0, 0) fails on "
+                               "pairing_1",
+    ("reversed", "p1p1p1_r3"): "box (-2, 1, 1, 0, 0, 0, 0, 0, 0) fails on "
+                               "pairing_1",
+    ("reversed", "surface0_6rays_r1"): "box (-1, 1, -1, 1, 0, 0, 0) fails "
+                                       "on pairing_1",
+}
+
+
+@pytest.mark.parametrize("label,name", sorted(DUAL_CLASS_FAILURES))
+def test_dual_class_mutations_fail_annihilation(label, name, monkeypatch):
+    inst = checks.Instance(BUILDERS[name](), order=4)
+    assert CHECK["series.annihilation"](inst)[0]
+    assert (len(inst.sys.basis) > 1) == (name not in ("p1", "p2"))
+    inst = checks.Instance(BUILDERS[name](), order=4)
+    original = dg._dual_divisor_classes
+    monkeypatch.setattr(dg, "_dual_divisor_classes",
+                        lambda sys, ring, chart: DUAL_CLASS_MUTATIONS[label](
+                            original(sys, ring, chart)))
+    assert_annihilation_fails(inst, DUAL_CLASS_FAILURES[label, name])
 
 
 def test_p1_has_no_log_class_of_degree_two():

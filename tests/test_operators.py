@@ -18,8 +18,9 @@ to the stacked pairings; it must give the (ok, detail) of the per-series
 loop it replaced, and a stacked pass must give, component by component, the
 terms of the scalar passes.
 
-The pairings the check reads are in lattice logs (``Instance.pairings``);
-the ``bseries`` form in slot logs is the reference.  Substituting
+The pairings the check reads are in lattice logs, those of the first
+chart's basis vectors (``Instance.pairings``); the ``bseries`` form in
+slot logs is the reference.  Substituting
 y_k = sum_j log_map[k][j] log x_j into the lattice-log pairings must give
 the slot-log pairings exactly, and it must commute with every operator on
 a defective series too, so the check sees on the lattice-log form what it
@@ -304,9 +305,12 @@ def test_identity_map_lowering_equals_the_slot_lowering(inst):
 
 
 def test_lattice_logs_transport_to_slot_logs(inst):
-    """Substituting the lattice logs into ``inst.pairings`` gives the slot-log
-    pairings key for key and Fraction for Fraction."""
+    """Substituting the first chart's logs into ``inst.pairings`` gives the
+    slot-log pairings key for key and Fraction for Fraction: the chart-0
+    transport, a route around the chart's dual divisor classes that reads
+    the system's own divisor classes."""
     got, ref = substitute(inst.pairings), slot_log_pairings(inst)
+    assert inst.pairings.log_map == inst.charts[0].basis_vectors
     assert len(inst.pairings.log_map) == len(inst.sys.basis) < inst.sys.nvars
     assert got.terms == ref.terms
     assert {key: [type(c) for c in row] for key, row in got.terms.items()} \

@@ -217,7 +217,8 @@ def test_ring_matches_the_greedy_fraction_construction(name):
 def test_p1p1p1_eliminates_only_the_live_monomials(monkeypatch):
     """The Stanley-Reisner monomials never enter the elimination: in degree
     3, 18 of the 56 monomials are divisible by a generator, and the rows
-    are the 3 linear relations times the 21 monomials of degree 2."""
+    are the 3 linear relations times the 18 live monomials of degree 2 (a
+    relation times one of the 3 dead ones would be a zero row)."""
     fan = INSTANCES["p1p1p1_r1"]()
     collections = toric.primitive_collections(fan)
     generators = toric.stanley_reisner_ideal(collections)
@@ -234,8 +235,12 @@ def test_p1p1p1_eliminates_only_the_live_monomials(monkeypatch):
     live = [m for m in cubics
             if not any(all(m[v] for v in s) for s in generators)]
     assert (len(cubics), len(live)) == (56, 38)
-    assert 63 == fan.rank * len(toric._monomials_of_degree(fan.p, 2))
-    assert shapes == [(0, set()), (3, {6}), (18, {18}), (63, {38})]
+    quadrics = toric._monomials_of_degree(fan.p, 2)
+    live = [m for m in quadrics
+            if not any(all(m[v] for v in s) for s in generators)]
+    assert (len(quadrics), len(live)) == (21, 18)
+    assert 54 == fan.rank * len(live)
+    assert shapes == [(0, set()), (3, {6}), (18, {18}), (54, {38})]
 
 
 @pytest.fixture(params=sorted(INSTANCES))
