@@ -371,10 +371,9 @@ def run_command(cmd, spec, flags=None):
         from . import degeneracy as dg
         chart_reports = []
         all_ok = True
-        for idx, chart in enumerate(inst.charts):
+        for chart in inst.charts:
             report = dg.maximal_degeneracy_check(sys, inst.ring, chart,
-                                                 inst.period,
-                                                 inst.chart_pairings(idx))
+                                                 inst.period, inst.pairings)
             all_ok = all_ok and report.passed
             chart_reports.append({
                 "cone_rays": [list(r) for r in chart.cone_rays],

@@ -220,8 +220,12 @@ class CertificateReport:
 def maximal_degeneracy_check(sys, ring, chart, period, pairings):
     """Certify the degeneracy behaviour of the chart at the truncation order
     and weight of ``period``, the normalized period series of ``sys``;
-    ``pairings`` are its solution pairings in the chart's logs
-    (``chart_pairings``) at the same order and weight.
+    ``pairings`` are its solution pairings (``chart_pairings``) at the same
+    order and weight, keyed by lattice offsets, in the logs of any chart.
+    One expansion serves every chart: two charts' logs differ by a
+    unimodular integer matrix, so a combination is log-free in one exactly
+    when it is in the other, with the same log-free coefficients, and the
+    log rows span the same space.
 
     Three clauses: the period series extends as a genuine power series; the
     space of log-free solutions among the dual-basis pairings is exactly one

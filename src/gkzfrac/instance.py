@@ -85,13 +85,8 @@ class Instance:
         """Dual-basis pairings of the cohomology-valued series, stacked:
         one coordinate tuple per term, keyed by lattice offsets, in the
         dim H^2 logs of the first chart (``degeneracy.chart_pairings``);
-        ``bseries`` expands them in the ``nvars`` slot logs instead."""
+        ``bseries`` expands them in the ``nvars`` slot logs instead.  They
+        serve every chart: another chart's logs are a unimodular integer
+        transform of these, which keeps the log-free combinations."""
         from . import degeneracy as dg
         return dg.chart_pairings(self.sys, self.ring, self.charts[0], self.b)
-
-    def chart_pairings(self, k):
-        """The pairings in chart k's logs: the first chart's are ``pairings``,
-        a later chart's are built anew."""
-        from . import degeneracy as dg
-        return self.pairings if k == 0 else dg.chart_pairings(
-            self.sys, self.ring, self.charts[k], self.b)

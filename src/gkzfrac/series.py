@@ -246,9 +246,6 @@ class LogSeries:
             logdeg = (0,) * len(self.log_map)
         return self.terms.get((tuple(ell), tuple(logdeg)), 0)
 
-    def is_log_free(self):
-        return all(all(m == 0 for m in logdeg) for _, logdeg in self.terms)
-
     def _is_reliable(self, ell):
         """Whether every input feeding exponent offset ``ell`` lies inside
         the truncation order."""

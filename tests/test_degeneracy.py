@@ -140,7 +140,7 @@ def test_chart_pairings_unit_matches_period_p1():
         sys, chart, se.normalized_period_series(sys, omega, 6))
     # keyed by lattice offsets: re-keyed, the unit pairing is the period
     unit = pairings[0]
-    assert unit.is_log_free()
+    assert not any(any(logdeg) for _, logdeg in unit.terms)
     assert {(dg.chart_coordinates(sys, chart, ell), logdeg): c
             for (ell, logdeg), c in unit.terms.items()} == period.terms
 
@@ -466,9 +466,12 @@ CERTIFIED = dict(
 
 @pytest.mark.parametrize("name", sorted(CERTIFIED))
 def test_certificate_null_space_equals_solve_linear(name, monkeypatch):
-    """On every chart, the null space the certificate finds from the
-    integer form of the log rows is ``solve_linear``'s on their Fraction
-    coordinate tuples."""
+    """On every chart, the certificate read off the one expansion
+    (``inst.pairings``, in the first chart's logs) is the one read off the
+    chart's own expansion, clause for clause and detail for detail; either
+    way the null space it finds from the integer form of the log rows is
+    ``solve_linear``'s on the Fraction coordinate tuples of the chart's own
+    log rows."""
     build, order = CERTIFIED[name]
     inst = checks.Instance(build(), order=order)
     found = []
@@ -485,8 +488,11 @@ def test_certificate_null_space_equals_solve_linear(name, monkeypatch):
         log_rows = [row for (_, logdeg), row in chart_pairings.terms.items()
                     if any(logdeg)]
         assert log_rows
-        expected.append(xl.solve_linear(log_rows, (0,) * len(log_rows))[1])
-        assert dg.maximal_degeneracy_check(inst.sys, inst.ring, chart,
-                                           inst.period, chart_pairings).passed
+        expected += [xl.solve_linear(log_rows, (0,) * len(log_rows))[1]] * 2
+        report = dg.maximal_degeneracy_check(inst.sys, inst.ring, chart,
+                                             inst.period, inst.pairings)
+        assert report.passed
+        assert report.as_dict() == dg.maximal_degeneracy_check(
+            inst.sys, inst.ring, chart, inst.period, chart_pairings).as_dict()
     assert found == expected
     assert all(len(null) == 1 for null in found)

@@ -105,27 +105,34 @@ def count_expansion_acts(monkeypatch):
     return acts
 
 
-EXPANDED = {"p2": CORPUS["p2"], "f1": CORPUS["f1"],
-            "p1p1p1_r1": INSTANCES["p1p1p1_r1"],
-            "surface0_6rays_r1": MULTI_CHART["surface0_6rays_r1"][0]}
+EXPANDED = {"p2": (CORPUS["p2"], 1), "f1": (CORPUS["f1"], 1),
+            "p1p1p1_r1": (INSTANCES["p1p1p1_r1"], 1),
+            **{name: MULTI_CHART[name]
+               for name in ("dp6", "surface0_6rays_r1", "square8")}}
 
 
 @pytest.mark.parametrize("name", sorted(EXPANDED))
-def test_check_all_expands_x_d_once_per_chart(name, monkeypatch):
+def test_check_all_expands_x_d_once_per_instance(name, monkeypatch):
     # the first chart's pairings serve annihilation, the solution rank and
-    # that chart's certificate; only a later chart expands x^D again, in
-    # its own logs
-    logs = []
+    # every chart's certificate, so x^D is expanded once, in the first
+    # chart's logs, whatever the number of charts
+    logs, duals = [], []
 
     def expansion(*args, _fn=se.pair_with_dual, **kwargs):
         logs.append(kwargs.get("log_map"))
         return _fn(*args, **kwargs)
+
+    def dual_classes(sys, ring, chart, _fn=dg._dual_divisor_classes):
+        duals.append(chart)
+        return _fn(sys, ring, chart)
     monkeypatch.setattr(se, "pair_with_dual", expansion)
-    inst = checks.Instance(EXPANDED[name](), order=4)
+    monkeypatch.setattr(dg, "_dual_divisor_classes", dual_classes)
+    build, count = EXPANDED[name]
+    inst = checks.Instance(build(), order=4)
     assert all(r["ok"] for r in checks.run_all(inst))
-    assert len(inst.charts) == (2 if name.startswith("surface") else 1)
-    assert logs == [chart.basis_vectors for chart in inst.charts]
-    assert inst.chart_pairings(0) is inst.pairings
+    assert len(inst.charts) == count
+    assert logs == [inst.charts[0].basis_vectors]
+    assert duals == [inst.charts[0]]
 
 
 @pytest.mark.parametrize("name", ["p2", "f1", "p1xp1"])

@@ -41,7 +41,8 @@ FANS = {"p2": (CORPUS["p2"], 8), "f1": (CORPUS["f1"], 8),
         "p1p1p1_r1": (lambda: threefold([[0, 1, 2, 3, 4, 5]], "r1"), 4)}
 BUILDERS = dict(CORPUS, p1p1p1_r1=FANS["p1p1p1_r1"][0],
                 p1p1p1_r3=lambda: threefold([[0, 1], [2, 3], [4, 5]], "r3"),
-                surface0_6rays_r1=MULTI_CHART["surface0_6rays_r1"][0])
+                **{name: MULTI_CHART[name][0] for name in
+                   ("dp6", "seven_rays", "square8", "surface0_6rays_r1")})
 CHECK = dict(checks.CHECKS)
 
 
@@ -217,7 +218,10 @@ def test_wrong_log_factorial_fails_annihilation(name, monkeypatch):
 # expands x^D, mutated before the pairings are built: the first class
 # doubled, or the classes reversed.  Either breaks D_j = sum_k v_k[j] W_k;
 # the Euler rows act on the chart's logs as scalars, so a box operator
-# catches it.  Reversal is the identity in rank 1 (p1, p2)
+# catches it.  They are the only dual classes built, also on the surfaces
+# with 2, 4 and 8 charts (dp6, seven_rays, square8, surface0_6rays_r1),
+# since every chart's certificate reads the same pairings.  Reversal is
+# the identity in rank 1 (p1, p2)
 DUAL_CLASS_MUTATIONS = {"doubled": lambda classes: [2 * classes[0]]
                         + classes[1:],
                         "reversed": lambda classes: classes[::-1]}
@@ -234,6 +238,11 @@ DUAL_CLASS_FAILURES = {
                               "pairing_3",
     ("doubled", "surface0_6rays_r1"): "box (-1, 1, -1, 1, 0, 0, 0) fails on "
                                       "pairing_2",
+    ("doubled", "dp6"): "box (-1, 1, -1, 1, 0, 0, 0) fails on pairing_1",
+    ("doubled", "seven_rays"): "box (-1, 1, -1, 1, 0, 0, 0, 0) fails on "
+                               "pairing_1",
+    ("doubled", "square8"): "box (-1, 1, -1, 0, 1, 0, 0, 0, 0) fails on "
+                            "pairing_7",
     ("reversed", "f1"): "box (-1, 1, -1, 1, 0) fails on pairing_2",
     ("reversed", "f1_r2"): "box (-1, 1, -1, 1, 0, 0) fails on pairing_2",
     ("reversed", "p1xp1"): "box (-2, 1, 1, 0, 0, 0) fails on pairing_1",
@@ -244,6 +253,11 @@ DUAL_CLASS_FAILURES = {
                                "pairing_1",
     ("reversed", "surface0_6rays_r1"): "box (-1, 1, -1, 1, 0, 0, 0) fails "
                                        "on pairing_1",
+    ("reversed", "dp6"): "box (-1, 1, -1, 1, 0, 0, 0) fails on pairing_1",
+    ("reversed", "seven_rays"): "box (-1, 1, -1, 1, 0, 0, 0, 0) fails on "
+                                "pairing_1",
+    ("reversed", "square8"): "box (0, 1, -2, 1, 0, 0, 0, 0, 0) fails on "
+                             "pairing_7",
 }
 
 

@@ -15,6 +15,8 @@ import hashlib
 import pytest
 
 from test_cones import old_kahler_cone, old_secondary_cone
+from test_degeneracy import HEXAGON, MULTI_CHART, SEVEN_RAYS, SURFACE0_6
+from test_ring_table import SQUARE8
 from gkzfrac import checks, cli
 
 DIGESTS = {
@@ -79,10 +81,47 @@ FANS_WITH_THE_OLD_ROWS = {
 }
 
 
-def report_digest(command, name, order=None):
-    spec = cli.parse_input(cli.fixture_path(name))
+# The one-block cyclic surfaces of ``test_degeneracy.MULTI_CHART`` at order
+# 5, with 2, 2, 4 and 8 charts: no bundled fixture has a chart after the
+# first.  Pinned while each later chart still expanded x^D in its own logs.
+MULTI_CHART_RAYS = {"dp6": HEXAGON, "surface0_6rays_r1": SURFACE0_6,
+                    "seven_rays": SEVEN_RAYS, "square8": SQUARE8}
+MULTI_CHART_DIGESTS = {
+    ("degeneracy", "dp6"):
+        "0568fbecbf95aa0ffbea043b58bf6149e660ce56bbe16b5b1aa9d8515d46aa3c",
+    ("degeneracy", "surface0_6rays_r1"):
+        "72a9bc69c24f00c3d8b2685c794c807110e51866a5758aeadd6fc7707ae8673c",
+    ("degeneracy", "seven_rays"):
+        "4c006b92060eda2d7eb92f8a7b46a19c4843b9ccc195ad36a8b70f400e420ad4",
+    ("degeneracy", "square8"):
+        "a1c9af80ebd27a60453d92f63f43017bb7f833100f6348fceba4fef25b679554",
+    ("check-all", "dp6"):
+        "cc9f92fa6d2fe161788e0010248efc11f64c24f6480765cc7cc27d998c24288b",
+    ("check-all", "surface0_6rays_r1"):
+        "adb858e8cb68a81585c56ab4f7641b0f2420045c6042d3d9c6aa34d043db5f0d",
+    ("check-all", "seven_rays"):
+        "80b015a24a86a7e2f82c2cdc639c4f1e0d5654c868fe86f6fbcdbcbd83798044",
+    ("check-all", "square8"):
+        "aef751a9045a94408a57f63548c95d0b794c776a494d1b4a9b4f31102e0dcee9",
+}
+
+
+def spec_digest(command, spec, order=None):
     text = cli.run_command(command, spec, {"order": order}).to_json()
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def report_digest(command, name, order=None):
+    return spec_digest(command, cli.parse_input(cli.fixture_path(name)),
+                       order)
+
+
+def multi_chart_spec(name):
+    """The surface as a parsed input at order 5."""
+    rays = MULTI_CHART_RAYS[name]
+    n = len(rays)
+    return cli.InputSpec(name, 2, rays, [[i, (i + 1) % n] for i in range(n)],
+                         [list(range(n))], order=5)
 
 
 @pytest.mark.parametrize("key", sorted(DIGESTS),
@@ -90,6 +129,16 @@ def report_digest(command, name, order=None):
 def test_report_digest(key):
     command, name, *order = key
     assert report_digest(command, name, *order) == DIGESTS[key]
+
+
+@pytest.mark.parametrize("key", sorted(MULTI_CHART_DIGESTS),
+                         ids=lambda key: "-".join(key))
+def test_multi_chart_report_digest(key):
+    command, name = key
+    spec = multi_chart_spec(name)
+    fan, built = spec.fan(), MULTI_CHART[name][0]()
+    assert (fan.rays, fan.max_cones) == (built.rays, built.max_cones)
+    assert spec_digest(command, spec) == MULTI_CHART_DIGESTS[key]
 
 
 @pytest.mark.parametrize("name", sorted(FANS_WITH_THE_OLD_ROWS))
