@@ -23,8 +23,8 @@ for name in ("p1", "p2", "p1xp1", "f1"):
     for chart in degeneracy.subdivide_kahler_cone(system):
         print("chart relations:", [list(v) for v in chart.basis_vectors],
               "signs:", list(chart.signs))
-        report = degeneracy.maximal_degeneracy_check(
-            system, ring, chart, period,
+        report, = degeneracy.maximal_degeneracy_check(
+            system, ring, [chart], period,
             degeneracy.chart_pairings(system, ring, chart, b))
         for clause in report.clauses:
             status = "pass" if clause["ok"] else "FAIL"

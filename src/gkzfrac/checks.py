@@ -331,9 +331,9 @@ def _check_region_decomposition(inst):
 
 
 def _check_certificate(inst):
-    for idx, chart in enumerate(inst.charts):
-        report = dg.maximal_degeneracy_check(inst.sys, inst.ring, chart,
-                                             inst.period, inst.pairings)
+    reports = dg.maximal_degeneracy_check(inst.sys, inst.ring, inst.charts,
+                                          inst.period, inst.pairings)
+    for idx, report in enumerate(reports):
         if not report.passed:
             failed = [c["clause"] for c in report.clauses if not c["ok"]]
             return False, f"chart {idx} fails {failed}"

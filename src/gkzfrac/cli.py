@@ -369,20 +369,16 @@ def run_command(cmd, spec, flags=None):
 
     if cmd == "degeneracy":
         from . import degeneracy as dg
-        chart_reports = []
-        all_ok = True
-        for chart in inst.charts:
-            report = dg.maximal_degeneracy_check(sys, inst.ring, chart,
-                                                 inst.period, inst.pairings)
-            all_ok = all_ok and report.passed
-            chart_reports.append({
-                "cone_rays": [list(r) for r in chart.cone_rays],
-                "coordinate_relations": [list(v) for v in chart.basis_vectors],
-                "coordinate_signs": list(chart.signs),
-                "certificate": report.as_dict(),
-            })
+        reports = dg.maximal_degeneracy_check(sys, inst.ring, inst.charts,
+                                              inst.period, inst.pairings)
+        chart_reports = [{
+            "cone_rays": [list(r) for r in chart.cone_rays],
+            "coordinate_relations": [list(v) for v in chart.basis_vectors],
+            "coordinate_signs": list(chart.signs),
+            "certificate": report.as_dict(),
+        } for chart, report in zip(inst.charts, reports)]
         return Report("degeneracy", spec.name, {"charts": chart_reports},
-                      failed=not all_ok)
+                      failed=not all(r.passed for r in reports))
 
     if cmd == "check-all":
         from . import checks

@@ -2,10 +2,10 @@
 certificate.
 
 A chart is a unimodular basis of the relation lattice sitting inside the
-dual of a smooth maximal cone; its monomial coordinates carry the parity
-sign of the auxiliary slots.  On such a chart the period series re-indexes
-to a plain power series, and among the solution pairings exactly one is free
-of logarithms, which is the executable content of the degeneracy statement.
+dual of a smooth maximal cone.  On such a chart the period series re-indexes
+to a plain power series; among the solution pairings exactly one is free of
+logarithms, which is the executable content of the degeneracy statement.
+That solution belongs to the point, not to a chart: it is found once.
 """
 
 from fractions import Fraction
@@ -24,8 +24,10 @@ class CanonicalChart:
 
     ``basis_vectors`` are the relation-lattice vectors dual to the cone's
     extreme rays; coordinate k is the monomial of basis vector k times the
-    sign ``signs[k]``.  The chart coordinates of a relation are
-    ``cone_rays`` times its system coordinates (``GkzSystem.basis_coords``).
+    sign ``signs[k]``, the quotient parity of that vector
+    (``series.parity_sign``), kept for the reports.  The chart coordinates
+    of a relation are ``cone_rays`` times its system coordinates
+    (``GkzSystem.basis_coords``).
     """
 
     def __init__(self, cone_rays, basis_vectors, signs):
@@ -39,8 +41,7 @@ def _chart_from_simplicial_cone(sys, rays):
     inv = xl.unimodular_inverse(tuple(rays))
     basis_vectors = tuple(sys.from_basis_coords(col) for col in zip(*inv))
     assert xl.is_unimodular_lattice_basis(basis_vectors, sys.basis)
-    aux = sys.aux_positions()
-    signs = tuple((-1) ** (sum(v[j] for j in aux) % 2) for v in basis_vectors)
+    signs = tuple(se.parity_sign(sys.alpha, v) for v in basis_vectors)
     return CanonicalChart(cone_rays=tuple(rays), basis_vectors=basis_vectors,
                           signs=signs)
 
@@ -131,7 +132,9 @@ def chart_coordinates(sys, chart, ell):
 
 
 def period_in_chart(sys, chart, series):
-    """Re-index a log-free series by the chart monomials.
+    """Re-index a log-free series by the chart monomials, each coefficient
+    times the quotient parity of its offset (``series.parity_sign``), which
+    is the product of the chart signs to the chart exponents.
 
     Every stored exponent must decompose with nonnegative integer
     coefficients over the chart basis; a violation raises NegativeExponent
@@ -145,12 +148,8 @@ def period_in_chart(sys, chart, series):
     no_logs = (0,) * len(chart.basis_vectors)
     for (ell, logdeg), coeff in series.sorted_items():
         assert all(x == 0 for x in logdeg), "chart transport needs log-free input"
-        m = chart_coordinates(sys, chart, ell)
-        sign = 1
-        for s, e in zip(chart.signs, m):
-            if s == -1 and e % 2:
-                sign = -sign
-        out.add_term(m, no_logs, sign * coeff)
+        out.add_term(chart_coordinates(sys, chart, ell), no_logs,
+                     se.parity_sign(series.alpha, ell) * coeff)
     return out
 
 
@@ -187,9 +186,8 @@ def chart_pairings(sys, ring, chart, b):
     chart's dual divisor classes W_k: log slot k is the log of basis vector
     k's monomial, as D_j = sum_k v_k[j] W_k.  Entry k of each coefficient
     tuple pairs against the k-th dual basis functional.  The
-    quotient-coordinate parity is already part of the product-form classes,
-    so no sign enters here (unlike ``period_in_chart``, whose input is
-    untwisted).
+    quotient parity is already part of the product-form classes, so no sign
+    enters here (unlike the period, whose coefficients are untwisted).
     """
     return se.pair_with_dual(ring, b, _dual_divisor_classes(sys, ring, chart),
                              log_map=chart.basis_vectors)
@@ -217,33 +215,23 @@ class CertificateReport:
                 "clauses": self.clauses}
 
 
-def maximal_degeneracy_check(sys, ring, chart, period, pairings):
-    """Certify the degeneracy behaviour of the chart at the truncation order
-    and weight of ``period``, the normalized period series of ``sys``;
-    ``pairings`` are its solution pairings (``chart_pairings``) at the same
-    order and weight, keyed by lattice offsets, in the logs of any chart.
-    One expansion serves every chart: two charts' logs differ by a
-    unimodular integer matrix, so a combination is log-free in one exactly
-    when it is in the other, with the same log-free coefficients, and the
-    log rows span the same space.
+def maximal_degeneracy_check(sys, ring, charts, period, pairings):
+    """One report per chart in ``charts``, in order, certifying its
+    degeneracy behaviour at the order and weight of ``period``, the
+    normalized period series of ``sys``; ``pairings`` are its solution
+    pairings (``chart_pairings``) at the same order and weight, keyed by
+    lattice offsets, in the logs of any chart.
 
-    Three clauses: the period series extends as a genuine power series; the
-    space of log-free solutions among the dual-basis pairings is exactly one
-    dimensional and matches the transported period up to one scalar; the
-    indicial locus is the single canonical exponent.  The log-free
-    combination is one integer dot product per key of the pairings' integer
-    form; each offset is re-keyed by its chart coordinates once.
+    Three clauses: the period series extends as a genuine power series on
+    the chart (``period_in_chart``, the one clause read per chart); the
+    log-free solutions among the dual-basis pairings are one dimensional and
+    match the period, signed by ``series.parity_sign``, up to one scalar
+    (only on charts whose transport succeeded); the indicial locus is the
+    single canonical exponent.  Two charts' logs differ by a unimodular
+    integer matrix, so a combination is log-free in one exactly when it is
+    in the other, with the same coefficients: the last two clauses are
+    worked out once, in lattice offsets.
     """
-    report = CertificateReport(order=period.order)
-    try:
-        chart_period = period_in_chart(sys, chart, period)
-        report.add("holomorphic_extension", True,
-                   f"{len(chart_period.terms)} monomials, all exponents "
-                   "nonnegative")
-    except NegativeExponent as exc:
-        chart_period = None
-        report.add("holomorphic_extension", False, str(exc))
-
     # the combinations of the pairings that vanish on every log key
     _, dens, groups = pairings.integer_form()
     common = lcm(*dens)
@@ -251,38 +239,48 @@ def maximal_degeneracy_check(sys, ring, chart, period, pairings):
     null = xl.null_basis([[(i, n * scale[i]) for i, n in nz]
                           for terms in groups.values()
                           for logdeg, nz in terms if any(logdeg)], ring.dim)
+    shared = []  # the clauses after the first, the same on every chart
     if len(null) == 1:
         combo, den = xl.integer_scaled([c * s for c, s in zip(null[0], scale)])
-        log_free = {}
-        for ell, terms in groups.items():
-            m = chart_coordinates(sys, chart, ell)
-            for logdeg, nz in terms:
-                value = sum(combo[i] * n for i, n in nz)
-                if value:
-                    log_free[m, logdeg] = Fraction(value, den * common)
+        log_free = {(ell, logdeg): Fraction(value, den * common)
+                    for ell, terms in groups.items() for logdeg, nz in terms
+                    for value in [sum(combo[i] * n for i, n in nz)] if value}
         ok = bool(log_free) and not any(any(lg) for _, lg in log_free)
-        report.add("unique_log_free_solution", ok,
-                   "one-dimensional log-free subspace" if ok else
-                   "log-free combination degenerates")
-        if chart_period is not None and ok:
+        shared.append(("unique_log_free_solution", ok,
+                       "one-dimensional log-free subspace" if ok else
+                       "log-free combination degenerates"))
+        if ok:
             # the period's stored terms are nonzero; one nonzero scalar must
-            # carry them onto the log-free solution, which has no other key
-            items = chart_period.sorted_items()
-            ratio = log_free.get(items[0][0], 0) / items[0][1] if items else 0
+            # carry them, signed, onto the log-free solution, which has no
+            # other key
+            free = {ell: c for (ell, _), c in log_free.items()}
+            signed = {ell: se.parity_sign(period.alpha, ell) * c
+                      for (ell, _), c in period.terms.items()}
+            ratio = next((free.get(e, 0) / c for e, c in signed.items()), 0)
             consistent = bool(ratio) and \
-                log_free.keys() <= chart_period.terms.keys() and \
-                all(log_free.get(key, 0) == ratio * value
-                    for key, value in items)
-            report.add("log_free_matches_period", consistent,
-                       f"global scalar {xl.fraction_str(ratio)}"
-                       if consistent else "coefficient mismatch")
+                free == {ell: ratio * c for ell, c in signed.items()}
+            shared.append(("log_free_matches_period", consistent,
+                           f"global scalar {xl.fraction_str(ratio)}"
+                           if consistent else "coefficient mismatch"))
     else:
-        report.add("unique_log_free_solution", False,
-                   f"log-free subspace has dimension {len(null)}")
-
+        shared.append(("unique_log_free_solution", False,
+                       f"log-free subspace has dimension {len(null)}"))
     locus = sys.indicial_locus
-    expected = [sys.alpha]
-    report.add("indicial_locus_is_canonical", locus == expected,
-               "single canonical exponent" if locus == expected
-               else f"locus {locus}")
-    return report
+    shared.append(("indicial_locus_is_canonical", locus == [sys.alpha],
+                   "single canonical exponent" if locus == [sys.alpha]
+                   else f"locus {locus}"))
+
+    reports = []
+    for chart in charts:
+        report = CertificateReport(order=period.order)
+        try:
+            terms = period_in_chart(sys, chart, period).terms
+            report.add("holomorphic_extension", True,
+                       f"{len(terms)} monomials, all exponents nonnegative")
+        except NegativeExponent as exc:
+            report.add("holomorphic_extension", False, str(exc))
+        for name, ok, detail in shared:
+            if name != "log_free_matches_period" or report.clauses[0]["ok"]:
+                report.add(name, ok, detail)
+        reports.append(report)
+    return reports

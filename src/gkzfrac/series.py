@@ -495,9 +495,10 @@ def apply_operator(op, s, twisted=False):
     The result records the exponent shifts of the operator monomials so
     that zero tests can be restricted to the reliable region, and a box
     operator computes nothing outside that region.  With ``twisted`` the
-    box operator carries the quotient-coordinate sign on its second
-    monomial, matching series whose coefficients live on the sign-flipped
-    chart.
+    box operator carries the quotient parity of its relation
+    (``parity_sign``) on its second monomial, matching series whose
+    coefficients live on the sign-flipped quotient coordinates, the same
+    on every chart.
     """
     if not isinstance(op, (EulerOperator, BoxOperator)):
         raise TypeError(f"unsupported operator {op!r}")
@@ -531,10 +532,7 @@ def apply_operator(op, s, twisted=False):
                         row[i] += n * c
         shifts = ((0,) * len(s.alpha),)
     else:
-        sign = 1
-        if twisted:
-            aux = sum(op.ell[j] for j in _aux_positions_from_alpha(s.alpha))
-            sign = (-1) ** (aux % 2)
+        sign = parity_sign(s.alpha, op.ell) if twisted else 1
         # exponents alpha_j + ell_j become integers after scaling by a_scale;
         # both monomials are brought to the larger power of a_scale
         alpha, a_scale = xl.integer_scaled(s.alpha)
@@ -655,6 +653,13 @@ def _lowering(logdeg, derivations):
 
 def _aux_positions_from_alpha(alpha):
     return [j for j, a in enumerate(alpha) if a != 0]
+
+
+def parity_sign(alpha, ell):
+    """The quotient parity of ell, -1 to its sum over the auxiliary slots
+    (where alpha is nonzero); with ell = sum_k m_k v_k on a chart, it is
+    the product of the chart signs to the exponents m_k."""
+    return (-1) ** (sum(ell[j] for j in _aux_positions_from_alpha(alpha)) % 2)
 
 
 def vanishing_check_outside_mori(sys, ring, ell):

@@ -122,9 +122,11 @@ def test_criterion_5_maximal_degeneracy_certificates():
         omega = gkz.default_weight(sys)
         period = se.normalized_period_series(sys, omega, 8)
         b = se.b_series(sys, ring, omega, 8)
-        for chart in charts:
-            report = dg.maximal_degeneracy_check(
-                sys, ring, chart, period, dg.chart_pairings(sys, ring, chart, b))
+        reports = dg.maximal_degeneracy_check(
+            sys, ring, charts, period,
+            dg.chart_pairings(sys, ring, charts[0], b))
+        assert len(reports) == len(charts)
+        for report in reports:
             assert report.passed, report.as_dict()
         locus = gkz.indicial_ideal_zero_locus(sys)
         alpha = gkz.canonical_alpha(sys)

@@ -243,8 +243,8 @@ def test_certificate_p1():
     sys = system(p1_fan)
     ring = toric.cohomology_ring(sys.fan, sys.collections)
     chart = dg.subdivide_kahler_cone(sys)[0]
-    report = dg.maximal_degeneracy_check(sys, ring, chart, period(sys, 8),
-                                         pairings(sys, ring, chart, 8))
+    report, = dg.maximal_degeneracy_check(sys, ring, [chart], period(sys, 8),
+                                          pairings(sys, ring, chart, 8))
     assert report.passed
     names = [c["clause"] for c in report.clauses]
     assert names == ["holomorphic_extension", "unique_log_free_solution",
@@ -255,9 +255,11 @@ def test_certificate_p1():
 def test_certificate_corpus(corpus_fan):
     sys = gkz.build_system(corpus_fan)
     ring = toric.cohomology_ring(corpus_fan, sys.collections)
-    for chart in dg.subdivide_kahler_cone(sys):
-        report = dg.maximal_degeneracy_check(sys, ring, chart, period(sys, 8),
-                                             pairings(sys, ring, chart, 8))
+    charts = dg.subdivide_kahler_cone(sys)
+    reports = dg.maximal_degeneracy_check(sys, ring, charts, period(sys, 8),
+                                          pairings(sys, ring, charts[0], 8))
+    assert len(reports) == len(charts)
+    for report in reports:
         assert report.passed, report.as_dict()
 
 
@@ -265,8 +267,8 @@ def test_certificate_json_shape():
     sys = system(p2_fan)
     ring = toric.cohomology_ring(sys.fan, sys.collections)
     chart = dg.subdivide_kahler_cone(sys)[0]
-    report = dg.maximal_degeneracy_check(sys, ring, chart, period(sys, 6),
-                                         pairings(sys, ring, chart, 6))
+    report, = dg.maximal_degeneracy_check(sys, ring, [chart], period(sys, 6),
+                                          pairings(sys, ring, chart, 6))
     data = report.as_dict()
     assert data["passed"] is True
     assert all({"clause", "ok", "detail"} <= set(c) for c in data["clauses"])
@@ -282,8 +284,8 @@ def test_certificate_matches_the_period_up_to_one_scalar(name):
     chart, period = inst.charts[0], inst.period
 
     def verdict(terms):
-        report = dg.maximal_degeneracy_check(
-            inst.sys, inst.ring, chart, period.replace(terms=terms),
+        report, = dg.maximal_degeneracy_check(
+            inst.sys, inst.ring, [chart], period.replace(terms=terms),
             inst.pairings)
         clause = report.clauses[2]
         assert clause["clause"] == "log_free_matches_period"
@@ -464,14 +466,23 @@ CERTIFIED = dict(
     **{name: (build, 5) for name, (build, _) in MULTI_CHART.items()})
 
 
+# chart_coordinates calls in one check-all: region_decomposition and
+# period_in_chart each re-key the region slab once per chart, and no
+# B-series offset is re-keyed (88 and 105 calls when the certificate re-keyed
+# the pairings on every chart)
+CHECK_ALL_CHART_COORDINATES = {"square8": 16, "p1p1p1_r1": 70}
+
+
 @pytest.mark.parametrize("name", sorted(CERTIFIED))
 def test_certificate_null_space_equals_solve_linear(name, monkeypatch):
-    """On every chart, the certificate read off the one expansion
-    (``inst.pairings``, in the first chart's logs) is the one read off the
-    chart's own expansion, clause for clause and detail for detail; either
-    way the null space it finds from the integer form of the log rows is
-    ``solve_linear``'s on the Fraction coordinate tuples of the chart's own
-    log rows."""
+    """One call on every chart, reading the one expansion
+    (``inst.pairings``, in the first chart's logs), finds the null space
+    once and returns, chart by chart, the report of a one-chart call on
+    that chart's own expansion, clause for clause and detail for detail;
+    either way the null space it finds from the integer form of the log
+    rows is ``solve_linear``'s on the Fraction coordinate tuples of the
+    chart's own log rows.  In check-all, ``chart_coordinates`` re-keys only
+    the region slab."""
     build, order = CERTIFIED[name]
     inst = checks.Instance(build(), order=order)
     found = []
@@ -482,17 +493,66 @@ def test_certificate_null_space_equals_solve_linear(name, monkeypatch):
         return found[-1]
 
     monkeypatch.setattr(xl, "null_basis", recorded)
-    expected = []
-    for chart in inst.charts:
+    reports = dg.maximal_degeneracy_check(inst.sys, inst.ring, inst.charts,
+                                          inst.period, inst.pairings)
+    assert len(found) == 1
+    assert len(reports) == len(inst.charts)
+    for chart, report in zip(inst.charts, reports):
         chart_pairings = dg.chart_pairings(inst.sys, inst.ring, chart, inst.b)
         log_rows = [row for (_, logdeg), row in chart_pairings.terms.items()
                     if any(logdeg)]
         assert log_rows
-        expected += [xl.solve_linear(log_rows, (0,) * len(log_rows))[1]] * 2
-        report = dg.maximal_degeneracy_check(inst.sys, inst.ring, chart,
-                                             inst.period, inst.pairings)
         assert report.passed
         assert report.as_dict() == dg.maximal_degeneracy_check(
-            inst.sys, inst.ring, chart, inst.period, chart_pairings).as_dict()
-    assert found == expected
+            inst.sys, inst.ring, [chart], inst.period,
+            chart_pairings)[0].as_dict()
+        assert found[-1] == found[0] == \
+            xl.solve_linear(log_rows, (0,) * len(log_rows))[1]
+    assert len(found) == 1 + len(inst.charts)
     assert all(len(null) == 1 for null in found)
+
+    if name in CHECK_ALL_CHART_COORDINATES:
+        calls = []
+        coordinates = dg.chart_coordinates
+
+        def counted(sys, chart, ell):
+            calls.append(ell)
+            return coordinates(sys, chart, ell)
+
+        monkeypatch.setattr(dg, "chart_coordinates", counted)
+        inst = checks.Instance(build(), order=order)
+        assert all(r["ok"] for r in checks.run_all(inst))
+        assert len(calls) == CHECK_ALL_CHART_COORDINATES[name]
+        assert set(calls) <= set(inst.region_slab)
+
+
+def reference_period_in_chart(sys, chart, period):
+    """The transport with the per-chart sign product it had before
+    ``series.parity_sign``: each basis vector's sign read off the auxiliary
+    slots of the fan, flipped once per odd chart exponent."""
+    aux = sys.aux_positions()
+    signs = [(-1) ** (sum(v[j] for j in aux) % 2) for v in chart.basis_vectors]
+    out = {}
+    for (ell, _), coeff in period.terms.items():
+        m = dg.chart_coordinates(sys, chart, ell)
+        sign = 1
+        for s, e in zip(signs, m):
+            if s == -1 and e % 2:
+                sign = -sign
+        out[m, (0,) * len(m)] = sign * coeff
+    return signs, out
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFIED))
+def test_parity_sign_is_the_chart_sign_product(name):
+    """On every chart, the one parity (``series.parity_sign``) signs the
+    transported period as the chart's sign product did, and gives the
+    chart's signs."""
+    build, order = CERTIFIED[name]
+    inst = checks.Instance(build(), order=order)
+    for chart in inst.charts:
+        signs, expected = reference_period_in_chart(inst.sys, chart,
+                                                    inst.period)
+        assert list(chart.signs) == signs
+        assert dg.period_in_chart(inst.sys, chart, inst.period).terms == \
+            expected
