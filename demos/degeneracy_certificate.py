@@ -24,8 +24,9 @@ for name in ("p1", "p2", "p1xp1", "f1"):
         print("chart relations:", [list(v) for v in chart.basis_vectors],
               "signs:", list(chart.signs))
         report, = degeneracy.maximal_degeneracy_check(
-            system, ring, [chart], period,
-            degeneracy.chart_pairings(system, ring, chart, b))
+            system, ring, [(chart, degeneracy.chart_coordinates(
+                system, chart, [ell for ell, _ in period.terms]))],
+            period, degeneracy.chart_pairings(system, ring, chart, b))
         for clause in report.clauses:
             status = "pass" if clause["ok"] else "FAIL"
             print(f"    [{status}] {clause['clause']}: {clause['detail']}")

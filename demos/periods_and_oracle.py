@@ -41,7 +41,8 @@ print()
 chart = degeneracy.subdivide_kahler_cone(system)[0]
 print("canonical chart monomial:", chart.basis_vectors[0],
       "with sign", chart.signs[0])
-z_series = degeneracy.period_in_chart(system, chart, period)
+z_series = degeneracy.period_in_chart(chart, degeneracy.chart_coordinates(
+    system, chart, [ell for ell, _ in period.terms]), period)
 print("period in the canonical coordinate z:")
 for k in range(5):
     closed = Fraction(factorial(4 * k),

@@ -14,7 +14,7 @@ from . import gkz
 from . import polytopes as pt
 from . import series as se
 from . import triangulations as tr
-from .errors import EmptyInterior, NegativeExponent
+from .errors import EmptyInterior
 from .instance import Instance  # re-exported: checks.Instance
 
 
@@ -321,17 +321,16 @@ def _check_tmax_contains_aux(inst):
 
 
 def _check_region_decomposition(inst):
-    for chart in inst.charts:
-        for ell in inst.region_slab:
-            try:
-                dg.chart_coordinates(inst.sys, chart, ell)
-            except NegativeExponent:
+    for _, coordinates in inst.chart_coordinates:
+        for ell, m in coordinates.items():
+            if any(x < 0 for x in m):
                 return False, f"{ell} fails to decompose"
     return True, "summation region decomposes with nonnegative exponents"
 
 
 def _check_certificate(inst):
-    reports = dg.maximal_degeneracy_check(inst.sys, inst.ring, inst.charts,
+    reports = dg.maximal_degeneracy_check(inst.sys, inst.ring,
+                                          inst.chart_coordinates,
                                           inst.period, inst.pairings)
     for idx, report in enumerate(reports):
         if not report.passed:

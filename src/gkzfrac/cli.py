@@ -91,6 +91,8 @@ def parse_input(path):
         raise SchemaError("top-level value must be an object")
     name = _expect(data, "name", "str", "")
     rank = _expect(data, "rank", "int", "")
+    if rank < 1:
+        raise SchemaError("expected positive integer at /rank")
     rays = _int_matrix(_expect(data, "rays", "list", ""), "/rays", width=rank)
     cones = _int_matrix(_expect(data, "max_cones", "list", ""), "/max_cones")
     partition = _int_matrix(_expect(data, "nef_partition", "list", ""),
@@ -369,7 +371,8 @@ def run_command(cmd, spec, flags=None):
 
     if cmd == "degeneracy":
         from . import degeneracy as dg
-        reports = dg.maximal_degeneracy_check(sys, inst.ring, inst.charts,
+        reports = dg.maximal_degeneracy_check(sys, inst.ring,
+                                              inst.chart_coordinates,
                                               inst.period, inst.pairings)
         chart_reports = [{
             "cone_rays": [list(r) for r in chart.cone_rays],

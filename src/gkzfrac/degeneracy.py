@@ -25,9 +25,8 @@ class CanonicalChart:
     ``basis_vectors`` are the relation-lattice vectors dual to the cone's
     extreme rays; coordinate k is the monomial of basis vector k times the
     sign ``signs[k]``, the quotient parity of that vector
-    (``series.parity_sign``), kept for the reports.  The chart coordinates
-    of a relation are ``cone_rays`` times its system coordinates
-    (``GkzSystem.basis_coords``).
+    (``series.parity_sign``), kept for the reports.  A relation's
+    exponents in these monomials are its ``chart_coordinates``.
     """
 
     def __init__(self, cone_rays, basis_vectors, signs):
@@ -41,7 +40,7 @@ def _chart_from_simplicial_cone(sys, rays):
     inv = xl.unimodular_inverse(tuple(rays))
     basis_vectors = tuple(sys.from_basis_coords(col) for col in zip(*inv))
     assert xl.is_unimodular_lattice_basis(basis_vectors, sys.basis)
-    signs = tuple(se.parity_sign(sys.alpha, v) for v in basis_vectors)
+    signs = tuple(map(se.parity_sign(sys.alpha), basis_vectors))
     return CanonicalChart(cone_rays=tuple(rays), basis_vectors=basis_vectors,
                           signs=signs)
 
@@ -121,35 +120,35 @@ def subdivide_kahler_cone(sys):
 
 # --- chart re-expansion -------------------------------------------------------------
 
-def chart_coordinates(sys, chart, ell):
-    """Nonnegative integer exponents of x^ell in the chart monomials: the
-    cone rays applied to the system coordinates of ell."""
-    m = xl.mat_vec(chart.cone_rays, sys.basis_coords(ell))
-    if any(x < 0 for x in m):
-        raise NegativeExponent(
-            f"{ell} needs negative chart exponents {m}")
-    return m
+def chart_coordinates(sys, chart, offsets):
+    """``{ell: m}`` in the order of ``offsets``: the exponents m of x^ell in
+    the chart monomials, the cone rays applied to the system coordinates of
+    ell (``GkzSystem.basis_coords``); ell decomposes when m is nonnegative."""
+    return {ell: xl.mat_vec(chart.cone_rays, sys.basis_coords(ell))
+            for ell in offsets}
 
 
-def period_in_chart(sys, chart, series):
+def period_in_chart(chart, coordinates, series):
     """Re-index a log-free series by the chart monomials, each coefficient
     times the quotient parity of its offset (``series.parity_sign``), which
     is the product of the chart signs to the chart exponents.
 
-    Every stored exponent must decompose with nonnegative integer
-    coefficients over the chart basis; a violation raises NegativeExponent
-    and falsifies holomorphy of the extension.  A chart monomial has the
-    weight degree of its ell.
+    ``coordinates`` holds the exponents of each stored offset
+    (``chart_coordinates``); a negative one raises NegativeExponent, which
+    falsifies holomorphy.  A chart monomial has the weight degree of its ell.
     """
     out = se.LogSeries(alpha=(0,) * len(chart.basis_vectors),
                        weight=tuple(xl.dot(series.weight, v)
                                     for v in chart.basis_vectors),
                        order=series.order)
     no_logs = (0,) * len(chart.basis_vectors)
+    sign = se.parity_sign(series.alpha)
     for (ell, logdeg), coeff in series.sorted_items():
         assert all(x == 0 for x in logdeg), "chart transport needs log-free input"
-        out.add_term(chart_coordinates(sys, chart, ell), no_logs,
-                     se.parity_sign(series.alpha, ell) * coeff)
+        m = coordinates[ell]
+        if any(x < 0 for x in m):
+            raise NegativeExponent(f"{ell} needs negative chart exponents {m}")
+        out.add_term(m, no_logs, sign(ell) * coeff)
     return out
 
 
@@ -216,11 +215,11 @@ class CertificateReport:
 
 
 def maximal_degeneracy_check(sys, ring, charts, period, pairings):
-    """One report per chart in ``charts``, in order, certifying its
-    degeneracy behaviour at the order and weight of ``period``, the
-    normalized period series of ``sys``; ``pairings`` are its solution
-    pairings (``chart_pairings``) at the same order and weight, keyed by
-    lattice offsets, in the logs of any chart.
+    """One report per chart, in order, certifying it at the order and
+    weight of ``period``, the normalized period series of ``sys``:
+    ``charts`` pairs each chart with its ``chart_coordinates`` of the
+    period's offsets, and ``pairings`` are the solution pairings
+    (``chart_pairings``) there, keyed by lattice offsets, in any chart's logs.
 
     Three clauses: the period series extends as a genuine power series on
     the chart (``period_in_chart``, the one clause read per chart); the
@@ -254,7 +253,8 @@ def maximal_degeneracy_check(sys, ring, charts, period, pairings):
             # carry them, signed, onto the log-free solution, which has no
             # other key
             free = {ell: c for (ell, _), c in log_free.items()}
-            signed = {ell: se.parity_sign(period.alpha, ell) * c
+            sign = se.parity_sign(period.alpha)
+            signed = {ell: sign(ell) * c
                       for (ell, _), c in period.terms.items()}
             ratio = next((free.get(e, 0) / c for e, c in signed.items()), 0)
             consistent = bool(ratio) and \
@@ -271,10 +271,10 @@ def maximal_degeneracy_check(sys, ring, charts, period, pairings):
                    else f"locus {locus}"))
 
     reports = []
-    for chart in charts:
+    for chart, coordinates in charts:
         report = CertificateReport(order=period.order)
         try:
-            terms = period_in_chart(sys, chart, period).terms
+            terms = period_in_chart(chart, coordinates, period).terms
             report.add("holomorphic_extension", True,
                        f"{len(terms)} monomials, all exponents nonnegative")
         except NegativeExponent as exc:

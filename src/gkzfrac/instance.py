@@ -63,6 +63,13 @@ class Instance:
         return se.region_slab(self.sys, self.omega, self.order)
 
     @cached_property
+    def chart_coordinates(self):
+        """Each chart with its ``{ell: m}`` on the region slab."""
+        from . import degeneracy as dg
+        return [(c, dg.chart_coordinates(self.sys, c, self.region_slab))
+                for c in self.charts]
+
+    @cached_property
     def period(self):
         from . import series as se
         return se.normalized_period_series(self.sys, self.omega, self.order,

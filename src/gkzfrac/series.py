@@ -532,7 +532,7 @@ def apply_operator(op, s, twisted=False):
                         row[i] += n * c
         shifts = ((0,) * len(s.alpha),)
     else:
-        sign = parity_sign(s.alpha, op.ell) if twisted else 1
+        sign = parity_sign(s.alpha)(op.ell) if twisted else 1
         # exponents alpha_j + ell_j become integers after scaling by a_scale;
         # both monomials are brought to the larger power of a_scale
         alpha, a_scale = xl.integer_scaled(s.alpha)
@@ -655,11 +655,11 @@ def _aux_positions_from_alpha(alpha):
     return [j for j, a in enumerate(alpha) if a != 0]
 
 
-def parity_sign(alpha, ell):
-    """The quotient parity of ell, -1 to its sum over the auxiliary slots
-    (where alpha is nonzero); with ell = sum_k m_k v_k on a chart, it is
-    the product of the chart signs to the exponents m_k."""
-    return (-1) ** (sum(ell[j] for j in _aux_positions_from_alpha(alpha)) % 2)
+def parity_sign(alpha):
+    """The quotient parity as a function of ell: -1 to its sum over the
+    slots where alpha is nonzero, which are found once."""
+    aux = _aux_positions_from_alpha(alpha)
+    return lambda ell: (-1) ** (sum(ell[j] for j in aux) % 2)
 
 
 def vanishing_check_outside_mori(sys, ring, ell):

@@ -158,7 +158,8 @@ class ValidationReport:
 
 
 def validate_fan(fan):
-    """Check primitivity, smoothness, simpliciality and completeness.
+    """Check primitivity, smoothness, simpliciality and completeness, and
+    that every ray spans a cone (SemanticError otherwise).
 
     Raises a typed error naming the offending ray or cone; returns a report
     when everything passes.
@@ -172,6 +173,8 @@ def validate_fan(fan):
             g = gcd(g, abs(x))
         if g != 1:
             raise RayNotPrimitive(f"ray {idx} = {ray} has entry gcd {g}")
+        if not any(idx in cone for cone in fan.max_cones):
+            raise SemanticError(f"ray {idx} = {ray} lies in no maximal cone")
     report.add("primitivity", f"{fan.p} rays primitive")
 
     fan.cone_inverses  # raises NotSmooth on the first bad cone
@@ -186,6 +189,8 @@ def validate_fan(fan):
 def _check_complete(fan):
     import random
     n = fan.rank
+    if n < 1:
+        raise NotComplete(f"rank {n} leaves no direction to cover")
     if n == 1:
         rays = set(fan.rays)
         if rays != {(1,), (-1,)} or len(fan.max_cones) != 2:

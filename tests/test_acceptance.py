@@ -35,7 +35,8 @@ def test_criterion_1_elliptic_period_coefficients():
     omega = gkz.default_weight(sys)
     period = se.normalized_period_series(sys, omega, 8)
     chart = dg.subdivide_kahler_cone(sys)[0]
-    z = dg.period_in_chart(sys, chart, period)
+    z = dg.period_in_chart(chart, dg.chart_coordinates(
+        sys, chart, [ell for ell, _ in period.terms]), period)
     for k in range(5):
         expected = closed_form_coefficient(k)
         assert z.coefficient((k,)) == expected
@@ -122,9 +123,12 @@ def test_criterion_5_maximal_degeneracy_certificates():
         omega = gkz.default_weight(sys)
         period = se.normalized_period_series(sys, omega, 8)
         b = se.b_series(sys, ring, omega, 8)
+        offsets = [ell for ell, _ in period.terms]
         reports = dg.maximal_degeneracy_check(
-            sys, ring, charts, period,
-            dg.chart_pairings(sys, ring, charts[0], b))
+            sys, ring,
+            [(chart, dg.chart_coordinates(sys, chart, offsets))
+             for chart in charts],
+            period, dg.chart_pairings(sys, ring, charts[0], b))
         assert len(reports) == len(charts)
         for report in reports:
             assert report.passed, report.as_dict()

@@ -99,6 +99,16 @@ def test_parse_rejects_json_booleans(field, value, pointer, tmp_path):
     assert str(err.value).endswith(f" at {pointer}")
 
 
+@pytest.mark.parametrize("rank", [0, -1])
+def test_parse_rejects_rank_below_one(rank, tmp_path):
+    path = tmp_path / "rank.json"
+    path.write_text(json.dumps({"name": "r", "rank": rank, "rays": [],
+                                "max_cones": [], "nef_partition": []}))
+    with pytest.raises(SchemaError) as err:
+        cli.parse_input(str(path))
+    assert str(err.value) == "expected positive integer at /rank"
+
+
 # --- commands in process -----------------------------------------------------------
 
 def test_series_report_contains_expected_value():
@@ -342,6 +352,35 @@ def test_cli_invalid_fan_exit_1(tmp_path):
     result = run_cli(["validate", str(path)])
     assert result.returncode == 1
     assert "NotSmooth" in result.stderr
+
+
+@pytest.mark.parametrize("cmd", ["validate", "check-all"])
+def test_cli_rank_0_exits_2_at_once(cmd, tmp_path):
+    # rank 0 leaves completeness sampling no nonzero direction to draw; the
+    # timeout turns a hang into a failure
+    path = tmp_path / "r0.json"
+    path.write_text(json.dumps({"name": "r0", "rank": 0, "rays": [],
+                                "max_cones": [], "nef_partition": []}))
+    result = subprocess.run(
+        [_sysmod.executable, "-m", "gkzfrac.cli", cmd, str(path)],
+        capture_output=True, text=True, timeout=60)
+    assert result.returncode == 2
+    assert "expected positive integer at /rank" in result.stderr
+
+
+@pytest.mark.parametrize("extra", [[1, 1], [1, 0]], ids=["inside", "copy"])
+@pytest.mark.parametrize("cmd", ["validate", "system"])
+def test_cli_ray_in_no_maximal_cone_exit_2(cmd, extra, tmp_path):
+    path = tmp_path / "extra.json"
+    path.write_text(json.dumps({
+        "name": "p2_extra", "rank": 2,
+        "rays": [[1, 0], [0, 1], [-1, -1], extra],
+        "max_cones": [[0, 1], [1, 2], [2, 0]],
+        "nef_partition": [[0, 1, 2, 3]]}))
+    result = run_cli([cmd, str(path)])
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert f"ray 3 = {tuple(extra)} lies in no maximal cone" in result.stderr
 
 
 # --- what each command loads ------------------------------------------------------------

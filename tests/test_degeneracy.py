@@ -7,7 +7,7 @@ import pytest
 from conftest import p1_fan, p1xp1_fan_r2, p2_fan
 from test_exact_linalg import ENGINE_INSTANCES, SQUARE8, cyclic_surface
 from test_ring_table import INSTANCES, REFERENCE_ORDERS
-from gkzfrac import checks
+from gkzfrac import checks, cli
 from gkzfrac import degeneracy as dg
 from gkzfrac import gkz, series as se, toric
 from gkzfrac import exact_linalg as xl
@@ -30,6 +30,22 @@ def pairings(sys, ring, chart, order):
     """The solution pairings in the chart's logs, as the certificate reads
     them."""
     return dg.chart_pairings(sys, ring, chart, b_series(sys, ring, order))
+
+
+def coordinates(sys, chart, s):
+    """The chart's exponents of the offsets stored in the series ``s``."""
+    return dg.chart_coordinates(sys, chart, [ell for ell, _ in s.terms])
+
+
+def in_chart(sys, chart, s):
+    """``s`` transported to the chart, its offsets re-keyed first."""
+    return dg.period_in_chart(chart, coordinates(sys, chart, s), s)
+
+
+def with_coordinates(sys, charts, period):
+    """Each chart with its exponents of the period's offsets, as the
+    certificate takes them."""
+    return [(chart, coordinates(sys, chart, period)) for chart in charts]
 
 
 # --- charts -----------------------------------------------------------------------
@@ -77,7 +93,7 @@ def test_period_in_chart_p1():
     sys = system(p1_fan)
     chart = dg.subdivide_kahler_cone(sys)[0]
     period = se.normalized_period_series(sys, gkz.default_weight(sys), 8)
-    z = dg.period_in_chart(sys, chart, period)
+    z = in_chart(sys, chart, period)
     assert z.coefficient((0,)) == 1
     assert z.coefficient((1,)) == Fraction(3, 4)
     assert z.coefficient((2,)) == Fraction(105, 64)
@@ -89,7 +105,7 @@ def test_period_in_chart_p2_signs():
     sys = system(p2_fan)
     chart = dg.subdivide_kahler_cone(sys)[0]
     period = se.normalized_period_series(sys, gkz.default_weight(sys), 6)
-    z = dg.period_in_chart(sys, chart, period)
+    z = in_chart(sys, chart, period)
     assert z.coefficient((0,)) == 1
     assert z.coefficient((1,)) == Fraction(-15, 8)
     assert z.coefficient((2,)) == Fraction(10395, 512)
@@ -102,7 +118,7 @@ def test_period_in_chart_trivial_series():
                      weight=tuple(Fraction(x) for x in gkz.default_weight(sys)),
                      order=0)
     s.add_term((0, 0, 0), (0, 0, 0), Fraction(1))
-    z = dg.period_in_chart(sys, chart, s)
+    z = in_chart(sys, chart, s)
     assert z.terms == {((0,), (0,)): Fraction(1)}
 
 
@@ -113,8 +129,10 @@ def test_period_in_chart_negative_exponent():
                      weight=tuple(Fraction(x) for x in gkz.default_weight(sys)),
                      order=4)
     s.add_term((2, -1, -1), (0, 0, 0), Fraction(1))
-    with pytest.raises(NegativeExponent):
-        dg.period_in_chart(sys, chart, s)
+    with pytest.raises(NegativeExponent,
+                       match=r"^\(2, -1, -1\) needs negative chart exponents "
+                             r"\(-1,\)$"):
+        in_chart(sys, chart, s)
 
 
 def test_region_decomposes_in_chart(corpus_fan):
@@ -122,9 +140,10 @@ def test_region_decomposes_in_chart(corpus_fan):
     sys = gkz.build_system(corpus_fan)
     chart = dg.subdivide_kahler_cone(sys)[0]
     omega = gkz.default_weight(sys)
-    for ell in se.region_slab(sys, omega, 8):
-        m = dg.chart_coordinates(sys, chart, ell)
-        assert all(x >= 0 for x in m)
+    slab = se.region_slab(sys, omega, 8)
+    coords = dg.chart_coordinates(sys, chart, slab)
+    assert list(coords) == list(slab)
+    assert all(x >= 0 for m in coords.values() for x in m)
 
 
 # --- chart pairings ------------------------------------------------------------------------
@@ -136,12 +155,12 @@ def test_chart_pairings_unit_matches_period_p1():
     omega = gkz.default_weight(sys)
     pairings = dg.chart_pairings(sys, ring, chart,
                                  b_series(sys, ring, 6)).components()
-    period = dg.period_in_chart(
-        sys, chart, se.normalized_period_series(sys, omega, 6))
+    period = in_chart(sys, chart, se.normalized_period_series(sys, omega, 6))
     # keyed by lattice offsets: re-keyed, the unit pairing is the period
     unit = pairings[0]
     assert not any(any(logdeg) for _, logdeg in unit.terms)
-    assert {(dg.chart_coordinates(sys, chart, ell), logdeg): c
+    coords = coordinates(sys, chart, unit)
+    assert {(coords[ell], logdeg): c
             for (ell, logdeg), c in unit.terms.items()} == period.terms
 
 
@@ -243,8 +262,10 @@ def test_certificate_p1():
     sys = system(p1_fan)
     ring = toric.cohomology_ring(sys.fan, sys.collections)
     chart = dg.subdivide_kahler_cone(sys)[0]
-    report, = dg.maximal_degeneracy_check(sys, ring, [chart], period(sys, 8),
-                                          pairings(sys, ring, chart, 8))
+    p = period(sys, 8)
+    report, = dg.maximal_degeneracy_check(sys, ring,
+                                          with_coordinates(sys, [chart], p),
+                                          p, pairings(sys, ring, chart, 8))
     assert report.passed
     names = [c["clause"] for c in report.clauses]
     assert names == ["holomorphic_extension", "unique_log_free_solution",
@@ -256,8 +277,10 @@ def test_certificate_corpus(corpus_fan):
     sys = gkz.build_system(corpus_fan)
     ring = toric.cohomology_ring(corpus_fan, sys.collections)
     charts = dg.subdivide_kahler_cone(sys)
-    reports = dg.maximal_degeneracy_check(sys, ring, charts, period(sys, 8),
-                                          pairings(sys, ring, charts[0], 8))
+    p = period(sys, 8)
+    reports = dg.maximal_degeneracy_check(sys, ring,
+                                          with_coordinates(sys, charts, p),
+                                          p, pairings(sys, ring, charts[0], 8))
     assert len(reports) == len(charts)
     for report in reports:
         assert report.passed, report.as_dict()
@@ -267,8 +290,10 @@ def test_certificate_json_shape():
     sys = system(p2_fan)
     ring = toric.cohomology_ring(sys.fan, sys.collections)
     chart = dg.subdivide_kahler_cone(sys)[0]
-    report, = dg.maximal_degeneracy_check(sys, ring, [chart], period(sys, 6),
-                                          pairings(sys, ring, chart, 6))
+    p = period(sys, 6)
+    report, = dg.maximal_degeneracy_check(sys, ring,
+                                          with_coordinates(sys, [chart], p),
+                                          p, pairings(sys, ring, chart, 6))
     data = report.as_dict()
     assert data["passed"] is True
     assert all({"clause", "ok", "detail"} <= set(c) for c in data["clauses"])
@@ -281,12 +306,12 @@ def test_certificate_matches_the_period_up_to_one_scalar(name):
     the opposite sign; one term doubled or deleted, first or last in print
     order, or every term deleted, is a mismatch."""
     inst = checks.Instance(INSTANCES[name](), order=6)
-    chart, period = inst.charts[0], inst.period
+    period = inst.period
 
     def verdict(terms):
         report, = dg.maximal_degeneracy_check(
-            inst.sys, inst.ring, [chart], period.replace(terms=terms),
-            inst.pairings)
+            inst.sys, inst.ring, inst.chart_coordinates[:1],
+            period.replace(terms=terms), inst.pairings)
         clause = report.clauses[2]
         assert clause["clause"] == "log_free_matches_period"
         return clause["ok"], clause["detail"]
@@ -371,8 +396,8 @@ def test_region_decomposition_fails_without_aborting_check_all(monkeypatch):
     """A region vector with a negative chart exponent fails its own check;
     check-all goes on to the certificate instead of raising."""
     inst = checks.Instance(p1_fan(), order=8)
-    inst.period  # built from the true region slab before it is replaced
-    inst.region_slab = [(2, -1, -1)]
+    inst.period  # built from the true region slab before it is extended
+    inst.region_slab = [(2, -1, -1)] + inst.region_slab
     assert checks._check_region_decomposition(inst) == \
         (False, "(2, -1, -1) fails to decompose")
     ids = [check_id for check_id, _ in checks.CHECKS]
@@ -385,16 +410,25 @@ def test_region_decomposition_fails_without_aborting_check_all(monkeypatch):
 
 def test_region_decomposition_reads_every_chart():
     """A second chart on the negated cone: the region vectors decompose in
-    the first chart only, and the check fails on the second."""
+    the first chart only, and the check fails on the second, as does the
+    certificate's transport, read off the same coordinates."""
     inst = checks.Instance(p1xp1_fan_r2(), order=8)
     chart = inst.charts[0]
     negated = dg.CanonicalChart(
         tuple(xl.vec_scale(-1, r) for r in chart.cone_rays),
         chart.basis_vectors, chart.signs)
     assert checks._check_region_decomposition(inst)[0]
+    inst = checks.Instance(p1xp1_fan_r2(), order=8)
     inst.charts = [chart, negated]
     assert checks._check_region_decomposition(inst) == \
         (False, "(-2, 1, 1, 0, 0, 0) fails to decompose")
+    first, second = dg.maximal_degeneracy_check(
+        inst.sys, inst.ring, inst.chart_coordinates,
+        inst.period, inst.pairings)
+    assert first.passed
+    assert second.clauses[0] == {
+        "clause": "holomorphic_extension", "ok": False,
+        "detail": "(-2, 1, 1, 0, 0, 0) needs negative chart exponents (0, -1)"}
 
 
 # --- several charts ----------------------------------------------------------------
@@ -466,11 +500,10 @@ CERTIFIED = dict(
     **{name: (build, 5) for name, (build, _) in MULTI_CHART.items()})
 
 
-# chart_coordinates calls in one check-all: region_decomposition and
-# period_in_chart each re-key the region slab once per chart, and no
-# B-series offset is re-keyed (88 and 105 calls when the certificate re-keyed
-# the pairings on every chart)
-CHECK_ALL_CHART_COORDINATES = {"square8": 16, "p1p1p1_r1": 70}
+# (offset, chart) pairs chart_coordinates re-keys in one check-all, and in
+# one degeneracy command: each region-slab offset once per chart, in the one
+# map that both the region check and the certificate read
+CHECK_ALL_CHART_COORDINATES = {"square8": 8, "p1p1p1_r1": 35}
 
 
 @pytest.mark.parametrize("name", sorted(CERTIFIED))
@@ -481,8 +514,8 @@ def test_certificate_null_space_equals_solve_linear(name, monkeypatch):
     that chart's own expansion, clause for clause and detail for detail;
     either way the null space it finds from the integer form of the log
     rows is ``solve_linear``'s on the Fraction coordinate tuples of the
-    chart's own log rows.  In check-all, ``chart_coordinates`` re-keys only
-    the region slab."""
+    chart's own log rows.  In check-all and in the degeneracy command,
+    ``chart_coordinates`` re-keys each region-slab offset once per chart."""
     build, order = CERTIFIED[name]
     inst = checks.Instance(build(), order=order)
     found = []
@@ -493,18 +526,19 @@ def test_certificate_null_space_equals_solve_linear(name, monkeypatch):
         return found[-1]
 
     monkeypatch.setattr(xl, "null_basis", recorded)
-    reports = dg.maximal_degeneracy_check(inst.sys, inst.ring, inst.charts,
+    charts = inst.chart_coordinates
+    reports = dg.maximal_degeneracy_check(inst.sys, inst.ring, charts,
                                           inst.period, inst.pairings)
     assert len(found) == 1
     assert len(reports) == len(inst.charts)
-    for chart, report in zip(inst.charts, reports):
+    for (chart, coords), report in zip(charts, reports):
         chart_pairings = dg.chart_pairings(inst.sys, inst.ring, chart, inst.b)
         log_rows = [row for (_, logdeg), row in chart_pairings.terms.items()
                     if any(logdeg)]
         assert log_rows
         assert report.passed
         assert report.as_dict() == dg.maximal_degeneracy_check(
-            inst.sys, inst.ring, [chart], inst.period,
+            inst.sys, inst.ring, [(chart, coords)], inst.period,
             chart_pairings)[0].as_dict()
         assert found[-1] == found[0] == \
             xl.solve_linear(log_rows, (0,) * len(log_rows))[1]
@@ -513,17 +547,24 @@ def test_certificate_null_space_equals_solve_linear(name, monkeypatch):
 
     if name in CHECK_ALL_CHART_COORDINATES:
         calls = []
-        coordinates = dg.chart_coordinates
+        batch = dg.chart_coordinates
 
-        def counted(sys, chart, ell):
-            calls.append(ell)
-            return coordinates(sys, chart, ell)
+        def counted(sys, chart, offsets):
+            offsets = list(offsets)
+            calls.extend((chart, ell) for ell in offsets)
+            return batch(sys, chart, offsets)
 
         monkeypatch.setattr(dg, "chart_coordinates", counted)
         inst = checks.Instance(build(), order=order)
         assert all(r["ok"] for r in checks.run_all(inst))
         assert len(calls) == CHECK_ALL_CHART_COORDINATES[name]
-        assert set(calls) <= set(inst.region_slab)
+        assert set(calls) == set(product(inst.charts, inst.region_slab))
+        fan = build()
+        spec = cli.InputSpec(fan.name, fan.rank, fan.rays, fan.max_cones,
+                             fan.blocks, order=order)
+        calls.clear()
+        assert not cli.run_command("degeneracy", spec).failed
+        assert len(calls) == CHECK_ALL_CHART_COORDINATES[name]
 
 
 def reference_period_in_chart(sys, chart, period):
@@ -533,8 +574,9 @@ def reference_period_in_chart(sys, chart, period):
     aux = sys.aux_positions()
     signs = [(-1) ** (sum(v[j] for j in aux) % 2) for v in chart.basis_vectors]
     out = {}
+    coords = coordinates(sys, chart, period)
     for (ell, _), coeff in period.terms.items():
-        m = dg.chart_coordinates(sys, chart, ell)
+        m = coords[ell]
         sign = 1
         for s, e in zip(signs, m):
             if s == -1 and e % 2:
@@ -550,9 +592,34 @@ def test_parity_sign_is_the_chart_sign_product(name):
     chart's signs."""
     build, order = CERTIFIED[name]
     inst = checks.Instance(build(), order=order)
-    for chart in inst.charts:
+    for chart, coords in inst.chart_coordinates:
         signs, expected = reference_period_in_chart(inst.sys, chart,
                                                     inst.period)
         assert list(chart.signs) == signs
-        assert dg.period_in_chart(inst.sys, chart, inst.period).terms == \
+        assert dg.period_in_chart(chart, coords, inst.period).terms == \
             expected
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_ALL_CHART_COORDINATES))
+def test_parity_positions_are_found_once_per_call_site(name, monkeypatch):
+    """One certificate call finds the auxiliary slots once for the period
+    match and once per chart's transport, however many terms the period
+    has (35 on p1p1p1_r1)."""
+    build, order = CERTIFIED[name]
+    inst = checks.Instance(build(), order=order)
+    charts = inst.chart_coordinates
+    pairings, period = inst.pairings, inst.period
+    calls = []
+    original = se._aux_positions_from_alpha
+
+    def counted(alpha):
+        calls.append(alpha)
+        return original(alpha)
+
+    monkeypatch.setattr(se, "_aux_positions_from_alpha", counted)
+    first = min(period.terms)
+    for terms in (period.terms, {first: period.terms[first]}):
+        calls.clear()
+        dg.maximal_degeneracy_check(inst.sys, inst.ring, charts,
+                                    period.replace(terms=terms), pairings)
+        assert len(calls) == 1 + len(charts)

@@ -23,8 +23,8 @@ from gkzfrac import checks, toric
 from gkzfrac import degeneracy as dg
 from gkzfrac import exact_linalg as xl
 from gkzfrac import series as se
-from gkzfrac.errors import (NegativeExponent, NotComplete, NotSmooth,
-                            NotUnimodular, RayNotPrimitive)
+from gkzfrac.errors import (NotComplete, NotSmooth, NotUnimodular,
+                            RayNotPrimitive)
 
 
 # --- the references ---------------------------------------------------------------
@@ -70,11 +70,7 @@ def reference_chart_coordinates(chart, ell):
     sol = xl.solve_unique(cols, ell)
     assert sol is not None and all(c.denominator == 1 for c in sol), \
         f"{ell} is not an integer combination of the basis"
-    m = tuple(int(c) for c in sol)
-    if any(x < 0 for x in m):
-        raise NegativeExponent(
-            f"{ell} needs negative chart exponents {m}")
-    return m
+    return tuple(int(c) for c in sol)
 
 
 def reference_chart_pairings(sys, ring, chart, b):
@@ -357,8 +353,7 @@ def outcome(fn, arg):
     """What ``fn(arg)`` returns, or the type and message of what it raises."""
     try:
         return fn(arg)
-    except (NotComplete, NotSmooth, RayNotPrimitive, NegativeExponent,
-            AssertionError) as exc:
+    except (NotComplete, NotSmooth, RayNotPrimitive, AssertionError) as exc:
         # the first line: pytest appends its explanation to a test module's
         # own assertions
         return type(exc), str(exc).partition("\n")[0]
@@ -427,6 +422,9 @@ def test_primitive_collections_equal_the_solve_per_cone_search(name):
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))
 def test_chart_coordinates_equal_the_solve_per_key(name):
+    """One batch per chart gives, offset by offset in the order given, the
+    exponents the per-key solve finds, negative ones included; an offset
+    off the lattice raises as the solve does."""
     inst = checks.Instance(INSTANCES[name](), order=6)
     rng = random.Random(name)
     k = len(inst.sys.basis)
@@ -435,18 +433,22 @@ def test_chart_coordinates_equal_the_solve_per_key(name):
     keys += [inst.sys.from_basis_coords([rng.randint(-4, 4) for _ in range(k)])
              for _ in range(40)]
     # off the lattice: one unit added to one slot
-    keys += [tuple(x + (i == j) for i, x in enumerate(ell))
-             for j, ell in enumerate(keys[:inst.sys.nvars])]
-    seen = set()
+    off = [tuple(x + (i == j) for i, x in enumerate(ell))
+           for j, ell in enumerate(keys[:inst.sys.nvars])]
+    signs = set()
     for chart in inst.charts:
-        for ell in keys:
+        batch = dg.chart_coordinates(inst.sys, chart, keys)
+        assert list(batch) == list(dict.fromkeys(keys))
+        for ell, m in batch.items():
+            assert m == reference_chart_coordinates(chart, ell), ell
+            signs.add(min(m) < 0)
+        for ell in off:
             got = outcome(
-                lambda e: dg.chart_coordinates(inst.sys, chart, e), ell)
+                lambda e: dg.chart_coordinates(inst.sys, chart, [e]), ell)
+            assert got[0] is AssertionError
             assert got == outcome(
                 lambda e: reference_chart_coordinates(chart, e), ell), ell
-            seen.add(got[0] if got[0] in (NegativeExponent, AssertionError)
-                     else "exponents")
-    assert seen == {"exponents", NegativeExponent, AssertionError}
+    assert signs == {False, True}
 
 
 # --- the inverse -------------------------------------------------------------------------

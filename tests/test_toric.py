@@ -75,6 +75,26 @@ def test_validate_ray_not_primitive():
         toric.validate_fan(fan)
 
 
+@pytest.mark.parametrize("extra", [(1, 1), (1, 0)], ids=["inside", "copy"])
+def test_validate_ray_in_no_maximal_cone(extra):
+    """P2's three cones with a fourth ray that spans none: one inside a
+    cone, one a copy of ray 0."""
+    fan = toric.make_fan(2, [(1, 0), (0, 1), (-1, -1), extra],
+                         [[0, 1], [1, 2], [2, 0]], [[0, 1, 2, 3]])
+    with pytest.raises(SemanticError) as err:
+        toric.validate_fan(fan)
+    assert str(err.value) == f"ray 3 = {extra} lies in no maximal cone"
+
+
+@pytest.mark.parametrize("rank", [0, -1])
+def test_validate_rank_below_one_raises(rank):
+    """No nonzero direction exists to sample, so completeness fails at
+    once instead of drawing directions forever."""
+    with pytest.raises(NotComplete) as err:
+        toric.validate_fan(toric.make_fan(rank, [], [], []))
+    assert str(err.value) == f"rank {rank} leaves no direction to cover"
+
+
 # --- matrices ----------------------------------------------------------------------
 
 def test_a_ext_p1():
