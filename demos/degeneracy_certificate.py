@@ -16,7 +16,8 @@ for name in ("p1", "p2", "p1xp1", "f1"):
     system = gkz.build_system(fan)
     ring = toric.cohomology_ring(fan, system.collections)
     omega = gkz.default_weight(system)
-    period = series.normalized_period_series(system, omega, 8)
+    gamma = series.gamma_series(
+        series.normalized_period_series(system, omega, 8))
     b = series.b_series(system, ring, omega, 8)
     b6 = series.b_series(system, ring, omega, 6)
     print(f"=== {name} ===")
@@ -25,8 +26,8 @@ for name in ("p1", "p2", "p1xp1", "f1"):
               "signs:", list(chart.signs))
         report, = degeneracy.maximal_degeneracy_check(
             system, ring, [(chart, degeneracy.chart_coordinates(
-                system, chart, [ell for ell, _ in period.terms]))],
-            period, degeneracy.chart_pairings(system, ring, chart, b))
+                system, chart, [ell for ell, _ in gamma.terms]))],
+            gamma, degeneracy.chart_pairings(system, ring, chart, b))
         for clause in report.clauses:
             status = "pass" if clause["ok"] else "FAIL"
             print(f"    [{status}] {clause['clause']}: {clause['detail']}")

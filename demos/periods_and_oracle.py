@@ -41,8 +41,9 @@ print()
 chart = degeneracy.subdivide_kahler_cone(system)[0]
 print("canonical chart monomial:", chart.basis_vectors[0],
       "with sign", chart.signs[0])
+gamma = series.gamma_series(period)
 z_series = degeneracy.period_in_chart(chart, degeneracy.chart_coordinates(
-    system, chart, [ell for ell, _ in period.terms]), period)
+    system, chart, [ell for ell, _ in gamma.terms]), gamma)
 print("period in the canonical coordinate z:")
 for k in range(5):
     closed = Fraction(factorial(4 * k),

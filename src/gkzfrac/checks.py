@@ -154,18 +154,14 @@ def _check_oracle_match(inst):
 
 
 def _check_annihilation(inst):
-    # three passes per operator: gamma, the period (twisted for box
-    # operators) and the stacked pairings; a failure is named in the order
-    # gamma, period, pairing_0, ...
+    # two passes per operator: gamma (the parity-signed period) and the
+    # stacked pairings; a failure is named in the order gamma, pairing_0, ...
     sys = inst.sys
-    ops = [(op, f"Euler row {op.row}", False) for op in sys.euler_operators()]
-    ops += [(box, f"box {box.ell}", True) for box in sys.box_operators()]
-    for op, label, twisted in ops:
+    ops = [(op, f"Euler row {op.row}") for op in sys.euler_operators()]
+    ops += [(box, f"box {box.ell}") for box in sys.box_operators()]
+    for op, label in ops:
         if not se.apply_operator(op, inst.gamma).is_zero_on_reliable_region():
             return False, f"{label} fails on gamma"
-        period = se.apply_operator(op, inst.period, twisted=twisted)
-        if not period.is_zero_on_reliable_region():
-            return False, f"{label} fails on period"
         first = se.apply_operator(op, inst.pairings).first_nonzero_component()
         if first is not None:
             return False, f"{label} fails on pairing_{first}"
@@ -331,7 +327,7 @@ def _check_region_decomposition(inst):
 def _check_certificate(inst):
     reports = dg.maximal_degeneracy_check(inst.sys, inst.ring,
                                           inst.chart_coordinates,
-                                          inst.period, inst.pairings)
+                                          inst.gamma, inst.pairings)
     for idx, report in enumerate(reports):
         if not report.passed:
             failed = [c["clause"] for c in report.clauses if not c["ok"]]

@@ -373,7 +373,7 @@ def run_command(cmd, spec, flags=None):
         from . import degeneracy as dg
         reports = dg.maximal_degeneracy_check(sys, inst.ring,
                                               inst.chart_coordinates,
-                                              inst.period, inst.pairings)
+                                              inst.gamma, inst.pairings)
         chart_reports = [{
             "cone_rays": [list(r) for r in chart.cone_rays],
             "coordinate_relations": [list(v) for v in chart.basis_vectors],

@@ -129,9 +129,10 @@ def chart_coordinates(sys, chart, offsets):
 
 
 def period_in_chart(chart, coordinates, series):
-    """Re-index a log-free series by the chart monomials, each coefficient
-    times the quotient parity of its offset (``series.parity_sign``), which
-    is the product of the chart signs to the chart exponents.
+    """Re-index a log-free series by the chart monomials.  The certificate
+    passes the Gamma series (``series.gamma_series``): its coefficients
+    already carry the quotient parity, which is the product of the chart
+    signs to the chart exponents, so no sign enters here.
 
     ``coordinates`` holds the exponents of each stored offset
     (``chart_coordinates``); a negative one raises NegativeExponent, which
@@ -142,13 +143,12 @@ def period_in_chart(chart, coordinates, series):
                                     for v in chart.basis_vectors),
                        order=series.order)
     no_logs = (0,) * len(chart.basis_vectors)
-    sign = se.parity_sign(series.alpha)
     for (ell, logdeg), coeff in series.sorted_items():
         assert all(x == 0 for x in logdeg), "chart transport needs log-free input"
         m = coordinates[ell]
         if any(x < 0 for x in m):
             raise NegativeExponent(f"{ell} needs negative chart exponents {m}")
-        out.add_term(m, no_logs, sign(ell) * coeff)
+        out.add_term(m, no_logs, coeff)
     return out
 
 
@@ -186,7 +186,7 @@ def chart_pairings(sys, ring, chart, b):
     k's monomial, as D_j = sum_k v_k[j] W_k.  Entry k of each coefficient
     tuple pairs against the k-th dual basis functional.  The
     quotient parity is already part of the product-form classes, so no sign
-    enters here (unlike the period, whose coefficients are untwisted).
+    enters here, as none enters ``period_in_chart``.
     """
     return se.pair_with_dual(ring, b, _dual_divisor_classes(sys, ring, chart),
                              log_map=chart.basis_vectors)
@@ -214,22 +214,23 @@ class CertificateReport:
                 "clauses": self.clauses}
 
 
-def maximal_degeneracy_check(sys, ring, charts, period, pairings):
+def maximal_degeneracy_check(sys, ring, charts, gamma, pairings):
     """One report per chart, in order, certifying it at the order and
-    weight of ``period``, the normalized period series of ``sys``:
-    ``charts`` pairs each chart with its ``chart_coordinates`` of the
-    period's offsets, and ``pairings`` are the solution pairings
-    (``chart_pairings``) there, keyed by lattice offsets, in any chart's logs.
+    weight of ``gamma``, the Gamma series of ``sys`` (the parity-signed
+    period, ``series.gamma_series``): ``charts`` pairs each chart with its
+    ``chart_coordinates`` of gamma's offsets, and ``pairings`` are the
+    solution pairings (``chart_pairings``) there, keyed by lattice offsets,
+    in any chart's logs.
 
     Three clauses: the period series extends as a genuine power series on
     the chart (``period_in_chart``, the one clause read per chart); the
     log-free solutions among the dual-basis pairings are one dimensional and
-    match the period, signed by ``series.parity_sign``, up to one scalar
-    (only on charts whose transport succeeded); the indicial locus is the
-    single canonical exponent.  Two charts' logs differ by a unimodular
-    integer matrix, so a combination is log-free in one exactly when it is
-    in the other, with the same coefficients: the last two clauses are
-    worked out once, in lattice offsets.
+    match gamma up to one scalar (only on charts whose transport
+    succeeded); the indicial locus is the single canonical exponent.  Two
+    charts' logs differ by a unimodular integer matrix, so a combination is
+    log-free in one exactly when it is in the other, with the same
+    coefficients: the last two clauses are worked out once, in lattice
+    offsets.
     """
     # the combinations of the pairings that vanish on every log key
     _, dens, groups = pairings.integer_form()
@@ -249,16 +250,13 @@ def maximal_degeneracy_check(sys, ring, charts, period, pairings):
                        "one-dimensional log-free subspace" if ok else
                        "log-free combination degenerates"))
         if ok:
-            # the period's stored terms are nonzero; one nonzero scalar must
-            # carry them, signed, onto the log-free solution, which has no
-            # other key
+            # gamma's stored terms are nonzero; one nonzero scalar must
+            # carry them onto the log-free solution, which has no other key
             free = {ell: c for (ell, _), c in log_free.items()}
-            sign = se.parity_sign(period.alpha)
-            signed = {ell: sign(ell) * c
-                      for (ell, _), c in period.terms.items()}
-            ratio = next((free.get(e, 0) / c for e, c in signed.items()), 0)
-            consistent = bool(ratio) and \
-                free == {ell: ratio * c for ell, c in signed.items()}
+            ratio = next((free.get(ell, 0) / c
+                          for (ell, _), c in gamma.terms.items()), 0)
+            consistent = bool(ratio) and free == {
+                ell: ratio * c for (ell, _), c in gamma.terms.items()}
             shared.append(("log_free_matches_period", consistent,
                            f"global scalar {xl.fraction_str(ratio)}"
                            if consistent else "coefficient mismatch"))
@@ -272,9 +270,9 @@ def maximal_degeneracy_check(sys, ring, charts, period, pairings):
 
     reports = []
     for chart, coordinates in charts:
-        report = CertificateReport(order=period.order)
+        report = CertificateReport(order=gamma.order)
         try:
-            terms = period_in_chart(chart, coordinates, period).terms
+            terms = period_in_chart(chart, coordinates, gamma).terms
             report.add("holomorphic_extension", True,
                        f"{len(terms)} monomials, all exponents nonnegative")
         except NegativeExponent as exc:

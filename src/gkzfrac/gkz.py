@@ -178,10 +178,11 @@ class GkzSystem:
 
     def basis_coords(self, ell):
         """Integer coordinates of a lattice vector in ``basis``, read off
-        ``slots`` through ``inverse``; a vector off the lattice raises."""
+        ``slots`` through ``inverse``.  The basis is saturated, so a vector
+        off the lattice is no relation: it raises NotInKernel."""
         m = xl.mat_vec(self.inverse, tuple(ell[s] for s in self.slots))
-        assert self.from_basis_coords(m) == tuple(ell), \
-            f"{ell} is not an integer combination of the basis"
+        if self.from_basis_coords(m) != tuple(ell):
+            raise NotInKernel(f"{ell} is not a relation of the configuration")
         return m
 
     def from_basis_coords(self, m):

@@ -58,7 +58,7 @@ class Instance:
     @cached_property
     def region_slab(self):
         """The summation-region slab up to the order, sorted by weight
-        degree; the period, gamma and the region checks all walk it."""
+        degree; the period and the region checks walk it."""
         from . import series as se
         return se.region_slab(self.sys, self.omega, self.order)
 
@@ -77,9 +77,10 @@ class Instance:
 
     @cached_property
     def gamma(self):
+        """The period signed by the quotient parity: the series that
+        annihilation and the certificate read."""
         from . import series as se
-        return se.gamma_series(self.sys, self.sys.alpha, self.omega,
-                               self.order, self.region_slab)
+        return se.gamma_series(self.period)
 
     @cached_property
     def b(self):

@@ -91,20 +91,6 @@ def period_coefficient_C(sys, ell):
     return Fraction(num, den)
 
 
-def gamma_coefficient(sys, ell):
-    """Gamma-series coefficient in rising-product form, in integers over one
-    denominator."""
-    ks, rays = _region_split(sys, ell)
-    num, den = (-1) ** (sum(ks) % 2), 1
-    for k_i, block in zip(ks, rays):
-        for k in range(k_i):
-            num *= 2 * k + 1
-            den *= 2
-        for e in block:
-            den *= factorial(e)
-    return Fraction(num, den)
-
-
 def residue_oracle(sys, ell):
     """Constant-term extraction oracle for the period coefficients.
 
@@ -246,15 +232,12 @@ class LogSeries:
             logdeg = (0,) * len(self.log_map)
         return self.terms.get((tuple(ell), tuple(logdeg)), 0)
 
-    def _is_reliable(self, ell):
-        """Whether every input feeding exponent offset ``ell`` lies inside
-        the truncation order."""
-        return self._reliable()(ell)
-
     def _reliable(self):
-        """``_is_reliable`` built once for many offsets: the weight is
-        scaled to integers and the largest shift's degree is taken off the
-        order scaled alike, so each offset costs one integer dot product."""
+        """Whether every input feeding an exponent offset lies inside the
+        truncation order, as a function of the offset built once for many:
+        the weight is scaled to integers and the largest shift's degree is
+        taken off the order scaled alike, so each offset costs one integer
+        dot product."""
         weights, den = xl.integer_scaled(self.weight)
         top = self.order * den - max(xl.dot(weights, s) for s in self.shifts)
         return lambda ell: xl.dot(weights, ell) <= top
@@ -314,30 +297,29 @@ class LogSeries:
 
 # --- series builders --------------------------------------------------------------------
 
-def gamma_series(sys, alpha, omega, order, slab=None):
-    """Rational solution series with product-form coefficients; ``slab`` is
-    ``region_slab(sys, omega, order)`` when the caller already holds it."""
-    omega = check_weight(sys, omega)
-    assert tuple(alpha) == sys.alpha, \
-        "only the canonical exponent is supported"
-    s = LogSeries(alpha=tuple(alpha), weight=omega, order=order)
-    for ell in region_slab(sys, omega, order) if slab is None else slab:
-        s.add_term(ell, (0,) * sys.nvars, gamma_coefficient(sys, ell))
-    return s
-
-
 def normalized_period_series(sys, omega, order, slab=None):
     """Period series: coefficients C_ell over the summation region.
 
     The leading transcendental prefactor is dropped and the base exponent is
     recorded in ``alpha``; printed tables show the coefficients C_ell alone.
-    ``slab`` as in ``gamma_series``.
+    ``slab`` is ``region_slab(sys, omega, order)`` when the caller already
+    holds it.
     """
     omega = check_weight(sys, omega)
     s = LogSeries(alpha=sys.alpha, weight=omega, order=order)
     for ell in region_slab(sys, omega, order) if slab is None else slab:
         s.add_term(ell, (0,) * sys.nvars, period_coefficient_C(sys, ell))
     return s
+
+
+def gamma_series(period):
+    """The Gamma series: the normalized period with each coefficient times
+    the quotient parity of its offset (``parity_sign``), so its coefficients
+    live on the sign-flipped quotient coordinates, as the unit pairing's do.
+    Alpha, weight and order are the period's."""
+    sign = parity_sign(period.alpha)
+    return period.replace(terms={key: sign(key[0]) * c
+                                 for key, c in period.terms.items()})
 
 
 def o_class(sys, ring, ell):
@@ -473,7 +455,7 @@ def pair_with_dual(ring, b, classes, log_map=None):
 
 # --- formal operators -----------------------------------------------------------------
 
-def apply_operator(op, s, twisted=False):
+def apply_operator(op, s):
     """Apply an Euler or box operator to a truncated rational series, scalar
     or stacked (see ``pair_with_dual``); a scalar series is the
     one-component case.
@@ -494,11 +476,7 @@ def apply_operator(op, s, twisted=False):
     identity map.
     The result records the exponent shifts of the operator monomials so
     that zero tests can be restricted to the reliable region, and a box
-    operator computes nothing outside that region.  With ``twisted`` the
-    box operator carries the quotient parity of its relation
-    (``parity_sign``) on its second monomial, matching series whose
-    coefficients live on the sign-flipped quotient coordinates, the same
-    on every chart.
+    operator computes nothing outside that region.
     """
     if not isinstance(op, (EulerOperator, BoxOperator)):
         raise TypeError(f"unsupported operator {op!r}")
@@ -532,7 +510,6 @@ def apply_operator(op, s, twisted=False):
                         row[i] += n * c
         shifts = ((0,) * len(s.alpha),)
     else:
-        sign = parity_sign(s.alpha)(op.ell) if twisted else 1
         # exponents alpha_j + ell_j become integers after scaling by a_scale;
         # both monomials are brought to the larger power of a_scale
         alpha, a_scale = xl.integer_scaled(s.alpha)
@@ -547,7 +524,7 @@ def apply_operator(op, s, twisted=False):
         cut = floor(w_scale * s.order) - max(w_plus, w_minus)
         for mono, w_shift, factor in (
                 (op.plus, w_plus, a_scale ** (top - sum(op.plus))),
-                (op.minus, w_minus, -sign * a_scale ** (top - sum(op.minus)))):
+                (op.minus, w_minus, -a_scale ** (top - sum(op.minus)))):
             _apply_monomial(acc, groups, degree, mono, factor, alpha, a_scale,
                             cut + w_shift, width, s.log_map)
         shifts = (op.plus, op.minus)

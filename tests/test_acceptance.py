@@ -33,10 +33,10 @@ def test_criterion_1_elliptic_period_coefficients():
     started = time.perf_counter()
     sys = gkz.build_system(p1_fan())
     omega = gkz.default_weight(sys)
-    period = se.normalized_period_series(sys, omega, 8)
+    gamma = se.gamma_series(se.normalized_period_series(sys, omega, 8))
     chart = dg.subdivide_kahler_cone(sys)[0]
     z = dg.period_in_chart(chart, dg.chart_coordinates(
-        sys, chart, [ell for ell, _ in period.terms]), period)
+        sys, chart, [ell for ell, _ in gamma.terms]), gamma)
     for k in range(5):
         expected = closed_form_coefficient(k)
         assert z.coefficient((k,)) == expected
@@ -74,8 +74,8 @@ def test_criterion_3_annihilation_suite():
         sys = gkz.build_system(fan)
         ring = toric.cohomology_ring(fan, sys.collections)
         omega = gkz.default_weight(sys)
-        alpha = gkz.canonical_alpha(sys)
-        gamma = se.gamma_series(sys, alpha, omega, order)
+        gamma = se.gamma_series(
+            se.normalized_period_series(sys, omega, order))
         b = se.b_series(sys, ring, omega, order)
         pairings = se.pair_with_dual(
             ring, b, divisor_classes(sys, ring)).components()
@@ -121,14 +121,14 @@ def test_criterion_5_maximal_degeneracy_certificates():
         charts = dg.subdivide_kahler_cone(sys)
         assert charts, "no chart produced"
         omega = gkz.default_weight(sys)
-        period = se.normalized_period_series(sys, omega, 8)
+        gamma = se.gamma_series(se.normalized_period_series(sys, omega, 8))
         b = se.b_series(sys, ring, omega, 8)
-        offsets = [ell for ell, _ in period.terms]
+        offsets = [ell for ell, _ in gamma.terms]
         reports = dg.maximal_degeneracy_check(
             sys, ring,
             [(chart, dg.chart_coordinates(sys, chart, offsets))
              for chart in charts],
-            period, dg.chart_pairings(sys, ring, charts[0], b))
+            gamma, dg.chart_pairings(sys, ring, charts[0], b))
         assert len(reports) == len(charts)
         for report in reports:
             assert report.passed, report.as_dict()

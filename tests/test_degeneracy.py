@@ -18,8 +18,11 @@ def system(fan_maker):
     return gkz.build_system(fan_maker())
 
 
-def period(sys, order):
-    return se.normalized_period_series(sys, gkz.default_weight(sys), order)
+def gamma(sys, order):
+    """The period signed by the quotient parity, as the certificate reads
+    it."""
+    return se.gamma_series(
+        se.normalized_period_series(sys, gkz.default_weight(sys), order))
 
 
 def b_series(sys, ring, order):
@@ -42,10 +45,10 @@ def in_chart(sys, chart, s):
     return dg.period_in_chart(chart, coordinates(sys, chart, s), s)
 
 
-def with_coordinates(sys, charts, period):
-    """Each chart with its exponents of the period's offsets, as the
+def with_coordinates(sys, charts, s):
+    """Each chart with its exponents of the offsets of ``s``, as the
     certificate takes them."""
-    return [(chart, coordinates(sys, chart, period)) for chart in charts]
+    return [(chart, coordinates(sys, chart, s)) for chart in charts]
 
 
 # --- charts -----------------------------------------------------------------------
@@ -92,8 +95,7 @@ def test_chart_basis_unimodular(corpus_fan):
 def test_period_in_chart_p1():
     sys = system(p1_fan)
     chart = dg.subdivide_kahler_cone(sys)[0]
-    period = se.normalized_period_series(sys, gkz.default_weight(sys), 8)
-    z = in_chart(sys, chart, period)
+    z = in_chart(sys, chart, gamma(sys, 8))
     assert z.coefficient((0,)) == 1
     assert z.coefficient((1,)) == Fraction(3, 4)
     assert z.coefficient((2,)) == Fraction(105, 64)
@@ -104,8 +106,7 @@ def test_period_in_chart_p1():
 def test_period_in_chart_p2_signs():
     sys = system(p2_fan)
     chart = dg.subdivide_kahler_cone(sys)[0]
-    period = se.normalized_period_series(sys, gkz.default_weight(sys), 6)
-    z = in_chart(sys, chart, period)
+    z = in_chart(sys, chart, gamma(sys, 6))
     assert z.coefficient((0,)) == 1
     assert z.coefficient((1,)) == Fraction(-15, 8)
     assert z.coefficient((2,)) == Fraction(10395, 512)
@@ -152,10 +153,9 @@ def test_chart_pairings_unit_matches_period_p1():
     sys = system(p1_fan)
     ring = toric.cohomology_ring(sys.fan, sys.collections)
     chart = dg.subdivide_kahler_cone(sys)[0]
-    omega = gkz.default_weight(sys)
     pairings = dg.chart_pairings(sys, ring, chart,
                                  b_series(sys, ring, 6)).components()
-    period = in_chart(sys, chart, se.normalized_period_series(sys, omega, 6))
+    period = in_chart(sys, chart, gamma(sys, 6))
     # keyed by lattice offsets: re-keyed, the unit pairing is the period
     unit = pairings[0]
     assert not any(any(logdeg) for _, logdeg in unit.terms)
@@ -262,7 +262,7 @@ def test_certificate_p1():
     sys = system(p1_fan)
     ring = toric.cohomology_ring(sys.fan, sys.collections)
     chart = dg.subdivide_kahler_cone(sys)[0]
-    p = period(sys, 8)
+    p = gamma(sys, 8)
     report, = dg.maximal_degeneracy_check(sys, ring,
                                           with_coordinates(sys, [chart], p),
                                           p, pairings(sys, ring, chart, 8))
@@ -277,7 +277,7 @@ def test_certificate_corpus(corpus_fan):
     sys = gkz.build_system(corpus_fan)
     ring = toric.cohomology_ring(corpus_fan, sys.collections)
     charts = dg.subdivide_kahler_cone(sys)
-    p = period(sys, 8)
+    p = gamma(sys, 8)
     reports = dg.maximal_degeneracy_check(sys, ring,
                                           with_coordinates(sys, charts, p),
                                           p, pairings(sys, ring, charts[0], 8))
@@ -290,7 +290,7 @@ def test_certificate_json_shape():
     sys = system(p2_fan)
     ring = toric.cohomology_ring(sys.fan, sys.collections)
     chart = dg.subdivide_kahler_cone(sys)[0]
-    p = period(sys, 6)
+    p = gamma(sys, 6)
     report, = dg.maximal_degeneracy_check(sys, ring,
                                           with_coordinates(sys, [chart], p),
                                           p, pairings(sys, ring, chart, 6))
@@ -301,33 +301,33 @@ def test_certificate_json_shape():
 
 @pytest.mark.parametrize("name", ["p2", "f1", "p1xp1_r1"])
 def test_certificate_matches_the_period_up_to_one_scalar(name):
-    """The log-free solution is the transported period times one nonzero
-    scalar: the period scaled by -3 matches at a third of the scalar, with
-    the opposite sign; one term doubled or deleted, first or last in print
+    """The log-free solution is the signed period (gamma) times one nonzero
+    scalar: gamma scaled by -3 matches at a third of the scalar, with the
+    opposite sign; one term doubled or deleted, first or last in print
     order, or every term deleted, is a mismatch."""
     inst = checks.Instance(INSTANCES[name](), order=6)
-    period = inst.period
+    signed = inst.gamma
 
     def verdict(terms):
         report, = dg.maximal_degeneracy_check(
             inst.sys, inst.ring, inst.chart_coordinates[:1],
-            period.replace(terms=terms), inst.pairings)
+            signed.replace(terms=terms), inst.pairings)
         clause = report.clauses[2]
         assert clause["clause"] == "log_free_matches_period"
         return clause["ok"], clause["detail"]
 
-    ok, detail = verdict(period.terms)
+    ok, detail = verdict(signed.terms)
     assert ok and detail.startswith("global scalar ")
     ratio = Fraction(detail.removeprefix("global scalar "))
-    assert verdict({key: -3 * c for key, c in period.terms.items()}) == \
+    assert verdict({key: -3 * c for key, c in signed.terms.items()}) == \
         (True, f"global scalar {xl.fraction_str(ratio / -3)}")
-    keys = [key for key, _ in period.sorted_items()]
+    keys = [key for key, _ in signed.sorted_items()]
     assert len(keys) > 2
     mismatch = (False, "coefficient mismatch")
     for key in (keys[0], keys[-1]):
-        assert verdict({**period.terms, key: 2 * period.terms[key]}) == \
+        assert verdict({**signed.terms, key: 2 * signed.terms[key]}) == \
             mismatch
-        assert verdict({k: c for k, c in period.terms.items() if k != key}) \
+        assert verdict({k: c for k, c in signed.terms.items() if k != key}) \
             == mismatch
     assert verdict({}) == mismatch
 
@@ -424,7 +424,7 @@ def test_region_decomposition_reads_every_chart():
         (False, "(-2, 1, 1, 0, 0, 0) fails to decompose")
     first, second = dg.maximal_degeneracy_check(
         inst.sys, inst.ring, inst.chart_coordinates,
-        inst.period, inst.pairings)
+        inst.gamma, inst.pairings)
     assert first.passed
     assert second.clauses[0] == {
         "clause": "holomorphic_extension", "ok": False,
@@ -528,7 +528,7 @@ def test_certificate_null_space_equals_solve_linear(name, monkeypatch):
     monkeypatch.setattr(xl, "null_basis", recorded)
     charts = inst.chart_coordinates
     reports = dg.maximal_degeneracy_check(inst.sys, inst.ring, charts,
-                                          inst.period, inst.pairings)
+                                          inst.gamma, inst.pairings)
     assert len(found) == 1
     assert len(reports) == len(inst.charts)
     for (chart, coords), report in zip(charts, reports):
@@ -538,7 +538,7 @@ def test_certificate_null_space_equals_solve_linear(name, monkeypatch):
         assert log_rows
         assert report.passed
         assert report.as_dict() == dg.maximal_degeneracy_check(
-            inst.sys, inst.ring, [(chart, coords)], inst.period,
+            inst.sys, inst.ring, [(chart, coords)], inst.gamma,
             chart_pairings)[0].as_dict()
         assert found[-1] == found[0] == \
             xl.solve_linear(log_rows, (0,) * len(log_rows))[1]
@@ -587,24 +587,24 @@ def reference_period_in_chart(sys, chart, period):
 
 @pytest.mark.parametrize("name", sorted(CERTIFIED))
 def test_parity_sign_is_the_chart_sign_product(name):
-    """On every chart, the one parity (``series.parity_sign``) signs the
-    transported period as the chart's sign product did, and gives the
-    chart's signs."""
+    """On every chart, the one parity (``series.parity_sign``, read by
+    ``series.gamma_series``) signs the transported period as the chart's
+    sign product did, and gives the chart's signs."""
     build, order = CERTIFIED[name]
     inst = checks.Instance(build(), order=order)
     for chart, coords in inst.chart_coordinates:
         signs, expected = reference_period_in_chart(inst.sys, chart,
                                                     inst.period)
         assert list(chart.signs) == signs
-        assert dg.period_in_chart(chart, coords, inst.period).terms == \
+        assert dg.period_in_chart(chart, coords, inst.gamma).terms == \
             expected
 
 
 @pytest.mark.parametrize("name", sorted(CHECK_ALL_CHART_COORDINATES))
 def test_parity_positions_are_found_once_per_call_site(name, monkeypatch):
-    """One certificate call finds the auxiliary slots once for the period
-    match and once per chart's transport, however many terms the period
-    has (35 on p1p1p1_r1)."""
+    """A gamma build finds the auxiliary slots once, however many terms the
+    period has (35 on p1p1p1_r1); a certificate call, which reads gamma,
+    finds them not at all, on any number of charts."""
     build, order = CERTIFIED[name]
     inst = checks.Instance(build(), order=order)
     charts = inst.chart_coordinates
@@ -620,6 +620,9 @@ def test_parity_positions_are_found_once_per_call_site(name, monkeypatch):
     first = min(period.terms)
     for terms in (period.terms, {first: period.terms[first]}):
         calls.clear()
-        dg.maximal_degeneracy_check(inst.sys, inst.ring, charts,
-                                    period.replace(terms=terms), pairings)
-        assert len(calls) == 1 + len(charts)
+        signed = se.gamma_series(period.replace(terms=terms))
+        assert len(calls) == 1
+        calls.clear()
+        dg.maximal_degeneracy_check(inst.sys, inst.ring, charts, signed,
+                                    pairings)
+        assert calls == []

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
 from fractions import Fraction
+from pathlib import Path
+from sys import executable
 
 import pytest
 
@@ -7,6 +11,8 @@ from conftest import p1_fan, p1xp1_fan_r2, p2_fan
 from gkzfrac import gkz, toric
 from gkzfrac import exact_linalg as xl
 from gkzfrac.errors import NotInKernel
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def falling_factorial_oracle(alpha, count):
@@ -182,3 +188,27 @@ def test_euler_eigenvalue_on_monomials(corpus_fan):
             value = sum(Fraction(c) * gamma[j]
                         for j, c in enumerate(op.coeffs))
             assert value == op.eigenvalue
+
+
+def test_off_lattice_vector_is_not_in_kernel_without_asserts():
+    """``basis_coords`` rejects a vector off the relation lattice with the
+    typed error, not an assert, so a run under ``python -O`` rejects it too:
+    the chart coordinates of (0, 0, 0, 1) on p2 raise NotInKernel."""
+    code = "\n".join([
+        "from gkzfrac import cli, degeneracy as dg, gkz",
+        "from gkzfrac.errors import NotInKernel",
+        "sys = gkz.build_system(cli.parse_input(cli.fixture_path('p2')).fan())",
+        "chart = dg.subdivide_kahler_cone(sys)[0]",
+        "try:",
+        "    print(dg.chart_coordinates(sys, chart, [(0, 0, 0, 1)]))",
+        "except NotInKernel as exc:",
+        "    print(type(exc).__name__, exc)",
+    ])
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run([executable, "-O", "-B", "-c", code],
+                            capture_output=True, text=True, env=env, cwd=ROOT)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == ("NotInKernel (0, 0, 0, 1) is not a relation of "
+                             "the configuration\n")

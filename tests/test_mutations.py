@@ -6,10 +6,11 @@ mutation, on p2, f1 and the one-block P1^3 (the oracle check under a
 flipped period sign, a flipped oracle sign and a period term deleted); the kernel check also on the
 one-block P1xP1 and the three-block P1^3 (on p2 and the three-block P1^3
 its box holds no kernel vector, so only the Hermite certificate sees the
-defect there); the parity twist on p2 and f1, the inputs where some box
-operator has an odd auxiliary sum, where the certificate fails with it
-under a whole check-all (and nothing fails on the one-block P1xP1 and
-P1^3); the ring dimension check on f1 and
+defect there); the parity sign on p2 and f1, the inputs where some box
+operator has an odd auxiliary sum, where gamma, left unsigned, fails a
+box operator and the certificate's period match under a whole check-all
+(and nothing fails on the one-block P1xP1 and P1^3); the ring dimension
+check on f1 and
 the one-block P1xP1, with one Stanley-Reisner generator dropped; the
 secondary-cone check on f1, the one-block P1xP1 and P1^3, with every
 covector of one facet-defining row dropped.  Every
@@ -54,20 +55,19 @@ def instance(name):
 
 
 def annihilation_per_series(inst):
-    """The annihilation check as it was, kept verbatim: one operator pass
-    per (operator, series) pair."""
+    """The annihilation check as it was, one operator pass per (operator,
+    series) pair, over the series the check reads: gamma, then each
+    pairing."""
     sys = inst.sys
-    targets = [("gamma", inst.gamma, False), ("period", inst.period, True)] + [
-        (f"pairing_{h}", s, False)
-        for h, s in enumerate(inst.pairings.components())]
+    targets = [("gamma", inst.gamma)] + [
+        (f"pairing_{h}", s) for h, s in enumerate(inst.pairings.components())]
     for op in sys.euler_operators():
-        for name, s, _tw in targets:
+        for name, s in targets:
             if not se.apply_operator(op, s).is_zero_on_reliable_region():
                 return False, f"Euler row {op.row} fails on {name}"
     for box in sys.box_operators():
-        for name, s, twisted in targets:
-            result = se.apply_operator(box, s, twisted=twisted)
-            if not result.is_zero_on_reliable_region():
+        for name, s in targets:
+            if not se.apply_operator(box, s).is_zero_on_reliable_region():
                 return False, f"box {box.ell} fails on {name}"
     return True, (f"{sys.n + sys.r} Euler rows and {len(sys.collections)} "
                   f"box operators kill all solutions at order {inst.order}")
@@ -143,26 +143,28 @@ def test_wrong_canonical_exponent_fails_annihilation(name, monkeypatch):
 @pytest.mark.parametrize("name", ["p2", "f1"])
 def test_dropped_parity_twist_fails_annihilation(name, monkeypatch):
     check = CHECK["series.annihilation"]
+    assert check(instance(name))[0]
     inst = instance(name)
-    assert check(inst)[0]
-    # no auxiliary slot is seen, so the twist sign is always +1
+    # before gamma is built, and no auxiliary slot is seen, so gamma is the
+    # unsigned period
     monkeypatch.setattr(se, "_aux_positions_from_alpha", lambda alpha: [])
     ok, detail = check(inst)
     assert not ok
-    assert detail.startswith("box (") and detail.endswith(" fails on period")
+    assert detail.startswith("box (") and detail.endswith(" fails on gamma")
     assert annihilation_per_series(inst) == (ok, detail)
 
 
 # the checks that fail, with their details, when check-all runs without the
-# parity: both readers of series.parity_sign see it where some relation has
-# an odd auxiliary sum (the twisted box operators and the period signed
-# against the log-free solution, which carries the parity in its classes),
-# and nothing fails where every box operator's sum is even
+# parity: gamma, the one series series.parity_sign signs, is then the
+# unsigned period where some relation has an odd auxiliary sum, so a box
+# operator and the match against the log-free solution, which carries the
+# parity in its classes, both see it; nothing fails where every box
+# operator's sum is even
 CHART_0_MISMATCH = "chart 0 fails ['log_free_matches_period']"
 DROPPED_TWIST_FAILURES = {
-    "p2": {"series.annihilation": "box (-3, 1, 1, 1) fails on period",
+    "p2": {"series.annihilation": "box (-3, 1, 1, 1) fails on gamma",
            "degeneracy.certificate": CHART_0_MISMATCH},
-    "f1": {"series.annihilation": "box (-1, 1, -1, 1, 0) fails on period",
+    "f1": {"series.annihilation": "box (-1, 1, -1, 1, 0) fails on gamma",
            "degeneracy.certificate": CHART_0_MISMATCH},
     "p1xp1_r1": {},
     "p1p1p1_r1": {},

@@ -6,17 +6,18 @@ inside the truncation order.  The reference below is the route it replaced,
 kept verbatim: the formal derivative iterated slot by slot, then the
 difference of the two monomials' results.  Restricted to its reliable
 region, the reference must give the same terms, for the canonical exponent
-and for a wrong one, with and without the parity twist.
+and for a wrong one.
 
 The annihilation check is only as strong as the positions it tests, so every
 (box, target) pair it forms must reach at least one reliable position.  The
 smallest counts are 9 on p1 and p2, 35 on both P1^3 partitions and 3 on the
 6-ray surface.
 
-The check applies each operator three times, to gamma, to the period and
-to the stacked pairings; it must give the (ok, detail) of the per-series
-loop it replaced, and a stacked pass must give, component by component, the
-terms of the scalar passes.
+The check applies each operator twice, to gamma (the period signed by the
+quotient parity, so no operator carries a sign) and to the stacked
+pairings; it must give the (ok, detail) of the per-series loop it replaced,
+and a stacked pass must give, component by component, the terms of the
+scalar passes.
 
 The pairings the check reads are in lattice logs, those of the first
 chart's basis vectors (``Instance.pairings``); the ``bseries`` form in
@@ -59,13 +60,6 @@ def differentiate(s, pos):
     return out
 
 
-def scale(s, c):
-    out = s.replace(terms={})
-    for key, coeff in s.terms.items():
-        out.add_term(key[0], key[1], coeff * c)
-    return out
-
-
 def subtract(s, other):
     assert s.alpha == other.alpha
     out = s.replace(terms=dict(s.terms))
@@ -88,27 +82,22 @@ def monomial_derivatives(op, s):
 def reliable_items(s):
     """The terms of ``s`` in print order whose inputs all lie inside the
     truncation order."""
+    reliable = s._reliable()
     return [((ell, logdeg), c) for (ell, logdeg), c in s.sorted_items()
-            if s._is_reliable(ell)]
+            if reliable(ell)]
 
 
-def reference_box(op, s, twisted, s_plus, s_minus):
+def reference_box(op, s_plus, s_minus):
     """The box branch as it was, cut to its reliable region."""
-    sign = 1
-    if twisted:
-        aux = sum(op.ell[j] for j in se._aux_positions_from_alpha(s.alpha))
-        sign = (-1) ** (aux % 2)
-    result = subtract(s_plus, scale(s_minus, sign))
+    result = subtract(s_plus, s_minus)
     result.shifts = (op.plus, op.minus)
     return dict(reliable_items(result))
 
 
 def assert_box_matches_reference(op, s):
-    s_plus, s_minus = monomial_derivatives(op, s)
-    for twisted in (False, True):
-        result = se.apply_operator(op, s, twisted=twisted)
-        assert result.shifts == (op.plus, op.minus)
-        assert result.terms == reference_box(op, s, twisted, s_plus, s_minus)
+    result = se.apply_operator(op, s)
+    assert result.shifts == (op.plus, op.minus)
+    assert result.terms == reference_box(op, *monomial_derivatives(op, s))
 
 
 @pytest.fixture(scope="module", params=sorted(INSTANCES))
@@ -119,7 +108,7 @@ def inst(request):
 
 def targets(inst):
     """The series the annihilation check applies every box operator to."""
-    return [("gamma", inst.gamma), ("period", inst.period)] + [
+    return [("gamma", inst.gamma)] + [
         (f"pairing_{h}", s)
         for h, s in enumerate(inst.pairings.components())]
 
@@ -236,31 +225,29 @@ def test_stacked_pass_equals_scalar_passes(inst):
         series = [s.replace(alpha=alpha) for s in inst.pairings.components()]
         assert len(series) == inst.ring.dim
         for op in ops:
-            for twisted in (False, True):
-                result = se.apply_operator(op, stacked, twisted=twisted)
-                alone = [se.apply_operator(op, s, twisted=twisted)
-                         for s in series]
-                for i, a in enumerate(alone):
-                    assert component(result, i) == a.terms
-                    assert result.shifts == a.shifts
-                    nonzero += bool(a.terms)
-                assert result.first_nonzero_component() == next(
-                    (i for i, a in enumerate(alone)
-                     if not a.is_zero_on_reliable_region()), None)
+            result = se.apply_operator(op, stacked)
+            alone = [se.apply_operator(op, s) for s in series]
+            for i, a in enumerate(alone):
+                assert component(result, i) == a.terms
+                assert result.shifts == a.shifts
+                nonzero += bool(a.terms)
+            assert result.first_nonzero_component() == next(
+                (i for i, a in enumerate(alone)
+                 if not a.is_zero_on_reliable_region()), None)
     # the wrong exponent leaves residues, so the comparison is not 0 == 0
     assert nonzero
 
 
-def test_check_all_applies_each_operator_three_times(monkeypatch):
-    """check-all on the one-block P1^3: gamma, the period and the stacked
-    pairings, once per operator, so a return to one pass per series fails
-    here."""
+def test_check_all_applies_each_operator_twice(monkeypatch):
+    """check-all on the one-block P1^3: gamma and the stacked pairings,
+    once per operator, so a return to one pass per series, or of the
+    twisted period pass, fails here."""
     calls = []
     original = se.apply_operator
 
-    def counted(op, s, twisted=False):
+    def counted(op, s):
         calls.append(op)
-        return original(op, s, twisted=twisted)
+        return original(op, s)
 
     monkeypatch.setattr(se, "apply_operator", counted)
     inst = checks.Instance(INSTANCES["p1p1p1_r1"](), order=4)
@@ -268,7 +255,7 @@ def test_check_all_applies_each_operator_three_times(monkeypatch):
     assert all(r["ok"] for r in results), results
     ops = inst.sys.euler_operators() + inst.sys.box_operators()
     assert len(ops) == 7
-    assert len(calls) == 3 * len(ops) == 21
+    assert len(calls) == 2 * len(ops) == 14
 
 
 # --- lattice logs against slot logs ----------------------------------------------------
@@ -318,7 +305,8 @@ def test_lattice_logs_transport_to_slot_logs(inst):
 
 
 def reliable_terms(s):
-    return {key: c for key, c in s.terms.items() if s._is_reliable(key[0])}
+    reliable = s._reliable()
+    return {key: c for key, c in s.terms.items() if reliable(key[0])}
 
 
 def test_operators_commute_with_the_transport(inst):

@@ -255,7 +255,9 @@ def fraction_period_coefficient_C(sys, ell):
 
 
 def fraction_gamma_coefficient(sys, ell):
-    """``se.gamma_coefficient`` in Fraction arithmetic, kept verbatim."""
+    """The Gamma-series coefficient in rising-product form, in Fraction
+    arithmetic: the reference for ``se.gamma_series``, the parity-signed
+    period."""
     ell = tuple(ell)
     ks, rays = se._region_split(sys, ell)
     out = Fraction(1)
@@ -279,21 +281,43 @@ def outcome(fn, sys, ell):
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))
 def test_integer_coefficients_equal_the_fraction_forms(name):
-    """The oracle, C and the Gamma coefficient give the values and value
-    types of their Fraction forms on the region slab and off degree."""
+    """The oracle and C give the values and value types of their Fraction
+    forms on the region slab and off degree, and the Gamma series (the
+    parity-signed period) those of the rising-product form on the slab."""
     sys = gkz.build_system(INSTANCES[name]())
-    slab = se.region_slab(sys, gkz.default_weight(sys),
-                          REFERENCE_ORDERS[name])
+    omega, order = gkz.default_weight(sys), REFERENCE_ORDERS[name]
+    slab = se.region_slab(sys, omega, order)
     pairs = [(se.residue_oracle, keyed_residue_oracle),
-             (se.period_coefficient_C, fraction_period_coefficient_C),
-             (se.gamma_coefficient, fraction_gamma_coefficient)]
+             (se.period_coefficient_C, fraction_period_coefficient_C)]
     nonzero = 0
     for ell in slab + off_degree_vectors(sys):
         for fn, reference in pairs:
             got = outcome(fn, sys, ell)
             assert got == outcome(reference, sys, ell), (fn.__name__, ell)
             nonzero += got not in (NotInKernel, (0, Fraction))
+    gamma = se.gamma_series(se.normalized_period_series(sys, omega, order))
+    no_logs = (0,) * sys.nvars
+    assert list(gamma.terms) == [(ell, no_logs) for ell in slab]
+    for ell in slab:
+        got = gamma.coefficient(ell)
+        assert (got, type(got)) == outcome(fraction_gamma_coefficient,
+                                           sys, ell), ell
+        nonzero += got != 0
     assert nonzero >= 3 * len(slab)
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_gamma_is_the_unit_pairing(name):
+    """Gamma is component 0 of the solution pairings, term for term, once
+    each pairing key's log part (in the first chart's logs) is widened to
+    the ``nvars`` slot logs: the pairing with the unit is log-free."""
+    inst = checks.Instance(INSTANCES[name](), order=REFERENCE_ORDERS[name])
+    unit = inst.pairings.components()[0]
+    no_logs = (0,) * inst.sys.nvars
+    assert not any(any(logdeg) for _, logdeg in unit.terms)
+    assert inst.gamma.terms == {(ell, no_logs): c
+                                for (ell, _), c in unit.terms.items()}
+    assert len(inst.gamma.terms) == len(inst.region_slab)
 
 
 @pytest.mark.parametrize("name", ["p1xp1_r1", "p1p1p1_r3"])
@@ -329,7 +353,7 @@ def test_default_weight_is_ample(corpus_fan):
 def test_non_ample_weight_rejected():
     sys = system(p1_fan)
     with pytest.raises(WeightNotAmple):
-        se.gamma_series(sys, gkz.canonical_alpha(sys), (0, 0, 0), 4)
+        se.normalized_period_series(sys, (0, 0, 0), 4)
 
 
 def fraction_sorted_items(s):
@@ -340,7 +364,7 @@ def fraction_sorted_items(s):
 
 
 def fraction_is_reliable(s, ell):
-    """``LogSeries._is_reliable`` with Fraction weight degrees."""
+    """``LogSeries._reliable`` with Fraction weight degrees."""
     return all(xl.dot(s.weight, xl.vec_add(ell, shift)) <= s.order
                for shift in s.shifts)
 
@@ -360,12 +384,14 @@ def test_integer_weight_degrees_equal_the_fraction_weight(name):
                 assert slab == sorted(slab,
                                       key=lambda e: (xl.dot(weight, e), e))
             period = se.normalized_period_series(sys, weight, order)
-            for s in [period] + [se.apply_operator(op, period, twisted=True)
+            gamma = se.gamma_series(period)
+            for s in [period] + [se.apply_operator(op, gamma)
                                  for op in sys.box_operators()]:
                 assert s.sorted_items() == fraction_sorted_items(s)
+                is_reliable = s._reliable()
                 for ell in {ell for ell, _ in s.terms} | {
                         ell for ell, _ in period.terms}:
-                    reliable = s._is_reliable(ell)
+                    reliable = is_reliable(ell)
                     assert reliable == fraction_is_reliable(s, ell), ell
                     outcomes.add(reliable)
     assert outcomes == {True, False}
@@ -373,10 +399,13 @@ def test_integer_weight_degrees_equal_the_fraction_weight(name):
 
 # --- gamma series ------------------------------------------------------------------------
 
+def gamma_series(sys, order):
+    return se.gamma_series(
+        se.normalized_period_series(sys, gkz.default_weight(sys), order))
+
+
 def test_gamma_p1_coefficients():
-    sys = system(p1_fan)
-    omega = gkz.default_weight(sys)
-    s = se.gamma_series(sys, gkz.canonical_alpha(sys), omega, 4)
+    s = gamma_series(system(p1_fan), 4)
     zero = (0, 0, 0)
     assert s.coefficient(zero) == 1
     assert s.coefficient((-2, 1, 1)) == Fraction(3, 4)
@@ -384,19 +413,18 @@ def test_gamma_p1_coefficients():
 
 
 def test_gamma_p2_first_term():
-    sys = system(p2_fan)
-    omega = gkz.default_weight(sys)
-    s = se.gamma_series(sys, gkz.canonical_alpha(sys), omega, 3)
+    s = gamma_series(system(p2_fan), 3)
     assert s.coefficient((-3, 1, 1, 1)) == Fraction(-15, 8)
 
 
 def test_gamma_sign_is_phi_twist(corpus_fan):
     sys = gkz.build_system(corpus_fan)
-    omega = gkz.default_weight(sys)
     aux = sys.aux_positions()
-    for ell in se.region_slab(sys, omega, 6):
+    gamma = gamma_series(sys, 6)
+    assert gamma.terms
+    for (ell, _), coeff in gamma.terms.items():
         sign = (-1) ** (sum(ell[j] for j in aux) % 2)
-        assert se.gamma_coefficient(sys, ell) == \
+        assert coeff == fraction_gamma_coefficient(sys, ell) == \
             sign * se.period_coefficient_C(sys, ell)
 
 
@@ -458,7 +486,7 @@ def test_o_scalar_equals_gamma_coefficient(corpus_fan):
     omega = gkz.default_weight(sys)
     for ell in se.region_slab(sys, omega, 5):
         assert scalar_part(se.o_class(sys, ring, ell)) == \
-            se.gamma_coefficient(sys, ell)
+            fraction_gamma_coefficient(sys, ell)
 
 
 def test_b_series_unit_term():
@@ -499,7 +527,7 @@ def test_pairing_with_unit_is_log_free(corpus_fan):
     # and it reproduces the gamma series coefficients
     for (ell, logdeg), coeff in unit_dual.terms.items():
         if all(m == 0 for m in logdeg):
-            assert coeff == se.gamma_coefficient(sys, ell)
+            assert coeff == fraction_gamma_coefficient(sys, ell)
 
 
 def test_pairing_with_point_dual_p1():
@@ -529,15 +557,14 @@ def test_euler_kills_single_term():
         assert apply_is_zero(op, s)
 
 
-def apply_is_zero(op, s, twisted=False):
-    return se.apply_operator(op, s, twisted=twisted).is_zero_on_reliable_region()
+def apply_is_zero(op, s):
+    return se.apply_operator(op, s).is_zero_on_reliable_region()
 
 
 def test_box_kills_period_series_p1():
     sys = system(p1_fan)
-    s = se.normalized_period_series(sys, gkz.default_weight(sys), 8)
     box = sys.box_operators()[0]
-    assert apply_is_zero(box, s, twisted=True)
+    assert apply_is_zero(box, gamma_series(sys, 8))
 
 
 def test_operator_on_zero_series():
@@ -554,9 +581,8 @@ def test_annihilation_suite(corpus_fan):
     ring = toric.cohomology_ring(corpus_fan, sys.collections)
     omega = gkz.default_weight(sys)
     order = 8
-    alpha = gkz.canonical_alpha(sys)
-    gamma = se.gamma_series(sys, alpha, omega, order)
     period = se.normalized_period_series(sys, omega, order)
+    gamma = se.gamma_series(period)
     b = se.b_series(sys, ring, omega, order)
     pairings = se.pair_with_dual(
         ring, b, divisor_classes(sys, ring)).components()
@@ -567,7 +593,6 @@ def test_annihilation_suite(corpus_fan):
             assert apply_is_zero(op, pairing)
     for box in sys.box_operators():
         assert apply_is_zero(box, gamma)
-        assert apply_is_zero(box, period, twisted=True)
         for pairing in pairings:
             assert apply_is_zero(box, pairing)
 
