@@ -270,14 +270,12 @@ def _check_solution_rank(inst):
 
 
 def _check_ample_chamber(inst):
-    result = tr.regular_subdivision(inst.points, inst.omega)
-    ok = isinstance(result, tr.Triangulation) and \
-        result.simplex_set() == inst.tmax.simplex_set()
+    ok = tr.induces_tmax(inst.sys, inst.omega)
     return ok, "ample weight induces the maximal triangulation"
 
 
 def _check_volume_rank(inst):
-    volume = tr.normalized_volume(inst.points, inst.tmax)
+    volume = tr.normalized_volume(inst.sys.points, inst.sys.tmax)
     ok = volume == len(inst.fan.max_cones) == inst.ring.dim
     return ok, f"normalized volume {volume}"
 
@@ -285,12 +283,13 @@ def _check_volume_rank(inst):
 def _check_secondary_contains_ample(inst):
     # the secondary cone of T_max is the Kahler cone (Oda-Park); one that
     # lost a facet may not be pointed, which its constructor refuses
+    sys = inst.sys
     try:
-        cone = tr.secondary_cone(inst.sys, inst.points, inst.tmax)
+        cone = tr.secondary_cone(sys, sys.points, sys.tmax)
     except EmptyInterior as exc:
         return False, f"secondary cone of the maximal triangulation: {exc}"
     for kind in ("inequalities", "rays"):
-        odd = set(getattr(cone, kind)) ^ set(getattr(inst.sys.kahler, kind))
+        odd = set(getattr(cone, kind)) ^ set(getattr(sys.kahler, kind))
         if odd:
             return False, (f"{min(odd)} is in the {kind} of only one of the "
                            "secondary and ample cones")
@@ -310,7 +309,7 @@ def _check_groebner_minimal(inst):
 
 def _check_tmax_contains_aux(inst):
     aux = set(inst.sys.aux_positions())
-    for s in inst.tmax.simplices:
+    for s in inst.sys.tmax.simplices:
         if not aux <= set(s):
             return False, f"simplex {list(s)} misses an auxiliary point"
     return True, "every simplex contains all auxiliary points"

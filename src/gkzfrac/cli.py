@@ -321,10 +321,9 @@ def run_command(cmd, spec, flags=None):
 
     if cmd == "fans":
         from . import triangulations as tr
-        pc, tmax = inst.points, inst.tmax
+        pc, tmax = sys.points, sys.tmax
         cones = {"secondary_cone": tr.secondary_cone(sys, pc, tmax),
                  "kahler_cone": sys.kahler}
-        chamber = tr.regular_subdivision(pc, omega)
         payload = {
             "points": [list(p) for p in pc.points],
             "maximal_triangulation": [list(s) for s in tmax.simplices],
@@ -333,9 +332,7 @@ def run_command(cmd, spec, flags=None):
             **{field: {"inequalities": [list(g) for g in c.inequalities],
                        "rays": [list(r) for r in c.rays]}
                for field, c in cones.items()},
-            "weight_chamber_is_maximal":
-                isinstance(chamber, tr.Triangulation)
-                and chamber.simplex_set() == tmax.simplex_set(),
+            "weight_chamber_is_maximal": tr.induces_tmax(sys, omega),
             "nonvertex_clause_vacuous":
                 tr.nonvertex_points(pc, tmax) == [],
         }

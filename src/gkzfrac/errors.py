@@ -96,6 +96,11 @@ class NonTermination(GkzfracError):
     """Buchberger iteration cap exceeded."""
 
 
+class IdealNotCertified(GkzfracError):
+    """A premise of the certificate that the primitive-collection binomials
+    generate the toric ideal fails (``GkzSystem.lattice_ideal``)."""
+
+
 # --- degeneracy --------------------------------------------------------------
 
 class SubdivisionFailed(GkzfracError):

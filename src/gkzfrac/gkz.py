@@ -11,7 +11,8 @@ from functools import cached_property
 
 from . import exact_linalg as xl
 from . import toric
-from .errors import NotInKernel, UnexpectedLocus, WeightNotAmple
+from .errors import (IdealNotCertified, NotInKernel, UnexpectedLocus,
+                     WeightNotAmple)
 
 # --- tiny exact polynomials -----------------------------------------------------
 
@@ -193,13 +194,49 @@ class GkzSystem:
         return tuple(out)
 
     @cached_property
-    def lattice_ideal(self):
-        """Generators of the saturated lattice ideal
-        (``triangulations.lattice_ideal_generators``); they do not depend
-        on the weight, so every Groebner basis of the system starts from
-        the same ones."""
+    def points(self):
+        """The extended point configuration: the columns of ``a_ext``."""
         from . import triangulations as tr
-        return tuple(tr.lattice_ideal_generators(self))
+        return tr.PointConfiguration.from_system(self)
+
+    @cached_property
+    def tmax(self):
+        """The maximal triangulation, induced by the fan."""
+        from . import triangulations as tr
+        return tr.maximal_triangulation(self, self.fan)
+
+    @cached_property
+    def lattice_ideal(self):
+        """The primitive-collection binomials G: they generate the toric
+        ideal I_A whatever the weight, so every Groebner basis of the
+        system starts from them.  Nothing is saturated: G is certified
+        once, at omega0 = ``default_weight``, and a failed premise raises
+        IdealNotCertified naming it.
+        - relations: every binomial of G lies in I_A;
+        - ample chamber: omega0 induces T_max (``induces_tmax``), so
+          rad in(I_A) = SR(T_max) (Sturmfels, Groebner Bases and Convex
+          Polytopes, Thm 8.3);
+        - T_max's minimal non-faces are the collections, by construction
+          (``maximal_triangulation``: each simplex is one maximal cone's
+          rays with every auxiliary point);
+        - leading terms: G is a Groebner basis with in(<G>) = SR(T_max)
+          (``minimal_gb_is_primitive_collections``).
+        So in(<G>) = in(I_A), and <G> = I_A (Cox-Little-O'Shea, Ideals,
+        Varieties, and Algorithms, section 2.5)."""
+        from . import triangulations as tr
+        omega = default_weight(self)
+        gens = tuple(tr.primitive_collection_binomials(self, omega))
+        if not all(self.in_kernel(tuple(a - b for a, b in zip(u, v)))
+                   for u, v in gens):
+            raise IdealNotCertified(
+                f"premise 'relations' fails at weight {omega}")
+        if not tr.induces_tmax(self, omega):
+            raise IdealNotCertified(
+                f"premise 'ample chamber' fails at weight {omega}")
+        if not tr.minimal_gb_is_primitive_collections(self, omega, gens):
+            raise IdealNotCertified(
+                f"premise 'leading terms' fails at weight {omega}")
+        return gens
 
     @cached_property
     def indicial_locus(self):

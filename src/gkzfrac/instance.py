@@ -41,16 +41,6 @@ class Instance:
         return self.nablas.nabla
 
     @cached_property
-    def points(self):
-        from . import triangulations as tr
-        return tr.PointConfiguration.from_system(self.sys)
-
-    @cached_property
-    def tmax(self):
-        from . import triangulations as tr
-        return tr.maximal_triangulation(self.sys, self.fan)
-
-    @cached_property
     def charts(self):
         from . import degeneracy as dg
         return dg.subdivide_kahler_cone(self.sys)

@@ -3,9 +3,9 @@ binomial Groebner machinery of the toric ideal.
 
 Points live in Z^(n+r) on the height-one slice, so top cells have n+r
 points and normalized volumes are plain determinants.  The Groebner engine
-works entirely with binomials: S-pairs of binomials are binomials, and the
-lattice ideal is reached from a kernel basis by saturating one variable at a
-time.
+works entirely with binomials: S-pairs of binomials are binomials, and every
+run starts from the primitive-collection binomials, certified to generate
+the toric ideal without saturation (``GkzSystem.lattice_ideal``).
 """
 
 from fractions import Fraction
@@ -67,7 +67,6 @@ def maximal_triangulation(sys, fan):
     Every simplex consists of the lifted rays of one maximal cone together
     with all auxiliary points, and is unimodular by smoothness.
     """
-    pc = PointConfiguration.from_system(sys)
     aux = sys.aux_positions()
     simplices = []
     for cone in sorted(fan.max_cones, key=sorted):
@@ -75,7 +74,7 @@ def maximal_triangulation(sys, fan):
         simplices.append(tuple(idx))
     tri = Triangulation(simplices=tuple(sorted(simplices)))
     for s in tri.simplices:
-        mat = [pc.points[i] for i in s]
+        mat = [sys.points.points[i] for i in s]
         d = xl.det(mat)
         if abs(d) != 1:
             raise NotUnimodular(
@@ -117,6 +116,13 @@ def regular_subdivision(pc, omega):
     if all(len(c) == m for c in ordered):
         return Triangulation(simplices=ordered, weight=omega)
     return Subdivision(cells=ordered, weight=omega)
+
+
+def induces_tmax(sys, omega):
+    """Does the weight induce the maximal triangulation?"""
+    result = regular_subdivision(sys.points, omega)
+    return isinstance(result, Triangulation) and \
+        result.simplex_set() == sys.tmax.simplex_set()
 
 
 def nonvertex_points(pc, tri):
@@ -195,15 +201,6 @@ def weight_order(omega, nvars):
     rows = [tuple(Fraction(w) for w in omega)]
     for j in range(nvars):
         rows.append(tuple(1 if i == j else 0 for i in range(nvars)))
-    return TermOrder(rows=tuple(rows))
-
-
-def grevlex_last_order(nvars, last):
-    """Graded reverse lexicographic order with the given variable cheapest."""
-    sequence = [j for j in range(nvars) if j != last] + [last]
-    rows = [tuple(1 for _ in range(nvars))]
-    for var in reversed(sequence):
-        rows.append(tuple(-1 if i == var else 0 for i in range(nvars)))
     return TermOrder(rows=tuple(rows))
 
 
@@ -316,35 +313,6 @@ def reduce_basis(basis, order):
             minimal.append((u, v))
     minimal.sort(key=lambda g: order.key(g[0]))
     return [(u, _rewrite(v, minimal)) for u, v in minimal]
-
-
-def _saturate_variable(basis, nvars, var):
-    """Divide out the cheapest variable after a grevlex-last basis."""
-    order = grevlex_last_order(nvars, var)
-    gb = buchberger(basis, order)
-    out = []
-    for u, v in gb:
-        m = min(u[var], v[var])
-        if m:
-            u = tuple(x - m if j == var else x for j, x in enumerate(u))
-            v = tuple(x - m if j == var else x for j, x in enumerate(v))
-        if u != v:
-            out.append((u, v))
-    return out
-
-
-def lattice_ideal_generators(sys):
-    """Generators of the saturated lattice ideal from the kernel basis.
-
-    The basis binomials generate the ideal only up to saturation by the
-    product of all variables; saturating one variable at a time (each via a
-    graded reverse-lex basis with that variable cheapest) reaches the full
-    toric ideal.
-    """
-    gens = [xl.split_positive_negative(b) for b in sys.basis]
-    for var in range(sys.nvars):
-        gens = _saturate_variable(gens, sys.nvars, var)
-    return gens
 
 
 def toric_groebner_basis(sys, omega):
@@ -461,15 +429,13 @@ def secondary_fan(sys):
     Returns a list of (ConeDescription, Triangulation) covering the whole
     relation-lattice dual, walked from the Kaehler chamber.
     """
-    pc = PointConfiguration.from_system(sys)
-
     def chamber_of(direction):
         omega = sys.lift_weight_class(direction)
-        result = regular_subdivision(pc, omega)
+        result = regular_subdivision(sys.points, omega)
         if not isinstance(result, Triangulation):
             raise NotRegular(
                 f"direction {direction} lies on a wall of the secondary fan")
-        return result, secondary_cone(sys, pc, result)
+        return result, secondary_cone(sys, sys.points, result)
 
     return walk_fan(chamber_of, tuple(map(sum, zip(*sys.kahler.rays))))
 

@@ -60,15 +60,16 @@ def test_unbounded_slab_does_not_blame_max_terms():
 @pytest.mark.parametrize("cap,value", [("GB_PAIR_CAP", 0),
                                        ("GB_BASIS_CAP", 2)])
 def test_buchberger_names_its_cap(cap, value, monkeypatch):
-    # f1 needs S-pairs that reduce to new binomials before it closes up;
-    # they arise while saturating, which a system does once, so the capped
-    # call starts from a fresh system
+    # every run starts from the two collection binomials of f1; the run in
+    # the chamber opposite the ample one needs S-pairs that reduce to new
+    # binomials, and ends with four, so a cap of two binomials is passed
     sys = gkz.build_system(CORPUS["f1"]())
-    omega = gkz.default_weight(sys)
-    assert tr.toric_groebner_basis(sys, omega).generators
+    omega = sys.lift_weight_class((-1, -1))
+    assert len(sys.lattice_ideal) == 2
+    assert len(tr.toric_groebner_basis(sys, omega).generators) == 4
     monkeypatch.setattr(tr, cap, value)
     with pytest.raises(NonTermination, match=cap):
-        tr.toric_groebner_basis(gkz.build_system(CORPUS["f1"]()), omega)
+        tr.toric_groebner_basis(sys, omega)
 
 
 @pytest.mark.parametrize("fan_walk", [tr.secondary_fan, tr.groebner_fan])

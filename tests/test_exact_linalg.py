@@ -670,7 +670,7 @@ def test_engine_equals_the_enumerators_on_instance_cones(name, monkeypatch):
     monkeypatch.setattr(pt, "convex_hull", record_hull)
     inst = checks.Instance(fan, order=1)
     sys = inst.sys
-    tr.secondary_cone(sys, inst.points, inst.tmax)
+    tr.secondary_cone(sys, sys.points, sys.tmax)
     if len(sys.basis) <= 2:
         tr.secondary_fan(sys)
         tr.groebner_fan(sys)

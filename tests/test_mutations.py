@@ -13,7 +13,9 @@ box operator and the certificate's period match under a whole check-all
 check on f1 and
 the one-block P1xP1, with one Stanley-Reisner generator dropped; the
 secondary-cone check on f1, the one-block P1xP1 and P1^3, with every
-covector of one facet-defining row dropped.  Every
+covector of one facet-defining row dropped; the Groebner check on p2, f1
+and the one-block P1^3, with one collection binomial dropped, which the
+certificate of the toric ideal also refuses.  Every
 annihilation mutation also gives the per-series loop the stacked check
 replaced (``annihilation_per_series``) the same (ok, detail).  The Euler branch of ``apply_operator`` is also held
 to the per-term formula it replaced, on the real solutions and under a
@@ -39,6 +41,7 @@ from gkzfrac import checks, series as se, toric
 from gkzfrac import degeneracy as dg
 from gkzfrac import exact_linalg as xl
 from gkzfrac import triangulations as tr
+from gkzfrac.errors import IdealNotCertified
 
 FANS = {"p2": (CORPUS["p2"], 8), "f1": (CORPUS["f1"], 8),
         "p1p1p1_r1": (lambda: threefold([[0, 1, 2, 3, 4, 5]], "r1"), 4)}
@@ -379,6 +382,25 @@ def test_dropped_secondary_facet_fails_secondary_contains_ample(
             detail = ("secondary cone of the maximal triangulation: cone is "
                       "not pointed and full-dimensional")
         assert check(inst) == (False, detail)
+
+
+@pytest.mark.parametrize("name", sorted(FANS))
+def test_dropped_collection_binomial_fails_groebner_minimal(name,
+                                                           monkeypatch):
+    """The collection binomials G without their last one: the certificate
+    that G generates the toric ideal refuses them, naming the leading-term
+    premise (on p2, G is left empty), and a whole check-all runs to its end
+    with the Groebner check alone failing."""
+    original = tr.primitive_collection_binomials
+    monkeypatch.setattr(tr, "primitive_collection_binomials",
+                        lambda sys, omega: original(sys, omega)[:-1])
+    inst = checks.Instance(BUILDERS[name](), order=4)
+    with pytest.raises(IdealNotCertified, match="premise 'leading terms'"):
+        inst.sys.lattice_ideal
+    failed = {r["id"]: r["detail"] for r in checks.run_all(inst)
+              if not r["ok"]}
+    assert failed == {"triangulations.groebner_minimal":
+                      "collection binomials fail the S-pair or leading test"}
 
 
 @pytest.mark.parametrize("name", sorted(FANS))

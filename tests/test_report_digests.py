@@ -16,7 +16,7 @@ import pytest
 
 from test_cones import old_kahler_cone, old_secondary_cone
 from test_degeneracy import HEXAGON, MULTI_CHART, SEVEN_RAYS, SURFACE0_6
-from test_ring_table import SQUARE8
+from test_ring_table import P3_CONES, P3_RAYS, SQUARE8
 from gkzfrac import checks, cli
 
 DIGESTS = {
@@ -106,6 +106,18 @@ MULTI_CHART_DIGESTS = {
 }
 
 
+# The paper's running example, the double cover of P^3 branched along eight
+# planes (P^3 with four one-ray blocks), at order 4.
+RUNNING_EXAMPLE = cli.InputSpec("p3_r4", 3, P3_RAYS, P3_CONES,
+                                [[0], [1], [2], [3]], order=4)
+RUNNING_EXAMPLE_DIGESTS = {
+    "check-all":
+        "8cb03f03e8a509d49bfcdc45fc5da23f83a72174670c92cec70f2a703fcb9c7a",
+    "degeneracy":
+        "94522352eac00b166ebee93fe43777c0159429bd9727b94f38aec149bd6a3f75",
+}
+
+
 def spec_digest(command, spec, order=None):
     text = cli.run_command(command, spec, {"order": order}).to_json()
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -141,16 +153,21 @@ def test_multi_chart_report_digest(key):
     assert spec_digest(command, spec) == MULTI_CHART_DIGESTS[key]
 
 
+@pytest.mark.parametrize("command", sorted(RUNNING_EXAMPLE_DIGESTS))
+def test_running_example_report_digest(command):
+    assert spec_digest(command, RUNNING_EXAMPLE) == \
+        RUNNING_EXAMPLE_DIGESTS[command]
+
+
 @pytest.mark.parametrize("name", sorted(FANS_WITH_THE_OLD_ROWS))
 def test_fans_bytes_move_only_by_the_cone_rows(name):
     """With the old builders' rows put back, in their old order, the
     `fans` report is the old one byte for byte."""
     spec = cli.parse_input(cli.fixture_path(name))
     report = cli.run_command("fans", spec, {"order": None})
-    inst = checks.Instance(spec.fan(), order=1)
-    sys = inst.sys
+    sys = checks.Instance(spec.fan(), order=1).sys
     old = {"kahler_cone": old_kahler_cone(sys.basis_coords, sys.collections),
-           "secondary_cone": old_secondary_cone(sys, inst.points, inst.tmax)}
+           "secondary_cone": old_secondary_cone(sys, sys.points, sys.tmax)}
     for field, cone in old.items():
         assert report.payload[field]["rays"] == [list(r) for r in cone.rays]
         report.payload[field]["inequalities"] = [

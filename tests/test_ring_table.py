@@ -58,8 +58,10 @@ P3_RAYS = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
 P3_CONES = [list(c) for c in combinations(range(4), 3)]
 P2XP1_RAYS = [(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1), (0, 0, -1)]
 P2XP1_CONES = [[i, j, k] for i, j in combinations(range(3), 2) for k in (3, 4)]
-# larger rings, built but not run through check-all: the 8-ray square and
-# the 9-ray triangle, and P^3 and P2xP1 under each of their partitions
+# larger rings, built here but not run through check-all: the 8-ray square
+# and the 9-ray triangle, and P^3 and P2xP1 under each of their partitions;
+# of these only p3_r4, the paper's running example, also runs check-all
+# (test_series.py, and its report digests)
 RING_ONLY = {
     "square8": lambda: cyclic_surface(SQUARE8, "square8"),
     "triangle9": lambda: cyclic_surface(TRIANGLE9, "triangle9"),

@@ -1,12 +1,12 @@
 import json
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import factorial
 
 import pytest
 
 from conftest import CORPUS, divisor_classes, p1_fan, p1xp1_fan_r2, p2_fan
-from test_ring_table import INSTANCES, REFERENCE_ORDERS, scalar_part
+from test_ring_table import INSTANCES, REFERENCE_ORDERS, RING_ONLY, scalar_part
 from test_triangulations import weights_with_denominators
 from gkzfrac import checks, gkz, series as se, toric
 from gkzfrac import exact_linalg as xl
@@ -304,6 +304,58 @@ def test_integer_coefficients_equal_the_fraction_forms(name):
                                            sys, ell), ell
         nonzero += got != 0
     assert nonzero >= 3 * len(slab)
+
+
+def double_cover_of_projective_space(n):
+    """P^n with each of its n + 1 rays its own block: the double cover of
+    P^n branched along 2n + 2 hyperplanes (the paper's running example,
+    ``p3_r4``, for n = 3)."""
+    rays = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    rays.append((-1,) * n)
+    cones = [list(c) for c in combinations(range(n + 1), n)]
+    return toric.make_fan(n, rays, cones, [[i] for i in range(n + 1)],
+                          name=f"p{n}_r{n + 1}")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_double_covers_of_projective_space_have_the_closed_form(n):
+    """The period is sum_k ((1/2)_k / k!)^(n+1) z^k over the multiples k of
+    the one collection's relation, and gamma is that period times
+    (-1)^(k(n+1)): the Legendre curve, the double plane over six lines and
+    the running example."""
+    sys = gkz.build_system(double_cover_of_projective_space(n))
+    period = se.normalized_period_series(sys, gkz.default_weight(sys), 4)
+    [collection] = sys.collections
+    no_logs = (0,) * sys.nvars
+
+    def key(k):
+        return tuple(k * x for x in collection.ell_ext), no_logs
+
+    def closed_form(k):
+        rising = Fraction(1)
+        for i in range(k):
+            rising *= Fraction(1, 2) + i
+        return (rising / factorial(k)) ** (n + 1)
+
+    ks = range(len(period.terms))
+    assert len(ks) >= 4
+    assert period.terms == {key(k): closed_form(k) for k in ks}
+    assert se.gamma_series(period).terms == {
+        key(k): (-1) ** (k * (n + 1)) * closed_form(k) for k in ks}
+    if n == 2:
+        assert [period.terms[key(k)] for k in range(3)] == [
+            1, Fraction(1, 8), Fraction(27, 512)]
+        assert [se.gamma_series(period).terms[key(k)] for k in range(4)] == [
+            1, Fraction(-1, 8), Fraction(27, 512), Fraction(-125, 4096)]
+
+
+def test_running_example_passes_check_all():
+    """The double cover of P^3 branched along eight planes passes every
+    registered check at order 4."""
+    inst = checks.Instance(RING_ONLY["p3_r4"](), order=4)
+    results = checks.run_all(inst)
+    assert len(results) == len(checks.CHECKS) == 25
+    assert [r["id"] for r in results if not r["ok"]] == []
 
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))

@@ -5,10 +5,13 @@ from itertools import combinations, product
 import pytest
 
 from conftest import CORPUS, f1_fan, p1_fan, p1xp1_fan_r2, p2_fan
+from test_cones import RANK_LE_4
+from test_degeneracy import MULTI_CHART
 from test_exact_linalg import ENGINE_INSTANCES
 from gkzfrac import gkz, toric, triangulations as tr
 from gkzfrac import exact_linalg as xl
-from gkzfrac.errors import DegenerateSimplex, NonTermination, NotRegular
+from gkzfrac.errors import (DegenerateSimplex, IdealNotCertified,
+                            NonTermination, NotRegular)
 
 
 def system(fan_maker):
@@ -294,6 +297,78 @@ class FractionTermOrder:
         return self.key(a) > self.key(b)
 
 
+# The saturation that the certificate of ``GkzSystem.lattice_ideal``
+# replaced, kept as the reference generators of the toric ideal.
+
+def grevlex_last_order(nvars, last):
+    """Graded reverse lexicographic order with the given variable cheapest."""
+    sequence = [j for j in range(nvars) if j != last] + [last]
+    rows = [tuple(1 for _ in range(nvars))]
+    for var in reversed(sequence):
+        rows.append(tuple(-1 if i == var else 0 for i in range(nvars)))
+    return tr.TermOrder(rows=tuple(rows))
+
+
+def _saturate_variable(basis, nvars, var):
+    """Divide out the cheapest variable after a grevlex-last basis."""
+    order = grevlex_last_order(nvars, var)
+    gb = tr.buchberger(basis, order)
+    out = []
+    for u, v in gb:
+        m = min(u[var], v[var])
+        if m:
+            u = tuple(x - m if j == var else x for j, x in enumerate(u))
+            v = tuple(x - m if j == var else x for j, x in enumerate(v))
+        if u != v:
+            out.append((u, v))
+    return out
+
+
+def lattice_ideal_generators(sys):
+    """Generators of the saturated lattice ideal from the kernel basis.
+
+    The basis binomials generate the ideal only up to saturation by the
+    product of all variables; saturating one variable at a time (each via a
+    graded reverse-lex basis with that variable cheapest) reaches the full
+    toric ideal.
+    """
+    gens = [xl.split_positive_negative(b) for b in sys.basis]
+    for var in range(sys.nvars):
+        gens = _saturate_variable(gens, sys.nvars, var)
+    return gens
+
+
+WALKED = dict(ENGINE_INSTANCES, seven_rays=MULTI_CHART["seven_rays"][0])
+
+
+@pytest.mark.parametrize("name", RANK_LE_4 + ["seven_rays"])
+def test_collection_binomials_give_the_saturated_basis(name, monkeypatch):
+    """At every chamber probe of the Groebner walk, Buchberger from the
+    saturated generators gives the reduced basis that the walk's run from
+    the certified collection binomials gives.  A walk that passes
+    FAN_CHAMBER_CAP (seven_rays, surface8, random99_1) counts its probes up
+    to there."""
+    sys = gkz.build_system(WALKED[name]())
+    assert sys.lattice_ideal == tuple(
+        tr.primitive_collection_binomials(sys, gkz.default_weight(sys)))
+    probes, basis = [], tr.toric_groebner_basis
+
+    def recorded(sys, omega):
+        probes.append(basis(sys, omega))
+        return probes[-1]
+
+    monkeypatch.setattr(tr, "toric_groebner_basis", recorded)
+    try:
+        tr.groebner_fan(sys)
+    except NonTermination as exc:
+        assert "FAN_CHAMBER_CAP" in str(exc)
+    saturated = lattice_ideal_generators(sys)
+    assert len({ideal.generators for ideal in probes}) > 1
+    for ideal in probes:
+        order = tr.weight_order(ideal.weight, sys.nvars)
+        assert tuple(tr.buchberger(saturated, order)) == ideal.generators
+
+
 def weights_with_denominators(sys):
     """The default weight, a third of it, and a third of it plus half the
     last (block indicator) row of the lifted matrix: a non-integral lift of
@@ -307,16 +382,17 @@ def weights_with_denominators(sys):
 
 @pytest.mark.parametrize("name", sorted(ENGINE_INSTANCES))
 def test_integer_term_orders_equal_the_fraction_rows(name, monkeypatch):
-    """Saturation, Buchberger, the reduced basis and the collection
-    binomials come out the same under the Fraction-row reference order."""
+    """The certified generators, the reference saturation, Buchberger, the
+    reduced basis and the collection binomials come out the same under the
+    Fraction-row reference order."""
     fan = ENGINE_INSTANCES[name]()
     weights = weights_with_denominators(gkz.build_system(fan))
 
     def results():
-        # a fresh system, so its saturation runs under the order in force
+        # a fresh system, so its certificate runs under the order in force
         sys = gkz.build_system(fan)
         gens = [xl.split_positive_negative(b) for b in sys.basis]
-        out = [tr.lattice_ideal_generators(sys)]
+        out = [sys.lattice_ideal, lattice_ideal_generators(sys)]
         for omega in weights:
             ideal = tr.toric_groebner_basis(sys, omega)
             out.append((tr.buchberger(gens, tr.weight_order(omega, sys.nvars)),
@@ -332,21 +408,19 @@ def test_integer_term_orders_equal_the_fraction_rows(name, monkeypatch):
     assert results() == expected
 
 
-def test_groebner_fan_saturates_once_per_system(monkeypatch):
-    """The lattice ideal does not depend on the weight: one saturation
-    (one grevlex basis per variable) serves every chamber probe of the
-    walk, and a second walk on the same system saturates nothing."""
+def test_groebner_fan_starts_every_run_from_the_collections(monkeypatch):
+    """The toric ideal does not depend on the weight: each chamber probe of
+    the walk is one Buchberger run from the certified collection binomials,
+    the certificate runs none, and nothing is saturated (the reference
+    saturation runs one grevlex basis per variable)."""
     sys = system(f1_fan)
-    calls = {"lattice_ideal_generators": 0, "buchberger": 0}
+    starts, buchberger = [], tr.buchberger
 
-    def counted(fn):
-        def wrapper(*args):
-            calls[fn.__name__] += 1
-            return fn(*args)
-        return wrapper
+    def recorded(generators, order):
+        starts.append(generators)
+        return buchberger(generators, order)
 
-    for name in calls:
-        monkeypatch.setattr(tr, name, counted(getattr(tr, name)))
+    monkeypatch.setattr(tr, "buchberger", recorded)
 
     def walk():
         return [(cone.rays, cone.inequalities, label)
@@ -354,11 +428,26 @@ def test_groebner_fan_saturates_once_per_system(monkeypatch):
 
     chambers = walk()
     assert len(chambers) == 7
-    # 8 chamber probes, each one basis from the 5-variable saturation; a
-    # ninth probe lands in a chamber an earlier probe found
-    assert calls == {"lattice_ideal_generators": 1, "buchberger": 13}
+    # 8 chamber probes; a ninth probe lands in a chamber an earlier probe
+    # found
+    assert len(starts) == 8
     assert walk() == chambers
-    assert calls == {"lattice_ideal_generators": 1, "buchberger": 21}
+    assert len(starts) == 16
+    assert all(gens is sys.lattice_ideal for gens in starts)
+
+
+@pytest.mark.parametrize("premise,name", [
+    ("relations", "in_kernel"), ("ample chamber", "induces_tmax"),
+    ("leading terms", "minimal_gb_is_primitive_collections")])
+def test_certificate_names_the_failed_premise(premise, name, monkeypatch):
+    """Each premise of the certificate that the collection binomials
+    generate the toric ideal, made false on f1, raises IdealNotCertified
+    naming it; nothing is saturated in its place."""
+    sys = system(f1_fan)
+    monkeypatch.setattr(sys if name == "in_kernel" else tr, name,
+                        lambda *args: False)
+    with pytest.raises(IdealNotCertified, match=f"premise '{premise}'"):
+        sys.lattice_ideal
 
 
 def test_buchberger_reduces_spair_disjoint_supports():
@@ -472,6 +561,7 @@ def test_facet_walk_equals_the_circle_walk(name, monkeypatch):
     """Same chambers, labels and order as the planar walk and the rank-1
     branch, and never more chamber probes."""
     sys = gkz.build_system(ENGINE_INSTANCES[name]())
+    sys.lattice_ideal  # certified before counting: its subdivision is no probe
     calls = {"regular_subdivision": 0, "toric_groebner_basis": 0}
 
     def counted(fn):
