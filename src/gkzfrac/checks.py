@@ -154,17 +154,22 @@ def _check_oracle_match(inst):
 
 
 def _check_annihilation(inst):
-    # two passes per operator: gamma (the parity-signed period) and the
-    # stacked pairings; a failure is named in the order gamma, pairing_0, ...
+    # one pass per operator over the pairings; component 0 must be gamma
     sys = inst.sys
     ops = [(op, f"Euler row {op.row}") for op in sys.euler_operators()]
     ops += [(box, f"box {box.ell}") for box in sys.box_operators()]
     for op, label in ops:
-        if not se.apply_operator(op, inst.gamma).is_zero_on_reliable_region():
-            return False, f"{label} fails on gamma"
         first = se.apply_operator(op, inst.pairings).first_nonzero_component()
         if first is not None:
-            return False, f"{label} fails on pairing_{first}"
+            name = f"pairing_{first}" if first else "gamma"
+            return False, f"{label} fails on {name}"
+    no_logs, gamma = (0,) * sys.nvars, inst.gamma.terms
+    unit = {(ell, no_logs): row[0] for (ell, logs), row
+            in inst.pairings.terms.items() if row[0] and not any(logs)}
+    if unit != gamma:
+        _, ell = min((xl.dot(inst.omega, ell), ell)
+                     for (ell, _), _ in unit.items() ^ gamma.items())
+        return False, f"gamma differs from the unit pairing at {ell}"
     return True, (f"{sys.n + sys.r} Euler rows and {len(sys.collections)} "
                   f"box operators kill all solutions at order {inst.order}")
 

@@ -115,6 +115,8 @@ def make_fan(rank, rays, max_cones, nef_partition, name="", ample_weight=None):
     new_cones = tuple(frozenset(position[i] for i in cone) for cone in max_cones)
     blocks, start = [], 0
     for block in nef_partition:
+        if not block:
+            raise SemanticError(f"nef partition block {len(blocks)} is empty")
         blocks.append(tuple(range(start, start + len(block))))
         start += len(block)
     return FanData(rank=rank, rays=new_rays, blocks=tuple(blocks),
@@ -297,9 +299,10 @@ def _build_collection(fan, collection):
         count = sum(1 for i in collection if block_of[i] == k)
         drop = sum(c for i, c in coeffs.items() if block_of[i] == k)
         c0.append(count - drop)
-    assert all(c >= 0 for c in c0), \
-        (f"auxiliary coefficient negative for collection {sorted(collection)};"
-         " the block sums of the given partition are not all nef")
+    if not all(c >= 0 for c in c0):
+        raise SemanticError(f"auxiliary coefficient negative for collection "
+                            f"{sorted(collection)}; the block sums of the "
+                            "given partition are not all nef")
     ell = [0] * fan.p
     for i in collection:
         ell[i] += 1

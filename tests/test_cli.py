@@ -14,12 +14,14 @@ from gkzfrac import cli
 from gkzfrac.errors import ParseError, SchemaError, SemanticError
 
 
-def run_cli(args, env_extra=None):
+def run_cli(args, env_extra=None, flags=()):
+    """The command line in a fresh interpreter, under ``flags`` such as
+    ``-O``."""
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        [_sysmod.executable, "-m", "gkzfrac.cli", *args],
+        [_sysmod.executable, *flags, "-m", "gkzfrac.cli", *args],
         capture_output=True, text=True, env=env)
 
 
@@ -381,6 +383,51 @@ def test_cli_ray_in_no_maximal_cone_exit_2(cmd, extra, tmp_path):
     assert result.returncode == 2
     assert result.stdout == ""
     assert f"ray 3 = {tuple(extra)} lies in no maximal cone" in result.stderr
+
+
+# f1's fan with partitions whose block sums are not nef: a collection's
+# auxiliary coefficient is negative (collections named in the canonical,
+# block-by-block ray order); validate checks the fan only
+NON_NEF_F1 = [([[1], [0, 2, 3]], [1, 2]), ([[0, 2], [1, 3]], [0, 1])]
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "O"])
+@pytest.mark.parametrize("partition,collection", NON_NEF_F1)
+@pytest.mark.parametrize("cmd", ["system", "check-all"])
+def test_cli_non_nef_partition_exit_2(cmd, partition, collection, flags,
+                                      tmp_path):
+    # a typed error, not an assertion, so python -O rejects it alike
+    path = tmp_path / "f1_non_nef.json"
+    path.write_text(json.dumps({
+        "name": "f1_non_nef", "rank": 2,
+        "rays": [[1, 0], [0, 1], [-1, 1], [0, -1]],
+        "max_cones": [[0, 1], [1, 2], [2, 3], [3, 0]],
+        "nef_partition": partition}))
+    assert run_cli(["validate", str(path)], flags=flags).returncode == 0
+    result = run_cli([cmd, str(path), "--order", "4"], flags=flags)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == (
+        "gkzfrac: input error: auxiliary coefficient negative for "
+        f"collection {collection}; the block sums of the given partition "
+        "are not all nef\n")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "O"])
+@pytest.mark.parametrize("cmd", ["validate", "check-all"])
+def test_cli_empty_nef_block_exit_2(cmd, flags, tmp_path):
+    # the blocks of a nef-partition are nonempty (Batyrev-Borisov 1996)
+    path = tmp_path / "p2_empty_block.json"
+    path.write_text(json.dumps({
+        "name": "p2_empty_block", "rank": 2,
+        "rays": [[1, 0], [0, 1], [-1, -1]],
+        "max_cones": [[0, 1], [1, 2], [2, 0]],
+        "nef_partition": [[0, 1, 2], []]}))
+    result = run_cli([cmd, str(path)], flags=flags)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == (
+        "gkzfrac: input error: nef partition block 1 is empty\n")
 
 
 # --- what each command loads ------------------------------------------------------------

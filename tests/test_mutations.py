@@ -7,17 +7,21 @@ flipped period sign, a flipped oracle sign and a period term deleted); the kerne
 one-block P1xP1 and the three-block P1^3 (on p2 and the three-block P1^3
 its box holds no kernel vector, so only the Hermite certificate sees the
 defect there); the parity sign on p2 and f1, the inputs where some box
-operator has an odd auxiliary sum, where gamma, left unsigned, fails a
-box operator and the certificate's period match under a whole check-all
-(and nothing fails on the one-block P1xP1 and P1^3); the ring dimension
-check on f1 and
-the one-block P1xP1, with one Stanley-Reisner generator dropped; the
+operator has an odd auxiliary sum, where gamma, left unsigned, is no longer
+the unit pairing (the annihilation check's last clause; the per-series
+loop sees a box operator fail on it) and fails the certificate's period
+match under a whole check-all (and nothing fails on the one-block P1xP1
+and P1^3); gamma times 2 on p2, f1 and the one-block P1^3, which every
+operator still kills and the certificate matches up to its one scalar, so
+that only the unit-pairing clause of annihilation sees it (and the
+per-series loop passes it); the ring dimension check on f1 and the
+one-block P1xP1, with one Stanley-Reisner generator dropped; the
 secondary-cone check on f1, the one-block P1xP1 and P1^3, with every
 covector of one facet-defining row dropped; the Groebner check on p2, f1
 and the one-block P1^3, with one collection binomial dropped, which the
-certificate of the toric ideal also refuses.  Every
-annihilation mutation also gives the per-series loop the stacked check
-replaced (``annihilation_per_series``) the same (ok, detail).  The Euler branch of ``apply_operator`` is also held
+certificate of the toric ideal also refuses.  Every other annihilation
+mutation also gives the per-series loop the stacked check replaced
+(``annihilation_per_series``) the same (ok, detail).  The Euler branch of ``apply_operator`` is also held
 to the per-term formula it replaced, on the real solutions and under a
 wrong exponent, where its output is nonzero, for the pairings in the
 first chart's logs (``Instance.pairings``) and in slot logs (the
@@ -151,23 +155,30 @@ def test_dropped_parity_twist_fails_annihilation(name, monkeypatch):
     # before gamma is built, and no auxiliary slot is seen, so gamma is the
     # unsigned period
     monkeypatch.setattr(se, "_aux_positions_from_alpha", lambda alpha: [])
-    ok, detail = check(inst)
+    # the pairings carry the parity in their classes, so every operator
+    # kills them; gamma differs from their unit component first where a
+    # relation with an odd auxiliary sum enters, which the per-series loop
+    # sees as a box operator failing on gamma
+    assert check(inst) == (False, DROPPED_TWIST_FAILURES[name][
+        "series.annihilation"])
+    ok, detail = annihilation_per_series(inst)
     assert not ok
     assert detail.startswith("box (") and detail.endswith(" fails on gamma")
-    assert annihilation_per_series(inst) == (ok, detail)
 
 
 # the checks that fail, with their details, when check-all runs without the
 # parity: gamma, the one series series.parity_sign signs, is then the
-# unsigned period where some relation has an odd auxiliary sum, so a box
-# operator and the match against the log-free solution, which carries the
-# parity in its classes, both see it; nothing fails where every box
-# operator's sum is even
+# unsigned period where some relation has an odd auxiliary sum, so its
+# match with the unit pairing and the match against the log-free solution,
+# both of which carry the parity in their classes, see it; nothing fails
+# where every box operator's sum is even
 CHART_0_MISMATCH = "chart 0 fails ['log_free_matches_period']"
 DROPPED_TWIST_FAILURES = {
-    "p2": {"series.annihilation": "box (-3, 1, 1, 1) fails on gamma",
+    "p2": {"series.annihilation":
+           "gamma differs from the unit pairing at (-3, 1, 1, 1)",
            "degeneracy.certificate": CHART_0_MISMATCH},
-    "f1": {"series.annihilation": "box (-1, 1, -1, 1, 0) fails on gamma",
+    "f1": {"series.annihilation":
+           "gamma differs from the unit pairing at (-3, 1, 0, 1, 1)",
            "degeneracy.certificate": CHART_0_MISMATCH},
     "p1xp1_r1": {},
     "p1p1p1_r1": {},
@@ -182,6 +193,31 @@ def test_dropped_parity_twist_fails_check_all(name, monkeypatch):
     failed = {r["id"]: r["detail"] for r in checks.run_all(inst)
               if not r["ok"]}
     assert failed == DROPPED_TWIST_FAILURES[name]
+
+
+@pytest.mark.parametrize("name", sorted(FANS))
+def test_scaled_gamma_fails_only_annihilation(name, monkeypatch):
+    """Gamma times 2 is still killed by every operator, and the certificate
+    matches the log-free solution only up to one scalar, so this defect
+    passed all 25 checks while annihilation applied the operators to gamma
+    without comparing it with the unit pairing; now that comparison names
+    the constant term, the first offset in weight order, and nothing else
+    fails."""
+    inst = instance(name)
+    original = se.gamma_series
+
+    def doubled(period):
+        gamma = original(period)
+        return gamma.replace(terms={k: 2 * c for k, c in gamma.terms.items()})
+
+    # before gamma is built, so every check reads the scaled series
+    monkeypatch.setattr(se, "gamma_series", doubled)
+    failed = {r["id"]: r["detail"] for r in checks.run_all(inst)
+              if not r["ok"]}
+    zero = (0,) * inst.sys.nvars
+    assert failed == {"series.annihilation":
+                      f"gamma differs from the unit pairing at {zero}"}
+    assert annihilation_per_series(inst)[0]
 
 
 # the first term of the last pairing in print order, its coefficient

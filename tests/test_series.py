@@ -349,6 +349,67 @@ def test_double_covers_of_projective_space_have_the_closed_form(n):
             1, Fraction(-1, 8), Fraction(27, 512), Fraction(-125, 4096)]
 
 
+def eps_product(a, b):
+    """The product of two power series in eps, truncated alike."""
+    return [sum(a[i] * b[t - i] for i in range(t + 1)) for t in range(len(a))]
+
+
+def frobenius_basis(n, ks, sign):
+    """The eps^j coefficients, j = 0..n, of
+    sum_k ((1/2 + eps)_k / (1 + eps)_k)^(n+1) w^(k + eps), w = sign * z,
+    as rows over the columns (k, i), k in ``ks``, i = 0..n: the coefficient
+    of z^k (log w)^i, with w^eps = sum_i eps^i (log w)^i / i! and log w
+    kept formal.  Exact power series in eps truncated at eps^(n+1); no
+    Gamma product and no ring."""
+    one = [Fraction(1)] + [Fraction(0)] * n
+    ratio, coefficients = one, []  # coefficients[k] = ratio_k^(n+1)
+    for k in range(max(ks) + 1):
+        power = one
+        for _ in range(n + 1):
+            power = eps_product(power, ratio)
+        coefficients.append(power)
+        # times (1/2 + k + eps) / (1 + k + eps), 1/(c + eps) expanded in eps
+        numerator = [Fraction(1, 2) + k, Fraction(1)] + [0] * (n - 1)
+        inverse = [Fraction(-1) ** t / Fraction(1 + k) ** (t + 1)
+                   for t in range(n + 1)]
+        ratio = eps_product(ratio, eps_product(numerator, inverse))
+    return [[sign ** k * coefficients[k][j - i] / factorial(i) if i <= j
+             else 0 for k in ks for i in range(n + 1)]
+            for j in range(n + 1)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_frobenius_basis_spans_the_pairings(n):
+    """The solutions at the maximal degeneracy point of the double cover of
+    P^n are the Frobenius basis of theta^(n+1) - w (theta + 1/2)^(n+1) in
+    w = (-1)^(n+1) z, z = x^ell for the one collection's relation ell: the
+    pairings, keyed by (k, log degree) with x^(k ell) = z^k and their one
+    log log z, must span the same n + 1 dimensional space as those
+    eps-coefficients.  Log w and log z differ by a constant, a shift the
+    solution space is closed under (its monodromy is unipotent), so log w
+    stands for log z.  The space is basis-free: a rank test on the rows."""
+    inst = checks.Instance(double_cover_of_projective_space(n), order=6)
+    [collection] = inst.sys.collections
+    v = collection.ell_ext
+    pairings = inst.pairings
+    assert pairings.log_map == (v,)  # the one log is log x^ell = log z
+    pos = next(i for i, x in enumerate(v) if x)
+    multiple = {ell: ell[pos] // v[pos] for ell, _ in pairings.terms}
+    assert all(ell == tuple(k * x for x in v) for ell, k in multiple.items())
+    ks = sorted(set(multiple.values()))
+    assert ks == list(range(len(ks))) and len(ks) >= 4
+    assert all(logdeg[0] <= n for _, logdeg in pairings.terms)
+    zero = (0,) * inst.ring.dim
+    solutions = [[pairings.terms.get((tuple(k * x for x in v), (i,)),
+                                     zero)[h]
+                  for k in ks for i in range(n + 1)]
+                 for h in range(inst.ring.dim)]
+    frobenius = frobenius_basis(n, ks, (-1) ** (n + 1))
+    assert inst.ring.dim == n + 1
+    assert xl.rank(frobenius) == xl.rank(solutions) == n + 1
+    assert xl.rank(frobenius + solutions) == n + 1
+
+
 def test_running_example_passes_check_all():
     """The double cover of P^3 branched along eight planes passes every
     registered check at order 4."""
